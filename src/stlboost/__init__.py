@@ -63,12 +63,14 @@ from .formula import (
 from .grammar import ParseError, SemanticError, format_formula, parse_formula
 from .impurity import (
     PartitionScore,
+    PartitionScores,
     best_leaf_label,
     gain_from_robustness,
+    gains_from_robustness,
     misclassification_gain,
     partition,
 )
-from .pso import EmptyParameterSpaceError, PsoConfig, grid_search, optimize
+from .pso import EmptyParameterSpaceError, PsoConfig, grid_search, optimize, optimize_batch
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
 from .templates import PstlTemplate, Valuation, first_order_templates
 from .tree import (

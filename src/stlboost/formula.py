@@ -232,8 +232,50 @@ def satisfies(phi: Formula, signal: Signal) -> bool:
     return robustness(phi, signal, 0) >= 0
 
 
-def _conjunct_rho_all(c: Conjunct, cols: np.ndarray) -> np.ndarray:
-    return cols - c.threshold if c.op == GT else c.threshold - cols
+def face_rho(op: str, threshold, cols: np.ndarray) -> np.ndarray:
+    """Robustness of the face ``x op threshold`` at the sample values ``cols``."""
+    return cols - threshold if op == GT else threshold - cols
+
+
+def box_window_rho(faces, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Robustness of a box over the window [lo, hi], per signal and timepoint.
+
+    ``faces`` yields (variable, comparator, threshold); returns shape
+    (N, hi - lo + 1).
+    """
+    return np.minimum.reduce(
+        [face_rho(op, threshold, values[:, var - 1, lo : hi + 1]) for var, op, threshold in faces]
+    )
+
+
+def range_table(series: np.ndarray, reduce: np.ufunc, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the sparse table of ``reduce`` (``np.minimum`` or
+    ``np.maximum``) over a (N, T+1) series, for window queries in O(1).
+
+    ``out`` has shape (levels, N, T+1) with ``levels = (T+1).bit_length()``.
+    Level ``j`` holds ``reduce`` over samples [t, t + 2**j) at column ``t``;
+    only columns ``t <= T + 1 - 2**j`` are filled.
+    """
+    width = series.shape[1]
+    out[0] = series
+    for level in range(1, out.shape[0]):
+        half = 1 << (level - 1)
+        filled = width - 2 * half + 1
+        reduce(out[level - 1, :, :filled], out[level - 1, :, half : half + filled],
+               out=out[level, :, :filled])
+    return out
+
+
+def range_query(table: np.ndarray, reduce: np.ufunc, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``reduce`` of each series over the inclusive windows [lo[p], hi[p]].
+
+    ``table`` comes from :func:`range_table`; returns shape (P, N).  The two
+    power-of-two halves overlap, which min and max do not mind, so the
+    result is exactly the reduction over the window.
+    """
+    powers = 1 << np.arange(table.shape[0])
+    level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
+    return reduce(table[level, :, lo], table[level, :, hi - powers[level] + 1])
 
 
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
@@ -251,7 +293,7 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
         if t < 0 or t > horizon:
             raise OutOfHorizonError(f"timepoint {t} outside [0, {horizon}]")
         return np.minimum.reduce(
-            [_conjunct_rho_all(c, values[:, c.var - 1, t]) for c in phi.box.conjuncts]
+            [face_rho(c.op, c.threshold, values[:, c.var - 1, t]) for c in phi.box.conjuncts]
         )
     if isinstance(phi, Not):
         return -robustness_all(phi.child, values, t)
@@ -265,13 +307,9 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
             raise OutOfHorizonError(f"window [{lo},{hi}] exceeds horizon {horizon}")
         child = phi.child
         if isinstance(child, Predicate):
-            # Window slice per conjunct keeps this O(k) numpy calls, which is
-            # the hot path during training.
-            window = np.minimum.reduce(
-                [
-                    _conjunct_rho_all(c, values[:, c.var - 1, lo : hi + 1])
-                    for c in child.box.conjuncts
-                ]
+            # Window slice per conjunct keeps this O(k) numpy calls.
+            window = box_window_rho(
+                ((c.var, c.op, c.threshold) for c in child.box.conjuncts), values, lo, hi
             )
             return window.min(axis=1) if isinstance(phi, Always) else window.max(axis=1)
         if isinstance(child, BooleanConst):

@@ -9,6 +9,7 @@ signal contributes positive mass to the violating side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,60 +32,103 @@ class PartitionScore:
         return {POS_LABEL: self.p_pos, NEG_LABEL: self.p_neg}
 
 
-def _magnitudes(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Per-sample masses w * |rho|.
+class PartitionScores(NamedTuple):
+    """:class:`PartitionScore` fields for a batch of candidate splits, one
+    entry per candidate, plus each candidate's robustness margin (the total
+    mass, the tie-break criterion)."""
 
-    Falls back to the bare weights when the robustness values are not
-    finite (e.g. the path formula is the constant true) or are all zero,
-    so the degenerate cases reduce to plain weighted class masses.
+    p_top: np.ndarray
+    p_bot: np.ndarray
+    p_pos: np.ndarray
+    p_neg: np.ndarray
+    gain: np.ndarray
+    margin: np.ndarray
+
+
+def _masses(rho: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample masses w * |rho| for each row of a (P, N) robustness matrix,
+    and which rows are degenerate.
+
+    A row whose robustness values are not finite (e.g. the path formula is
+    the constant true) or are all zero is degenerate and falls back to the
+    bare weights, so those cases reduce to plain weighted class masses.
     """
-    mags = weights * np.abs(rho)
-    if not np.all(np.isfinite(mags)) or float(mags.sum()) == 0.0:
-        return np.asarray(weights, dtype=float).copy()
-    return mags
+    raw = weights * np.abs(rho)
+    degenerate = ~np.isfinite(raw).all(axis=1) | (raw.sum(axis=1) == 0.0)
+    return np.where(degenerate[:, np.newaxis], weights, raw), degenerate
 
 
-def _partition_mr(mags: np.ndarray, labels: np.ndarray, member: np.ndarray) -> float:
-    total = float(mags[member].sum())
-    if total == 0.0:
-        return 0.0
-    pos = float(mags[member & (labels == POS_LABEL)].sum()) / total
-    return min(pos, 1.0 - pos)
+def gains_from_robustness(
+    rho: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> PartitionScores:
+    """Score P candidate splits of the same N samples at once.
+
+    Row ``p`` of the (P, N) matrix ``rho`` is the robustness of candidate
+    ``p`` per sample; its satisfied side is ``rho >= 0``.  A degenerate row
+    (see :func:`_masses`) has gain 0: such a split carries no margin
+    information.  Every entry is bit-identical to scoring its row alone:
+    row sums of a C-contiguous matrix equal the 1-D sums of its rows, so
+    the full-row and positive-class sums run on the whole batch, but the
+    sums over each row's own satisfied side compact that row and sum it
+    alone (neither zero padding nor ``np.add.reduceat`` gives the same bits).
+    """
+    rho = np.asarray(rho, dtype=float)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=float)
+    if rho.shape[1] == 0:
+        zeros = np.zeros(rho.shape[0])
+        return PartitionScores(zeros, zeros, zeros, zeros, zeros, zeros)
+    mags, degenerate = _masses(rho, weights)
+    total = mags.sum(axis=1)
+    pos = labels == POS_LABEL
+    # A boolean column selection comes out Fortran-ordered, and its row sums
+    # would then differ from the 1-D sums in the last bit.
+    pos_mass = np.ascontiguousarray(mags[:, pos]).sum(axis=1)
+    sat = rho >= 0
+    bot = ~sat
+    top_pos = sat & pos
+    bot_pos = bot & pos
+    add = np.add.reduce
+    sums = np.array([
+        (add(m[s]), add(m[b]), add(m[sp]), add(m[bp]))
+        for m, s, b, sp, bp in zip(mags, sat, bot, top_pos, bot_pos)
+    ])
+    top_mass, bot_mass, top_pos_mass, bot_pos_mass = sums.T
+    p_top = top_mass / total
+    p_bot = bot_mass / total
+    p_pos = pos_mass / total
+    p_neg = 1.0 - p_pos
+    gain = (
+        np.minimum(p_pos, p_neg)
+        - p_top * _minority(top_mass, top_pos_mass)
+        - p_bot * _minority(bot_mass, bot_pos_mass)
+    )
+    gain[degenerate] = 0.0
+    return PartitionScores(p_top, p_bot, p_pos, p_neg, gain, total)
+
+
+def _minority(mass: np.ndarray, pos_mass: np.ndarray) -> np.ndarray:
+    """Minority-class share of each side; 0 for an empty side."""
+    share = np.divide(pos_mass, mass, out=np.zeros_like(mass), where=mass != 0.0)
+    return np.minimum(share, 1.0 - share)
 
 
 def gain_from_robustness(
     rho: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> PartitionScore:
-    """Score a split given precomputed robustness values.
+    """Score one split given precomputed robustness values: the batch of one
+    of :func:`gains_from_robustness`.
 
-    ``rho`` is the robustness of the full candidate formula per sample; the
-    satisfied side is ``rho >= 0``.  When every robustness magnitude is zero
-    the gain is defined as 0 (such a split carries no margin information).
+    ``rho`` is the robustness of the full candidate formula per sample.
     """
-    rho = np.asarray(rho, dtype=float)
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=float)
-    if rho.size == 0:
-        return PartitionScore(0.0, 0.0, 0.0, 0.0, 0.0)
-    raw = weights * np.abs(rho)
-    degenerate = not np.all(np.isfinite(raw)) or float(raw.sum()) == 0.0
-    mags = _magnitudes(weights, rho)
-    total = float(mags.sum())
-    sat = rho >= 0
-    p_top = float(mags[sat].sum()) / total
-    p_bot = float(mags[~sat].sum()) / total
-    p_pos = float(mags[labels == POS_LABEL].sum()) / total
-    p_neg = 1.0 - p_pos
-    if degenerate:
-        gain = 0.0
-    else:
-        mr_parent = min(p_pos, p_neg)
-        gain = (
-            mr_parent
-            - p_top * _partition_mr(mags, labels, sat)
-            - p_bot * _partition_mr(mags, labels, ~sat)
-        )
-    return PartitionScore(p_top, p_bot, p_pos, p_neg, gain)
+    scores = gains_from_robustness(np.asarray(rho, dtype=float)[np.newaxis], labels, weights)
+    return PartitionScore(
+        float(scores.p_top[0]),
+        float(scores.p_bot[0]),
+        float(scores.p_pos[0]),
+        float(scores.p_neg[0]),
+        float(scores.gain[0]),
+    )
 
 
 def misclassification_gain(
@@ -112,9 +156,10 @@ def partition(dataset: LabeledDataset, weights: np.ndarray, phi: Formula):
 
 
 def robustness_margin(rho: np.ndarray, weights: np.ndarray) -> float:
-    """Total weighted robustness magnitude, the split tie-break criterion."""
-    mags = _magnitudes(np.asarray(weights, dtype=float), np.asarray(rho, dtype=float))
-    return float(mags.sum())
+    """Total weighted robustness magnitude, the split tie-break criterion;
+    :attr:`PartitionScores.margin` for a batch of one."""
+    mags, _ = _masses(np.asarray(rho, dtype=float)[np.newaxis], np.asarray(weights, dtype=float))
+    return float(mags.sum(axis=1)[0])
 
 
 def best_leaf_label(dataset: LabeledDataset, weights: np.ndarray, path: Formula) -> int:
@@ -125,7 +170,7 @@ def best_leaf_label(dataset: LabeledDataset, weights: np.ndarray, path: Formula)
     if len(dataset) == 0:
         return POS_LABEL
     rho = robustness_all(path, dataset.values)
-    mags = _magnitudes(np.asarray(weights, dtype=float), rho)
+    mags = _masses(rho[np.newaxis], np.asarray(weights, dtype=float))[0][0]
     pos = float(mags[dataset.labels == POS_LABEL].sum())
     neg = float(mags[dataset.labels == NEG_LABEL].sum())
     return POS_LABEL if pos >= neg else NEG_LABEL

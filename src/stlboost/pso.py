@@ -1,11 +1,19 @@
 """Gradient-free maximization over a template's mixed parameter space.
 
-Particles move in the continuous relaxation; before every objective call the
-position is projected onto the feasible set: time coordinates are rounded,
-clamped and swap-ordered, thresholds are clamped to their bounds, and paired
-box faces are repaired so the lower face stays strictly below the upper one.
-The returned objective value is the one computed for the returned (already
-projected) valuation.
+Particles move in the continuous relaxation; before the objective sees them
+the positions are projected onto the feasible set: time coordinates are
+rounded, clamped and swap-ordered, thresholds are clamped to their bounds,
+and paired box faces are repaired so the lower face stays strictly below
+the upper one.
+
+The swarm scores a whole iteration at once.  A batch objective receives the
+projected swarm as ``(t0[P], t1[P], thresholds[P, k])`` (integer window
+bounds and float thresholds, one row per particle) and returns
+``(values[P], tie_values[P])``.  Candidates are offered to the incumbent in
+particle order: a strictly larger value wins, and an equal value wins only
+with a strictly larger tie value.  :func:`optimize` adapts a per-valuation
+objective and tie-break to that contract.  The returned value is the one
+computed for the returned (already projected) valuation.
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ from .formula import GT, LE
 from .templates import PstlTemplate, Valuation
 
 Objective = Callable[[Valuation], float]
+BatchObjective = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+MAX_SWARM_SIZE = 1024
+MAX_ITERATIONS = 10_000
 
 
 class EmptyParameterSpaceError(ValueError):
@@ -28,6 +40,13 @@ class EmptyParameterSpaceError(ValueError):
 
 @dataclass(frozen=True)
 class PsoConfig:
+    """Swarm settings.
+
+    ``swarm_size`` is in [2, MAX_SWARM_SIZE] and ``iterations`` in
+    [1, MAX_ITERATIONS]: every iteration holds several (swarm size x node
+    size) arrays at once, and these bounds keep one search within memory.
+    """
+
     swarm_size: int = 40
     iterations: int = 60
     inertia: float = 0.72
@@ -37,10 +56,10 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm size must be at least 2")
-        if self.iterations < 1:
-            raise ValueError("iteration count must be at least 1")
+        if not 2 <= self.swarm_size <= MAX_SWARM_SIZE:
+            raise ValueError(f"swarm size must be in [2, {MAX_SWARM_SIZE}]")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iteration count must be in [1, {MAX_ITERATIONS}]")
         if not 0 <= self.inertia < 1:
             raise ValueError("inertia must be in [0, 1)")
         if self.cognitive <= 0 or self.social <= 0:
@@ -56,30 +75,40 @@ def _face_pairs(template: PstlTemplate) -> list[tuple[int, int]]:
     return [(lower[var], upper[var]) for var in lower if var in upper]
 
 
-def _project(template: PstlTemplate, position: np.ndarray) -> Valuation:
-    horizon = template.horizon
-    t0 = int(np.clip(round(float(position[0])), 0, horizon))
-    t1 = int(np.clip(round(float(position[1])), 0, horizon))
-    if t0 > t1:
-        t0, t1 = t1, t0
-    thresholds = []
-    for k, (lo, hi) in enumerate(template.threshold_bounds):
-        thresholds.append(float(np.clip(position[2 + k], lo, hi)))
+def _project_all(
+    template: PstlTemplate, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project each row of ``positions`` onto the feasible set.
+
+    Returns ``(t0[P], t1[P], thresholds[P, k])``.  Rounding is half to even,
+    as Python's ``round``.
+    """
+    times = np.clip(np.rint(positions[:, :2]), 0, template.horizon).astype(np.intp)
+    t0 = times.min(axis=1)
+    t1 = times.max(axis=1)
+    lows, highs = np.array(template.threshold_bounds).T
+    thresholds = np.clip(positions[:, 2:], lows, highs)
     for gi, li in _face_pairs(template):
-        if thresholds[gi] >= thresholds[li]:
-            thresholds[gi], thresholds[li] = thresholds[li], thresholds[gi]
-        if thresholds[gi] >= thresholds[li]:
-            # Equal after the swap: open a minimal gap without leaving bounds.
-            eps = max(1e-9, 1e-12 * max(abs(thresholds[gi]), 1.0))
-            if thresholds[li] + eps <= template.threshold_bounds[li][1]:
-                thresholds[li] += eps
-            else:
-                thresholds[gi] -= eps
-    return Valuation(t0, t1, tuple(thresholds))
+        lower, upper = thresholds[:, gi], thresholds[:, li]
+        swap = lower >= upper
+        lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
+        # Equal after the swap: open a minimal gap without leaving bounds.
+        tied = lower >= upper
+        eps = np.maximum(1e-9, 1e-12 * np.maximum(np.abs(lower), 1.0))
+        raise_upper = upper + eps <= highs[li]
+        thresholds[:, gi] = np.where(tied & ~raise_upper, lower - eps, lower)
+        thresholds[:, li] = np.where(tied & raise_upper, upper + eps, upper)
+    return t0, t1, thresholds
+
+
+def _project(template: PstlTemplate, position: np.ndarray) -> Valuation:
+    t0, t1, thresholds = _project_all(template, np.asarray(position, dtype=float)[np.newaxis])
+    return Valuation(t0[0], t1[0], thresholds[0])
 
 
 class _Best:
-    """Tracks the incumbent; ties on the objective fall back to tie_break."""
+    """The incumbent; ties on the value fall back to the tie value, which is
+    None until there is an incumbent."""
 
     __slots__ = ("valuation", "value", "tie_value")
 
@@ -88,16 +117,16 @@ class _Best:
         self.value = -np.inf
         self.tie_value = None
 
-    def offer(self, valuation, value, tie_break) -> None:
-        if value > self.value:
-            self.valuation, self.value, self.tie_value = valuation, value, None
-            return
-        if value == self.value and tie_break is not None and self.valuation is not None:
-            if self.tie_value is None:
-                self.tie_value = tie_break(self.valuation)
-            candidate_tie = tie_break(valuation)
-            if candidate_tie > self.tie_value:
-                self.valuation, self.tie_value = valuation, candidate_tie
+    def offer(self, t0, t1, thresholds, values, tie_values) -> None:
+        """Offer a batch of candidates in row order."""
+        chosen = None
+        for row, (value, tie_value) in enumerate(zip(values.tolist(), tie_values.tolist())):
+            if value > self.value or (
+                value == self.value and self.tie_value is not None and tie_value > self.tie_value
+            ):
+                chosen, self.value, self.tie_value = row, value, tie_value
+        if chosen is not None:
+            self.valuation = Valuation(t0[chosen], t1[chosen], thresholds[chosen])
 
 
 def _space_arrays(template: PstlTemplate) -> tuple[np.ndarray, np.ndarray]:
@@ -117,20 +146,17 @@ def _space_arrays(template: PstlTemplate) -> tuple[np.ndarray, np.ndarray]:
     return lb, ub
 
 
-def optimize(
-    template: PstlTemplate,
-    objective: Objective,
-    config: PsoConfig,
-    tie_break: Callable[[Valuation], float] | None = None,
-) -> tuple[Valuation, float]:
-    """Maximize ``objective`` over the template's parameter space.
+def optimize_batch(
+    template: PstlTemplate, objective: BatchObjective, config: PsoConfig
+) -> tuple[Valuation, float, float]:
+    """Maximize a batch ``objective`` over the template's parameter space.
 
-    Deterministic for a given (template, config, objective).  The best
-    objective value seen is non-decreasing over iterations and the returned
-    value is exactly ``objective`` at the returned valuation.  One eighth of
-    the swarm re-samples its position uniformly every iteration; projected
-    objectives are piecewise constant, and without that exploration the
-    swarm can stall on the first plateau it reaches.
+    Returns the best valuation with its value and tie value.  Deterministic
+    for a given (template, config, objective).  The best value seen is
+    non-decreasing over iterations.  One eighth of the swarm re-samples its
+    position uniformly every iteration; projected objectives are piecewise
+    constant, and without that exploration the swarm can stall on the first
+    plateau it reaches.
     """
     lb, ub = _space_arrays(template)
     span = ub - lb
@@ -145,34 +171,63 @@ def optimize(
     particle_best_val = np.full(config.swarm_size, -np.inf)
     best = _Best()
 
-    def evaluate(i: int) -> None:
-        valuation = _project(template, positions[i])
-        value = float(objective(valuation))
-        if value > particle_best_val[i]:
-            particle_best_val[i] = value
-            particle_best_pos[i] = positions[i]
-        best.offer(valuation, value, tie_break)
+    for iteration in range(config.iterations + 1):
+        if iteration:
+            r_cog = rng.uniform(size=(config.swarm_size, dims))
+            r_soc = rng.uniform(size=(config.swarm_size, dims))
+            best_raw = particle_best_pos[int(np.argmax(particle_best_val))]
+            velocities = (
+                config.inertia * velocities
+                + config.cognitive * r_cog * (particle_best_pos - positions)
+                + config.social * r_soc * (best_raw - positions)
+            )
+            np.clip(velocities, -vmax, vmax, out=velocities)
+            positions = np.clip(positions + velocities, lb, ub)
+            positions[-scouts:] = rng.uniform(lb, ub, size=(scouts, dims))
+            velocities[-scouts:] = 0.0
+        t0, t1, thresholds = _project_all(template, positions)
+        values, tie_values = objective(t0, t1, thresholds)
+        improved = values > particle_best_val
+        particle_best_val[improved] = values[improved]
+        particle_best_pos[improved] = positions[improved]
+        best.offer(t0, t1, thresholds, values, tie_values)
 
-    for i in range(config.swarm_size):
-        evaluate(i)
+    return best.valuation, best.value, best.tie_value
 
-    for _ in range(config.iterations):
-        r_cog = rng.uniform(size=(config.swarm_size, dims))
-        r_soc = rng.uniform(size=(config.swarm_size, dims))
-        best_raw = particle_best_pos[int(np.argmax(particle_best_val))]
-        velocities = (
-            config.inertia * velocities
-            + config.cognitive * r_cog * (particle_best_pos - positions)
-            + config.social * r_soc * (best_raw - positions)
-        )
-        np.clip(velocities, -vmax, vmax, out=velocities)
-        positions = np.clip(positions + velocities, lb, ub)
-        positions[-scouts:] = rng.uniform(lb, ub, size=(scouts, dims))
-        velocities[-scouts:] = 0.0
-        for i in range(config.swarm_size):
-            evaluate(i)
 
-    return best.valuation, best.value
+def _per_valuation(
+    objective: Objective, tie_break: Callable[[Valuation], float] | None
+) -> BatchObjective:
+    """A batch objective that calls ``objective`` and ``tie_break`` on each
+    row's valuation; without a tie-break every tie value is 0, so an equal
+    value never replaces the incumbent."""
+
+    def batch(t0, t1, thresholds):
+        valuations = [
+            Valuation(a, b, row)
+            for a, b, row in zip(t0.tolist(), t1.tolist(), thresholds.tolist())
+        ]
+        values = np.array([float(objective(v)) for v in valuations])
+        if tie_break is None:
+            return values, np.zeros(len(valuations))
+        return values, np.array([float(tie_break(v)) for v in valuations])
+
+    return batch
+
+
+def optimize(
+    template: PstlTemplate,
+    objective: Objective,
+    config: PsoConfig,
+    tie_break: Callable[[Valuation], float] | None = None,
+) -> tuple[Valuation, float]:
+    """Maximize a per-valuation ``objective`` over the template's parameter
+    space with :func:`optimize_batch`.
+
+    The returned value is exactly ``objective`` at the returned valuation.
+    """
+    valuation, value, _ = optimize_batch(template, _per_valuation(objective, tie_break), config)
+    return valuation, value
 
 
 def grid_search(
@@ -205,14 +260,17 @@ def grid_search(
             raise EmptyParameterSpaceError(f"no in-bounds candidates for slot {k}")
     pairs = _face_pairs(template)
 
+    grid = [
+        (t0, t1, combo)
+        for t0 in range(0, template.horizon + 1, time_stride)
+        for t1 in range(t0, template.horizon + 1, time_stride)
+        for combo in product(*per_slot)
+        if not any(combo[gi] >= combo[li] for gi, li in pairs)
+    ]
     best = _Best()
-    for t0 in range(0, template.horizon + 1, time_stride):
-        for t1 in range(t0, template.horizon + 1, time_stride):
-            for combo in product(*per_slot):
-                if any(combo[gi] >= combo[li] for gi, li in pairs):
-                    continue
-                valuation = Valuation(t0, t1, combo)
-                best.offer(valuation, float(objective(valuation)), tie_break)
+    if grid:
+        t0, t1, combos = (np.array(column) for column in zip(*grid))
+        best.offer(t0, t1, combos, *_per_valuation(objective, tie_break)(t0, t1, combos))
     if best.valuation is None:
         raise EmptyParameterSpaceError("grid contains no feasible valuation")
     return best.valuation, best.value

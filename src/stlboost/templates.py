@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .data import LabeledDataset
 from .formula import (
@@ -22,6 +25,10 @@ from .formula import (
     Eventually,
     Formula,
     Predicate,
+    box_window_rho,
+    face_rho,
+    range_query,
+    range_table,
 )
 
 ALWAYS = "G"
@@ -122,3 +129,53 @@ def first_order_templates(
         for var in range(1, dimension + 1)
         for op in (LE, GT)
     )
+
+
+BatchRobustness = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def batch_robustness(template: PstlTemplate, values: np.ndarray) -> BatchRobustness:
+    """Robustness of a template at many valuations over one batch of signals.
+
+    Returns ``rho(t0[P], t1[P], thresholds[P, k]) -> (P, N)`` whose row ``p``
+    equals, bit for bit, ``robustness_all`` of the template instantiated at
+    valuation ``p``.  ``G`` over any box and ``F`` over one face read each
+    face's window extremum from a range table: rounding is monotone, so
+    ``min_t fl(x_t - c) == fl(min_t x_t - c)``, and the minimum over faces
+    commutes with ``G``'s minimum over time.  ``F`` over several faces (only
+    merged templates) does not commute and takes window slices per valuation.
+    The tables live as long as the returned function.
+    """
+    values = np.asarray(values, dtype=float)
+    faces = template.slots
+    if template.shape == EVENTUALLY and len(faces) > 1:
+
+        def sliced(t0, t1, thresholds):
+            rho = np.empty((len(t0), values.shape[0]))
+            for row, lo, hi, cuts in zip(rho, t0.tolist(), t1.tolist(), thresholds.tolist()):
+                window = box_window_rho(
+                    ((var, op, c) for (var, op), c in zip(faces, cuts)), values, lo, hi
+                )
+                row[:] = window.max(axis=1)
+            return rho
+
+        return sliced
+
+    # G over x > c needs the window minimum of x; G over x <= c, the maximum.
+    # F flips both.
+    reduces = [
+        np.minimum if (op == GT) == (template.shape == ALWAYS) else np.maximum
+        for _, op in faces
+    ]
+    width = values.shape[2]
+    tables = np.empty((len(faces), width.bit_length(), values.shape[0], width))
+    for (var, _), reduce, table in zip(faces, reduces, tables):
+        range_table(values[:, var - 1, :], reduce, out=table)
+
+    def ranged(t0, t1, thresholds):
+        return np.minimum.reduce([
+            face_rho(op, thresholds[:, k, np.newaxis], range_query(table, reduce, t0, t1))
+            for k, ((_, op), reduce, table) in enumerate(zip(faces, reduces, tables))
+        ])
+
+    return ranged

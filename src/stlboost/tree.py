@@ -11,7 +11,7 @@ node whenever the merged split strictly improves the gain.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +34,22 @@ from .formula import (
 from .impurity import (
     best_leaf_label,
     gain_from_robustness,
+    gains_from_robustness,
     misclassification_gain,
     partition,
     robustness_margin,
 )
-from .pso import PsoConfig, optimize
-from .templates import ALWAYS, EVENTUALLY, PstlTemplate, first_order_templates
+
+# ``optimize`` is unused here but stays bound: bench/tracer.py wraps the
+# library's public names where this module binds them.
+from .pso import PsoConfig, optimize, optimize_batch  # noqa: F401
+from .templates import (
+    ALWAYS,
+    EVENTUALLY,
+    PstlTemplate,
+    batch_robustness,
+    first_order_templates,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -164,39 +174,26 @@ def optimize_primitive(
     path_rho = robustness_all(path, dataset.values)
     labels = dataset.labels
 
-    def full_rho(phi: Formula) -> np.ndarray:
-        return np.minimum(path_rho, robustness_all(phi, dataset.values))
-
     best = None  # (gain, ops, margin, formula)
     for index, candidate in enumerate(primitives):
         if isinstance(candidate, Formula):
-            rho = full_rho(candidate)
+            rho = np.minimum(path_rho, robustness_all(candidate, dataset.values))
             gain = gain_from_robustness(rho, labels, weights).gain
             phi = candidate
             margin = robustness_margin(rho, weights)
         else:
             template = candidate if candidate.is_bound else candidate.bound_to(dataset)
+            template_rho = batch_robustness(template, dataset.values)
 
-            def objective(valuation) -> float:
-                rho = full_rho(template.instantiate(valuation))
-                return gain_from_robustness(rho, labels, weights).gain
+            def objective(t0, t1, thresholds):
+                rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
+                scores = gains_from_robustness(rho, labels, weights)
+                return scores.gain, scores.margin
 
-            def tie_margin(valuation) -> float:
-                rho = full_rho(template.instantiate(valuation))
-                return robustness_margin(rho, weights)
-
-            pso_config = PsoConfig(
-                swarm_size=config.pso.swarm_size,
-                iterations=config.pso.iterations,
-                inertia=config.pso.inertia,
-                cognitive=config.pso.cognitive,
-                social=config.pso.social,
-                velocity_clamp=config.pso.velocity_clamp,
-                seed=_mix_seed(seed, index),
-            )
-            valuation, gain = optimize(template, objective, pso_config, tie_break=tie_margin)
+            pso_config = replace(config.pso, seed=_mix_seed(seed, index))
+            valuation, gain, margin = optimize_batch(template, objective, pso_config)
+            del template_rho  # free this template's range tables before the next one's
             phi = template.instantiate(valuation)
-            margin = tie_margin(valuation)
         ops = operator_count(phi)
         if (
             best is None

@@ -16,6 +16,7 @@ from stlboost import (
     save_csv,
     stratified_folds,
 )
+from stlboost import cli
 from stlboost.cli import main
 
 
@@ -111,6 +112,17 @@ class TestTrain:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"bogus": 1}))
         assert main(["train", "--data", naval_csv, "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("key, value", [("pso_swarm", 1e9), ("pso_iters", 10_001)])
+    def test_oversized_swarm_rejected(self, naval_csv, tmp_path, capsys, monkeypatch, key, value):
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized search must be rejected before training")
+
+        monkeypatch.setattr(cli, "train_boosted", never)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["train", "--data", naval_csv, "--config", str(config)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_lambda_and_m_flags(self, naval_csv, tmp_path):
         out = tmp_path / "model.json"

@@ -18,7 +18,7 @@ from stlboost import (
     optimize,
     uniform_weights,
 )
-from stlboost.pso import _project
+from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE, _project
 from helpers import constant_dataset
 
 BOUND = PstlTemplate("F", ((1, LE),), ((-5.0, 5.0),), horizon=10)
@@ -42,6 +42,13 @@ class TestProjection:
         v = _project(template, np.array([0.0, 1.0, 2.0, 2.0]))
         lo, hi = v.thresholds
         assert lo < hi
+
+    def test_face_gap_may_reach_the_upper_bound(self):
+        template = PstlTemplate("G", ((1, GT), (1, LE)), ((-1.0, 1e-9), (-1.0, 1e-9)), horizon=2)
+        v = _project(template, np.array([0.0, 1.0, 0.0, 0.0]))
+        assert v.thresholds == (0.0, 1e-9)
+        v = _project(template, np.array([0.0, 1.0, 1e-9, 1e-9]))
+        assert v.thresholds == (0.0, 1e-9)
 
     def test_instantiation_always_valid(self):
         template = PstlTemplate(
@@ -181,6 +188,13 @@ class TestConfigValidation:
             PsoConfig(cognitive=0.0)
         with pytest.raises(ValueError):
             PsoConfig(velocity_clamp=0.0)
+
+    def test_size_bounds(self):
+        assert PsoConfig(swarm_size=MAX_SWARM_SIZE, iterations=MAX_ITERATIONS)
+        with pytest.raises(ValueError):
+            PsoConfig(swarm_size=MAX_SWARM_SIZE + 1)
+        with pytest.raises(ValueError):
+            PsoConfig(iterations=MAX_ITERATIONS + 1)
 
 
 def _planted_instance(seed):
