@@ -70,7 +70,7 @@ from .impurity import (
     misclassification_gain,
     partition,
 )
-from .pso import EmptyParameterSpaceError, PsoConfig, grid_search, optimize, optimize_batch
+from .pso import EmptyParameterSpaceError, PsoConfig, optimize, optimize_batch
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
 from .templates import PstlTemplate, Valuation, first_order_templates
 from .tree import (

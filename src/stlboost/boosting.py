@@ -14,12 +14,22 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights
-from .formula import And, Formula, Signal, operator_count
+from .formula import (
+    Always,
+    And,
+    BooleanConst,
+    Eventually,
+    Formula,
+    Or,
+    Predicate,
+    Signal,
+    operator_count,
+)
 from .grammar import format_formula, parse_formula
 from .pso import PsoConfig
 from .tree import (
@@ -142,15 +152,16 @@ def train_boosted(
                 RoundRecord(epsilon, alpha, weights_before, weights.copy(), predictions, attempt + 1)
             )
 
-    return BoostedModel(
+    model = BoostedModel(
         rounds=tuple(kept),
         m_weight=m_weight,
-        pruned_index=_select_pruned(kept, m_weight),
+        pruned_index=None,
         dimension=dataset.dimension,
         horizon=dataset.horizon,
         config=config,
         requested_rounds=rounds,
     )
+    return replace(model, pruned_index=select_pruned_tree(model))
 
 
 def _round_seed(seed: int, round_index: int, attempt: int) -> int:
@@ -159,25 +170,21 @@ def _round_seed(seed: int, round_index: int, attempt: int) -> int:
     )
 
 
-def _select_pruned(rounds, m_weight: float) -> int | None:
-    best: int | None = None
-    best_ops = None
-    for k, round_ in enumerate(rounds):
-        if round_.alpha != m_weight:
-            continue
-        ops = operator_count(round_.formula)
-        if best is None or ops < best_ops:
-            best, best_ops = k, ops
-    return best
-
-
 def select_pruned_tree(model: BoostedModel) -> int | None:
     """Index of the perfect tree with the simplest formula, if any.
 
     Among trees whose weight equals ``m_weight`` the one with the fewest
     Boolean and temporal operators wins; ties go to the earliest round.
     """
-    return _select_pruned(model.rounds, model.m_weight)
+    best: int | None = None
+    best_ops = None
+    for k, round_ in enumerate(model.rounds):
+        if round_.alpha != model.m_weight:
+            continue
+        ops = operator_count(round_.formula)
+        if best is None or ops < best_ops:
+            best, best_ops = k, ops
+    return best
 
 
 def predict_all(
@@ -282,7 +289,41 @@ def model_to_dict(model: BoostedModel) -> dict:
     }
 
 
+def _extent(phi: Formula) -> tuple[int, int]:
+    """Highest variable index ``phi`` reads, and the last timepoint it reads
+    when evaluated at time 0."""
+    if isinstance(phi, BooleanConst):
+        return 0, 0
+    if isinstance(phi, Predicate):
+        return max(c.var for c in phi.box.conjuncts), 0
+    if isinstance(phi, (Always, Eventually)):
+        var, end = _extent(phi.child)
+        return var, phi.end + end
+    children = phi.children if isinstance(phi, (And, Or)) else (phi.child,)
+    extents = [_extent(child) for child in children]
+    return max(var for var, _ in extents), max(end for _, end in extents)
+
+
+def _check_fits(node: TreeNode, dimension: int, horizon: int) -> None:
+    if isinstance(node, Leaf):
+        return
+    var, end = _extent(node.primitive)
+    if var > dimension or end > horizon:
+        raise ValueError(
+            f"primitive {format_formula(node.primitive)} does not fit signals "
+            f"with n={dimension}, T={horizon}"
+        )
+    _check_fits(node.left, dimension, horizon)
+    _check_fits(node.right, dimension, horizon)
+
+
 def model_from_dict(doc: dict) -> BoostedModel:
+    """Rebuild a model from :func:`model_to_dict` output.
+
+    Raises ValueError when the document is inconsistent: a ``formulaText``
+    that is not its tree's formula, a ``prunedIndex`` that names no tree, or
+    a primitive that reads past the model's ``n`` variables or ``T`` horizon.
+    """
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     cfg = doc["config"]
@@ -300,23 +341,25 @@ def model_from_dict(doc: dict) -> BoostedModel:
             seed=int(cfg["pso"]["seed"]),
         ),
     )
-    rounds = tuple(
-        TreeRound(
-            tree=_tree_from_doc(t["treeStructure"]),
-            alpha=float(t["alpha"]),
-            epsilon=float(t["epsilon"]),
-            formula=parse_formula(t["formulaText"]),
-            merges=int(t.get("merges", 0)),
-        )
-        for t in doc["trees"]
-    )
+    dimension, horizon = int(doc["n"]), int(doc["T"])
+    rounds = []
+    for k, t in enumerate(doc["trees"]):
+        tree = _tree_from_doc(t["treeStructure"])
+        _check_fits(tree, dimension, horizon)
+        formula = parse_formula(t["formulaText"])
+        if formula != tree_to_formula(tree):
+            raise ValueError(f"tree {k}: formulaText does not match treeStructure")
+        alpha, epsilon = float(t["alpha"]), float(t["epsilon"])
+        rounds.append(TreeRound(tree, alpha, epsilon, formula, int(t.get("merges", 0))))
     pruned = doc.get("prunedIndex")
+    if pruned is not None and int(pruned) not in range(len(rounds)):
+        raise ValueError(f"prunedIndex {pruned} names no tree of {len(rounds)}")
     return BoostedModel(
-        rounds=rounds,
+        rounds=tuple(rounds),
         m_weight=float(doc["M"]),
         pruned_index=None if pruned is None else int(pruned),
-        dimension=int(doc["n"]),
-        horizon=int(doc["T"]),
+        dimension=dimension,
+        horizon=horizon,
         config=config,
         requested_rounds=int(cfg.get("requestedRounds", len(rounds))),
     )

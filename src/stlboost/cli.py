@@ -146,10 +146,12 @@ def _load_settings(args) -> dict:
                 file_cfg = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise CliError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(settings)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_cfg)
+        settings.update({key: _typed(key, value) for key, value in file_cfg.items()})
     flag_map = {
         "trees": args.trees,
         "max_depth": args.max_depth,
@@ -170,6 +172,18 @@ def _load_settings(args) -> dict:
         if value is not None:
             settings[key] = value
     return settings
+
+
+def _typed(key: str, value):
+    """A config file value checked against the type of its default: integral
+    numbers for int settings, any number for float settings, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"config key {key!r} must be a number, got {value!r}")
+    if isinstance(_DEFAULTS[key], int):
+        if isinstance(value, float) and not value.is_integer():
+            raise CliError(f"config key {key!r} must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
 def _tree_config(settings: dict) -> TreeConfig:

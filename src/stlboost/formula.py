@@ -184,47 +184,17 @@ class Eventually(Formula):
         _check_interval(self.start, self.end)
 
 
-def _conjunct_rho(c: Conjunct, value: float) -> float:
-    return value - c.threshold if c.op == GT else c.threshold - value
-
-
-def _rho(phi: Formula, values: np.ndarray, t: int, horizon: int) -> float:
-    if isinstance(phi, BooleanConst):
-        return math.inf if phi.value else -math.inf
-    if isinstance(phi, Predicate):
-        if t < 0 or t > horizon:
-            raise OutOfHorizonError(f"timepoint {t} outside [0, {horizon}]")
-        return min(_conjunct_rho(c, float(values[c.var - 1, t])) for c in phi.box.conjuncts)
-    if isinstance(phi, Not):
-        return -_rho(phi.child, values, t, horizon)
-    if isinstance(phi, And):
-        return min(_rho(c, values, t, horizon) for c in phi.children)
-    if isinstance(phi, Or):
-        return max(_rho(c, values, t, horizon) for c in phi.children)
-    if isinstance(phi, (Always, Eventually)):
-        if t + phi.end > horizon:
-            raise OutOfHorizonError(
-                f"window [{t + phi.start},{t + phi.end}] exceeds horizon {horizon}"
-            )
-        agg = min if isinstance(phi, Always) else max
-        return agg(_rho(phi.child, values, tau, horizon) for tau in range(t + phi.start, t + phi.end + 1))
-    raise UnvaluedParameterError(f"not a concrete formula: {phi!r}")
-
-
 def robustness(phi: Formula, signal: Signal, t: int = 0) -> float:
-    """Robustness degree of ``phi`` over ``signal`` evaluated at time ``t``.
+    """Robustness degree of ``phi`` over ``signal`` evaluated at time ``t``:
+    :func:`robustness_all` on a batch of one.
 
     Non-negative iff the signal satisfies the formula at ``t``.  Raises
     OutOfHorizonError when a referenced timepoint is outside [0, T] and
     UnvaluedParameterError when ``phi`` is not a concrete formula.
     """
-    if not isinstance(phi, Formula):
-        raise UnvaluedParameterError(
-            "expected a concrete formula; instantiate parametric templates first"
-        )
     if not isinstance(t, int) or t < 0 or t > signal.horizon:
         raise OutOfHorizonError(f"evaluation time {t} outside [0, {signal.horizon}]")
-    return _rho(phi, signal.values, t, signal.horizon)
+    return float(robustness_all(phi, signal.values[np.newaxis], t)[0])
 
 
 def satisfies(phi: Formula, signal: Signal) -> bool:
@@ -281,8 +251,8 @@ def range_query(table: np.ndarray, reduce: np.ufunc, lo: np.ndarray, hi: np.ndar
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
     """Vectorized robustness at time ``t`` for a batch of signals.
 
-    ``values`` has shape (N, n, T+1); returns shape (N,).  Semantics match
-    :func:`robustness` signal by signal.
+    ``values`` has shape (N, n, T+1); returns shape (N,).  This is the one
+    implementation of the semantics; :func:`robustness` is its batch of one.
     """
     values = np.asarray(values, dtype=float)
     n_signals = values.shape[0]

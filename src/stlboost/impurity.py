@@ -162,15 +162,15 @@ def robustness_margin(rho: np.ndarray, weights: np.ndarray) -> float:
     return float(mags.sum(axis=1)[0])
 
 
-def best_leaf_label(dataset: LabeledDataset, weights: np.ndarray, path: Formula) -> int:
-    """Class with the larger robustness-weighted mass under the path formula.
+def best_leaf_label(dataset: LabeledDataset, weights: np.ndarray, rho: np.ndarray) -> int:
+    """Class with the larger robustness-weighted mass, where ``rho`` is the
+    robustness of the node's path formula per sample.
 
     Ties and the empty dataset resolve to the positive class.
     """
     if len(dataset) == 0:
         return POS_LABEL
-    rho = robustness_all(path, dataset.values)
-    mags = _masses(rho[np.newaxis], np.asarray(weights, dtype=float))[0][0]
+    mags = _masses(np.asarray(rho, dtype=float)[np.newaxis], np.asarray(weights, dtype=float))[0][0]
     pos = float(mags[dataset.labels == POS_LABEL].sum())
     neg = float(mags[dataset.labels == NEG_LABEL].sum())
     return POS_LABEL if pos >= neg else NEG_LABEL

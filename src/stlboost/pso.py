@@ -19,8 +19,7 @@ computed for the returned (already projected) valuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -228,49 +227,3 @@ def optimize(
     """
     valuation, value, _ = optimize_batch(template, _per_valuation(objective, tie_break), config)
     return valuation, value
-
-
-def grid_search(
-    template: PstlTemplate,
-    objective: Objective,
-    threshold_candidates: Sequence[float] | Sequence[Sequence[float]],
-    time_stride: int = 1,
-    tie_break: Callable[[Valuation], float] | None = None,
-) -> tuple[Valuation, float]:
-    """Exact argmax of ``objective`` over a finite grid (testing oracle).
-
-    ``threshold_candidates`` is either one list shared by every free
-    threshold or one list per slot.  Candidates outside the template bounds
-    and combinations that do not form a valid box are skipped.
-    """
-    if not template.is_bound:
-        raise ValueError("template must be bound to a dataset before optimization")
-    if time_stride < 1:
-        raise ValueError("time stride must be at least 1")
-    slot_count = len(template.slots)
-    if slot_count and threshold_candidates and not np.isscalar(threshold_candidates[0]):
-        per_slot = [list(c) for c in threshold_candidates]
-        if len(per_slot) != slot_count:
-            raise ValueError("need one candidate list per free threshold")
-    else:
-        per_slot = [list(threshold_candidates) for _ in range(slot_count)]
-    for k, (lo, hi) in enumerate(template.threshold_bounds):
-        per_slot[k] = [float(c) for c in per_slot[k] if lo <= c <= hi]
-        if not per_slot[k]:
-            raise EmptyParameterSpaceError(f"no in-bounds candidates for slot {k}")
-    pairs = _face_pairs(template)
-
-    grid = [
-        (t0, t1, combo)
-        for t0 in range(0, template.horizon + 1, time_stride)
-        for t1 in range(t0, template.horizon + 1, time_stride)
-        for combo in product(*per_slot)
-        if not any(combo[gi] >= combo[li] for gi, li in pairs)
-    ]
-    best = _Best()
-    if grid:
-        t0, t1, combos = (np.array(column) for column in zip(*grid))
-        best.offer(t0, t1, combos, *_per_valuation(objective, tie_break)(t0, t1, combos))
-    if best.valuation is None:
-        raise EmptyParameterSpaceError("grid contains no feasible valuation")
-    return best.valuation, best.value

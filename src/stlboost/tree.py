@@ -35,13 +35,13 @@ from .impurity import (
     best_leaf_label,
     gain_from_robustness,
     gains_from_robustness,
-    misclassification_gain,
-    partition,
     robustness_margin,
 )
 
-# ``optimize`` is unused here but stays bound: bench/tracer.py wraps the
-# library's public names where this module binds them.
+# ``misclassification_gain``, ``partition`` and ``optimize`` are unused here
+# but stay bound: bench/tracer.py wraps the library's public names where this
+# module binds them.
+from .impurity import misclassification_gain, partition  # noqa: F401
 from .pso import PsoConfig, optimize, optimize_batch  # noqa: F401
 from .templates import (
     ALWAYS,
@@ -136,18 +136,10 @@ def _stop(dataset: LabeledDataset, depth: int, config: TreeConfig) -> bool:
     return majority / len(dataset) >= config.purity_stop
 
 
-def _conjoin(path: Formula, phi: Formula) -> Formula:
-    if path is TRUE or path == TRUE:
-        return phi
-    if isinstance(path, And) and path.weights is None:
-        return And(path.children + (phi,))
-    return And((path, phi))
-
-
 def optimize_primitive(
     dataset: LabeledDataset,
     weights: np.ndarray,
-    path: Formula,
+    path_rho: np.ndarray,
     primitives: PstlTemplate | Formula | Sequence[PstlTemplate | Formula],
     depth: int,
     config: TreeConfig,
@@ -155,9 +147,12 @@ def optimize_primitive(
 ) -> Formula | int:
     """Best split primitive for a node, or a leaf label under stop conditions.
 
-    Each candidate is scored by the misclassification gain of ``path`` ∧
-    candidate over the node's samples.  Templates are searched with the
-    swarm optimizer; already-valued formulas are scored as they are.  Ties
+    ``path_rho`` is the robustness of the node's path formula per sample
+    (``np.full(N, np.inf)`` at the root).  Each candidate is scored by the
+    misclassification gain of path ∧ candidate over the node's samples,
+    whose robustness is ``min(path_rho, candidate robustness)``.  Templates
+    are searched with the swarm optimizer; already-valued formulas are
+    scored as they are.  Ties
     break toward fewer operators, then larger robustness margin, then the
     earlier candidate.
     """
@@ -168,10 +163,9 @@ def optimize_primitive(
     if not primitives:
         raise EmptyPrimitiveSetError("need at least one template or formula")
     if _stop(dataset, depth, config):
-        return best_leaf_label(dataset, weights, path)
+        return best_leaf_label(dataset, weights, path_rho)
 
     weights = np.asarray(weights, dtype=float)
-    path_rho = robustness_all(path, dataset.values)
     labels = dataset.labels
 
     best = None  # (gain, ops, margin, formula)
@@ -258,30 +252,34 @@ def build_tree(
         state["calls"] += 1
         return _mix_seed(seed, state["calls"])
 
-    def search(sub, sub_weights, path, depth):
+    def search(sub, sub_weights, path_rho, depth):
         return optimize_primitive(
-            sub, sub_weights, path, templates, depth, config, seed=next_seed()
+            sub, sub_weights, path_rho, templates, depth, config, seed=next_seed()
         )
 
-    def grow(sub, sub_weights, path, depth, candidate) -> TreeNode:
+    def grow(sub, sub_weights, path_rho, depth, candidate) -> TreeNode:
+        # ``path_rho`` is the robustness of the conjunction of the primitives
+        # (negated on right turns) from the root down to this node.
         if _stop(sub, depth, config):
-            return Leaf(best_leaf_label(sub, sub_weights, path))
+            return Leaf(best_leaf_label(sub, sub_weights, path_rho))
         if isinstance(candidate, int):
             return Leaf(candidate)
         restarts = 0
         budget = 2 * sub.dimension
         while True:
-            path_and_split = _conjoin(path, candidate)
-            current_gain = misclassification_gain(sub, sub_weights, path_and_split).gain
-            (top, top_w), (bot, bot_w) = partition(sub, sub_weights, path_and_split)
+            rho = robustness_all(candidate, sub.values)
+            top_rho = np.minimum(path_rho, rho)
+            current_gain = gain_from_robustness(top_rho, sub.labels, sub_weights).gain
+            top = np.flatnonzero(top_rho >= 0)
+            bot = np.flatnonzero(top_rho < 0)
             sides = (
-                (top, top_w, path_and_split),
-                (bot, bot_w, _conjoin(path, Not(candidate))),
+                (sub.subset(top), sub_weights[top], top_rho[top]),
+                (sub.subset(bot), sub_weights[bot], np.minimum(path_rho, -rho)[bot]),
             )
             child_candidates = []
             restarted = False
-            for child_set, child_w, child_path in sides:
-                child_candidate = search(child_set, child_w, child_path, depth + 1)
+            for child_set, child_w, child_rho in sides:
+                child_candidate = search(child_set, child_w, child_rho, depth + 1)
                 child_candidates.append(child_candidate)
                 if restarts >= budget or not isinstance(child_candidate, Formula):
                     continue
@@ -289,11 +287,10 @@ def build_tree(
                 if merged is None:
                     continue
                 rewritten = optimize_primitive(
-                    sub, sub_weights, path, merged, depth, config, seed=next_seed()
+                    sub, sub_weights, path_rho, merged, depth, config, seed=next_seed()
                 )
-                new_gain = misclassification_gain(
-                    sub, sub_weights, _conjoin(path, rewritten)
-                ).gain
+                rewritten_rho = np.minimum(path_rho, robustness_all(rewritten, sub.values))
+                new_gain = gain_from_robustness(rewritten_rho, sub.labels, sub_weights).gain
                 if new_gain >= current_gain + MIN_GAIN_IMPROVEMENT:
                     log.events.append(
                         MergeEvent(depth, candidate, rewritten, current_gain, new_gain)
@@ -310,26 +307,24 @@ def build_tree(
                     break
             if restarted:
                 continue
-            left = grow(top, top_w, sides[0][2], depth + 1, child_candidates[0])
-            right = grow(bot, bot_w, sides[1][2], depth + 1, child_candidates[1])
+            left = grow(*sides[0], depth + 1, child_candidates[0])
+            right = grow(*sides[1], depth + 1, child_candidates[1])
             return Split(candidate, left, right)
 
-    root_candidate = search(dataset, weights, TRUE, 0)
-    root = grow(dataset, weights, TRUE, 0, root_candidate)
+    root_rho = np.full(len(dataset), np.inf)
+    root_candidate = search(dataset, weights, root_rho, 0)
+    root = grow(dataset, weights, root_rho, 0, root_candidate)
     return root, log
 
 
 def classify(node: TreeNode, signal: Signal) -> int:
-    """Route one signal through the tree: left on satisfaction."""
-    values = signal.values[np.newaxis, :, :]
-    while isinstance(node, Split):
-        rho = robustness_all(node.primitive, values)[0]
-        node = node.left if rho >= 0 else node.right
-    return node.label
+    """Route one signal through the tree: :func:`classify_all` on a batch of one."""
+    return int(classify_all(node, signal.values[np.newaxis])[0])
 
 
 def classify_all(node: TreeNode, values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify` over a (N, n, T+1) batch."""
+    """Route each signal of a (N, n, T+1) batch through the tree, going left
+    on satisfaction; returns the leaf labels."""
     values = np.asarray(values, dtype=float)
     out = np.empty(values.shape[0], dtype=int)
 

@@ -8,6 +8,8 @@ oracle for the optimized implementations.
 from __future__ import annotations
 
 import math
+import numbers
+from itertools import product
 
 from stlboost.formula import (
     And,
@@ -15,10 +17,13 @@ from stlboost.formula import (
     BooleanConst,
     Eventually,
     GT,
+    LE,
     Not,
     Or,
     Predicate,
 )
+from stlboost.pso import EmptyParameterSpaceError
+from stlboost.templates import Valuation
 
 POS = 1
 NEG = -1
@@ -86,3 +91,49 @@ def naive_mcr(phi, rows_list, labels):
         predicted = POS if sat else NEG
         wrong += predicted != label
     return wrong / len(labels)
+
+
+def grid_search(template, objective, threshold_candidates, time_stride=1, tie_break=None):
+    """Exact argmax of ``objective`` over a finite grid of valuations.
+
+    ``threshold_candidates`` is either one list shared by every free
+    threshold or one list per slot.  Candidates outside the template bounds
+    and combinations that do not form a valid box are skipped.  In grid
+    order, a strictly larger value replaces the incumbent, and an equal value
+    replaces it only with a strictly larger ``tie_break`` value.
+    """
+    if not template.is_bound:
+        raise ValueError("template must be bound to a dataset before optimization")
+    if time_stride < 1:
+        raise ValueError("time stride must be at least 1")
+    slots = template.slots
+    if threshold_candidates and not isinstance(threshold_candidates[0], numbers.Real):
+        per_slot = [list(c) for c in threshold_candidates]
+        if len(per_slot) != len(slots):
+            raise ValueError("need one candidate list per free threshold")
+    else:
+        per_slot = [list(threshold_candidates) for _ in slots]
+    for k, (lo, hi) in enumerate(template.threshold_bounds):
+        per_slot[k] = [float(c) for c in per_slot[k] if lo <= c <= hi]
+        if not per_slot[k]:
+            raise EmptyParameterSpaceError(f"no in-bounds candidates for slot {k}")
+    lower = {var: i for i, (var, op) in enumerate(slots) if op == GT}
+    upper = {var: i for i, (var, op) in enumerate(slots) if op == LE}
+    pairs = [(lower[var], upper[var]) for var in lower if var in upper]
+
+    best, best_value, best_tie = None, -math.inf, None
+    for t0 in range(0, template.horizon + 1, time_stride):
+        for t1 in range(t0, template.horizon + 1, time_stride):
+            for combo in product(*per_slot):
+                if any(combo[gi] >= combo[li] for gi, li in pairs):
+                    continue
+                valuation = Valuation(t0, t1, combo)
+                value = float(objective(valuation))
+                tie = 0.0 if tie_break is None else float(tie_break(valuation))
+                if value > best_value or (
+                    value == best_value and best is not None and tie > best_tie
+                ):
+                    best, best_value, best_tie = valuation, value, tie
+    if best is None:
+        raise EmptyParameterSpaceError("grid contains no feasible valuation")
+    return best, best_value

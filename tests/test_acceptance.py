@@ -28,7 +28,6 @@ from stlboost import (
     build_tree,
     classify,
     format_formula,
-    grid_search,
     misclassification_gain,
     operator_count,
     optimize,
@@ -50,7 +49,7 @@ from helpers import (
     signal_rows,
     two_band_dataset,
 )
-from oracles import naive_gain, naive_robustness
+from oracles import grid_search, naive_gain, naive_robustness
 from test_pso import _planted_instance
 from test_tree import _random_tree, _tree_primitives
 

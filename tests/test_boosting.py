@@ -341,6 +341,26 @@ class TestSerialization:
         assert set(doc) == {"version", "n", "T", "M", "trees", "prunedIndex", "config"}
         assert set(doc["trees"][0]) >= {"alpha", "epsilon", "formulaText", "treeStructure"}
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["trees"][0].update(formulaText="F[0,1](x1 <= 1.0)"), "formulaText"),
+        (lambda doc: doc.update(prunedIndex=7), "prunedIndex"),
+        (lambda doc: doc.update(prunedIndex=-1), "prunedIndex"),
+        (lambda doc: doc["trees"][0]["treeStructure"].update(primitive="G[0,1](x2 <= 1.0)"),
+         "does not fit"),
+        (lambda doc: doc["trees"][0]["treeStructure"].update(primitive="G[0,3](x1 <= 1.0)"),
+         "does not fit"),
+        (lambda doc: doc["trees"][0]["treeStructure"].update(
+            primitive="G[0,1](F[1,2](x1 <= 1.0))"), "does not fit"),
+    ], ids=["formula-text", "pruned-7", "pruned-negative", "variable", "window", "nested-window"])
+    def test_rejects_inconsistent_model(self, edit, match):
+        tree = Split(Always(0, 1, pred(1, LE, 1.0)), Leaf(POS_LABEL), Leaf(NEG_LABEL))
+        model = _stub_model([TreeRound(tree, 2.0, 0.1, tree_to_formula(tree), 0)])
+        doc = model_to_dict(model)
+        assert model_from_dict(json.loads(json.dumps(doc))).rounds[0].tree == tree
+        edit(doc)
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(doc)
+
     def test_rejects_unknown_version(self):
         model = _stub_model([_stub_round(POS_LABEL, 2.0)])
         doc = model_to_dict(model)

@@ -113,6 +113,21 @@ class TestTrain:
         config.write_text(json.dumps({"bogus": 1}))
         assert main(["train", "--data", naval_csv, "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize(
+        "text", ['{"trees": "2"}', "5", '{"max_depth": true}', '{"seed": 1.5}', '{"M": "1"}']
+    )
+    def test_mistyped_config_rejected(self, naval_csv, tmp_path, capsys, monkeypatch, text):
+        def never(*args, **kwargs):
+            raise AssertionError("a mistyped config must be rejected before training")
+
+        monkeypatch.setattr(cli, "train_boosted", never)
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert main(["train", "--data", naval_csv, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [("pso_swarm", 1e9), ("pso_iters", 10_001)])
     def test_oversized_swarm_rejected(self, naval_csv, tmp_path, capsys, monkeypatch, key, value):
         def never(*args, **kwargs):
@@ -221,6 +236,27 @@ class TestEvaluate:
         assert main(["gen-urban", "--count-per-class", "2", "--out", str(other)]) == 0
         capsys.readouterr()
         assert main(["eval", "--model", str(model_path), "--data", str(other)]) == 1
+
+    def test_inconsistent_model_rejected(self, naval_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(
+            ["train", "--data", naval_csv, "--trees", "1", "--seed", "5",
+             "--out", str(model_path)] + FAST_FLAGS
+        ) == 0
+        good = json.loads(model_path.read_text())
+        edits = [
+            lambda doc: doc["trees"][0].update(formulaText="F[0,5](x1 <= 1.0)"),
+            lambda doc: doc.update(prunedIndex=7),
+            lambda doc: doc["trees"][0]["treeStructure"].update(primitive="F[0,5](x9 <= 1.0)"),
+        ]
+        for edit in edits:
+            doc = json.loads(json.dumps(good))
+            edit(doc)
+            model_path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["eval", "--model", str(model_path), "--data", naval_csv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot load model") and "Traceback" not in err
 
     def test_eval_json_output(self, naval_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"

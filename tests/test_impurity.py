@@ -15,6 +15,7 @@ from stlboost import (
     gain_from_robustness,
     misclassification_gain,
     partition,
+    robustness_all,
     uniform_weights,
 )
 from helpers import constant_dataset, pred, random_formula, random_signal
@@ -75,25 +76,27 @@ class TestLeafLabel:
     def test_pure_classes(self):
         pos = constant_dataset([0.0, 1.0], [POS_LABEL, POS_LABEL])
         neg = constant_dataset([0.0, 1.0], [NEG_LABEL, NEG_LABEL])
-        assert best_leaf_label(pos, uniform_weights(2), TRUE) == POS_LABEL
-        assert best_leaf_label(neg, uniform_weights(2), TRUE) == NEG_LABEL
+        weights = uniform_weights(2)
+        assert best_leaf_label(pos, weights, robustness_all(TRUE, pos.values)) == POS_LABEL
+        assert best_leaf_label(neg, weights, robustness_all(TRUE, neg.values)) == NEG_LABEL
 
     def test_mass_comparison(self):
         # Under path x1 <= 4 the positive sample carries mass 0.5*4, the
         # negative one 0.5*1: positives dominate.
         ds = constant_dataset([0.0, 3.0], [POS_LABEL, NEG_LABEL])
-        assert best_leaf_label(ds, uniform_weights(2), pred(1, LE, 4.0)) == POS_LABEL
+        path, weights = pred(1, LE, 4.0), uniform_weights(2)
+        assert best_leaf_label(ds, weights, robustness_all(path, ds.values)) == POS_LABEL
         # Swap the margins and the negative class wins.
         ds2 = constant_dataset([3.0, 0.0], [POS_LABEL, NEG_LABEL])
-        assert best_leaf_label(ds2, uniform_weights(2), pred(1, LE, 4.0)) == NEG_LABEL
+        assert best_leaf_label(ds2, weights, robustness_all(path, ds2.values)) == NEG_LABEL
 
     def test_tie_goes_positive(self):
         ds = constant_dataset([1.0, 1.0], [POS_LABEL, NEG_LABEL])
-        assert best_leaf_label(ds, uniform_weights(2), TRUE) == POS_LABEL
+        assert best_leaf_label(ds, uniform_weights(2), robustness_all(TRUE, ds.values)) == POS_LABEL
 
     def test_empty_dataset(self):
         empty = LabeledDataset(np.zeros((0, 1, 3)), np.zeros(0, dtype=int), ())
-        assert best_leaf_label(empty, np.zeros(0), TRUE) == POS_LABEL
+        assert best_leaf_label(empty, np.zeros(0), robustness_all(TRUE, empty.values)) == POS_LABEL
 
 
 def _random_case(seed):
@@ -158,8 +161,8 @@ def test_joint_scaling_preserves_partition_and_label(seed, scale):
     (top_a, _), _ = partition(ds, weights, phi)
     (top_b, _), _ = partition(scaled, weights, phi_scaled)
     assert top_a.ids == top_b.ids
-    assert best_leaf_label(ds, weights, phi) == best_leaf_label(
-        scaled, weights, phi_scaled
+    assert best_leaf_label(ds, weights, robustness_all(phi, ds.values)) == best_leaf_label(
+        scaled, weights, robustness_all(phi_scaled, scaled.values)
     )
 
 

@@ -13,13 +13,13 @@ from stlboost import (
     PsoConfig,
     PstlTemplate,
     Valuation,
-    grid_search,
     misclassification_gain,
     optimize,
     uniform_weights,
 )
 from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE, _project
 from helpers import constant_dataset
+from oracles import grid_search
 
 BOUND = PstlTemplate("F", ((1, LE),), ((-5.0, 5.0),), horizon=10)
 

@@ -11,13 +11,13 @@ from stlboost import (
     UrbanConfig,
     generate_naval,
     generate_urban,
-    grid_search,
     load_csv,
     mcr,
     parse_formula,
     robustness_all,
     save_csv,
 )
+from oracles import grid_search
 
 NAVAL_BAND = parse_formula(
     "F[15,20]((x1 > 40) & (x1 <= 47) & (x2 > 26) & (x2 <= 32))"

@@ -28,7 +28,6 @@ from stlboost import (
     classify_all,
     combine_primitives,
     first_order_templates,
-    grid_search,
     mcr,
     misclassification_gain,
     optimize_primitive,
@@ -47,6 +46,7 @@ from helpers import (
     random_signal,
     two_band_dataset,
 )
+from oracles import grid_search
 
 FAST = TreeConfig(max_depth=2, pso=PsoConfig(swarm_size=20, iterations=25))
 
@@ -106,18 +106,19 @@ class TestOptimizePrimitive:
     def test_valued_formula_passthrough(self):
         ds = constant_dataset([0.0, 2.0], [POS_LABEL, NEG_LABEL])
         phi = Always(0, 1, pred(1, LE, 1.0))
-        got = optimize_primitive(ds, uniform_weights(2), TRUE, phi, 0, FAST, seed=0)
+        got = optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), phi, 0, FAST, seed=0)
         assert got == phi
 
     def test_empty_primitive_set(self):
         ds = constant_dataset([0.0, 2.0], [POS_LABEL, NEG_LABEL])
         with pytest.raises(EmptyPrimitiveSetError):
-            optimize_primitive(ds, uniform_weights(2), TRUE, (), 0, FAST, seed=0)
+            optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), (), 0, FAST, seed=0)
 
     def test_stop_returns_label(self):
         ds = constant_dataset([0.0, 1.0], [NEG_LABEL, NEG_LABEL])
         got = optimize_primitive(
-            ds, uniform_weights(2), TRUE, Always(0, 0, pred(1, LE, 0.5)), 0, FAST, seed=0
+            ds, uniform_weights(2), np.full(2, np.inf), Always(0, 0, pred(1, LE, 0.5)), 0, FAST,
+            seed=0,
         )
         assert got == NEG_LABEL
 
@@ -133,7 +134,7 @@ class TestOptimizePrimitive:
 
         candidates = [v + d for v in (0.0, 0.5, 2.0, 3.0) for d in (-1e-6, 1e-6)]
         _, oracle = grid_search(template, objective, sorted(candidates))
-        got = optimize_primitive(ds, weights, TRUE, template, 0, FAST, seed=2)
+        got = optimize_primitive(ds, weights, np.full(4, np.inf), template, 0, FAST, seed=2)
         achieved = misclassification_gain(ds, weights, got).gain
         assert achieved >= oracle - 1e-6
 
@@ -159,7 +160,7 @@ class TestOptimizePrimitive:
         got = optimize_primitive(
             ds,
             uniform_weights(20),
-            TRUE,
+            np.full(20, np.inf),
             first_order_templates(1),
             0,
             TreeConfig(max_depth=2, pso=PsoConfig(swarm_size=30, iterations=40)),
