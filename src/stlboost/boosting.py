@@ -14,25 +14,17 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights
-from .formula import (
-    Always,
-    And,
-    BooleanConst,
-    Eventually,
-    Formula,
-    Or,
-    Predicate,
-    Signal,
-    operator_count,
-)
+from .formula import And, Formula, Signal, extent, operator_count
 from .grammar import format_formula, parse_formula
 from .pso import PsoConfig
 from .tree import (
+    MAX_DEPTH,
     Leaf,
     Split,
     TreeConfig,
@@ -45,6 +37,12 @@ from .tree import (
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
+
+# Each round grows a tree and adds a conjunct to the model's formula, and
+# each retry grows a tree again.  These bounds cap the work and the model
+# size one run can ask for, far above the few trees that stay readable.
+MAX_ROUNDS = 1000
+MAX_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,15 @@ def train_boosted(
     with a different optimizer seed up to ``max_retries`` times; when the
     retries run out training stops early with the trees kept so far.  After
     a perfect round the sample weights stay unchanged (the exponential
-    update is a no-op modulo normalization there).
+    update is a no-op modulo normalization there).  ``rounds`` is in
+    [1, MAX_ROUNDS] and ``max_retries`` in [0, MAX_RETRIES].
     """
-    if rounds < 1:
-        raise ValueError("round count must be at least 1")
-    if m_weight <= 0:
-        raise ValueError("m_weight must be positive")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"round count must be in [1, {MAX_ROUNDS}]")
+    if not 0 <= max_retries <= MAX_RETRIES:
+        raise ValueError(f"retry count must be in [0, {MAX_RETRIES}]")
+    if not 0 < m_weight < math.inf:
+        raise ValueError("m_weight must be positive and finite")
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     config = config or TreeConfig()
@@ -131,13 +132,14 @@ def train_boosted(
                 break
             logger.debug("round %d attempt %d discarded (error %.3f)", k, attempt, epsilon)
         if tree is None:
-            logger.warning(
-                "round %d: no tree beat random guessing after %d retries; "
-                "stopping early with %d trees",
-                k,
-                max_retries,
-                len(kept),
-            )
+            if kept:  # with no tree at all the caller gets an empty model to report
+                logger.warning(
+                    "round %d: no tree beat random guessing after %d retries; "
+                    "stopping early with %d trees",
+                    k,
+                    max_retries,
+                    len(kept),
+                )
             break
         alpha = tree_weight(epsilon, m_weight)
         kept.append(
@@ -244,13 +246,18 @@ def _tree_to_doc(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_doc(doc: dict) -> TreeNode:
+def _tree_from_doc(doc: dict, depth: int = 0) -> TreeNode:
     if "leaf" in doc:
-        return Leaf(int(doc["leaf"]))
+        label = _field(doc, "leaf", int)
+        if label not in (POS_LABEL, NEG_LABEL):
+            raise ValueError(f"leaf label must be {POS_LABEL} or {NEG_LABEL}, got {label}")
+        return Leaf(label)
+    if depth == MAX_DEPTH:
+        raise ValueError(f"treeStructure is deeper than {MAX_DEPTH}")
     return Split(
-        parse_formula(doc["primitive"]),
-        _tree_from_doc(doc["left"]),
-        _tree_from_doc(doc["right"]),
+        parse_formula(_field(doc, "primitive", str)),
+        _tree_from_doc(_field(doc, "left", dict), depth + 1),
+        _tree_from_doc(_field(doc, "right", dict), depth + 1),
     )
 
 
@@ -289,25 +296,43 @@ def model_to_dict(model: BoostedModel) -> dict:
     }
 
 
-def _extent(phi: Formula) -> tuple[int, int]:
-    """Highest variable index ``phi`` reads, and the last timepoint it reads
-    when evaluated at time 0."""
-    if isinstance(phi, BooleanConst):
-        return 0, 0
-    if isinstance(phi, Predicate):
-        return max(c.var for c in phi.box.conjuncts), 0
-    if isinstance(phi, (Always, Eventually)):
-        var, end = _extent(phi.child)
-        return var, phi.end + end
-    children = phi.children if isinstance(phi, (And, Or)) else (phi.child,)
-    extents = [_extent(child) for child in children]
-    return max(var for var, _ in extents), max(end for _, end in extents)
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+_REQUIRED = object()
+
+
+def typed_value(name: str, value, kind: type):
+    """``value``, as JSON decodes it, checked to be a ``kind`` and returned as one.
+
+    ``int`` takes integral numbers and ``float`` finite numbers, never a
+    bool, so ``100`` read as a float is ``100.0``; ``dict``, ``list`` and
+    ``str`` take only their own type.  Raises ValueError naming ``name``.
+    """
+    if kind in _JSON_TYPES:
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _field(doc: dict, key: str, kind: type, default=_REQUIRED):
+    """``doc[key]`` checked by :func:`typed_value`, or ``default`` when absent."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    return typed_value(key, doc[key], kind)
 
 
 def _check_fits(node: TreeNode, dimension: int, horizon: int) -> None:
     if isinstance(node, Leaf):
         return
-    var, end = _extent(node.primitive)
+    var, end = extent(node.primitive)
     if var > dimension or end > horizon:
         raise ValueError(
             f"primitive {format_formula(node.primitive)} does not fit signals "
@@ -317,51 +342,63 @@ def _check_fits(node: TreeNode, dimension: int, horizon: int) -> None:
     _check_fits(node.right, dimension, horizon)
 
 
-def model_from_dict(doc: dict) -> BoostedModel:
+def model_from_dict(doc) -> BoostedModel:
     """Rebuild a model from :func:`model_to_dict` output.
 
-    Raises ValueError when the document is inconsistent: a ``formulaText``
-    that is not its tree's formula, a ``prunedIndex`` that names no tree, or
-    a primitive that reads past the model's ``n`` variables or ``T`` horizon.
+    Raises ValueError, naming the key, for a field that is missing or of the
+    wrong JSON type, and when the document is inconsistent: no trees, a
+    ``formulaText`` that is not its tree's formula, a ``prunedIndex`` that
+    names no tree, a primitive that reads past the model's ``n`` variables
+    or ``T`` horizon, or a vote weight that is not positive.
     """
+    doc = typed_value("model", doc, dict)
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    cfg = doc["config"]
+    cfg = _field(doc, "config", dict)
+    pso = _field(cfg, "pso", dict)
     config = TreeConfig(
-        max_depth=int(cfg["maxDepth"]),
-        purity_stop=float(cfg["lambda"]),
-        shapes=tuple(cfg["shapes"]),
+        max_depth=_field(cfg, "maxDepth", int),
+        purity_stop=_field(cfg, "lambda", float),
+        shapes=tuple(_field(cfg, "shapes", list)),
         pso=PsoConfig(
-            swarm_size=int(cfg["pso"]["swarm"]),
-            iterations=int(cfg["pso"]["iters"]),
-            inertia=float(cfg["pso"]["omega"]),
-            cognitive=float(cfg["pso"]["c1"]),
-            social=float(cfg["pso"]["c2"]),
-            velocity_clamp=float(cfg["pso"]["velocityClamp"]),
-            seed=int(cfg["pso"]["seed"]),
+            swarm_size=_field(pso, "swarm", int),
+            iterations=_field(pso, "iters", int),
+            inertia=_field(pso, "omega", float),
+            cognitive=_field(pso, "c1", float),
+            social=_field(pso, "c2", float),
+            velocity_clamp=_field(pso, "velocityClamp", float),
+            seed=_field(pso, "seed", int),
         ),
     )
-    dimension, horizon = int(doc["n"]), int(doc["T"])
+    dimension, horizon = _field(doc, "n", int), _field(doc, "T", int)
+    m_weight = _field(doc, "M", float)
+    if not m_weight > 0:
+        raise ValueError(f"M must be positive, got {m_weight}")
     rounds = []
-    for k, t in enumerate(doc["trees"]):
-        tree = _tree_from_doc(t["treeStructure"])
+    for k, t in enumerate(_field(doc, "trees", list)):
+        t = typed_value(f"tree {k}", t, dict)
+        tree = _tree_from_doc(_field(t, "treeStructure", dict))
         _check_fits(tree, dimension, horizon)
-        formula = parse_formula(t["formulaText"])
+        formula = parse_formula(_field(t, "formulaText", str))
         if formula != tree_to_formula(tree):
             raise ValueError(f"tree {k}: formulaText does not match treeStructure")
-        alpha, epsilon = float(t["alpha"]), float(t["epsilon"])
-        rounds.append(TreeRound(tree, alpha, epsilon, formula, int(t.get("merges", 0))))
-    pruned = doc.get("prunedIndex")
-    if pruned is not None and int(pruned) not in range(len(rounds)):
+        alpha, epsilon = _field(t, "alpha", float), _field(t, "epsilon", float)
+        if not alpha > 0:
+            raise ValueError(f"tree {k}: alpha must be positive, got {alpha}")
+        rounds.append(TreeRound(tree, alpha, epsilon, formula, _field(t, "merges", int, 0)))
+    if not rounds:
+        raise ValueError("model holds no trees")
+    pruned = None if doc.get("prunedIndex") is None else _field(doc, "prunedIndex", int)
+    if pruned is not None and pruned not in range(len(rounds)):
         raise ValueError(f"prunedIndex {pruned} names no tree of {len(rounds)}")
     return BoostedModel(
         rounds=tuple(rounds),
-        m_weight=float(doc["M"]),
-        pruned_index=None if pruned is None else int(pruned),
+        m_weight=m_weight,
+        pruned_index=pruned,
         dimension=dimension,
         horizon=horizon,
         config=config,
-        requested_rounds=int(cfg.get("requestedRounds", len(rounds))),
+        requested_rounds=_field(cfg, "requestedRounds", int, len(rounds)),
     )
 
 

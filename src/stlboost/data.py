@@ -105,8 +105,16 @@ def load_csv(path) -> LabeledDataset:
     """Read a long-format dataset CSV.
 
     Raises OSError for IO failures and SchemaError for malformed content
-    (wrong header, ragged signals, duplicate timepoints, bad labels).
+    (not UTF-8 CSV text, wrong header, ragged signals, duplicate timepoints,
+    bad labels).
     """
+    try:
+        return _load_csv(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"not a CSV text file: {exc}") from None
+
+
+def _load_csv(path) -> LabeledDataset:
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:

@@ -289,6 +289,22 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
     raise UnvaluedParameterError(f"not a concrete formula: {phi!r}")
 
 
+def extent(phi: Formula) -> tuple[int, int]:
+    """Highest variable index ``phi`` reads, and the last timepoint it reads
+    when evaluated at time 0; ``phi`` fits signals with n variables and
+    horizon T iff both are within (n, T)."""
+    if isinstance(phi, BooleanConst):
+        return 0, 0
+    if isinstance(phi, Predicate):
+        return max(c.var for c in phi.box.conjuncts), 0
+    if isinstance(phi, (Always, Eventually)):
+        var, end = extent(phi.child)
+        return var, phi.end + end
+    children = phi.children if isinstance(phi, (And, Or)) else (phi.child,)
+    extents = [extent(child) for child in children]
+    return max(var for var, _ in extents), max(end for _, end in extents)
+
+
 def operator_count(phi: Formula) -> int:
     """Number of Boolean and temporal operators in ``phi``.
 

@@ -20,6 +20,7 @@ round-trip target.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -176,8 +177,9 @@ class _Parser:
     def weight(self, opener: _Token) -> float:
         tok = self.expect("num", "weight")
         value = float(tok.text)
-        if not value > 0:
-            raise SemanticError(f"non-positive weight {tok.text}", tok.line, tok.column)
+        if not 0 < value < math.inf:
+            raise SemanticError(f"weight {tok.text} is not positive and finite",
+                                tok.line, tok.column)
         return value
 
     def unary(self) -> Formula:
@@ -235,7 +237,11 @@ class _Parser:
         cmp_tok = self.expect("cmp", '"<=" or ">"')
         num_tok = self.expect("num", "threshold")
         op = LE if cmp_tok.text == "<=" else GT
-        return Predicate(BoxPredicate((Conjunct(var, op, float(num_tok.text)),)))
+        threshold = float(num_tok.text)
+        if not math.isfinite(threshold):
+            raise SemanticError(f"threshold {num_tok.text} is not finite",
+                                num_tok.line, num_tok.column)
+        return Predicate(BoxPredicate((Conjunct(var, op, threshold),)))
 
 
 def _merge_predicates(children: list[Formula]) -> Predicate | None:

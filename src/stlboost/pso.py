@@ -18,6 +18,7 @@ computed for the returned (already projected) valuation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,8 +62,8 @@ class PsoConfig:
             raise ValueError(f"iteration count must be in [1, {MAX_ITERATIONS}]")
         if not 0 <= self.inertia < 1:
             raise ValueError("inertia must be in [0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social factors must be positive")
+        if not (0 < self.cognitive < math.inf and 0 < self.social < math.inf):
+            raise ValueError("cognitive and social factors must be positive and finite")
         if not 0 < self.velocity_clamp <= 1:
             raise ValueError("velocity clamp must be in (0, 1]")
 

@@ -15,6 +15,7 @@ single eventually-box primitive by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,10 @@ class NavalConfig:
             raise ValueError("count_per_class must be at least 1")
         if self.horizon < 30:
             raise ValueError("maritime geometry needs a horizon of at least 30")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,10 @@ class UrbanConfig:
             raise ValueError("count_per_class must be at least 1")
         if self.horizon < 100:
             raise ValueError("street geometry needs a horizon of at least 100")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _path(horizon: int, waypoints: list[tuple[float, float, float]]) -> np.ndarray:

@@ -58,6 +58,11 @@ logger = logging.getLogger(__name__)
 # restart loop.
 MIN_GAIN_IMPROVEMENT = 1e-9
 
+# Growing, routing, rendering and re-parsing a tree each recurse once or a
+# few times per level, so this bound keeps them far from the interpreter's
+# recursion limit.  A deeper tree would not read as a concise formula anyway.
+MAX_DEPTH = 32
+
 
 class EmptyPrimitiveSetError(ValueError):
     """No templates or formulas were offered to the primitive search."""
@@ -86,9 +91,10 @@ TreeNode = Leaf | Split
 class TreeConfig:
     """Growth limits and search settings for one tree.
 
-    ``purity_stop`` is the plain (unweighted) majority fraction at which a
-    node becomes a leaf; ``shapes`` selects which temporal operators the
-    first-order split templates use.
+    ``max_depth`` is in [1, MAX_DEPTH]; ``purity_stop`` is the plain
+    (unweighted) majority fraction at which a node becomes a leaf;
+    ``shapes`` selects which temporal operators the first-order split
+    templates use.
     """
 
     max_depth: int = 3
@@ -97,8 +103,8 @@ class TreeConfig:
     pso: PsoConfig = field(default_factory=PsoConfig)
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max depth must be at least 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max depth must be in [1, {MAX_DEPTH}]")
         if not 0.5 < self.purity_stop <= 1.0:
             raise ValueError("purity stop must be in (0.5, 1]")
         if not self.shapes or any(s not in (ALWAYS, EVENTUALLY) for s in self.shapes):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stlboost.boosting as boosting
+from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost import (
     Always,
     And,
@@ -147,6 +148,14 @@ class TestTraining:
             train_boosted(ds, rounds=0, config=FAST)
         with pytest.raises(ValueError):
             train_boosted(ds, rounds=1, config=FAST, m_weight=0.0)
+        with pytest.raises(ValueError):
+            train_boosted(ds, rounds=1, config=FAST, m_weight=math.inf)
+        with pytest.raises(ValueError):
+            train_boosted(ds, rounds=MAX_ROUNDS + 1, config=FAST)
+        with pytest.raises(ValueError):
+            train_boosted(ds, rounds=1, config=FAST, max_retries=MAX_RETRIES + 1)
+        with pytest.raises(ValueError):
+            train_boosted(ds, rounds=1, config=FAST, max_retries=-1)
 
     def test_discard_and_retry(self, monkeypatch):
         ds = constant_dataset(
@@ -351,13 +360,34 @@ class TestSerialization:
          "does not fit"),
         (lambda doc: doc["trees"][0]["treeStructure"].update(
             primitive="G[0,1](F[1,2](x1 <= 1.0))"), "does not fit"),
-    ], ids=["formula-text", "pruned-7", "pruned-negative", "variable", "window", "nested-window"])
+        (lambda doc: doc.update(config=5), "config must be an object"),
+        (lambda doc: doc.update(trees="abc"), "trees must be an array"),
+        (lambda doc: doc["trees"][0].update(treeStructure="x"), "treeStructure must be an object"),
+        (lambda doc: doc["trees"][0].update(treeStructure=[1]), "treeStructure must be an object"),
+        (lambda doc: doc.update(n=None), "n must be a number"),
+        (lambda doc: doc["trees"][0].update(alpha=None), "alpha must be a number"),
+        (lambda doc: doc["trees"][0]["treeStructure"].update(primitive=5),
+         "primitive must be a string"),
+        (lambda doc: doc["config"].update(shapes=5), "shapes must be an array"),
+        (lambda doc: doc["trees"][0].update(formulaText=3), "formulaText must be a string"),
+        (lambda doc: [1, 2], "model must be an object"),
+        (lambda doc: doc.update(trees=[]), "no trees"),
+        (lambda doc: doc["trees"][0]["treeStructure"]["left"].update(leaf=5), "leaf label"),
+        (lambda doc: doc["trees"][0].update(alpha=-1.0), "alpha must be positive"),
+        (lambda doc: doc.update(M=math.nan), "M must be a finite number"),
+        (lambda doc: doc.pop("T"), "missing key 'T'"),
+    ], ids=["formula-text", "pruned-7", "pruned-negative", "variable", "window", "nested-window",
+            "config-5", "trees-string", "structure-string", "structure-list", "n-null",
+            "alpha-null", "primitive-number", "shapes-number", "formula-text-number",
+            "top-level-list", "no-trees", "leaf-5", "alpha-negative", "m-nan", "missing-T"])
     def test_rejects_inconsistent_model(self, edit, match):
         tree = Split(Always(0, 1, pred(1, LE, 1.0)), Leaf(POS_LABEL), Leaf(NEG_LABEL))
         model = _stub_model([TreeRound(tree, 2.0, 0.1, tree_to_formula(tree), 0)])
         doc = model_to_dict(model)
         assert model_from_dict(json.loads(json.dumps(doc))).rounds[0].tree == tree
-        edit(doc)
+        edited = edit(doc)
+        if isinstance(edited, list):  # the edit replaced the whole document
+            doc = edited
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
 

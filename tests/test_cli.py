@@ -17,7 +17,9 @@ from stlboost import (
     stratified_folds,
 )
 from stlboost import cli
+from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost.cli import main
+from stlboost.tree import MAX_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,24 @@ def naval_csv(tmp_path_factory):
 FAST_FLAGS = [
     "--pso-swarm", "14", "--pso-iters", "18", "--max-depth", "2",
 ]
+
+TINY_FLAGS = ["--pso-swarm", "2", "--pso-iters", "1", "--max-depth", "1", "--trees", "1"]
+
+
+@pytest.fixture(scope="module")
+def identical_csv(tmp_path_factory):
+    """Eight identical one-variable signals with alternating labels: no split
+    can beat random guessing."""
+    path = tmp_path_factory.mktemp("data") / "identical.csv"
+    rows = ["id,t,label,x1"] + [
+        f"s{i},{t},{1 if i % 2 == 0 else -1},1.0" for i in range(8) for t in range(6)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def never(*args, **kwargs):
+    raise AssertionError("invalid settings must be rejected before training")
 
 
 class TestGenerate:
@@ -60,6 +80,12 @@ class TestGenerate:
             assert main(["gen-naval", "--count-per-class", "4", "--seed", "8",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen-naval", "gen-urban"])
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--noise", "inf"], ["--noise", "nan"]])
+    def test_gen_invalid_settings(self, tmp_path, capsys, command, flags):
+        assert main([command, "--out", str(tmp_path / "x.csv")] + flags) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_gen_invalid_count(self, tmp_path):
         code = main(["gen-naval", "--count-per-class", "0", "--out",
@@ -96,7 +122,7 @@ class TestTrain:
     def test_config_file_and_flag_precedence(self, naval_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"trees": 2, "max_depth": 1, "seed": 4,
-                                      "pso_swarm": 14, "pso_iters": 18}))
+                                      "pso_swarm": 14, "pso_iters": 18, "M": 50}))
         out = tmp_path / "model.json"
         code = main(
             ["train", "--data", naval_csv, "--config", str(config),
@@ -107,6 +133,8 @@ class TestTrain:
         # --trees overrides the file; max_depth comes from the file.
         assert len(doc["trees"]) == 1
         assert doc["config"]["maxDepth"] == 1
+        # A float setting keeps its type when the file gives an integer.
+        assert '"M": 50.0' in out.read_text()
 
     def test_unknown_config_key(self, naval_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -117,9 +145,6 @@ class TestTrain:
         "text", ['{"trees": "2"}', "5", '{"max_depth": true}', '{"seed": 1.5}', '{"M": "1"}']
     )
     def test_mistyped_config_rejected(self, naval_csv, tmp_path, capsys, monkeypatch, text):
-        def never(*args, **kwargs):
-            raise AssertionError("a mistyped config must be rejected before training")
-
         monkeypatch.setattr(cli, "train_boosted", never)
         config = tmp_path / "cfg.json"
         config.write_text(text)
@@ -128,11 +153,11 @@ class TestTrain:
         assert err.count("error:") == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value", [("pso_swarm", 1e9), ("pso_iters", 10_001)])
+    @pytest.mark.parametrize("key, value", [
+        ("pso_swarm", 1e9), ("pso_iters", 10_001), ("max_depth", MAX_DEPTH + 1),
+        ("trees", MAX_ROUNDS + 1), ("retries", MAX_RETRIES + 1),
+    ])
     def test_oversized_swarm_rejected(self, naval_csv, tmp_path, capsys, monkeypatch, key, value):
-        def never(*args, **kwargs):
-            raise AssertionError("an oversized search must be rejected before training")
-
         monkeypatch.setattr(cli, "train_boosted", never)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({key: value}))
@@ -152,6 +177,27 @@ class TestTrain:
 
     def test_invalid_lambda_rejected(self, naval_csv, capsys):
         assert main(["train", "--data", naval_csv, "--lambda", "0.4"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"], ["--M", "nan"], ["--M", "inf"], ["--M", "0"],
+        ["--pso-c1", "nan"], ["--pso-c1", "inf"], ["--pso-c2=-inf"],
+    ])
+    def test_invalid_flag_values_rejected(self, naval_csv, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "train_boosted", never)
+        assert main(["train", "--data", naval_csv] + flags) == 1
+        assert capsys.readouterr().err.startswith("error: invalid configuration")
+
+    def test_no_tree_beats_guessing(self, identical_csv, capsys):
+        assert main(["train", "--data", identical_csv, "--retries", "0"] + TINY_FLAGS) == 1
+        assert capsys.readouterr().err.startswith("error: no tree beat random guessing")
+
+    def test_library_error_is_internal(self, naval_csv, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a library bug")
+
+        monkeypatch.setattr(cli, "train_boosted", broken)
+        assert main(["train", "--data", naval_csv]) == 2
+        assert capsys.readouterr().err.startswith("internal error: a library bug")
 
 
 class TestCrossValidate:
@@ -208,6 +254,11 @@ class TestCrossValidate:
             )
             assert math.isclose(recomputed, fold_doc["testMcr"], abs_tol=1e-12)
 
+    def test_no_tree_beats_guessing(self, identical_csv, capsys):
+        assert main(["cv", "--data", identical_csv, "--folds", "2", "--retries", "0"]
+                    + TINY_FLAGS) == 1
+        assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
+
     def test_too_many_folds(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         save_csv(generate_naval(NavalConfig(count_per_class=2, seed=0)), path)
@@ -248,10 +299,22 @@ class TestEvaluate:
             lambda doc: doc["trees"][0].update(formulaText="F[0,5](x1 <= 1.0)"),
             lambda doc: doc.update(prunedIndex=7),
             lambda doc: doc["trees"][0]["treeStructure"].update(primitive="F[0,5](x9 <= 1.0)"),
+            lambda doc: doc.update(config=5),
+            lambda doc: doc.update(trees="abc"),
+            lambda doc: doc["trees"][0].update(treeStructure="x"),
+            lambda doc: doc["trees"][0].update(treeStructure=[1]),
+            lambda doc: doc.update(n=None),
+            lambda doc: doc["trees"][0].update(alpha=None),
+            lambda doc: doc["trees"][0]["treeStructure"].update(primitive=5),
+            lambda doc: doc["config"].update(shapes=5),
+            lambda doc: doc["trees"][0].update(formulaText=3),
+            lambda doc: [1, 2],
         ]
         for edit in edits:
             doc = json.loads(json.dumps(good))
-            edit(doc)
+            edited = edit(doc)
+            if isinstance(edited, list):  # the edit replaced the whole document
+                doc = edited
             model_path.write_text(json.dumps(doc))
             capsys.readouterr()
             assert main(["eval", "--model", str(model_path), "--data", naval_csv]) == 1
@@ -331,6 +394,21 @@ class TestMonitor:
             ["monitor", "--formula", "G[0,400](x1 <= 0)", "--data", naval_csv]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("formula", ["G[0,2](x9 > 0)", "x2 > 0", "F[0,3](G[0,3](x1 > 0))",
+                                         "x1 > 1e400"])
+    def test_formula_that_does_not_fit_rejected(self, identical_csv, capsys, formula):
+        assert main(["monitor", "--formula", formula, "--data", identical_csv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_library_error_is_internal(self, naval_csv, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a library bug")
+
+        monkeypatch.setattr(cli, "robustness_all", broken)
+        assert main(["monitor", "--formula", "x1 > 0", "--data", naval_csv]) == 2
+        assert capsys.readouterr().err.startswith("internal error: a library bug")
 
 
 def test_version_flag(capsys):

@@ -1,0 +1,148 @@
+"""Property test of the CLI's exit-code contract.
+
+Whatever the training flags, the config file or the model file hold, the
+CLI exits 0 or 1, prints no traceback, and starts a failure's stderr with
+``error:``.  Exit 2 is reserved for bugs in the library.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stlboost import (
+    NavalConfig,
+    PsoConfig,
+    TreeConfig,
+    generate_naval,
+    model_to_dict,
+    save_csv,
+    train_boosted,
+)
+from stlboost import cli
+
+EXAMPLES = settings(max_examples=60, deadline=None)
+
+FLAG_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "3", "1e9", "2.5", "0.5", "", "x"]),
+    st.integers(-3, 2000).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2000),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=6), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A small dataset, one model trained on it once, and a scratch directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    dataset = generate_naval(NavalConfig(count_per_class=4, seed=1))
+    save_csv(dataset, root / "naval.csv")
+    config = TreeConfig(max_depth=1, pso=PsoConfig(swarm_size=4, iterations=2))
+    model = train_boosted(dataset, rounds=1, config=config, seed=1)
+    assert model.rounds
+    return root, str(root / "naval.csv"), model
+
+
+@pytest.fixture(scope="module")
+def stubbed(files):
+    """``cli.train_boosted`` returns the trained model, so no example runs a search."""
+    _, _, model = files
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "train_boosted", lambda *args, **kwargs: model)
+        yield
+
+
+def run(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stderr = err.getvalue()
+    assert code in (0, 1), stderr
+    assert "Traceback" not in stderr
+    if code:
+        assert stderr.startswith("error:"), stderr
+
+
+@EXAMPLES
+@given(
+    command=st.sampled_from(["train", "cv"]),
+    flags=st.dictionaries(
+        st.sampled_from([setting.flags[-1] for setting in cli.SETTINGS.values()]),
+        FLAG_TEXT,
+        max_size=4,
+    ),
+)
+def test_training_flags(files, stubbed, command, flags):
+    _, data, _ = files
+    run([command, "--data", data] + [f"{flag}={value}" for flag, value in flags.items()])
+
+
+@EXAMPLES
+@given(
+    command=st.sampled_from(["train", "cv"]),
+    doc=st.one_of(
+        st.dictionaries(
+            st.sampled_from(list(cli.SETTINGS) + ["bogus", "Trees"]),
+            st.one_of(st.integers(-3, 60), st.floats(-2, 2), JSON_VALUES),
+            max_size=4,
+        ),
+        JSON_VALUES,
+    ),
+)
+def test_config_file(files, stubbed, command, doc):
+    root, data, _ = files
+    path = root / "config.json"
+    path.write_text(json.dumps(doc))
+    run([command, "--data", data, "--config", str(path)])
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, the document itself first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(child, prefix + (key,))
+
+
+@EXAMPLES
+@given(data=st.data(), per_signal=st.booleans(), output=st.sampled_from(["text", "json"]))
+def test_model_file(files, data, per_signal, output):
+    root, dataset, model = files
+    good = model_to_dict(model)
+    path = data.draw(st.sampled_from(list(_paths(good))))
+    delete = bool(path) and data.draw(st.booleans())
+    doc = copy.deepcopy(good)
+    if not path:
+        doc = data.draw(JSON_VALUES)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    model_path = root / "model.json"
+    model_path.write_text(json.dumps(doc))
+    run(["eval", "--model", str(model_path), "--data", dataset, "--format", output]
+        + (["--per-signal"] if per_signal else []))

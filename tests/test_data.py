@@ -83,6 +83,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(write_csv(tmp_path / "empty.csv", ""))
 
+    def test_not_utf8_text(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"id,t,label,x1\na,0,1,\xff\xfe\n")
+        with pytest.raises(SchemaError, match="not a CSV text file"):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")

@@ -107,6 +107,12 @@ class TestErrors:
     def test_non_positive_weight(self):
         with pytest.raises(SemanticError):
             parse_formula("(x1 <= 1 &^{0.0,1.0} x2 > 0)")
+        with pytest.raises(SemanticError):
+            parse_formula("(x1 <= 1 &^{1e400,1.0} x2 > 0)")
+
+    def test_non_finite_threshold(self):
+        with pytest.raises(SemanticError, match="not finite"):
+            parse_formula("F[0,2](x1 > 1e400)")
 
     def test_weight_count_mismatch(self):
         with pytest.raises(SemanticError):

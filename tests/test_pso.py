@@ -187,6 +187,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PsoConfig(cognitive=0.0)
         with pytest.raises(ValueError):
+            PsoConfig(cognitive=float("nan"))
+        with pytest.raises(ValueError):
+            PsoConfig(social=float("inf"))
+        with pytest.raises(ValueError):
             PsoConfig(velocity_clamp=0.0)
 
     def test_size_bounds(self):

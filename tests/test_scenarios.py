@@ -46,6 +46,10 @@ class TestNaval:
             NavalConfig(count_per_class=0)
         with pytest.raises(ValueError):
             NavalConfig(noise=-1.0)
+        with pytest.raises(ValueError):
+            NavalConfig(noise=float("inf"))
+        with pytest.raises(ValueError):
+            NavalConfig(seed=-1)
 
     def test_deterministic(self):
         a = generate_naval(NavalConfig(count_per_class=8, noise=1.0, seed=5))
@@ -103,6 +107,10 @@ class TestUrban:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             UrbanConfig(count_per_class=0)
+        with pytest.raises(ValueError):
+            UrbanConfig(noise=float("nan"))
+        with pytest.raises(ValueError):
+            UrbanConfig(seed=-1)
 
     def test_grid_search_confirms_two_face_separator(self):
         ds = generate_urban(UrbanConfig(count_per_class=10, seed=3))

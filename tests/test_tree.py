@@ -38,6 +38,7 @@ from stlboost import (
     tree_to_formula,
     uniform_weights,
 )
+from stlboost.tree import MAX_DEPTH
 from helpers import (
     box,
     constant_dataset,
@@ -339,6 +340,9 @@ def test_classification_equivalence_of_tree_and_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         TreeConfig(max_depth=0)
+    assert TreeConfig(max_depth=MAX_DEPTH)
+    with pytest.raises(ValueError):
+        TreeConfig(max_depth=MAX_DEPTH + 1)
     with pytest.raises(ValueError):
         TreeConfig(purity_stop=0.5)
     with pytest.raises(ValueError):
