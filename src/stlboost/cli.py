@@ -163,7 +163,10 @@ def _read(path, what: str, load):
 
 def _json(path):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
 
 
 def _check(setting: Setting, value):

@@ -3,12 +3,17 @@
 The on-disk format is long CSV with header ``id,t,label,x1,...,xn``: one row
 per (signal, timepoint), integer timepoints 0..T, label +1 or -1 constant
 within an id.
+
+``load_csv`` parses blocks of ``BLOCK_ROWS`` CSV records a column at a
+time, checks every row and then raggedness, and only then allocates the
+signal array.  Its errors name a record by line, counting CSV records.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -16,6 +21,9 @@ from .formula import Formula, Signal, robustness_all
 
 POS_LABEL = 1
 NEG_LABEL = -1
+
+BLOCK_ROWS = 4096  # CSV records converted at a time; bounds the loader's scratch memory
+_READ_ERRORS = (UnicodeDecodeError, csv.Error)
 
 
 class SchemaError(ValueError):
@@ -102,16 +110,30 @@ def from_signals(signals, labels, ids=None) -> LabeledDataset:
 
 
 def load_csv(path) -> LabeledDataset:
-    """Read a long-format dataset CSV.
+    """Read a long-format dataset CSV; its rows may come in any order.
+
+    Each block of ``BLOCK_ROWS`` records is parsed a column at a time with
+    ``int`` and ``float``, the parsers of a row-by-row reader, so values are
+    bit-identical to ``float(text)``.  Raggedness is checked before the
+    (N, n, T+1) array is allocated, so a huge timepoint is reported, not
+    allocated.
 
     Raises OSError for IO failures and SchemaError for malformed content
     (not UTF-8 CSV text, wrong header, ragged signals, duplicate timepoints,
-    bad labels).
+    bad labels).  A row's error names the earliest faulty record as
+    ``line N``, counting CSV records from the header as line 1, blank ones
+    included.  Within a record, the first failing check is named, in the
+    order: field count, parsing, label, timepoint sign, finiteness, label
+    change, duplicate timepoint.
     """
     try:
         return _load_csv(path)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"not a CSV text file: {exc}") from None
+    except _READ_ERRORS as exc:
+        raise SchemaError(_not_text(exc)) from None
+
+
+def _not_text(exc: Exception) -> str:
+    return f"not a CSV text file: {exc}"
 
 
 def _load_csv(path) -> LabeledDataset:
@@ -124,56 +146,134 @@ def _load_csv(path) -> LabeledDataset:
         header = [h.strip() for h in header]
         if len(header) < 4 or header[:3] != ["id", "t", "label"]:
             raise SchemaError(f"header must start with id,t,label,x1,... (got {header})")
-        dim = len(header) - 3
-        expected = [f"x{j}" for j in range(1, dim + 1)]
+        width = len(header)
+        expected = [f"x{j}" for j in range(1, width - 2)]
         if header[3:] != expected:
             raise SchemaError(f"variable columns must be {expected} (got {header[3:]})")
 
-        order: list[str] = []
-        rows: dict[str, dict[int, np.ndarray]] = {}
-        label_of: dict[str, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"line {line_no}: expected {len(header)} fields")
-            sid = row[0]
+        code_of: dict[str, int] = {}  # id -> code, in order of first appearance
+        blocks = []
+        stop = None  # the error that ends reading, raised if no earlier row fails
+        line = 2
+        while stop is None:
+            records: list[list[str]] = []
             try:
-                t = int(row[1])
-                label = int(row[2])
-                point = np.array([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise SchemaError(f"line {line_no}: {exc}") from None
-            if label not in (POS_LABEL, NEG_LABEL):
-                raise SchemaError(f"line {line_no}: unknown label {label}")
-            if t < 0:
-                raise SchemaError(f"line {line_no}: negative timepoint {t}")
-            if not np.all(np.isfinite(point)):
-                raise SchemaError(f"line {line_no}: non-finite value")
-            if sid not in rows:
-                order.append(sid)
-                rows[sid] = {}
-                label_of[sid] = label
-            elif label_of[sid] != label:
-                raise SchemaError(f"line {line_no}: label changes within id {sid!r}")
-            if t in rows[sid]:
-                raise SchemaError(f"line {line_no}: duplicate (id={sid!r}, t={t})")
-            rows[sid][t] = point
+                records.extend(islice(reader, BLOCK_ROWS))
+            except _READ_ERRORS as exc:  # the records read before it are kept
+                stop = _not_text(exc)
+            if not records:
+                break
+            block, fault = _convert(records, line, width, code_of)
+            blocks.append(block)
+            stop = fault or stop
+            line += len(records)
 
-    if not order:
+    if not blocks:
+        raise SchemaError(stop or "no data rows")
+    lines, codes, times, labels, points = (np.concatenate(column) for column in zip(*blocks))
+    ids = tuple(code_of)
+    first = np.unique(codes, return_index=True)[1]  # each id's first record
+    _check_rows(lines, codes, times, labels, points, first, ids)
+    if stop:
+        raise SchemaError(stop)
+    if not len(codes):
         raise SchemaError("no data rows")
-    horizon = max(rows[order[0]])
-    values = np.empty((len(order), dim, horizon + 1))
-    for i, sid in enumerate(order):
-        times = rows[sid]
-        if sorted(times) != list(range(horizon + 1)):
-            raise SchemaError(
-                f"ragged signal {sid!r}: timepoints do not cover 0..{horizon}"
-            )
-        for t, point in times.items():
-            values[i, :, t] = point
-    labels = np.array([label_of[sid] for sid in order], dtype=int)
-    return LabeledDataset(values, labels, tuple(order))
+
+    horizon = int(times[codes == 0].max())
+    # Timepoints are distinct and non-negative now, so an id covers 0..T
+    # exactly when it has T+1 of them and none lies past T.
+    late = np.bincount(codes[times > horizon], minlength=len(ids))
+    ragged = (np.bincount(codes, minlength=len(ids)) != horizon + 1) | (late > 0)
+    if ragged.any():
+        raise SchemaError(
+            f"ragged signal {ids[np.argmax(ragged)]!r}: timepoints do not cover 0..{horizon}"
+        )
+    values = np.empty((len(ids), width - 3, horizon + 1))
+    values[codes, :, times.astype(np.intp)] = points
+    return LabeledDataset(values, labels[first], ids)
+
+
+def _convert(records, line: int, width: int, code_of: dict[str, int]):
+    """One block of records, numbered from ``line``, as columns.
+
+    Blank records are skipped.  The block ends before its first record with
+    the wrong number of fields or a cell that does not parse; that record's
+    error comes back with the columns (else None).
+    """
+    lines = np.arange(line, line + len(records))
+    fault = None
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    keep = widths != 0
+    wrong = np.flatnonzero(keep & (widths != width))
+    if wrong.size:
+        fault = f"line {lines[wrong[0]]}: expected {width} fields"
+        keep[wrong[0]:] = False
+    if not keep.all():
+        records = list(compress(records, keep))
+        lines = lines[keep]
+    try:
+        sids, columns = _columns(records, width)
+    except ValueError:
+        cut, message = _first_unparsable(records)
+        fault = f"line {lines[cut]}: {message}"
+        records, lines = records[:cut], lines[:cut]
+        sids, columns = _columns(records, width)
+    for sid in dict.fromkeys(sids):
+        code_of.setdefault(sid, len(code_of))
+    codes = np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
+    return (lines, codes) + columns, fault
+
+
+def _columns(records, width: int):
+    """The id cells and the parsed t, label and x columns of a block."""
+    flat = list(chain.from_iterable(records))
+    points = np.empty((len(records), width - 3))
+    for j in range(3, width):
+        points[:, j - 3] = np.fromiter(map(float, flat[j::width]), float, len(records))
+    return flat[0::width], (_ints(flat[1::width]), _ints(flat[2::width]), points)
+
+
+def _ints(cells) -> np.ndarray:
+    """``int(cell)`` of each cell: int64, or Python ints if one does not fit.
+
+    Such a timepoint or label is never stored; it is reported by a check.
+    """
+    values = list(map(int, cells))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _first_unparsable(records) -> tuple[int, str]:
+    """Index and error of the first record with a cell that does not parse,
+    trying t, label, x1, ..., xn in turn."""
+    for index, record in enumerate(records):
+        try:
+            int(record[1]), int(record[2]), [float(v) for v in record[3:]]
+        except ValueError as exc:
+            return index, str(exc)
+    raise AssertionError("every cell parses")
+
+
+def _check_rows(lines, codes, times, labels, points, first, ids) -> None:
+    """Raise SchemaError for the earliest record that fails a row check."""
+    order = np.lexsort((times, codes))
+    repeat = (np.diff(codes[order]) == 0) & (times[order][1:] == times[order][:-1])
+    duplicate = np.zeros(len(codes), dtype=bool)
+    duplicate[order[1:][repeat]] = True  # the stable sort keeps file order within a key
+    checks = (  # in the order a row's checks run
+        ((labels != POS_LABEL) & (labels != NEG_LABEL), lambda i: f"unknown label {labels[i]}"),
+        (times < 0, lambda i: f"negative timepoint {times[i]}"),
+        (~np.isfinite(points).all(axis=1), lambda i: "non-finite value"),
+        (labels != labels[first][codes],
+         lambda i: f"label changes within id {ids[codes[i]]!r}"),
+        (duplicate, lambda i: f"duplicate (id={ids[codes[i]]!r}, t={times[i]})"),
+    )
+    faults = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks) if bad.any()]
+    if faults:
+        index, rank = min(faults)
+        raise SchemaError(f"line {lines[index]}: {checks[rank][1](index)}")
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -11,6 +11,9 @@ Grammar (whitespace insignificant)::
     pred    := var ("<=" | ">") real
     var     := "x" int
 
+Operators nest at most ``MAX_NESTING`` deep: each "(", "!", "G[..]" and
+"F[..]" counts one level, and deeper text is a ParseError.
+
 A single weight group annotates the whole conjunction and must list one
 positive weight per conjunct.  An unweighted conjunction whose members are
 all predicates is canonicalized into one box predicate when the merged
@@ -100,10 +103,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+MAX_NESTING = 100  # deepest chain of "(", "!", "G[..]" and "F[..]" the parser accepts
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -184,22 +191,16 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "kw" and tok.text in ("G", "F"):
-            self.advance()
-            start, end = self.interval()
-            child = self.unary()
-            return Always(start, end, child) if tok.text == "G" else Eventually(start, end, child)
+        if tok.kind in ("!", "(") or (tok.kind == "kw" and tok.text in ("G", "F")):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.column)
+            self.depth += 1
+            phi = self.nested(tok)
+            self.depth -= 1
+            return phi
         if tok.kind == "kw":
             self.advance()
             return BooleanConst(tok.text == "true")
-        if tok.kind == "(":
-            self.advance()
-            phi = self.disj()
-            self.expect(")", '")"')
-            return phi
         if tok.kind == "var":
             return self.predicate()
         raise ParseError(
@@ -208,6 +209,21 @@ class _Parser:
             tok.column,
             expected=('"!"', '"G["', '"F["', '"("', "predicate", '"true"', '"false"'),
         )
+
+    def nested(self, tok: _Token) -> Formula:
+        """A negation, a temporal operator or a parenthesized formula."""
+        if tok.kind == "!":
+            self.advance()
+            return Not(self.unary())
+        if tok.kind == "kw":
+            self.advance()
+            start, end = self.interval()
+            child = self.unary()
+            return Always(start, end, child) if tok.text == "G" else Eventually(start, end, child)
+        self.advance()
+        phi = self.disj()
+        self.expect(")", '")"')
+        return phi
 
     def interval(self) -> tuple[int, int]:
         self.expect("[", '"["')

@@ -23,6 +23,24 @@ import numpy as np
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL
 
 
+MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats
+
+
+def _check_config(config, dimension: int, min_horizon: int, geometry: str) -> None:
+    if config.count_per_class < 1:
+        raise ValueError("count_per_class must be at least 1")
+    if config.horizon < min_horizon:
+        raise ValueError(f"{geometry} geometry needs a horizon of at least {min_horizon}")
+    size = 2 * config.count_per_class * dimension * (config.horizon + 1)
+    if size > MAX_VALUES:
+        raise ValueError(f"{2 * config.count_per_class} signals of {dimension} x "
+                         f"{config.horizon + 1} values exceed the {MAX_VALUES} value limit")
+    if not 0 <= config.noise < math.inf:
+        raise ValueError("noise must be non-negative and finite")
+    if config.seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 @dataclass(frozen=True)
 class NavalConfig:
     count_per_class: int = 100
@@ -39,14 +57,7 @@ class NavalConfig:
     passage: tuple[float, float] = (53.0, 29.0)
 
     def __post_init__(self):
-        if self.count_per_class < 1:
-            raise ValueError("count_per_class must be at least 1")
-        if self.horizon < 30:
-            raise ValueError("maritime geometry needs a horizon of at least 30")
-        if not 0 <= self.noise < math.inf:
-            raise ValueError("noise must be non-negative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_config(self, dimension=2, min_horizon=30, geometry="maritime")
 
 
 @dataclass(frozen=True)
@@ -63,14 +74,7 @@ class UrbanConfig:
     drift_speed: float = -1.2
 
     def __post_init__(self):
-        if self.count_per_class < 1:
-            raise ValueError("count_per_class must be at least 1")
-        if self.horizon < 100:
-            raise ValueError("street geometry needs a horizon of at least 100")
-        if not 0 <= self.noise < math.inf:
-            raise ValueError("noise must be non-negative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_config(self, dimension=4, min_horizon=100, geometry="street")
 
 
 def _path(horizon: int, waypoints: list[tuple[float, float, float]]) -> np.ndarray:

@@ -7,10 +7,12 @@ oracle for the optimized implementations.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 from itertools import product
 
+from stlboost.data import SchemaError
 from stlboost.formula import (
     And,
     Always,
@@ -137,3 +139,77 @@ def grid_search(template, objective, threshold_candidates, time_stride=1, tie_br
     if best is None:
         raise EmptyParameterSpaceError("grid contains no feasible valuation")
     return best, best_value
+
+
+def naive_load_csv(path):
+    """Reference dataset reader, one record at a time.
+
+    Returns ``(ids, labels, values)`` with ``values[i][j][t]`` a float, or
+    raises the SchemaError that ``load_csv`` must raise for the same file.
+    """
+    try:
+        return _naive_load_csv(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"not a CSV text file: {exc}") from None
+
+
+def _naive_load_csv(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty file") from None
+        header = [h.strip() for h in header]
+        if len(header) < 4 or header[:3] != ["id", "t", "label"]:
+            raise SchemaError(f"header must start with id,t,label,x1,... (got {header})")
+        dim = len(header) - 3
+        expected = [f"x{j}" for j in range(1, dim + 1)]
+        if header[3:] != expected:
+            raise SchemaError(f"variable columns must be {expected} (got {header[3:]})")
+
+        order = []
+        rows = {}
+        label_of = {}
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"line {line_no}: expected {len(header)} fields")
+            sid = row[0]
+            try:
+                t = int(row[1])
+                label = int(row[2])
+                point = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise SchemaError(f"line {line_no}: {exc}") from None
+            if label not in (POS, NEG):
+                raise SchemaError(f"line {line_no}: unknown label {label}")
+            if t < 0:
+                raise SchemaError(f"line {line_no}: negative timepoint {t}")
+            if not all(math.isfinite(v) for v in point):
+                raise SchemaError(f"line {line_no}: non-finite value")
+            if sid not in rows:
+                order.append(sid)
+                rows[sid] = {}
+                label_of[sid] = label
+            elif label_of[sid] != label:
+                raise SchemaError(f"line {line_no}: label changes within id {sid!r}")
+            if t in rows[sid]:
+                raise SchemaError(f"line {line_no}: duplicate (id={sid!r}, t={t})")
+            rows[sid][t] = point
+
+    if not order:
+        raise SchemaError("no data rows")
+    horizon = max(rows[order[0]])
+    for sid in order:
+        times = rows[sid]
+        # The length test comes first, so a huge horizon builds no list.
+        if len(times) != horizon + 1 or sorted(times) != list(range(horizon + 1)):
+            raise SchemaError(
+                f"ragged signal {sid!r}: timepoints do not cover 0..{horizon}"
+            )
+    values = [
+        [[rows[sid][t][j] for t in range(horizon + 1)] for j in range(dim)] for sid in order
+    ]
+    return tuple(order), [label_of[sid] for sid in order], values

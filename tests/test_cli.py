@@ -87,6 +87,15 @@ class TestGenerate:
         assert main([command, "--out", str(tmp_path / "x.csv")] + flags) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["gen-naval", "gen-urban"])
+    def test_gen_oversized_rejected(self, tmp_path, capsys, monkeypatch, command):
+        for generate in ("generate_naval", "generate_urban"):
+            monkeypatch.setattr(cli, generate, never)
+        out = str(tmp_path / "x.csv")
+        assert main([command, "--count-per-class", str(10**9), "--horizon", str(10**9),
+                     "--out", out]) == 1
+        assert "value limit" in capsys.readouterr().err
+
     def test_gen_invalid_count(self, tmp_path):
         code = main(["gen-naval", "--count-per-class", "0", "--out",
                      str(tmp_path / "x.csv")])
@@ -321,6 +330,13 @@ class TestEvaluate:
             err = capsys.readouterr().err
             assert err.startswith("error: cannot load model") and "Traceback" not in err
 
+    def test_deeply_nested_model_file_rejected(self, naval_csv, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000)
+        assert main(["eval", "--model", str(path), "--data", naval_csv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nests too deeply" in err
+
     def test_eval_json_output(self, naval_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(
@@ -401,6 +417,20 @@ class TestMonitor:
         assert main(["monitor", "--formula", formula, "--data", identical_csv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("t", [10**12, 10**20])
+    def test_huge_timepoint_rejected(self, tmp_path, capsys, t):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"id,t,label,x1\na,0,1,0\na,{t},1,0\n")
+        assert main(["monitor", "--formula", "x1 > 0", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ragged signal 'a'" in err
+
+    def test_deeply_nested_formula_rejected(self, naval_csv, capsys):
+        formula = "(" * 400 + "x1 > 0" + ")" * 400
+        assert main(["monitor", "--formula", formula, "--data", naval_csv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad formula") and "nesting deeper" in err
 
     def test_library_error_is_internal(self, naval_csv, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,7 +1,7 @@
 """Property test of the CLI's exit-code contract.
 
-Whatever the training flags, the config file or the model file hold, the
-CLI exits 0 or 1, prints no traceback, and starts a failure's stderr with
+Whatever the training flags, the config file, the model file or the dataset
+CSV hold, the CLI exits 0 or 1, prints no traceback, and starts a failure's stderr with
 ``error:``.  Exit 2 is reserved for bugs in the library.
 """
 
@@ -20,6 +20,7 @@ from stlboost import (
     generate_naval,
     model_to_dict,
     save_csv,
+    save_model,
     train_boosted,
 )
 from stlboost import cli
@@ -60,6 +61,7 @@ def files(tmp_path_factory):
     config = TreeConfig(max_depth=1, pso=PsoConfig(swarm_size=4, iterations=2))
     model = train_boosted(dataset, rounds=1, config=config, seed=1)
     assert model.rounds
+    save_model(model, root / "model.json")
     return root, str(root / "naval.csv"), model
 
 
@@ -146,3 +148,42 @@ def test_model_file(files, data, per_signal, output):
     model_path.write_text(json.dumps(doc))
     run(["eval", "--model", str(model_path), "--data", dataset, "--format", output]
         + (["--per-signal"] if per_signal else []))
+
+
+CELL_TEXT = st.one_of(
+    st.sampled_from([str(10**12), str(10**20), str(-10**20), "", " ", "x", "nan", "inf",
+                     "-1", "0", "1", "2", "+1", "1_0", "1e400", "\"", "a,b"]),
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
+
+
+@EXAMPLES
+@given(data=st.data(), command=st.sampled_from(["monitor", "eval"]))
+def test_dataset_file(files, data, command):
+    root, dataset, _ = files
+    lines = open(dataset, encoding="utf-8").read().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        # Records of the first id set the horizon, so they are drawn more often.
+        k = data.draw(st.integers(1, 8) | st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["cell", "time", "drop", "repeat", "line", "bytes"]))
+        if kind in ("cell", "time"):
+            cells = lines[k].split(",")
+            column = 1 if kind == "time" else data.draw(st.integers(0, len(cells) - 1))
+            cells[min(column, len(cells) - 1)] = data.draw(CELL_TEXT)
+            lines[k] = ",".join(cells)
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "repeat":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[k])
+        elif kind == "line":
+            lines[k] = data.draw(st.text(max_size=12))
+        else:
+            lines[k] = "\ufffd" + lines[k]  # replaced by invalid UTF-8 below
+    path = root / "mutated.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8").replace(b"\xef\xbf\xbd", b"\xff"))
+    if command == "monitor":
+        run(["monitor", "--formula", "F[0,3](x1 > 40)", "--data", str(path)])
+    else:
+        run(["eval", "--model", str(root / "model.json"), "--data", str(path), "--per-signal"])

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -21,9 +23,10 @@ from stlboost import (
     stratified_folds,
     uniform_weights,
 )
+from stlboost import data
 from stlboost.scenarios import NavalConfig, generate_naval
 from helpers import constant_dataset, pred, random_formula, random_signal
-from oracles import naive_mcr
+from oracles import naive_load_csv, naive_mcr
 
 
 def write_csv(path, text):
@@ -88,6 +91,12 @@ class TestLoadCsv:
         path.write_bytes(b"id,t,label,x1\na,0,1,\xff\xfe\n")
         with pytest.raises(SchemaError, match="not a CSV text file"):
             load_csv(path)
+
+    @pytest.mark.parametrize("t", [10**12, 10**20])
+    def test_huge_timepoint_is_ragged_without_allocating(self, tmp_path, t):
+        text = f"id,t,label,x1\na,0,1,0\na,{t},1,0\n"
+        with pytest.raises(SchemaError, match=f"ragged signal 'a': .* 0..{t}$"):
+            load_csv(write_csv(tmp_path / "huge.csv", text))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -267,3 +276,174 @@ def test_dataset_validation():
         LabeledDataset(np.full((1, 1, 2), np.inf), np.array([1]), ("a",))
     with pytest.raises(ValueError):
         mcr(FALSE, LabeledDataset(np.zeros((0, 1, 2)), np.zeros(0, dtype=int), ()))
+
+
+# Differential tests: ``load_csv`` against the record-at-a-time oracle.
+
+ID_TEXT = st.text(st.sampled_from("ab,\"'\n\r é1"), max_size=4)
+EXTREME_FLOATS = st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308,
+                                  -1.7976931348623157e308, 0.0, -0.0, 1e-300, 10.0])
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EXTREME_FLOATS)
+BLOCKS = st.sampled_from([1, 2, 3, 4096])
+
+
+def _underscored(text):
+    """``text`` with "_" between its first two adjacent digits, if any."""
+    for k in range(len(text) - 1):
+        if text[k].isdigit() and text[k + 1].isdigit():
+            return text[:k + 1] + "_" + text[k + 1:]
+    return text
+
+
+def _spellings(text):
+    """Ways to write a number that ``int``/``float`` read as the same value."""
+    signed = text if text.startswith("-") else "+" + text
+    return st.sampled_from([text, f" {text}", f"{text} ", signed, _underscored(text)])
+
+
+@st.composite
+def dataset_records(draw):
+    """The records of a valid dataset, in a shuffled order, as cell text."""
+    ids = draw(st.lists(ID_TEXT, min_size=1, max_size=5, unique=True))
+    dim = draw(st.integers(1, 3))
+    horizon = draw(st.integers(0, 4))
+    records = []
+    for sid in ids:
+        label = draw(st.sampled_from([POS_LABEL, NEG_LABEL]))
+        for t in range(horizon + 1):
+            records.append([sid, draw(_spellings(str(t))), draw(_spellings(str(label)))]
+                           + [draw(_spellings(repr(draw(VALUES)))) for _ in range(dim)])
+    return dim, draw(st.permutations(records))
+
+
+def _csv_bytes(dim, records, draw):
+    """The file: a header, the records, and blank records, CRLF or LF."""
+    for _ in range(draw(st.integers(0, 3))):
+        records.insert(draw(st.integers(0, len(records))), [])
+    # Unquoted, a "\r" inside an id would end the record under LF line ends.
+    quote_all = draw(st.booleans()) or any("\r" in r[0] for r in records if r)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                        quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+    writer.writerow(["id", "t", "label"] + [f"x{j}" for j in range(1, dim + 1)])
+    writer.writerows(records)
+    return buf.getvalue().encode("utf-8")
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: the dataset as bytes, or the error."""
+    try:
+        ids, labels, values = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = np.array(values, dtype=float)
+    return tuple(ids), [int(v) for v in labels], values.shape, values.tobytes()
+
+
+def _loaded(path):
+    ds = load_csv(path)
+    return ds.ids, ds.labels, ds.values
+
+
+def _compare(tmp_path_factory, content, block):
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "BLOCK_ROWS", block)
+        got = _outcome(_loaded, path)
+    assert got == _outcome(naive_load_csv, path)
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), dataset_records(), BLOCKS)
+def test_load_matches_oracle_on_valid_files(tmp_path_factory, draw_data, spec, block):
+    dim, records = spec
+    got = _compare(tmp_path_factory, _csv_bytes(dim, records, draw_data.draw), block)
+    assert isinstance(got[0], tuple), got
+
+
+JUNK = st.sampled_from([
+    "", " ", "x", "1.5", "nan", "inf", "-inf", "1e400", "0", "2", "-1", "+1", "-5",
+    "1_0", "1000000000000", "100000000000000000000", "-100000000000000000000",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+])
+
+
+@st.composite
+def faulty_records(draw):
+    """A valid dataset's records with one to three faults."""
+    dim, records = draw(dataset_records())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.sampled_from(["cell", "label", "time", "drop", "repeat",
+                                     "extra field", "missing field", "new id"]))
+        if kind in ("cell", "label", "time") and len(records[k]) > 3:
+            records[k] = list(records[k])
+            if kind == "cell":
+                records[k][draw(st.integers(1, len(records[k]) - 1))] = draw(JUNK)
+            elif kind == "label":
+                records[k][2] = draw(st.sampled_from(["1", "-1", "+1", "-1 "]))
+            else:
+                records[k][1] = draw(st.sampled_from(["-1", "-0", "7", "100000000000000000000"]))
+        elif kind == "drop" and len(records) > 1:
+            del records[k]
+        elif kind == "repeat":
+            records.insert(draw(st.integers(0, len(records))), list(records[k]))
+        elif kind == "extra field":
+            records[k] = list(records[k]) + [draw(JUNK)]
+        elif kind == "missing field":
+            records[k] = list(records[k])[:-1]
+        elif kind == "new id":
+            records.insert(draw(st.integers(0, len(records))),
+                           ["new", draw(JUNK), draw(JUNK)] + [draw(JUNK)] * dim)
+    return dim, records
+
+
+EDGE_CASES = {
+    # An id with T+1 timepoints, one of them past the first id's horizon.
+    "id,t,label,x1\na,0,1,0\na,1,1,0\nb,0,1,0\nb,5,1,0\n": "ragged signal 'b'",
+    # A record that both changes the label and repeats a timepoint.
+    "id,t,label,x1\na,0,1,0\na,0,-1,0\n": "line 3: label changes",
+    # Of several faulty records the earliest is named; blank records count.
+    "id,t,label,x1\na,0,1,0\n\na,1,1,0,9\na,x,1,0\n": "line 4: expected 4 fields",
+    "id,t,label,x1\na,0,1,0\na,1,1,x\na,1,1,0,9\n": "line 3: could not convert",
+    "id,t,label,x1\na,0,1,0\na,1,1,nan\na,x,1,0\n": "line 3: non-finite",
+    # Blank records only, then a valid file with blank records and odd spellings.
+    "id,t,label,x1\n\n\n": "no data rows",
+    "id,t,label,x1\n\na,0,+1,0\n\nb,0,-1,1_0\n": None,
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+@pytest.mark.parametrize("text", list(EDGE_CASES))
+def test_load_matches_oracle_on_edge_cases(tmp_path_factory, block, text):
+    got = _compare(tmp_path_factory, text.encode(), block)
+    expected = EDGE_CASES[text]
+    if expected is None:
+        assert got[:2] == (("a", "b"), [POS_LABEL, NEG_LABEL]), got
+    else:
+        assert expected in got[1], got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), faulty_records(), BLOCKS)
+def test_load_matches_oracle_on_faulty_files(tmp_path_factory, draw_data, spec, block):
+    dim, records = spec
+    _compare(tmp_path_factory, _csv_bytes(dim, records, draw_data.draw), block)
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+@pytest.mark.parametrize("early", ["", "a,1,2,0.0\n", "a,2,1,0.0\na,2,1,0.0\n"])
+@pytest.mark.parametrize("late", [b"\xff\xfe", b"b,0,1," + b"9" * 200_000])
+def test_unreadable_text_after_many_records(tmp_path_factory, block, early, late):
+    """Bad bytes or an over-long field past the first 8 KiB read chunk end
+    the read; a fault in an earlier record, in the same block or an earlier
+    one, is still the one reported."""
+    head = "id,t,label,x1\na,0,1,0.0\n" + early
+    body = "".join(f"s{i // 10},{i % 10},1,{i}.5\n" for i in range(1000))
+    got = _compare(tmp_path_factory, (head + body).encode() + late + b"\n", block)
+    if not early:
+        assert got[1].startswith("not a CSV text file"), got
+    else:
+        assert got[1].startswith("line "), got

@@ -18,6 +18,9 @@ from stlboost import (
     format_formula,
     parse_formula,
 )
+from stlboost.data import NEG_LABEL, POS_LABEL
+from stlboost.grammar import MAX_NESTING
+from stlboost.tree import MAX_DEPTH, Leaf, Split, tree_to_formula
 from helpers import box, pred, random_formula
 
 
@@ -138,6 +141,24 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_formula("(x1 <= 1\n & )")
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("opener", ["(", "!", "G[0,1]", "F[0,1]"])
+    def test_nesting_limit(self, opener):
+        def text(depth):
+            return opener * depth + "x1 > 0" + ")" * (depth * opener.count("("))
+
+        assert parse_formula(text(MAX_NESTING)) is not None
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}") as info:
+            parse_formula("\n" + text(MAX_NESTING + 1))
+        assert (info.value.line, info.value.column) == (2, MAX_NESTING * len(opener) + 1)
+
+    def test_nesting_limit_admits_the_deepest_tree(self):
+        primitive = parse_formula("F[0,3]!((x1 > 40) & (x2 <= 30))")
+        node = Leaf(NEG_LABEL)
+        for _ in range(MAX_DEPTH):  # each level adds "(phi | (!phi & ...))"
+            node = Split(primitive, Leaf(POS_LABEL), node)
+        phi = tree_to_formula(node)
+        assert parse_formula(format_formula(phi)) == phi
 
 
 @settings(max_examples=300, deadline=None)

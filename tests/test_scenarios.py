@@ -17,6 +17,7 @@ from stlboost import (
     robustness_all,
     save_csv,
 )
+from stlboost.scenarios import MAX_VALUES
 from oracles import grid_search
 
 NAVAL_BAND = parse_formula(
@@ -50,6 +51,14 @@ class TestNaval:
             NavalConfig(noise=float("inf"))
         with pytest.raises(ValueError):
             NavalConfig(seed=-1)
+
+    def test_generated_size_is_bounded(self):
+        # Only configs are built here: the generators never run.
+        with pytest.raises(ValueError, match="value limit"):
+            NavalConfig(count_per_class=10**9, horizon=10**9)
+        with pytest.raises(ValueError, match="value limit"):
+            NavalConfig(count_per_class=MAX_VALUES // (2 * 2 * 61) + 1)
+        NavalConfig(count_per_class=MAX_VALUES // (2 * 2 * 61))
 
     def test_deterministic(self):
         a = generate_naval(NavalConfig(count_per_class=8, noise=1.0, seed=5))
@@ -111,6 +120,15 @@ class TestUrban:
             UrbanConfig(noise=float("nan"))
         with pytest.raises(ValueError):
             UrbanConfig(seed=-1)
+
+    def test_generated_size_is_bounded(self):
+        # Only configs are built here: the generators never run.
+        per_signal = 4 * 500
+        UrbanConfig(count_per_class=MAX_VALUES // (2 * per_signal))
+        with pytest.raises(ValueError, match="value limit"):
+            UrbanConfig(count_per_class=MAX_VALUES // (2 * per_signal) + 1)
+        with pytest.raises(ValueError, match="value limit"):
+            UrbanConfig(count_per_class=1, horizon=10**9)
 
     def test_grid_search_confirms_two_face_separator(self):
         ds = generate_urban(UrbanConfig(count_per_class=10, seed=3))
