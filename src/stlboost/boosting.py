@@ -31,6 +31,7 @@ from .tree import (
     TreeNode,
     build_tree,
     classify_all,
+    mix_seed,
     tree_to_formula,
 )
 
@@ -123,7 +124,7 @@ def train_boosted(
         tree = None
         for attempt in range(max_retries + 1):
             candidate_tree, merge_log = build_tree(
-                dataset, weights, config, seed=_round_seed(seed, k, attempt)
+                dataset, weights, config, seed=mix_seed(seed, k, attempt)
             )
             predictions = classify_all(candidate_tree, dataset.values)
             epsilon = float(weights[predictions != dataset.labels].sum())
@@ -164,12 +165,6 @@ def train_boosted(
         requested_rounds=rounds,
     )
     return replace(model, pruned_index=select_pruned_tree(model))
-
-
-def _round_seed(seed: int, round_index: int, attempt: int) -> int:
-    return int(
-        np.random.SeedSequence((int(seed), int(round_index), int(attempt))).generate_state(1)[0]
-    )
 
 
 def select_pruned_tree(model: BoostedModel) -> int | None:

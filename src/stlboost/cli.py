@@ -14,7 +14,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .boosting import (
     typed_value,
 )
 from .data import LabeledDataset, TooFewSamplesError, load_csv, save_csv, stratified_folds
-from .formula import And, extent, robustness_all
+from .formula import extent, robustness_all
 from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
-from .tree import TreeConfig
+from .tree import TreeConfig, mix_seed
 
 logger = logging.getLogger(__name__)
 
@@ -300,15 +300,12 @@ def run_cross_validation(
             config=config,
             m_weight=m_weight,
             max_retries=max_retries,
-            seed=int(np.random.SeedSequence((seed, fold)).generate_state(1)[0]),
+            seed=mix_seed(seed, fold),
         )
         if not model.rounds:
             raise CliError(f"fold {fold}: {_NO_TREES}")
         weighted = model_to_dict(model)
-        initial = And(
-            tuple(r.formula for r in model.rounds),
-            tuple(r.alpha for r in model.rounds),
-        )
+        initial = model_formula(replace(model, pruned_index=None))
         outcomes.append(
             FoldOutcome(
                 fold=fold,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -277,16 +277,19 @@ def _check_rows(lines, codes, times, labels, points, first, ids) -> None:
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
-    """Write a dataset in the long CSV format (full float precision)."""
+    """Write a dataset in the long CSV format (full float precision).
+
+    Each signal is written a column at a time: one ``tolist()`` of its
+    values and one ``map(repr, ...)`` per variable, so every value is the
+    shortest text that reads back to the same float.
+    """
+    times = range(dataset.horizon + 1)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "t", "label"] + [f"x{j}" for j in range(1, dataset.dimension + 1)])
-        for i, sid in enumerate(dataset.ids):
-            label = int(dataset.labels[i])
-            for t in range(dataset.horizon + 1):
-                writer.writerow(
-                    [sid, t, label] + [repr(float(v)) for v in dataset.values[i, :, t]]
-                )
+        for sid, label, signal in zip(dataset.ids, dataset.labels.tolist(), dataset.values):
+            columns = [map(repr, row) for row in signal.tolist()]
+            writer.writerows(zip(repeat(sid), times, repeat(label), *columns))
 
 
 def mcr(phi: Formula, dataset: LabeledDataset) -> float:

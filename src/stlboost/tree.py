@@ -31,17 +31,17 @@ from .formula import (
     operator_count,
     robustness_all,
 )
-from .impurity import (
-    best_leaf_label,
+from .impurity import best_leaf_label, gains_from_robustness
+
+# ``gain_from_robustness``, ``robustness_margin``, ``misclassification_gain``,
+# ``partition`` and ``optimize`` are unused here but stay bound:
+# bench/tracer.py wraps the library's public names where this module binds them.
+from .impurity import (  # noqa: F401
     gain_from_robustness,
-    gains_from_robustness,
+    misclassification_gain,
+    partition,
     robustness_margin,
 )
-
-# ``misclassification_gain``, ``partition`` and ``optimize`` are unused here
-# but stay bound: bench/tracer.py wraps the library's public names where this
-# module binds them.
-from .impurity import misclassification_gain, partition  # noqa: F401
 from .pso import PsoConfig, optimize, optimize_batch  # noqa: F401
 from .templates import (
     ALWAYS,
@@ -131,7 +131,8 @@ class MergeLog:
         return len(self.events)
 
 
-def _mix_seed(*parts: int) -> int:
+def mix_seed(*parts: int) -> int:
+    """One 32-bit seed mixed from a tuple of integers."""
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
@@ -146,54 +147,45 @@ def optimize_primitive(
     dataset: LabeledDataset,
     weights: np.ndarray,
     path_rho: np.ndarray,
-    primitives: PstlTemplate | Formula | Sequence[PstlTemplate | Formula],
-    depth: int,
+    templates: PstlTemplate | Sequence[PstlTemplate],
     config: TreeConfig,
     seed: int = 0,
-) -> Formula | int:
-    """Best split primitive for a node, or a leaf label under stop conditions.
+) -> tuple[Formula, float]:
+    """Best split primitive for a node and its gain.
 
     ``path_rho`` is the robustness of the node's path formula per sample
-    (``np.full(N, np.inf)`` at the root).  Each candidate is scored by the
-    misclassification gain of path ∧ candidate over the node's samples,
-    whose robustness is ``min(path_rho, candidate robustness)``.  Templates
-    are searched with the swarm optimizer; already-valued formulas are
-    scored as they are.  Ties
-    break toward fewer operators, then larger robustness margin, then the
-    earlier candidate.
+    (``np.full(N, np.inf)`` at the root).  Each template is searched with
+    the swarm optimizer, which scores a candidate by the misclassification
+    gain of path ∧ candidate over the node's samples, whose robustness is
+    ``min(path_rho, candidate robustness)``.  The returned gain is the one
+    the search found; it equals that candidate's gain scored alone, bit for
+    bit.  Ties break toward fewer operators, then larger robustness margin,
+    then the earlier template.
     """
-    if isinstance(primitives, (PstlTemplate, Formula)):
-        primitives = (primitives,)
+    if isinstance(templates, PstlTemplate):
+        templates = (templates,)
     else:
-        primitives = tuple(primitives)
-    if not primitives:
-        raise EmptyPrimitiveSetError("need at least one template or formula")
-    if _stop(dataset, depth, config):
-        return best_leaf_label(dataset, weights, path_rho)
+        templates = tuple(templates)
+    if not templates:
+        raise EmptyPrimitiveSetError("need at least one template")
 
     weights = np.asarray(weights, dtype=float)
     labels = dataset.labels
 
     best = None  # (gain, ops, margin, formula)
-    for index, candidate in enumerate(primitives):
-        if isinstance(candidate, Formula):
-            rho = np.minimum(path_rho, robustness_all(candidate, dataset.values))
-            gain = gain_from_robustness(rho, labels, weights).gain
-            phi = candidate
-            margin = robustness_margin(rho, weights)
-        else:
-            template = candidate if candidate.is_bound else candidate.bound_to(dataset)
-            template_rho = batch_robustness(template, dataset.values)
+    for index, template in enumerate(templates):
+        template = template if template.is_bound else template.bound_to(dataset)
+        template_rho = batch_robustness(template, dataset.values)
 
-            def objective(t0, t1, thresholds):
-                rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
-                scores = gains_from_robustness(rho, labels, weights)
-                return scores.gain, scores.margin
+        def objective(t0, t1, thresholds):
+            rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
+            scores = gains_from_robustness(rho, labels, weights)
+            return scores.gain, scores.margin
 
-            pso_config = replace(config.pso, seed=_mix_seed(seed, index))
-            valuation, gain, margin = optimize_batch(template, objective, pso_config)
-            del template_rho  # free this template's range tables before the next one's
-            phi = template.instantiate(valuation)
+        pso_config = replace(config.pso, seed=mix_seed(seed, index))
+        valuation, gain, margin = optimize_batch(template, objective, pso_config)
+        del template_rho  # free this template's range tables before the next one's
+        phi = template.instantiate(valuation)
         ops = operator_count(phi)
         if (
             best is None
@@ -202,7 +194,7 @@ def optimize_primitive(
             or (gain == best[0] and ops == best[1] and margin > best[2])
         ):
             best = (gain, ops, margin, phi)
-    return best[3]
+    return best[3], best[0]
 
 
 def _as_primitive(phi: Formula):
@@ -256,70 +248,60 @@ def build_tree(
 
     def next_seed() -> int:
         state["calls"] += 1
-        return _mix_seed(seed, state["calls"])
+        return mix_seed(seed, state["calls"])
 
     def search(sub, sub_weights, path_rho, depth):
-        return optimize_primitive(
-            sub, sub_weights, path_rho, templates, depth, config, seed=next_seed()
-        )
-
-    def grow(sub, sub_weights, path_rho, depth, candidate) -> TreeNode:
-        # ``path_rho`` is the robustness of the conjunction of the primitives
-        # (negated on right turns) from the root down to this node.
+        # The seed is drawn even at a leaf, so every later search keeps its seed.
+        node_seed = next_seed()
         if _stop(sub, depth, config):
+            return None
+        return optimize_primitive(sub, sub_weights, path_rho, templates, config, node_seed)
+
+    def grow(sub, sub_weights, path_rho, depth, found) -> TreeNode:
+        # ``path_rho`` is the robustness of the conjunction of the primitives
+        # (negated on right turns) from the root down to this node; ``found``
+        # is this node's search result, ``(primitive, gain)`` or None at a leaf.
+        if found is None:
             return Leaf(best_leaf_label(sub, sub_weights, path_rho))
-        if isinstance(candidate, int):
-            return Leaf(candidate)
+        candidate, gain = found
         restarts = 0
         budget = 2 * sub.dimension
         while True:
             rho = robustness_all(candidate, sub.values)
             top_rho = np.minimum(path_rho, rho)
-            current_gain = gain_from_robustness(top_rho, sub.labels, sub_weights).gain
             top = np.flatnonzero(top_rho >= 0)
             bot = np.flatnonzero(top_rho < 0)
             sides = (
                 (sub.subset(top), sub_weights[top], top_rho[top]),
                 (sub.subset(bot), sub_weights[bot], np.minimum(path_rho, -rho)[bot]),
             )
-            child_candidates = []
-            restarted = False
+            children = []
             for child_set, child_w, child_rho in sides:
-                child_candidate = search(child_set, child_w, child_rho, depth + 1)
-                child_candidates.append(child_candidate)
-                if restarts >= budget or not isinstance(child_candidate, Formula):
+                child = search(child_set, child_w, child_rho, depth + 1)
+                children.append(child)
+                if restarts >= budget or child is None:
                     continue
-                merged = combine_primitives(candidate, child_candidate)
+                merged = combine_primitives(candidate, child[0])
                 if merged is None:
                     continue
-                rewritten = optimize_primitive(
-                    sub, sub_weights, path_rho, merged, depth, config, seed=next_seed()
+                rewritten, new_gain = optimize_primitive(
+                    sub, sub_weights, path_rho, merged, config, next_seed()
                 )
-                rewritten_rho = np.minimum(path_rho, robustness_all(rewritten, sub.values))
-                new_gain = gain_from_robustness(rewritten_rho, sub.labels, sub_weights).gain
-                if new_gain >= current_gain + MIN_GAIN_IMPROVEMENT:
-                    log.events.append(
-                        MergeEvent(depth, candidate, rewritten, current_gain, new_gain)
-                    )
+                if new_gain >= gain + MIN_GAIN_IMPROVEMENT:
+                    log.events.append(MergeEvent(depth, candidate, rewritten, gain, new_gain))
                     logger.debug(
-                        "depth %d merge accepted: gain %.6f -> %.6f",
-                        depth,
-                        current_gain,
-                        new_gain,
+                        "depth %d merge accepted: gain %.6f -> %.6f", depth, gain, new_gain
                     )
-                    candidate = rewritten
+                    candidate, gain = rewritten, new_gain
                     restarts += 1
-                    restarted = True
                     break
-            if restarted:
-                continue
-            left = grow(*sides[0], depth + 1, child_candidates[0])
-            right = grow(*sides[1], depth + 1, child_candidates[1])
-            return Split(candidate, left, right)
+            else:
+                left = grow(*sides[0], depth + 1, children[0])
+                right = grow(*sides[1], depth + 1, children[1])
+                return Split(candidate, left, right)
 
     root_rho = np.full(len(dataset), np.inf)
-    root_candidate = search(dataset, weights, root_rho, 0)
-    root = grow(dataset, weights, root_rho, 0, root_candidate)
+    root = grow(dataset, weights, root_rho, 0, search(dataset, weights, root_rho, 0))
     return root, log
 
 

@@ -141,6 +141,19 @@ def grid_search(template, objective, threshold_candidates, time_stride=1, tie_br
     return best, best_value
 
 
+def naive_save_csv(dataset, path):
+    """Reference dataset writer, one record and one ``repr`` at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", "t", "label"] + [f"x{j}" for j in range(1, dataset.dimension + 1)])
+        for i, sid in enumerate(dataset.ids):
+            label = int(dataset.labels[i])
+            for t in range(dataset.horizon + 1):
+                writer.writerow(
+                    [sid, t, label] + [repr(float(v)) for v in dataset.values[i, :, t]]
+                )
+
+
 def naive_load_csv(path):
     """Reference dataset reader, one record at a time.
 

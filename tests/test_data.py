@@ -26,7 +26,7 @@ from stlboost import (
 from stlboost import data
 from stlboost.scenarios import NavalConfig, generate_naval
 from helpers import constant_dataset, pred, random_formula, random_signal
-from oracles import naive_load_csv, naive_mcr
+from oracles import naive_load_csv, naive_mcr, naive_save_csv
 
 
 def write_csv(path, text):
@@ -447,3 +447,27 @@ def test_unreadable_text_after_many_records(tmp_path_factory, block, early, late
         assert got[1].startswith("not a CSV text file"), got
     else:
         assert got[1].startswith("line "), got
+
+
+@st.composite
+def datasets(draw):
+    """Zero to five signals with 1-3 variables and horizons from 0, over ids
+    that need quoting and extreme floats."""
+    ids = draw(st.lists(ID_TEXT, max_size=5, unique=True))
+    dim = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 5))
+    values = draw(st.lists(VALUES, min_size=len(ids) * dim * width,
+                           max_size=len(ids) * dim * width))
+    labels = [draw(st.sampled_from([POS_LABEL, NEG_LABEL])) for _ in ids]
+    return LabeledDataset(np.array(values, dtype=float).reshape(len(ids), dim, width),
+                          np.array(labels, dtype=int), tuple(ids))
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets())
+def test_save_matches_oracle(tmp_path_factory, ds):
+    """``save_csv`` writes the same bytes as the record-at-a-time writer."""
+    folder = tmp_path_factory.mktemp("save")
+    save_csv(ds, folder / "got.csv")
+    naive_save_csv(ds, folder / "want.csv")
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()

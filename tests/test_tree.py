@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stlboost import (
     And,
@@ -28,16 +29,19 @@ from stlboost import (
     classify_all,
     combine_primitives,
     first_order_templates,
+    gain_from_robustness,
     mcr,
     misclassification_gain,
     optimize_primitive,
     partition,
     robustness,
+    robustness_all,
     satisfies,
     tree_depth,
     tree_to_formula,
     uniform_weights,
 )
+from stlboost.templates import ALWAYS, EVENTUALLY
 from stlboost.tree import MAX_DEPTH
 from helpers import (
     box,
@@ -104,24 +108,39 @@ class TestSeparableLearning:
 
 
 class TestOptimizePrimitive:
-    def test_valued_formula_passthrough(self):
-        ds = constant_dataset([0.0, 2.0], [POS_LABEL, NEG_LABEL])
-        phi = Always(0, 1, pred(1, LE, 1.0))
-        got = optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), phi, 0, FAST, seed=0)
-        assert got == phi
-
     def test_empty_primitive_set(self):
         ds = constant_dataset([0.0, 2.0], [POS_LABEL, NEG_LABEL])
         with pytest.raises(EmptyPrimitiveSetError):
-            optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), (), 0, FAST, seed=0)
+            optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), (), FAST, seed=0)
 
-    def test_stop_returns_label(self):
-        ds = constant_dataset([0.0, 1.0], [NEG_LABEL, NEG_LABEL])
-        got = optimize_primitive(
-            ds, uniform_weights(2), np.full(2, np.inf), Always(0, 0, pred(1, LE, 0.5)), 0, FAST,
-            seed=0,
-        )
-        assert got == NEG_LABEL
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([ALWAYS, EVENTUALLY]),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_gain_is_the_primitive_scored_alone(self, seed, shape, face_count, finite_path):
+        # The tree reuses the search's gain and never re-scores the primitive,
+        # so the two must agree bit for bit.  Multi-face F takes the sliced
+        # window path, every other template the range tables.
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(2, 16))
+        values = np.round(rng.normal(size=(count, 2, int(rng.integers(1, 12)))) * 3, 1)
+        labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
+        ds = LabeledDataset(values, labels, tuple(str(i) for i in range(count)))
+        weights = rng.random(count)
+        weights /= weights.sum()
+        faces = [(var, op) for var in (1, 2) for op in (GT, LE)]
+        picked = rng.choice(len(faces), size=face_count, replace=False)
+        template = PstlTemplate(shape, tuple(faces[i] for i in picked))
+        path_rho = np.full(count, np.inf)
+        if finite_path:
+            path_rho = np.abs(rng.normal(size=count)) * 2
+        config = TreeConfig(pso=PsoConfig(swarm_size=8, iterations=4))
+        phi, gain = optimize_primitive(ds, weights, path_rho, template, config, seed=seed)
+        rho = np.minimum(path_rho, robustness_all(phi, values))
+        assert gain == gain_from_robustness(rho, ds.labels, weights).gain
 
     def test_matches_grid_oracle_on_separable_data(self):
         ds = constant_dataset(
@@ -135,9 +154,10 @@ class TestOptimizePrimitive:
 
         candidates = [v + d for v in (0.0, 0.5, 2.0, 3.0) for d in (-1e-6, 1e-6)]
         _, oracle = grid_search(template, objective, sorted(candidates))
-        got = optimize_primitive(ds, weights, np.full(4, np.inf), template, 0, FAST, seed=2)
+        got, gain = optimize_primitive(ds, weights, np.full(4, np.inf), template, FAST, seed=2)
         achieved = misclassification_gain(ds, weights, got).gain
         assert achieved >= oracle - 1e-6
+        assert gain == achieved
 
     def test_eventually_wins_when_always_cannot_separate(self):
         # Positives dip below zero at different times; their windowed minima
@@ -158,12 +178,11 @@ class TestOptimizePrimitive:
         ds = LabeledDataset(
             np.stack(signals), np.array(labels), tuple(str(i) for i in range(20))
         )
-        got = optimize_primitive(
+        got, _ = optimize_primitive(
             ds,
             uniform_weights(20),
             np.full(20, np.inf),
             first_order_templates(1),
-            0,
             TreeConfig(max_depth=2, pso=PsoConfig(swarm_size=30, iterations=40)),
             seed=3,
         )
