@@ -30,7 +30,6 @@ from .data import (
     POS_LABEL,
     SchemaError,
     TooFewSamplesError,
-    from_signals,
     load_csv,
     mcr,
     save_csv,

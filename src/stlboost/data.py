@@ -101,14 +101,6 @@ def uniform_weights(count: int) -> np.ndarray:
     return np.full(count, 1.0 / count)
 
 
-def from_signals(signals, labels, ids=None) -> LabeledDataset:
-    """Build a dataset from per-signal (n, T+1) arrays."""
-    values = np.stack([np.asarray(s, dtype=float) for s in signals])
-    if ids is None:
-        ids = tuple(str(i) for i in range(len(signals)))
-    return LabeledDataset(values, np.asarray(labels, dtype=int), tuple(ids))
-
-
 def load_csv(path) -> LabeledDataset:
     """Read a long-format dataset CSV; its rows may come in any order.
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 GT = ">"
 LE = "<="
@@ -52,10 +53,6 @@ class Signal:
     @property
     def horizon(self) -> int:
         return self.values.shape[1] - 1
-
-    def value(self, var: int, t: int) -> float:
-        """Component ``var`` (1-based) at time ``t``."""
-        return float(self.values[var - 1, t])
 
 
 @dataclass(frozen=True)
@@ -186,14 +183,10 @@ class Eventually(Formula):
 
 def robustness(phi: Formula, signal: Signal, t: int = 0) -> float:
     """Robustness degree of ``phi`` over ``signal`` evaluated at time ``t``:
-    :func:`robustness_all` on a batch of one.
+    :func:`robustness_all` on a batch of one, so it raises as that does.
 
-    Non-negative iff the signal satisfies the formula at ``t``.  Raises
-    OutOfHorizonError when a referenced timepoint is outside [0, T] and
-    UnvaluedParameterError when ``phi`` is not a concrete formula.
+    Non-negative iff the signal satisfies the formula at ``t``.
     """
-    if not isinstance(t, int) or t < 0 or t > signal.horizon:
-        raise OutOfHorizonError(f"evaluation time {t} outside [0, {signal.horizon}]")
     return float(robustness_all(phi, signal.values[np.newaxis], t)[0])
 
 
@@ -253,56 +246,63 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
 
     ``values`` has shape (N, n, T+1); returns shape (N,).  This is the one
     implementation of the semantics; :func:`robustness` is its batch of one.
+    The horizon is checked once, up front, from :func:`extent`: it raises
+    OutOfHorizonError when ``t`` is not an integer or ``phi`` read at ``t``
+    reaches a timepoint outside [0, T], and UnvaluedParameterError when
+    ``phi`` is not a concrete formula.
     """
     values = np.asarray(values, dtype=float)
-    n_signals = values.shape[0]
     horizon = values.shape[2] - 1
+    last = extent(phi)[1]
+    if not isinstance(t, int) or t < 0 or t + last > horizon:
+        raise OutOfHorizonError(
+            f"evaluation time {t!r} plus the formula's reach {last} is outside [0, {horizon}]"
+        )
+    return _trace(phi, values, t, t)[:, 0]
+
+
+def _trace(phi: Formula, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Robustness of ``phi`` at each time lo..hi, shape (N, hi - lo + 1).
+
+    Each subformula is evaluated once, over the times its parent reads, so a
+    formula costs one pass per operator whatever its window widths.
+    """
     if isinstance(phi, BooleanConst):
-        return np.full(n_signals, math.inf if phi.value else -math.inf)
+        return np.full((values.shape[0], hi - lo + 1), math.inf if phi.value else -math.inf)
     if isinstance(phi, Predicate):
-        if t < 0 or t > horizon:
-            raise OutOfHorizonError(f"timepoint {t} outside [0, {horizon}]")
-        return np.minimum.reduce(
-            [face_rho(c.op, c.threshold, values[:, c.var - 1, t]) for c in phi.box.conjuncts]
+        return box_window_rho(
+            ((c.var, c.op, c.threshold) for c in phi.box.conjuncts), values, lo, hi
         )
     if isinstance(phi, Not):
-        return -robustness_all(phi.child, values, t)
+        return -_trace(phi.child, values, lo, hi)
     if isinstance(phi, And):
-        return np.minimum.reduce([robustness_all(c, values, t) for c in phi.children])
+        return np.minimum.reduce([_trace(c, values, lo, hi) for c in phi.children])
     if isinstance(phi, Or):
-        return np.maximum.reduce([robustness_all(c, values, t) for c in phi.children])
-    if isinstance(phi, (Always, Eventually)):
-        lo, hi = t + phi.start, t + phi.end
-        if hi > horizon:
-            raise OutOfHorizonError(f"window [{lo},{hi}] exceeds horizon {horizon}")
-        child = phi.child
-        if isinstance(child, Predicate):
-            # Window slice per conjunct keeps this O(k) numpy calls.
-            window = box_window_rho(
-                ((c.var, c.op, c.threshold) for c in child.box.conjuncts), values, lo, hi
-            )
-            return window.min(axis=1) if isinstance(phi, Always) else window.max(axis=1)
-        if isinstance(child, BooleanConst):
-            return np.full(n_signals, math.inf if child.value else -math.inf)
-        stacked = np.stack([robustness_all(child, values, tau) for tau in range(lo, hi + 1)])
-        return stacked.min(axis=0) if isinstance(phi, Always) else stacked.max(axis=0)
-    raise UnvaluedParameterError(f"not a concrete formula: {phi!r}")
+        return np.maximum.reduce([_trace(c, values, lo, hi) for c in phi.children])
+    child = _trace(phi.child, values, lo + phi.start, hi + phi.end)
+    windows = sliding_window_view(child, phi.end - phi.start + 1, axis=1)
+    return windows.min(axis=2) if isinstance(phi, Always) else windows.max(axis=2)
 
 
 def extent(phi: Formula) -> tuple[int, int]:
     """Highest variable index ``phi`` reads, and the last timepoint it reads
     when evaluated at time 0; ``phi`` fits signals with n variables and
-    horizon T iff both are within (n, T)."""
+    horizon T iff both are within (n, T).  This is the one horizon check
+    :func:`robustness_all` makes.  Raises UnvaluedParameterError when
+    ``phi`` is not a concrete formula."""
     if isinstance(phi, BooleanConst):
         return 0, 0
     if isinstance(phi, Predicate):
         return max(c.var for c in phi.box.conjuncts), 0
+    if isinstance(phi, Not):
+        return extent(phi.child)
     if isinstance(phi, (Always, Eventually)):
         var, end = extent(phi.child)
         return var, phi.end + end
-    children = phi.children if isinstance(phi, (And, Or)) else (phi.child,)
-    extents = [extent(child) for child in children]
-    return max(var for var, _ in extents), max(end for _, end in extents)
+    if isinstance(phi, (And, Or)):
+        extents = [extent(child) for child in phi.children]
+        return max(var for var, _ in extents), max(end for _, end in extents)
+    raise UnvaluedParameterError(f"not a concrete formula: {phi!r}")
 
 
 def operator_count(phi: Formula) -> int:

@@ -27,10 +27,6 @@ class PartitionScore:
     p_neg: float
     gain: float
 
-    @property
-    def p_class(self) -> dict[int, float]:
-        return {POS_LABEL: self.p_pos, NEG_LABEL: self.p_neg}
-
 
 class PartitionScores(NamedTuple):
     """:class:`PartitionScore` fields for a batch of candidate splits, one

@@ -77,13 +77,16 @@ class UrbanConfig:
         _check_config(self, dimension=4, min_horizon=100, geometry="street")
 
 
+def _profile(horizon: int, knots: list[tuple[float, float]]) -> np.ndarray:
+    """Piecewise-linear (T+1,) series through (time_fraction, value) knots."""
+    times = np.array([round(f * horizon) for f, _ in knots], dtype=float)
+    return np.interp(np.arange(horizon + 1, dtype=float), times, np.array([v for _, v in knots]))
+
+
 def _path(horizon: int, waypoints: list[tuple[float, float, float]]) -> np.ndarray:
     """Piecewise-linear (2, T+1) track through (time_fraction, x, y) waypoints."""
-    times = np.array([round(f * horizon) for f, _, _ in waypoints], dtype=float)
-    ts = np.arange(horizon + 1, dtype=float)
-    x = np.interp(ts, times, np.array([p[1] for p in waypoints]))
-    y = np.interp(ts, times, np.array([p[2] for p in waypoints]))
-    return np.stack([x, y])
+    return np.stack([_profile(horizon, [(f, x) for f, x, _ in waypoints]),
+                     _profile(horizon, [(f, y) for f, _, y in waypoints])])
 
 
 def generate_naval(config: NavalConfig) -> LabeledDataset:
@@ -152,11 +155,6 @@ def generate_naval(config: NavalConfig) -> LabeledDataset:
     if config.noise > 0:
         values = values + rng.normal(0.0, config.noise, size=values.shape)
     return LabeledDataset(values, np.array(labels), tuple(ids))
-
-
-def _profile(horizon: int, knots: list[tuple[float, float]]) -> np.ndarray:
-    times = np.array([round(f * horizon) for f, _ in knots], dtype=float)
-    return np.interp(np.arange(horizon + 1, dtype=float), times, np.array([v for _, v in knots]))
 
 
 def generate_urban(config: UrbanConfig) -> LabeledDataset:

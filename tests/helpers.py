@@ -52,18 +52,24 @@ def random_signal(rng: random.Random, dimension: int, horizon: int) -> Signal:
     return Signal(np.array(values))
 
 
-def _random_box(rng: random.Random, dimension: int) -> BoxPredicate:
+def _random_box(
+    rng: random.Random, dimension: int, grid: tuple[float, ...] | None = None
+) -> BoxPredicate:
     var_count = rng.randint(1, min(dimension, 2))
     variables = rng.sample(range(1, dimension + 1), var_count)
     faces = []
     for var in variables:
         style = rng.choice((GT, LE, "both"))
-        if style == "both":
+        if style == "both" and grid:
+            lo = rng.choice(grid[:-1])
+            faces.append(Conjunct(var, GT, lo))
+            faces.append(Conjunct(var, LE, rng.choice([v for v in grid if v > lo])))
+        elif style == "both":
             lo = rng.uniform(-6, 5)
             faces.append(Conjunct(var, GT, lo))
             faces.append(Conjunct(var, LE, lo + rng.uniform(0.5, 6)))
         else:
-            faces.append(Conjunct(var, style, rng.uniform(-6, 6)))
+            faces.append(Conjunct(var, style, rng.choice(grid) if grid else rng.uniform(-6, 6)))
     return BoxPredicate(tuple(faces))
 
 
@@ -74,12 +80,14 @@ def random_formula(
     horizon: int,
     allow_weights: bool = True,
     allow_const: bool = True,
+    grid: tuple[float, ...] | None = None,
 ):
     """Random canonical formula whose temporal windows fit from time 0.
 
     Canonical means what the parser produces: unweighted conjunctions of
     bare predicates appear as merged box predicates, and n-ary connectives
-    have at least two children.
+    have at least two children.  Thresholds are drawn from ``grid``, an
+    ascending tuple, when it is given.
     """
 
     def build(depth_left: int, budget: int):
@@ -92,7 +100,7 @@ def random_formula(
                 choices += ["always", "eventually"] * 2
         kind = rng.choice(choices)
         if kind == "pred":
-            return Predicate(_random_box(rng, dimension))
+            return Predicate(_random_box(rng, dimension, grid))
         if kind == "const":
             return TRUE if rng.random() < 0.5 else FALSE
         if kind == "not":

@@ -9,6 +9,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,7 +164,7 @@ CELL_TEXT = st.one_of(
 @given(data=st.data(), command=st.sampled_from(["monitor", "eval"]))
 def test_dataset_file(files, data, command):
     root, dataset, _ = files
-    lines = open(dataset, encoding="utf-8").read().splitlines()
+    lines = Path(dataset).read_text(encoding="utf-8").splitlines()
     for _ in range(data.draw(st.integers(1, 3))):
         # Records of the first id set the horizon, so they are drawn more often.
         k = data.draw(st.integers(1, 8) | st.integers(0, len(lines) - 1))

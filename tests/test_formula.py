@@ -26,6 +26,8 @@ from stlboost import (
     robustness_all,
     satisfies,
 )
+import stlboost.formula as formula
+from stlboost.formula import extent
 from helpers import box, constant_signal, pred, random_formula, random_signal, signal_rows
 from oracles import naive_robustness
 
@@ -70,6 +72,24 @@ class TestErrors:
         values = np.zeros((2, 1, 4))
         with pytest.raises(OutOfHorizonError):
             robustness_all(Eventually(2, 5, pred(1, GT, 0.0)), values)
+
+    def test_nested_window_past_horizon(self):
+        # Each window fits T=3 alone; nested, they read timepoint 4.
+        phi = Always(0, 2, Eventually(1, 2, pred(1, GT, 0.0)))
+        with pytest.raises(OutOfHorizonError):
+            robustness_all(phi, np.zeros((2, 1, 4)))
+
+    def test_constant_past_horizon_batch(self):
+        with pytest.raises(OutOfHorizonError):
+            robustness_all(TRUE, np.zeros((2, 1, 3)), t=3)
+
+    def test_non_integer_time(self):
+        with pytest.raises(OutOfHorizonError):
+            robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=1.0)
+
+    def test_extent_of_template(self):
+        with pytest.raises(UnvaluedParameterError):
+            extent(PstlTemplate("G", ((1, LE),)))
 
 
 class TestConstruction:
@@ -138,13 +158,55 @@ def formula_and_signal(draw):
     return phi, signal
 
 
-@settings(max_examples=150, deadline=None)
-@given(formula_and_signal())
-def test_matches_naive_oracle(pair):
-    phi, signal = pair
-    got = robustness(phi, signal)
-    expected = naive_robustness(phi, signal_rows(signal), 0)
-    assert math.isclose(got, expected, rel_tol=0, abs_tol=1e-9)
+# Few distinct values, signed zeros included, so robustness ties are common.
+TIE_GRID = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def formula_batch_and_time(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    dimension = rng.randint(1, 3)
+    horizon = rng.randint(0, 10)
+    t = rng.randint(0, horizon)
+    phi = random_formula(rng, max_depth=4, dimension=dimension, horizon=horizon - t,
+                         grid=TIE_GRID)
+    tied = rng.random() < 0.7
+    signals = [
+        Signal(np.array([[rng.choice(TIE_GRID) for _ in range(horizon + 1)]
+                         for _ in range(dimension)]))
+        if tied else random_signal(rng, dimension, horizon)
+        for _ in range(rng.randint(1, 4))
+    ]
+    return phi, signals, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_batch_and_time())
+def test_matches_naive_oracle(case):
+    # Min, max and negation are exact, so the semantics must agree exactly.
+    phi, signals, t = case
+    expected = [naive_robustness(phi, signal_rows(s), t) for s in signals]
+    batch = robustness_all(phi, np.stack([s.values for s in signals]), t)
+    assert batch.tolist() == expected
+    assert [robustness(phi, s, t) for s in signals] == expected
+
+
+def test_nested_windows_evaluate_the_box_once(monkeypatch):
+    calls = []
+    real = formula.box_window_rho
+
+    def counting(faces, values, lo, hi):
+        calls.append((lo, hi))
+        return real(faces, values, lo, hi)
+
+    monkeypatch.setattr(formula, "box_window_rho", counting)
+    phi = pred(1, GT, 0.0)
+    for depth in range(6):
+        phi = (Always if depth % 2 else Eventually)(0, 20, phi)
+    values = np.random.default_rng(0).normal(size=(3, 1, 121))
+    robustness_all(phi, values)
+    assert calls == [(0, 120)]
 
 
 @settings(max_examples=100, deadline=None)
