@@ -54,6 +54,7 @@ from .formula import (
     Signal,
     TRUE,
     UnvaluedParameterError,
+    VariableOutOfRangeError,
     operator_count,
     robustness,
     robustness_all,

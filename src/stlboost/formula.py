@@ -24,6 +24,10 @@ class OutOfHorizonError(Exception):
     """A temporal window or evaluation time reaches past the signal horizon."""
 
 
+class VariableOutOfRangeError(IndexError):
+    """A formula reads a variable index past the signals' variable count."""
+
+
 class UnvaluedParameterError(TypeError):
     """Raised when semantics are requested for something that is not a
     concrete formula (e.g. a parametric template with free parameters)."""
@@ -229,16 +233,24 @@ def range_table(series: np.ndarray, reduce: np.ufunc, out: np.ndarray) -> np.nda
     return out
 
 
-def range_query(table: np.ndarray, reduce: np.ufunc, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``reduce`` of each series over the inclusive windows [lo[p], hi[p]].
+def range_query(
+    tables: np.ndarray, which: np.ndarray, is_min: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Each series' window extremum over the inclusive windows [lo, hi], read
+    from table ``which`` of stacked range tables.
 
-    ``table`` comes from :func:`range_table`; returns shape (P, N).  The two
-    power-of-two halves overlap, which min and max do not mind, so the
-    result is exactly the reduction over the window.
+    ``tables`` stacks tables from :func:`range_table`, shape (Q, levels, N,
+    T+1).  ``which``, ``lo`` and ``hi`` broadcast to one shape S, and
+    ``is_min`` (whether that table holds minima, else maxima) to S + (1,);
+    returns shape S + (N,).  The two power-of-two halves overlap, which min
+    and max do not mind, so the result is exactly the reduction over the
+    window.
     """
-    powers = 1 << np.arange(table.shape[0])
+    powers = 1 << np.arange(tables.shape[1])
     level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
-    return reduce(table[level, :, lo], table[level, :, hi - powers[level] + 1])
+    first = tables[which, level, :, lo]
+    second = tables[which, level, :, hi - powers[level] + 1]
+    return np.where(is_min, np.minimum(first, second), np.maximum(first, second))
 
 
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
@@ -246,17 +258,22 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
 
     ``values`` has shape (N, n, T+1); returns shape (N,).  This is the one
     implementation of the semantics; :func:`robustness` is its batch of one.
-    The horizon is checked once, up front, from :func:`extent`: it raises
-    OutOfHorizonError when ``t`` is not an integer or ``phi`` read at ``t``
-    reaches a timepoint outside [0, T], and UnvaluedParameterError when
-    ``phi`` is not a concrete formula.
+    The horizon and the variable count are checked once, up front, from
+    :func:`extent`: it raises OutOfHorizonError when ``t`` is not an integer
+    or ``phi`` read at ``t`` reaches a timepoint outside [0, T],
+    VariableOutOfRangeError when ``phi`` reads a variable past n, and
+    UnvaluedParameterError when ``phi`` is not a concrete formula.
     """
     values = np.asarray(values, dtype=float)
     horizon = values.shape[2] - 1
-    last = extent(phi)[1]
+    var, last = extent(phi)
     if not isinstance(t, int) or t < 0 or t + last > horizon:
         raise OutOfHorizonError(
             f"evaluation time {t!r} plus the formula's reach {last} is outside [0, {horizon}]"
+        )
+    if var > values.shape[1]:
+        raise VariableOutOfRangeError(
+            f"formula reads x{var}, but the signals have n={values.shape[1]} variables"
         )
     return _trace(phi, values, t, t)[:, 0]
 
@@ -287,9 +304,9 @@ def _trace(phi: Formula, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def extent(phi: Formula) -> tuple[int, int]:
     """Highest variable index ``phi`` reads, and the last timepoint it reads
     when evaluated at time 0; ``phi`` fits signals with n variables and
-    horizon T iff both are within (n, T).  This is the one horizon check
-    :func:`robustness_all` makes.  Raises UnvaluedParameterError when
-    ``phi`` is not a concrete formula."""
+    horizon T iff both are within (n, T).  This is the one horizon and
+    variable check :func:`robustness_all` makes.  Raises
+    UnvaluedParameterError when ``phi`` is not a concrete formula."""
     if isinstance(phi, BooleanConst):
         return 0, 0
     if isinstance(phi, Predicate):

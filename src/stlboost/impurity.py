@@ -64,9 +64,9 @@ def gains_from_robustness(
     (see :func:`_masses`) has gain 0: such a split carries no margin
     information.  Every entry is bit-identical to scoring its row alone:
     row sums of a C-contiguous matrix equal the 1-D sums of its rows, so
-    the full-row and positive-class sums run on the whole batch, but the
-    sums over each row's own satisfied side compact that row and sum it
-    alone (neither zero padding nor ``np.add.reduceat`` gives the same bits).
+    the full-row and positive-class sums run on the whole batch, and the
+    sums over each row's own sides are the 1-D sums of its compacted picks
+    (see :func:`_side_sums`).
     """
     rho = np.asarray(rho, dtype=float)
     labels = np.asarray(labels)
@@ -82,14 +82,9 @@ def gains_from_robustness(
     pos_mass = np.ascontiguousarray(mags[:, pos]).sum(axis=1)
     sat = rho >= 0
     bot = ~sat
-    top_pos = sat & pos
-    bot_pos = bot & pos
-    add = np.add.reduce
-    sums = np.array([
-        (add(m[s]), add(m[b]), add(m[sp]), add(m[bp]))
-        for m, s, b, sp, bp in zip(mags, sat, bot, top_pos, bot_pos)
-    ])
-    top_mass, bot_mass, top_pos_mass, bot_pos_mass = sums.T
+    top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
+        mags, np.concatenate([sat, bot, sat & pos, bot & pos])
+    ).reshape(4, -1)
     p_top = top_mass / total
     p_bot = bot_mass / total
     p_pos = pos_mass / total
@@ -101,6 +96,30 @@ def gains_from_robustness(
     )
     gain[degenerate] = 0.0
     return PartitionScores(p_top, p_bot, p_pos, p_neg, gain, total)
+
+
+def _side_sums(mags: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Sum of ``mags[r % P]`` over the mask ``masks[r]``, for each row ``r``
+    of the (R, N) ``masks``, where ``mags`` is (P, N).
+
+    Each sum has the bits of the 1-D sum of the row's compacted picks, whose
+    order depends on the pick count (numpy's pairwise summation).  So the
+    rows are stably sorted by pick count, and each run of rows with ``k``
+    picks is summed as one C-contiguous (rows, k) block along its rows,
+    which runs the same summation with the same ``k`` as the 1-D sum.
+    """
+    counts = np.count_nonzero(masks, axis=1)
+    order = np.argsort(counts, kind="stable")
+    picks = mags[order % mags.shape[0]][masks[order]]
+    sizes, runs = np.unique(counts, return_counts=True)
+    sums = np.empty(masks.shape[0])
+    row = pick = 0
+    for k, rows in zip(sizes.tolist(), runs.tolist()):
+        block = picks[pick : pick + rows * k].reshape(rows, k)
+        sums[order[row : row + rows]] = block.sum(axis=1)
+        row += rows
+        pick += rows * k
+    return sums
 
 
 def _minority(mass: np.ndarray, pos_mass: np.ndarray) -> np.ndarray:

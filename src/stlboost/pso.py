@@ -6,21 +6,25 @@ rounded, clamped and swap-ordered, thresholds are clamped to their bounds,
 and paired box faces are repaired so the lower face stays strictly below
 the upper one.
 
-The swarm scores a whole iteration at once.  A batch objective receives the
-projected swarm as ``(t0[P], t1[P], thresholds[P, k])`` (integer window
-bounds and float thresholds, one row per particle) and returns
-``(values[P], tie_values[P])``.  Candidates are offered to the incumbent in
-particle order: a strictly larger value wins, and an equal value wins only
-with a strictly larger tie value.  :func:`optimize` adapts a per-valuation
-objective and tie-break to that contract.  The returned value is the one
-computed for the returned (already projected) valuation.
+:func:`optimize_batch` searches M templates with the same parameter count in
+lockstep, one swarm of P particles each, and scores a whole iteration of all
+M swarms at once.  Its objective receives the projected swarms as
+``(t0[M, P], t1[M, P], thresholds[M, P, k])`` (integer window bounds and
+float thresholds; row ``[m, p]`` is particle ``p`` of template ``m``) and
+returns ``(values[M, P], tie_values[M, P])``.  Each swarm draws from its own
+generator and is otherwise independent, so a template's result is the same
+in any batch as searched alone.  Candidates are offered to each template's
+incumbent in particle order: a strictly larger value wins, and an equal value
+wins only with a strictly larger tie value.  :func:`optimize` adapts a
+per-valuation objective and tie-break to that contract.  The returned value
+is the one computed for the returned (already projected) valuation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,34 +80,40 @@ def _face_pairs(template: PstlTemplate) -> list[tuple[int, int]]:
 
 
 def _project_all(
-    template: PstlTemplate, positions: np.ndarray
+    templates: Sequence[PstlTemplate], positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project each row of ``positions`` onto the feasible set.
+    """Project each particle of the stacked ``positions[M, P, D]`` onto the
+    feasible set of its template ``m``.
 
-    Returns ``(t0[P], t1[P], thresholds[P, k])``.  Rounding is half to even,
-    as Python's ``round``.
+    Returns ``(t0[M, P], t1[M, P], thresholds[M, P, k])``.  Rounding is half
+    to even, as Python's ``round``.
     """
-    times = np.clip(np.rint(positions[:, :2]), 0, template.horizon).astype(np.intp)
-    t0 = times.min(axis=1)
-    t1 = times.max(axis=1)
-    lows, highs = np.array(template.threshold_bounds).T
-    thresholds = np.clip(positions[:, 2:], lows, highs)
-    for gi, li in _face_pairs(template):
-        lower, upper = thresholds[:, gi], thresholds[:, li]
-        swap = lower >= upper
-        lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
-        # Equal after the swap: open a minimal gap without leaving bounds.
-        tied = lower >= upper
-        eps = np.maximum(1e-9, 1e-12 * np.maximum(np.abs(lower), 1.0))
-        raise_upper = upper + eps <= highs[li]
-        thresholds[:, gi] = np.where(tied & ~raise_upper, lower - eps, lower)
-        thresholds[:, li] = np.where(tied & raise_upper, upper + eps, upper)
+    horizons = np.array([template.horizon for template in templates])
+    times = np.clip(np.rint(positions[..., :2]), 0, horizons[:, np.newaxis, np.newaxis])
+    times = times.astype(np.intp)
+    t0 = times.min(axis=2)
+    t1 = times.max(axis=2)
+    bounds = np.array([template.threshold_bounds for template in templates])  # (M, k, 2)
+    lows, highs = bounds[..., 0], bounds[..., 1]
+    thresholds = np.clip(positions[..., 2:], lows[:, np.newaxis], highs[:, np.newaxis])
+    for m, template in enumerate(templates):
+        for gi, li in _face_pairs(template):
+            lower, upper = thresholds[m, :, gi], thresholds[m, :, li]
+            swap = lower >= upper
+            lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
+            # Equal after the swap: open a minimal gap without leaving bounds.
+            tied = lower >= upper
+            eps = np.maximum(1e-9, 1e-12 * np.maximum(np.abs(lower), 1.0))
+            raise_upper = upper + eps <= highs[m, li]
+            thresholds[m, :, gi] = np.where(tied & ~raise_upper, lower - eps, lower)
+            thresholds[m, :, li] = np.where(tied & raise_upper, upper + eps, upper)
     return t0, t1, thresholds
 
 
 def _project(template: PstlTemplate, position: np.ndarray) -> Valuation:
-    t0, t1, thresholds = _project_all(template, np.asarray(position, dtype=float)[np.newaxis])
-    return Valuation(t0[0], t1[0], thresholds[0])
+    position = np.asarray(position, dtype=float)[np.newaxis, np.newaxis]
+    t0, t1, thresholds = _project_all((template,), position)
+    return Valuation(t0[0, 0], t1[0, 0], thresholds[0, 0])
 
 
 class _Best:
@@ -147,52 +157,80 @@ def _space_arrays(template: PstlTemplate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def optimize_batch(
-    template: PstlTemplate, objective: BatchObjective, config: PsoConfig
-) -> tuple[Valuation, float, float]:
-    """Maximize a batch ``objective`` over the template's parameter space.
+    templates: Sequence[PstlTemplate],
+    objective: BatchObjective,
+    configs: Sequence[PsoConfig],
+) -> list[tuple[Valuation, float, float]]:
+    """Maximize a batch ``objective`` over each template's parameter space,
+    with one swarm per template, stepped in lockstep.
 
-    Returns the best valuation with its value and tie value.  Deterministic
-    for a given (template, config, objective).  The best value seen is
-    non-decreasing over iterations.  One eighth of the swarm re-samples its
-    position uniformly every iteration; projected objectives are piecewise
-    constant, and without that exploration the swarm can stall on the first
-    plateau it reaches.
+    The templates share their parameter count, and the configs (one per
+    template) differ only in seed.  Returns, per template, the best valuation
+    with its value and tie value.  A template's result depends only on its
+    template, config and objective rows, so it is the same in any batch as
+    searched alone.  The best value seen is non-decreasing over iterations.
+    One eighth of each swarm re-samples its position uniformly every
+    iteration; projected objectives are piecewise constant, and without that
+    exploration the swarm can stall on the first plateau it reaches.
     """
-    lb, ub = _space_arrays(template)
+    templates = tuple(templates)
+    configs = tuple(configs)
+    if not templates or len(configs) != len(templates):
+        raise ValueError("need at least one template and one config per template")
+    if len({len(template.slots) for template in templates}) != 1:
+        raise ValueError("templates searched in lockstep must have one parameter count")
+    config = configs[0]
+    if any(replace(other, seed=config.seed) != config for other in configs):
+        raise ValueError("configs searched in lockstep may differ only in seed")
+    lb, ub = (np.stack(bounds) for bounds in zip(*map(_space_arrays, templates)))
     span = ub - lb
-    vmax = config.velocity_clamp * np.where(span > 0, span, 1.0)
-    rng = np.random.default_rng(config.seed)
-    dims = lb.size
-    scouts = max(1, config.swarm_size // 8)
+    vmax = (config.velocity_clamp * np.where(span > 0, span, 1.0))[:, np.newaxis]
+    # Each swarm draws from its own generator in the order a solo search does:
+    # the start, then per iteration r_cog, r_soc and the scouts.
+    rngs = [np.random.default_rng(other.seed) for other in configs]
+    swarm = config.swarm_size
+    dims = lb.shape[1]
+    scouts = max(1, swarm // 8)
 
-    positions = rng.uniform(lb, ub, size=(config.swarm_size, dims))
+    def unit(rows):
+        return np.stack([rng.uniform(size=(rows, dims)) for rng in rngs])
+
+    def within_bounds(rows):
+        return np.stack([
+            rng.uniform(lo, hi, size=(rows, dims)) for rng, lo, hi in zip(rngs, lb, ub)
+        ])
+
+    positions = within_bounds(swarm)
     velocities = np.zeros_like(positions)
     particle_best_pos = positions.copy()
-    particle_best_val = np.full(config.swarm_size, -np.inf)
-    best = _Best()
+    particle_best_val = np.full((len(templates), swarm), -np.inf)
+    best = [_Best() for _ in templates]
+    which = np.arange(len(templates))
 
     for iteration in range(config.iterations + 1):
         if iteration:
-            r_cog = rng.uniform(size=(config.swarm_size, dims))
-            r_soc = rng.uniform(size=(config.swarm_size, dims))
-            best_raw = particle_best_pos[int(np.argmax(particle_best_val))]
+            r_cog = unit(swarm)
+            r_soc = unit(swarm)
+            leaders = np.argmax(particle_best_val, axis=1)
+            best_raw = particle_best_pos[which, leaders][:, np.newaxis]
             velocities = (
                 config.inertia * velocities
                 + config.cognitive * r_cog * (particle_best_pos - positions)
                 + config.social * r_soc * (best_raw - positions)
             )
             np.clip(velocities, -vmax, vmax, out=velocities)
-            positions = np.clip(positions + velocities, lb, ub)
-            positions[-scouts:] = rng.uniform(lb, ub, size=(scouts, dims))
-            velocities[-scouts:] = 0.0
-        t0, t1, thresholds = _project_all(template, positions)
+            positions = np.clip(positions + velocities, lb[:, np.newaxis], ub[:, np.newaxis])
+            positions[:, -scouts:] = within_bounds(scouts)
+            velocities[:, -scouts:] = 0.0
+        t0, t1, thresholds = _project_all(templates, positions)
         values, tie_values = objective(t0, t1, thresholds)
         improved = values > particle_best_val
         particle_best_val[improved] = values[improved]
         particle_best_pos[improved] = positions[improved]
-        best.offer(t0, t1, thresholds, values, tie_values)
+        for m, incumbent in enumerate(best):
+            incumbent.offer(t0[m], t1[m], thresholds[m], values[m], tie_values[m])
 
-    return best.valuation, best.value, best.tie_value
+    return [(incumbent.valuation, incumbent.value, incumbent.tie_value) for incumbent in best]
 
 
 def _per_valuation(
@@ -203,14 +241,13 @@ def _per_valuation(
     value never replaces the incumbent."""
 
     def batch(t0, t1, thresholds):
-        valuations = [
-            Valuation(a, b, row)
-            for a, b, row in zip(t0.tolist(), t1.tolist(), thresholds.tolist())
-        ]
-        values = np.array([float(objective(v)) for v in valuations])
+        rows = zip(t0.ravel().tolist(), t1.ravel().tolist(),
+                   thresholds.reshape(-1, thresholds.shape[-1]).tolist())
+        valuations = [Valuation(a, b, cuts) for a, b, cuts in rows]
+        values = np.array([float(objective(v)) for v in valuations]).reshape(t0.shape)
         if tie_break is None:
-            return values, np.zeros(len(valuations))
-        return values, np.array([float(tie_break(v)) for v in valuations])
+            return values, np.zeros(t0.shape)
+        return values, np.array([float(tie_break(v)) for v in valuations]).reshape(t0.shape)
 
     return batch
 
@@ -226,5 +263,7 @@ def optimize(
 
     The returned value is exactly ``objective`` at the returned valuation.
     """
-    valuation, value, _ = optimize_batch(template, _per_valuation(objective, tie_break), config)
+    [(valuation, value, _)] = optimize_batch(
+        (template,), _per_valuation(objective, tie_break), (config,)
+    )
     return valuation, value

@@ -133,26 +133,91 @@ def first_order_templates(
 
 BatchRobustness = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+# The most bytes of range tables one lockstep batch holds at once, unless a
+# single template's tables are larger (see :func:`lockstep_batches`).
+TABLE_BUDGET_BYTES = 4 << 20
 
-def batch_robustness(template: PstlTemplate, values: np.ndarray) -> BatchRobustness:
-    """Robustness of a template at many valuations over one batch of signals.
 
-    Returns ``rho(t0[P], t1[P], thresholds[P, k]) -> (P, N)`` whose row ``p``
-    equals, bit for bit, ``robustness_all`` of the template instantiated at
-    valuation ``p``.  ``G`` over any box and ``F`` over one face read each
-    face's window extremum from a range table: rounding is monotone, so
-    ``min_t fl(x_t - c) == fl(min_t x_t - c)``, and the minimum over faces
-    commutes with ``G``'s minimum over time.  ``F`` over several faces (only
-    merged templates) does not commute and takes window slices per valuation.
-    The tables live as long as the returned function.
+def _table_keys(template: PstlTemplate) -> tuple[tuple[int, np.ufunc], ...] | None:
+    """The (variable, ``np.minimum`` or ``np.maximum``) range table each face
+    of ``template`` reads, or None for ``F`` over several faces, which reads
+    window slices instead."""
+    if template.shape == EVENTUALLY and len(template.slots) > 1:
+        return None
+    # G over x > c needs the window minimum of x; G over x <= c, the maximum.
+    # F flips both.
+    return tuple(
+        (var, np.minimum if (op == GT) == (template.shape == ALWAYS) else np.maximum)
+        for var, op in template.slots
+    )
+
+
+def lockstep_batches(
+    templates: tuple[PstlTemplate, ...], values: np.ndarray
+) -> list[list[int]]:
+    """Split bound templates into batches for :func:`batch_robustness` over
+    ``values`` and a lockstep search, as lists of template indices.
+
+    Templates that read the same range tables go in one batch.  A batch takes
+    such groups in template order while its distinct tables fit
+    TABLE_BUDGET_BYTES, so it never holds more than the budget or one group's
+    tables, whichever is larger.  A batch's templates share their parameter
+    count, and an ``F`` over several faces is a batch of its own.
+    """
+    count, _, width = values.shape
+    table_bytes = width.bit_length() * count * width * np.dtype(float).itemsize
+    groups: dict[object, list[int]] = {}  # the tables read, or the index of an F
+    for index, template in enumerate(templates):
+        keys = _table_keys(template)
+        groups.setdefault(index if keys is None else frozenset(keys), []).append(index)
+    batches: list[list[int]] = []
+    open_tables = None  # the last batch's tables, while it may take more templates
+    for group, indices in groups.items():
+        tables = group if isinstance(group, frozenset) else None
+        if (
+            tables is not None
+            and open_tables is not None
+            and len(templates[indices[0]].slots) == len(templates[batches[-1][0]].slots)
+            and len(open_tables | tables) * table_bytes <= TABLE_BUDGET_BYTES
+        ):
+            batches[-1].extend(indices)
+            open_tables |= tables
+        else:
+            batches.append(list(indices))
+            open_tables = tables
+    return batches
+
+
+def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) -> BatchRobustness:
+    """Robustness of M templates with one parameter count, each at P
+    valuations, over one batch of signals.
+
+    Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, N)``
+    whose row ``[m, p]`` equals, bit for bit, ``robustness_all`` of template
+    ``m`` instantiated at its valuation ``p``.  ``G`` over any box and ``F``
+    over one face read each face's window extremum from a range table:
+    rounding is monotone, so ``min_t fl(x_t - c) == fl(min_t x_t - c)``, and
+    the minimum over faces commutes with ``G``'s minimum over time.  The batch
+    builds one table per distinct (variable, min or max) its faces read, so
+    ``G`` over ``x > c`` and ``F`` over ``x <= c`` share the minimum table of
+    ``x``, and reads all M x P windows of a face slot with one gather.  ``F``
+    over several faces (only merged templates) does not commute: it takes
+    window slices per valuation and must be searched alone.  The tables live
+    as long as the returned function.
     """
     values = np.asarray(values, dtype=float)
-    faces = template.slots
-    if template.shape == EVENTUALLY and len(faces) > 1:
+    templates = tuple(templates)
+    keys = [_table_keys(template) for template in templates]
+    if None in keys:
+        if len(templates) > 1:
+            raise ValueError("an F over several faces is searched alone")
+        faces = templates[0].slots
 
         def sliced(t0, t1, thresholds):
-            rho = np.empty((len(t0), values.shape[0]))
-            for row, lo, hi, cuts in zip(rho, t0.tolist(), t1.tolist(), thresholds.tolist()):
+            rho = np.empty(t0.shape + (values.shape[0],))
+            for row, lo, hi, cuts in zip(
+                rho[0], t0[0].tolist(), t1[0].tolist(), thresholds[0].tolist()
+            ):
                 window = box_window_rho(
                     ((var, op, c) for (var, op), c in zip(faces, cuts)), values, lo, hi
                 )
@@ -161,21 +226,29 @@ def batch_robustness(template: PstlTemplate, values: np.ndarray) -> BatchRobustn
 
         return sliced
 
-    # G over x > c needs the window minimum of x; G over x <= c, the maximum.
-    # F flips both.
-    reduces = [
-        np.minimum if (op == GT) == (template.shape == ALWAYS) else np.maximum
-        for _, op in faces
-    ]
+    distinct = list(dict.fromkeys(key for ks in keys for key in ks))
     width = values.shape[2]
-    tables = np.empty((len(faces), width.bit_length(), values.shape[0], width))
-    for (var, _), reduce, table in zip(faces, reduces, tables):
+    tables = np.empty((len(distinct), width.bit_length(), values.shape[0], width))
+    for (var, reduce), table in zip(distinct, tables):
         range_table(values[:, var - 1, :], reduce, out=table)
+    # Per template (row) and face slot (column): the table, whether it holds
+    # minima, and whether the face is ``x > c``.
+    which = np.array([[distinct.index(key) for key in ks] for ks in keys])
+    is_min = np.array([[reduce is np.minimum for _, reduce in ks] for ks in keys])
+    is_gt = np.array([[op == GT for _, op in template.slots] for template in templates])
 
     def ranged(t0, t1, thresholds):
-        return np.minimum.reduce([
-            face_rho(op, thresholds[:, k, np.newaxis], range_query(table, reduce, t0, t1))
-            for k, ((_, op), reduce, table) in enumerate(zip(faces, reduces, tables))
-        ])
+        rho = []
+        for k in range(which.shape[1]):
+            extremum = range_query(
+                tables, which[:, k, np.newaxis], is_min[:, k, np.newaxis, np.newaxis], t0, t1
+            )
+            cut = thresholds[:, :, k, np.newaxis]
+            rho.append(np.where(
+                is_gt[:, k, np.newaxis, np.newaxis],
+                face_rho(GT, cut, extremum),
+                face_rho(LE, cut, extremum),
+            ))
+        return np.minimum.reduce(rho)
 
     return ranged

@@ -49,6 +49,7 @@ from .templates import (
     PstlTemplate,
     batch_robustness,
     first_order_templates,
+    lockstep_batches,
 )
 
 logger = logging.getLogger(__name__)
@@ -155,12 +156,15 @@ def optimize_primitive(
 
     ``path_rho`` is the robustness of the node's path formula per sample
     (``np.full(N, np.inf)`` at the root).  Each template is searched with
-    the swarm optimizer, which scores a candidate by the misclassification
-    gain of path ∧ candidate over the node's samples, whose robustness is
-    ``min(path_rho, candidate robustness)``.  The returned gain is the one
-    the search found; it equals that candidate's gain scored alone, bit for
-    bit.  Ties break toward fewer operators, then larger robustness margin,
-    then the earlier template.
+    its own swarm, which scores a candidate by the misclassification gain of
+    path ∧ candidate over the node's samples, whose robustness is
+    ``min(path_rho, candidate robustness)``.  The swarms run in lockstep
+    batches that share range tables within a memory budget
+    (:func:`~stlboost.templates.lockstep_batches`); a template's result does
+    not depend on its batch.  The returned gain is the one the search found;
+    it equals that candidate's gain scored alone, bit for bit.  Ties break
+    toward fewer operators, then larger robustness margin, then the earlier
+    template.
     """
     if isinstance(templates, PstlTemplate):
         templates = (templates,)
@@ -171,20 +175,25 @@ def optimize_primitive(
 
     weights = np.asarray(weights, dtype=float)
     labels = dataset.labels
+    templates = tuple(t if t.is_bound else t.bound_to(dataset) for t in templates)
 
-    best = None  # (gain, ops, margin, formula)
-    for index, template in enumerate(templates):
-        template = template if template.is_bound else template.bound_to(dataset)
-        template_rho = batch_robustness(template, dataset.values)
+    found = [None] * len(templates)  # (valuation, gain, margin) per template
+    for batch in lockstep_batches(templates, dataset.values):
+        searched = tuple(templates[index] for index in batch)
+        batch_rho = batch_robustness(searched, dataset.values)
 
         def objective(t0, t1, thresholds):
-            rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
-            scores = gains_from_robustness(rho, labels, weights)
-            return scores.gain, scores.margin
+            rho = np.minimum(path_rho, batch_rho(t0, t1, thresholds))
+            scores = gains_from_robustness(rho.reshape(-1, rho.shape[-1]), labels, weights)
+            return scores.gain.reshape(t0.shape), scores.margin.reshape(t0.shape)
 
-        pso_config = replace(config.pso, seed=mix_seed(seed, index))
-        valuation, gain, margin = optimize_batch(template, objective, pso_config)
-        del template_rho  # free this template's range tables before the next one's
+        configs = tuple(replace(config.pso, seed=mix_seed(seed, index)) for index in batch)
+        for index, result in zip(batch, optimize_batch(searched, objective, configs)):
+            found[index] = result
+        del batch_rho  # free this batch's range tables before the next one's
+
+    best = None  # (gain, ops, margin, formula)
+    for template, (valuation, gain, margin) in zip(templates, found):
         phi = template.instantiate(valuation)
         ops = operator_count(phi)
         if (

@@ -7,24 +7,39 @@ learned formulas.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import stlboost.templates as templates_module
+import stlboost.tree as tree_module
 from stlboost import (
     GT,
     LE,
+    LabeledDataset,
     NEG_LABEL,
     POS_LABEL,
+    NavalConfig,
+    PsoConfig,
     PstlTemplate,
+    TreeConfig,
     Valuation,
+    build_tree,
+    first_order_templates,
     gain_from_robustness,
     gains_from_robustness,
+    generate_naval,
+    optimize_batch,
+    optimize_primitive,
     robustness_all,
+    uniform_weights,
 )
-from stlboost.impurity import robustness_margin
+from stlboost.impurity import _masses, _side_sums, robustness_margin
 from stlboost.pso import _project, _project_all
 from stlboost.templates import batch_robustness
+from oracles import naive_side_sums
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -79,16 +94,30 @@ def _reference_scores(rho, labels, weights):
     return (p_top, p_bot, p_pos, p_neg, gain, total)
 
 
-def _random_template(rng, dimension: int, horizon: int) -> PstlTemplate:
-    """G or F over 1-3 faces; paired faces on one variable are likely."""
+def _random_template(rng, dimension: int, horizon: int, count: int | None = None,
+                     shape: str | None = None) -> PstlTemplate:
+    """G or F over ``count`` faces (1-3 when not given); paired faces on one
+    variable are likely."""
     faces = [(var, op) for var in range(1, dimension + 1) for op in (GT, LE)]
-    count = int(rng.integers(1, min(3, len(faces)) + 1))
+    if count is None:
+        count = int(rng.integers(1, min(3, len(faces)) + 1))
     slots = [faces[i] for i in rng.choice(len(faces), size=count, replace=False)]
     bounds = []
     for _ in slots:
         lo = float(rng.integers(-4, 3))
         bounds.append((lo, lo + float(rng.integers(0, 4))))
-    return PstlTemplate(str(rng.choice(["G", "F"])), tuple(slots), tuple(bounds), horizon)
+    shape = str(rng.choice(["G", "F"])) if shape is None else shape
+    return PstlTemplate(shape, tuple(slots), tuple(bounds), horizon)
+
+
+def _random_batch(rng, dimension: int, horizon: int) -> tuple[PstlTemplate, ...]:
+    """1-4 templates with one face count, as a lockstep batch may hold: an F
+    over several faces is searched alone, so a batch of several templates
+    with several faces is all G."""
+    size = int(rng.integers(1, 5))
+    count = int(rng.integers(1, min(3, 2 * dimension) + 1))
+    shape = "G" if size > 1 and count > 1 else None
+    return tuple(_random_template(rng, dimension, horizon, count, shape) for _ in range(size))
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,19 +125,20 @@ def _random_template(rng, dimension: int, horizon: int) -> PstlTemplate:
 def test_project_all_matches_project(seed):
     rng = np.random.default_rng(seed)
     horizon = int(rng.integers(0, 12))
-    template = _random_template(rng, int(rng.integers(1, 3)), horizon)
+    templates = _random_batch(rng, int(rng.integers(1, 3)), horizon)
     swarm = int(rng.integers(1, 9))
     # Half-integer times exercise half-to-even rounding; integer thresholds
     # on narrow bounds make faces collide and clamp at the upper bound.
-    times = rng.integers(-4, 2 * horizon + 6, size=(swarm, 2)) / 2
-    thresholds = rng.integers(-6, 6, size=(swarm, len(template.slots))).astype(float)
-    positions = np.hstack([times, thresholds])
-    t0, t1, projected = _project_all(template, positions)
-    for p, position in enumerate(positions):
-        single = _project(template, position)
-        assert single == Valuation(t0[p], t1[p], projected[p])
-        assert single == _reference_project(template, position)
-        assert all(a == b for a, b in zip(single.thresholds, projected[p]))
+    times = rng.integers(-4, 2 * horizon + 6, size=(len(templates), swarm, 2)) / 2
+    thresholds = rng.integers(-6, 6, size=(len(templates), swarm, len(templates[0].slots)))
+    positions = np.concatenate([times, thresholds.astype(float)], axis=2)
+    t0, t1, projected = _project_all(templates, positions)
+    for m, template in enumerate(templates):
+        for p, position in enumerate(positions[m]):
+            single = _project(template, position)
+            assert single == Valuation(t0[m, p], t1[m, p], projected[m, p])
+            assert single == _reference_project(template, position)
+            assert all(a == b for a, b in zip(single.thresholds, projected[m, p]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,18 +149,19 @@ def test_batch_robustness_matches_robustness_all(seed):
     dimension = int(rng.integers(1, 3))
     horizon = int(rng.integers(0, 40))
     values = np.round(rng.normal(size=(count, dimension, horizon + 1)) * 3, 1)
-    template = _random_template(rng, dimension, horizon)
+    templates = _random_batch(rng, dimension, horizon)
     swarm = 6
-    times = rng.integers(0, horizon + 1, size=(swarm, 2)).astype(float)
-    times[0] = (horizon, horizon)  # a window of length one
-    times[1] = (0, horizon)  # the full horizon
-    thresholds = rng.integers(-5, 5, size=(swarm, len(template.slots))) / 2
-    t0, t1, projected = _project_all(template, np.hstack([times, thresholds]))
-    rho = batch_robustness(template, values)(t0, t1, projected)
-    assert rho.shape == (swarm, count)
-    for p in range(swarm):
-        phi = template.instantiate(Valuation(t0[p], t1[p], projected[p]))
-        assert np.array_equal(rho[p], robustness_all(phi, values))
+    times = rng.integers(0, horizon + 1, size=(len(templates), swarm, 2)).astype(float)
+    times[:, 0] = (horizon, horizon)  # a window of length one
+    times[:, 1] = (0, horizon)  # the full horizon
+    thresholds = rng.integers(-5, 5, size=(len(templates), swarm, len(templates[0].slots))) / 2
+    t0, t1, projected = _project_all(templates, np.concatenate([times, thresholds], axis=2))
+    rho = batch_robustness(templates, values)(t0, t1, projected)
+    assert rho.shape == (len(templates), swarm, count)
+    for m, template in enumerate(templates):
+        for p in range(swarm):
+            phi = template.instantiate(Valuation(t0[m, p], t1[m, p], projected[m, p]))
+            assert rho[m, p].tobytes() == robustness_all(phi, values).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,3 +188,155 @@ def test_batch_gains_match_single_rows(seed):
         assert batched[:5] == (single.p_top, single.p_bot, single.p_pos, single.p_neg, single.gain)
         assert batched[5] == robustness_margin(rho[p], weights)
         assert batched == _reference_scores(rho[p], labels, weights)
+
+
+# Ties, signed zeros, the smallest subnormal and huge magnitudes.
+SUM_GRID = (-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -0.1, 1 / 3, 1.0, -2.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_side_sums_match_naive_side_sums(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 12))
+    # Past 128 samples numpy's pairwise summation splits the row in blocks.
+    count = int(rng.choice([1, 2, 7, 8, 9, 17, 127, 128, 129, 256, 300, 400]))
+    rho = rng.choice(SUM_GRID, size=(rows, count))
+    noisy = rng.random(size=rho.shape) < rng.random()
+    rho[noisy] = (rng.normal(size=rho.shape) * 10.0 ** rng.integers(-3, 4))[noisy]
+    rho[0] = 1.0  # every sample on the satisfied side
+    rho[-1] = -1.0 if rows > 1 else rho[-1]  # every sample on the violated side
+    weights = rng.choice([0.0, 0.25, 1.0, 1e-3], size=count)
+    weights[0] = 1.0  # not all zero
+    labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
+    mags, _ = _masses(rho, weights)
+    sat = rho >= 0
+    pos = labels == POS_LABEL
+    masks = np.concatenate([sat, ~sat, sat & pos, ~sat & pos])
+    want = naive_side_sums(np.tile(mags, (4, 1)), masks)
+    assert _side_sums(mags, masks).tobytes() == want.tobytes()
+    scores = gains_from_robustness(rho, labels, weights)
+    assert scores.p_top.tobytes() == (naive_side_sums(mags, sat) / scores.margin).tobytes()
+    assert scores.p_bot.tobytes() == (naive_side_sums(mags, ~sat) / scores.margin).tobytes()
+
+
+def _gain_objective(templates, values, labels, weights, path_rho):
+    """The node search's objective: the gain of path ∧ candidate, with the
+    margin as the tie value."""
+    template_rho = batch_robustness(templates, values)
+
+    def objective(t0, t1, thresholds):
+        rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
+        scores = gains_from_robustness(rho.reshape(-1, len(labels)), labels, weights)
+        return scores.gain.reshape(t0.shape), scores.margin.reshape(t0.shape)
+
+    return objective
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_lockstep_search_matches_each_template_alone(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 20))
+    dimension = int(rng.integers(1, 3))
+    horizon = int(rng.integers(0, 15))
+    values = np.round(rng.normal(size=(count, dimension, horizon + 1)) * 3, 1)
+    labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
+    dataset = LabeledDataset(values, labels, tuple(str(i) for i in range(count)))
+    weights = rng.random(count) + 0.01
+    weights /= weights.sum()
+    path_rho = np.where(rng.random(count) < 0.5, np.inf, rng.normal(size=count))
+    templates = tuple(
+        PstlTemplate(t.shape, t.slots).bound_to(dataset)
+        for t in _random_batch(rng, dimension, horizon)
+    )
+    config = PsoConfig(swarm_size=int(rng.integers(2, 12)), iterations=int(rng.integers(1, 8)))
+    configs = tuple(replace(config, seed=int(s)) for s in rng.integers(0, 2**32, len(templates)))
+    together = optimize_batch(
+        templates, _gain_objective(templates, values, labels, weights, path_rho), configs
+    )
+    assert len(together) == len(templates)
+    for template, alone_config, found in zip(templates, configs, together):
+        objective = _gain_objective((template,), values, labels, weights, path_rho)
+        assert [found] == optimize_batch((template,), objective, (alone_config,))
+
+
+def test_node_search_runs_one_lockstep_batch(monkeypatch):
+    # A naval-sized node: 8 first-order templates over 2 variables, whose
+    # 4 range tables fit the default budget together.
+    dataset = generate_naval(NavalConfig(count_per_class=50, seed=1))
+    calls = {"batches": 0, "objective": 0, "range_table": 0}
+    real_optimize = tree_module.optimize_batch
+    real_table = templates_module.range_table
+
+    def counting_optimize(templates, objective, configs):
+        calls["batches"] += 1
+
+        def counted(*args):
+            calls["objective"] += 1
+            return objective(*args)
+
+        return real_optimize(templates, counted, configs)
+
+    def counting_table(*args, **kwargs):
+        calls["range_table"] += 1
+        return real_table(*args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "optimize_batch", counting_optimize)
+    monkeypatch.setattr(templates_module, "range_table", counting_table)
+    config = TreeConfig(pso=PsoConfig(swarm_size=10, iterations=12))
+    templates = first_order_templates(dataset.dimension)
+    assert len(templates) == 8
+    optimize_primitive(dataset, uniform_weights(len(dataset)), np.full(len(dataset), np.inf),
+                       templates, config, seed=0)
+    assert calls == {"batches": 1, "objective": 12 + 1, "range_table": 4}
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 30])
+def test_table_budget_keeps_the_tree(monkeypatch, budget):
+    # Depth 3 and one accepted merge, so the merged search runs too.
+    dataset = generate_naval(NavalConfig(count_per_class=40, noise=2.0, seed=1))
+    weights = uniform_weights(len(dataset))
+    config = TreeConfig(max_depth=3, purity_stop=1.0, pso=PsoConfig(swarm_size=10, iterations=8))
+    expected = build_tree(dataset, weights, config, seed=1)
+    assert expected[1].count == 1
+
+    batches = []  # (templates, bytes of each range table built) per batch
+    real_batch = tree_module.batch_robustness
+    real_table = templates_module.range_table
+
+    def recording_batch(templates, values):
+        batches.append((templates, []))
+        return real_batch(templates, values)
+
+    def recording_table(series, reduce, out):
+        batches[-1][1].append(out.nbytes)
+        return real_table(series, reduce, out)
+
+    monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
+    monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
+    monkeypatch.setattr(templates_module, "range_table", recording_table)
+    assert build_tree(dataset, weights, config, seed=1) == expected
+    for templates, tables in batches:
+        one_template = max(len(t.slots) for t in templates) * max(tables, default=0)
+        assert sum(tables) <= max(budget, one_template)
+    sizes = [len(templates) for templates, _ in batches]
+    # No budget: the two templates that share a table; all of them otherwise.
+    assert max(sizes) == (2 if budget == 0 else 8)
+
+
+def test_lockstep_batches_group_by_table():
+    values = np.zeros((3, 2, 5))
+    g_above, f_below = PstlTemplate("G", ((1, GT),)), PstlTemplate("F", ((1, LE),))
+    g_below, f_x2 = PstlTemplate("G", ((1, LE),)), PstlTemplate("F", ((2, GT),))
+    f_band = PstlTemplate("F", ((1, GT), (1, LE)))
+    g_band = PstlTemplate("G", ((1, GT), (1, LE)))
+    templates = (g_above, g_below, f_band, f_below, g_band, f_x2)
+    # G x1 > c and F x1 <= c read the minimum table of x1; the F over two
+    # faces reads slices and goes alone; a batch keeps one face count.
+    assert templates_module.lockstep_batches(templates, values) == [[0, 3, 1], [2], [4], [5]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(templates_module, "TABLE_BUDGET_BYTES", 0)
+        assert templates_module.lockstep_batches(templates, values) == [[0, 3], [1], [2], [4], [5]]
+    with pytest.raises(ValueError):
+        batch_robustness((f_band, g_band), values)

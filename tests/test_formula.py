@@ -21,6 +21,7 @@ from stlboost import (
     Signal,
     TRUE,
     UnvaluedParameterError,
+    VariableOutOfRangeError,
     operator_count,
     robustness,
     robustness_all,
@@ -86,6 +87,12 @@ class TestErrors:
     def test_non_integer_time(self):
         with pytest.raises(OutOfHorizonError):
             robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=1.0)
+
+    def test_variable_past_count(self):
+        with pytest.raises(VariableOutOfRangeError, match=r"x3.*n=1"):
+            robustness_all(pred(3, GT, 0.0), np.zeros((2, 1, 3)))
+        with pytest.raises(VariableOutOfRangeError, match=r"x2.*n=1"):
+            robustness(Always(0, 1, pred(2, LE, 1.0)), constant_signal(0.0))
 
     def test_extent_of_template(self):
         with pytest.raises(UnvaluedParameterError):

@@ -15,9 +15,11 @@ from stlboost import (
     Valuation,
     misclassification_gain,
     optimize,
+    optimize_batch,
     uniform_weights,
 )
 from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE, _project
+from stlboost.templates import batch_robustness
 from helpers import constant_dataset
 from oracles import grid_search
 
@@ -201,13 +203,8 @@ class TestConfigValidation:
             PsoConfig(iterations=MAX_ITERATIONS + 1)
 
 
-def _planted_instance(seed):
-    """Small labeled dataset whose positives dip low inside a planted window.
-
-    Windows that partially cover the dips earn partial accuracy, so the
-    objective has a climbable structure with a wide optimal plateau; the
-    grid over data values +/- epsilon contains that optimum exactly.
-    """
+def _planted_dataset(seed):
+    """Small labeled dataset whose positives dip low inside a planted window."""
     rng = random.Random(seed)
     count = rng.randint(6, 10)
     horizon = rng.randint(4, 7)
@@ -222,7 +219,17 @@ def _planted_instance(seed):
     for i in range(count):
         if labels[i] == POS_LABEL:
             values[i, 0, rng.randint(a, b)] = rng.uniform(-4.0, -1.0)
-    ds = LabeledDataset(values, labels, tuple(str(i) for i in range(count)))
+    return LabeledDataset(values, labels, tuple(str(i) for i in range(count)))
+
+
+def _planted_instance(seed):
+    """The planted dataset's template, accuracy per valuation and grid.
+
+    Windows that partially cover the dips earn partial accuracy, so the
+    objective has a climbable structure with a wide optimal plateau; the
+    grid over data values +/- epsilon contains that optimum exactly.
+    """
+    ds = _planted_dataset(seed)
     template = PstlTemplate("F", ((1, LE),)).bound_to(ds)
 
     def accuracy(v):
@@ -231,12 +238,24 @@ def _planted_instance(seed):
 
         rho = robustness_all(phi, ds.values)
         predicted = np.where(rho >= 0, POS_LABEL, NEG_LABEL)
-        return float(np.mean(predicted == labels))
+        return float(np.mean(predicted == ds.labels))
 
     eps = 1e-4
-    points = sorted(set(float(x) for x in values.ravel()))
+    points = sorted(set(float(x) for x in ds.values.ravel()))
     candidates = sorted({p - eps for p in points} | {p + eps for p in points})
     return template, accuracy, candidates
+
+
+def _batch_accuracy(template, ds):
+    """The accuracy of a whole swarm iteration, each row equal to the
+    per-valuation accuracy; every tie value is 0."""
+    template_rho = batch_robustness((template,), ds.values)
+
+    def batch(t0, t1, thresholds):
+        predicted = np.where(template_rho(t0, t1, thresholds) >= 0, POS_LABEL, NEG_LABEL)
+        return np.mean(predicted == ds.labels, axis=2), np.zeros(t0.shape)
+
+    return batch
 
 
 def test_oracle_gap_statistics():
@@ -247,6 +266,7 @@ def test_oracle_gap_statistics():
     for seed in range(100):
         template, accuracy, candidates = _planted_instance(seed)
         _, grid_best = grid_search(template, accuracy, candidates)
-        _, pso_best = optimize(template, accuracy, PsoConfig(seed=seed))
+        objective = _batch_accuracy(template, _planted_dataset(seed))
+        [(_, pso_best, _)] = optimize_batch((template,), objective, (PsoConfig(seed=seed),))
         hits += pso_best >= grid_best - 1e-6
     assert hits >= 95
