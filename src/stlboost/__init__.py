@@ -72,7 +72,7 @@ from .impurity import (
 )
 from .pso import EmptyParameterSpaceError, PsoConfig, optimize, optimize_batch
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
-from .templates import PstlTemplate, Valuation, first_order_templates
+from .templates import PstlTemplate, ThresholdRangeError, Valuation, first_order_templates
 from .tree import (
     EmptyPrimitiveSetError,
     Leaf,

@@ -36,6 +36,7 @@ from .formula import extent, robustness_all
 from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
+from .templates import ThresholdRangeError
 from .tree import TreeConfig, mix_seed
 
 logger = logging.getLogger(__name__)
@@ -228,14 +229,17 @@ def _cmd_train(args) -> int:
     settings, config = _load_settings(args)
     dataset = _read(args.data, "dataset", load_csv)
     started = time.perf_counter()
-    model = train_boosted(
-        dataset,
-        rounds=settings["trees"],
-        config=config,
-        m_weight=settings["M"],
-        max_retries=settings["retries"],
-        seed=settings["seed"],
-    )
+    try:
+        model = train_boosted(
+            dataset,
+            rounds=settings["trees"],
+            config=config,
+            m_weight=settings["M"],
+            max_retries=settings["retries"],
+            seed=settings["seed"],
+        )
+    except ThresholdRangeError as exc:
+        raise CliError(str(exc))
     elapsed = time.perf_counter() - started
     if not model.rounds:
         raise CliError(_NO_TREES)
@@ -294,14 +298,17 @@ def run_cross_validation(
     for fold in range(folds):
         train_set = dataset.subset(plan.train_indices(fold))
         test_set = dataset.subset(plan.test_indices(fold))
-        model = train_boosted(
-            train_set,
-            rounds=trees,
-            config=config,
-            m_weight=m_weight,
-            max_retries=max_retries,
-            seed=mix_seed(seed, fold),
-        )
+        try:
+            model = train_boosted(
+                train_set,
+                rounds=trees,
+                config=config,
+                m_weight=m_weight,
+                max_retries=max_retries,
+                seed=mix_seed(seed, fold),
+            )
+        except ThresholdRangeError as exc:
+            raise CliError(f"fold {fold}: {exc}")
         if not model.rounds:
             raise CliError(f"fold {fold}: {_NO_TREES}")
         weighted = model_to_dict(model)

@@ -111,10 +111,11 @@ def _side_sums(mags: np.ndarray, masks: np.ndarray) -> np.ndarray:
     counts = np.count_nonzero(masks, axis=1)
     order = np.argsort(counts, kind="stable")
     picks = mags[order % mags.shape[0]][masks[order]]
-    sizes, runs = np.unique(counts, return_counts=True)
+    runs = np.bincount(counts)
+    sizes = np.flatnonzero(runs)
     sums = np.empty(masks.shape[0])
     row = pick = 0
-    for k, rows in zip(sizes.tolist(), runs.tolist()):
+    for k, rows in zip(sizes.tolist(), runs[sizes].tolist()):
         block = picks[pick : pick + rows * k].reshape(rows, k)
         sums[order[row : row + rows]] = block.sum(axis=1)
         row += rows

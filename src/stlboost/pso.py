@@ -12,12 +12,14 @@ M swarms at once.  Its objective receives the projected swarms as
 ``(t0[M, P], t1[M, P], thresholds[M, P, k])`` (integer window bounds and
 float thresholds; row ``[m, p]`` is particle ``p`` of template ``m``) and
 returns ``(values[M, P], tie_values[M, P])``.  Each swarm draws from its own
-generator and is otherwise independent, so a template's result is the same
-in any batch as searched alone.  Candidates are offered to each template's
-incumbent in particle order: a strictly larger value wins, and an equal value
-wins only with a strictly larger tie value.  :func:`optimize` adapts a
-per-valuation objective and tie-break to that contract.  The returned value
-is the one computed for the returned (already projected) valuation.
+generator, seeded by its config, with one ``Generator.random`` call for the
+start and one per iteration, and is otherwise independent, so a template's
+result is the same in any batch as searched alone.  Candidates are offered
+to each template's incumbent in particle order: a strictly larger value
+wins, and an equal value wins only with a strictly larger tie value.
+:func:`optimize` adapts a per-valuation objective and tie-break to that
+contract.  The returned value is the one computed for the returned (already
+projected) valuation.
 """
 
 from __future__ import annotations
@@ -182,25 +184,20 @@ def optimize_batch(
     config = configs[0]
     if any(replace(other, seed=config.seed) != config for other in configs):
         raise ValueError("configs searched in lockstep may differ only in seed")
-    lb, ub = (np.stack(bounds) for bounds in zip(*map(_space_arrays, templates)))
+    lb, ub = (np.stack(bounds)[:, np.newaxis] for bounds in zip(*map(_space_arrays, templates)))
     span = ub - lb
-    vmax = (config.velocity_clamp * np.where(span > 0, span, 1.0))[:, np.newaxis]
-    # Each swarm draws from its own generator in the order a solo search does:
-    # the start, then per iteration r_cog, r_soc and the scouts.
-    rngs = [np.random.default_rng(other.seed) for other in configs]
+    vmax = config.velocity_clamp * np.where(span > 0, span, 1.0)
     swarm = config.swarm_size
-    dims = lb.shape[1]
     scouts = max(1, swarm // 8)
+    # Each swarm draws from its own generator: a block of unit doubles for the
+    # start, then per iteration one block holding r_cog, r_soc and the scouts,
+    # in that order.  Positions scale a unit draw as lb + span * u, the bits
+    # Generator.uniform(lb, ub) computes from the same doubles; PstlTemplate
+    # keeps every span finite, where uniform would raise OverflowError.
+    rngs = [np.random.default_rng(other.seed) for other in configs]
+    dims = lb.shape[2]
 
-    def unit(rows):
-        return np.stack([rng.uniform(size=(rows, dims)) for rng in rngs])
-
-    def within_bounds(rows):
-        return np.stack([
-            rng.uniform(lo, hi, size=(rows, dims)) for rng, lo, hi in zip(rngs, lb, ub)
-        ])
-
-    positions = within_bounds(swarm)
+    positions = lb + span * np.stack([rng.random((swarm, dims)) for rng in rngs])
     velocities = np.zeros_like(positions)
     particle_best_pos = positions.copy()
     particle_best_val = np.full((len(templates), swarm), -np.inf)
@@ -209,8 +206,8 @@ def optimize_batch(
 
     for iteration in range(config.iterations + 1):
         if iteration:
-            r_cog = unit(swarm)
-            r_soc = unit(swarm)
+            draws = np.stack([rng.random((2 * swarm + scouts, dims)) for rng in rngs])
+            r_cog, r_soc, scout = draws[:, :swarm], draws[:, swarm:-scouts], draws[:, -scouts:]
             leaders = np.argmax(particle_best_val, axis=1)
             best_raw = particle_best_pos[which, leaders][:, np.newaxis]
             velocities = (
@@ -219,8 +216,8 @@ def optimize_batch(
                 + config.social * r_soc * (best_raw - positions)
             )
             np.clip(velocities, -vmax, vmax, out=velocities)
-            positions = np.clip(positions + velocities, lb[:, np.newaxis], ub[:, np.newaxis])
-            positions[:, -scouts:] = within_bounds(scouts)
+            positions = np.clip(positions + velocities, lb, ub)
+            positions[:, -scouts:] = lb + span * scout
             velocities[:, -scouts:] = 0.0
         t0, t1, thresholds = _project_all(templates, positions)
         values, tie_values = objective(t0, t1, thresholds)

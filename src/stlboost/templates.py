@@ -35,6 +35,11 @@ ALWAYS = "G"
 EVENTUALLY = "F"
 
 
+class ThresholdRangeError(ValueError):
+    """A variable's threshold bounds are not finite or lie further apart than
+    a float can hold, so the swarm has no space to search."""
+
+
 @dataclass(frozen=True)
 class Valuation:
     """Concrete parameter values for a template: window and thresholds."""
@@ -81,9 +86,14 @@ class PstlTemplate:
             object.__setattr__(self, "threshold_bounds", bounds)
             if len(bounds) != len(slots):
                 raise ValueError("one bound pair per free threshold required")
-            for lo, hi in bounds:
-                if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            for (var, _), (lo, hi) in zip(slots, bounds):
+                if not lo <= hi:
                     raise ValueError(f"invalid threshold bounds ({lo}, {hi})")
+                if not math.isfinite(hi - lo):
+                    raise ThresholdRangeError(
+                        f"the values of x{var} span too wide a range to search for a "
+                        f"threshold: [{lo!r}, {hi!r}]"
+                    )
         if self.horizon is not None and self.horizon < 0:
             raise ValueError("horizon must be non-negative")
 
@@ -92,7 +102,11 @@ class PstlTemplate:
         return self.threshold_bounds is not None and self.horizon is not None
 
     def bound_to(self, dataset: LabeledDataset) -> "PstlTemplate":
-        """Attach threshold bounds (data range + 1% padding) and the horizon."""
+        """Attach threshold bounds (data range + 1% padding) and the horizon.
+
+        Raises :class:`ThresholdRangeError`, naming the variable, when a
+        padded bound or the distance between the bounds is not finite.
+        """
         bounds = []
         for var, _ in self.slots:
             column = dataset.values[:, var - 1, :]
@@ -134,7 +148,9 @@ def first_order_templates(
 BatchRobustness = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # The most bytes of range tables one lockstep batch holds at once, unless a
-# single template's tables are larger (see :func:`lockstep_batches`).
+# single template's tables are larger (see :func:`lockstep_batches`), and of
+# each (templates x particles, signals) array of one scoring pass, unless one
+# particle per template is larger (see :func:`particles_per_pass`).
 TABLE_BUDGET_BYTES = 4 << 20
 
 
@@ -186,6 +202,15 @@ def lockstep_batches(
             batches.append(list(indices))
             open_tables = tables
     return batches
+
+
+def particles_per_pass(templates: int, signals: int) -> int:
+    """How many particles of each of ``templates`` swarms one scoring pass
+    over ``signals`` signals takes: as many as keep each (templates x
+    particles, signals) float array within TABLE_BUDGET_BYTES, and at least
+    one."""
+    particle_bytes = templates * max(signals, 1) * np.dtype(float).itemsize
+    return max(1, TABLE_BUDGET_BYTES // particle_bytes)
 
 
 def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) -> BatchRobustness:

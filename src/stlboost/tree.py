@@ -50,6 +50,7 @@ from .templates import (
     batch_robustness,
     first_order_templates,
     lockstep_batches,
+    particles_per_pass,
 )
 
 logger = logging.getLogger(__name__)
@@ -160,8 +161,10 @@ def optimize_primitive(
     path ∧ candidate over the node's samples, whose robustness is
     ``min(path_rho, candidate robustness)``.  The swarms run in lockstep
     batches that share range tables within a memory budget
-    (:func:`~stlboost.templates.lockstep_batches`); a template's result does
-    not depend on its batch.  The returned gain is the one the search found;
+    (:func:`~stlboost.templates.lockstep_batches`) and score their particles
+    in passes within the same budget
+    (:func:`~stlboost.templates.particles_per_pass`); a template's result
+    depends on neither.  The returned gain is the one the search found;
     it equals that candidate's gain scored alone, bit for bit.  Ties break
     toward fewer operators, then larger robustness margin, then the earlier
     template.
@@ -181,11 +184,20 @@ def optimize_primitive(
     for batch in lockstep_batches(templates, dataset.values):
         searched = tuple(templates[index] for index in batch)
         batch_rho = batch_robustness(searched, dataset.values)
+        step = particles_per_pass(len(batch), len(labels))
 
         def objective(t0, t1, thresholds):
-            rho = np.minimum(path_rho, batch_rho(t0, t1, thresholds))
-            scores = gains_from_robustness(rho.reshape(-1, rho.shape[-1]), labels, weights)
-            return scores.gain.reshape(t0.shape), scores.margin.reshape(t0.shape)
+            # Rows are scored independently, so passes over a few particles
+            # at a time give the bits of one pass over the whole swarm.
+            values, margins = np.empty(t0.shape), np.empty(t0.shape)
+            for start in range(0, t0.shape[1], step):
+                part = slice(start, start + step)
+                candidate_rho = batch_rho(t0[:, part], t1[:, part], thresholds[:, part])
+                rho = np.minimum(path_rho, candidate_rho)
+                scores = gains_from_robustness(rho.reshape(-1, rho.shape[-1]), labels, weights)
+                values[:, part] = scores.gain.reshape(rho.shape[:2])
+                margins[:, part] = scores.margin.reshape(rho.shape[:2])
+            return values, margins
 
         configs = tuple(replace(config.pso, seed=mix_seed(seed, index)) for index in batch)
         for index, result in zip(batch, optimize_batch(searched, objective, configs)):

@@ -292,7 +292,7 @@ def test_node_search_runs_one_lockstep_batch(monkeypatch):
     assert calls == {"batches": 1, "objective": 12 + 1, "range_table": 4}
 
 
-@pytest.mark.parametrize("budget", [0, 1 << 30])
+@pytest.mark.parametrize("budget", [0, 2000, 1 << 30])
 def test_table_budget_keeps_the_tree(monkeypatch, budget):
     # Depth 3 and one accepted merge, so the merged search runs too.
     dataset = generate_naval(NavalConfig(count_per_class=40, noise=2.0, seed=1))
@@ -302,8 +302,10 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     assert expected[1].count == 1
 
     batches = []  # (templates, bytes of each range table built) per batch
+    passes = []  # (templates in the batch, particles per template) per scoring pass
     real_batch = tree_module.batch_robustness
     real_table = templates_module.range_table
+    real_gains = tree_module.gains_from_robustness
 
     def recording_batch(templates, values):
         batches.append((templates, []))
@@ -313,16 +315,30 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
         batches[-1][1].append(out.nbytes)
         return real_table(series, reduce, out)
 
+    def recording_gains(rho, labels, weights):
+        templates = len(batches[-1][0])
+        passes.append((templates, rho.shape[0] // templates, rho.nbytes))
+        return real_gains(rho, labels, weights)
+
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
     monkeypatch.setattr(templates_module, "range_table", recording_table)
+    monkeypatch.setattr(tree_module, "gains_from_robustness", recording_gains)
     assert build_tree(dataset, weights, config, seed=1) == expected
     for templates, tables in batches:
         one_template = max(len(t.slots) for t in templates) * max(tables, default=0)
         assert sum(tables) <= max(budget, one_template)
     sizes = [len(templates) for templates, _ in batches]
-    # No budget: the two templates that share a table; all of them otherwise.
-    assert max(sizes) == (2 if budget == 0 else 8)
+    # Small budgets: the two templates that share a table; all of them otherwise.
+    assert max(sizes) == (8 if budget == 1 << 30 else 2)
+    # Each pass's (templates x particles, signals) arrays fit the budget, or
+    # it takes one particle per template.
+    for templates, particles, rho_bytes in passes:
+        assert particles == 1 or rho_bytes <= budget
+    # No budget: one particle per pass; a large one: the whole swarm of 10.
+    # 2000 bytes: one particle per pass at the root, more on smaller nodes.
+    particles = {p for _, p, _ in passes}
+    assert particles == {0: {1}, 2000: {1, 2, 3, 5, 10}, 1 << 30: {10}}[budget]
 
 
 def test_lockstep_batches_group_by_table():

@@ -274,6 +274,25 @@ class TestCrossValidate:
         assert main(["cv", "--data", str(path), "--folds", "5"] + FAST_FLAGS) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+@pytest.mark.parametrize("extreme", [0.89e308, 1.7e308])
+def test_value_range_wider_than_a_float_rejected(tmp_path, capsys, command, extreme):
+    # Every signal spans [-extreme, extreme], so every fold's training set
+    # does too.  At 0.89e308 the padded bounds are too far apart, at 1.7e308
+    # the values themselves.
+    path = tmp_path / "wide.csv"
+    rows = ["id,t,label,x1"] + [
+        f"s{i},{t},{1 if i % 2 else -1},{(extreme, float(i), -extreme)[t]!r}"
+        for i in range(4) for t in range(3)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    flags = ["-K", "1", "--pso-swarm", "4", "--pso-iters", "2"]
+    flags += ["--folds", "2"] if command == "cv" else []
+    assert main([command, "--data", str(path)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x1" in err
+
+
 class TestEvaluate:
     def test_eval_own_training_set(self, naval_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"

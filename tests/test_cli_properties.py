@@ -152,8 +152,9 @@ def test_model_file(files, data, per_signal, output):
 
 
 CELL_TEXT = st.one_of(
-    st.sampled_from([str(10**12), str(10**20), str(-10**20), "", " ", "x", "nan", "inf",
-                     "-1", "0", "1", "2", "+1", "1_0", "1e400", "\"", "a,b"]),
+    st.sampled_from([str(10**12), str(10**20), str(-10**20), "8.9e307", "-8.9e307", "1.7e308",
+                     "-1.7e308", "", " ", "x", "nan", "inf", "-1", "0", "1", "2", "+1", "1_0",
+                     "1e400", "\"", "a,b"]),
     st.integers().map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(max_size=4),

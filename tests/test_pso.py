@@ -1,7 +1,10 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stlboost import (
     EmptyParameterSpaceError,
@@ -9,10 +12,13 @@ from stlboost import (
     LE,
     LabeledDataset,
     NEG_LABEL,
+    NavalConfig,
     POS_LABEL,
     PsoConfig,
     PstlTemplate,
     Valuation,
+    first_order_templates,
+    generate_naval,
     misclassification_gain,
     optimize,
     optimize_batch,
@@ -22,6 +28,7 @@ from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE, _project
 from stlboost.templates import batch_robustness
 from helpers import constant_dataset
 from oracles import grid_search
+from test_batch import _gain_objective
 
 BOUND = PstlTemplate("F", ((1, LE),), ((-5.0, 5.0),), horizon=10)
 
@@ -139,6 +146,88 @@ class TestOptimize:
         with pytest.raises(EmptyParameterSpaceError):
             bad = PstlTemplate("G", ((1, GT), (1, LE)), ((2.0, 5.0), (-5.0, 1.0)), horizon=3)
             optimize(bad, lambda v: 0.0, PsoConfig(seed=0))
+
+
+class TestRandomStream:
+    def test_search_stream_is_pinned(self):
+        # The sha256 of every (t0, t1, thresholds) batch the objective sees in
+        # three node searches: 8 first-order templates in lockstep, a paired
+        # G and a 3-face F.  Any change to which doubles a swarm draws, in
+        # which order, or how they are scaled changes the positions searched.
+        dataset = generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=4))
+        weights = uniform_weights(len(dataset))
+        path_rho = np.full(len(dataset), np.inf)
+        searches = (
+            first_order_templates(dataset.dimension),
+            (PstlTemplate("G", ((1, GT), (1, LE))),),
+            (PstlTemplate("F", ((1, GT), (1, LE), (2, GT))),),
+        )
+        digest = hashlib.sha256()
+        for index, searched in enumerate(searches):
+            searched = tuple(t.bound_to(dataset) for t in searched)
+            objective = _gain_objective(
+                searched, dataset.values, dataset.labels, weights, path_rho
+            )
+
+            def recording(t0, t1, thresholds):
+                for array in (t0.astype(np.int64), t1.astype(np.int64), thresholds):
+                    digest.update(repr(array.shape).encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+                return objective(t0, t1, thresholds)
+
+            configs = tuple(PsoConfig(swarm_size=16, iterations=10, seed=1000 * index + m)
+                            for m in range(len(searched)))
+            optimize_batch(searched, recording, configs)
+        assert digest.hexdigest() == (
+            "325aeee8401dfb476adc2c3f660a862d3367c08fe5d611655755ecec29b4412e"
+        )
+
+    def test_one_draw_per_swarm_and_iteration(self, monkeypatch):
+        calls = []
+
+        class Counting(np.random.Generator):
+            def random(self, *args, **kwargs):
+                calls.append(args)
+                return super().random(*args, **kwargs)
+
+            def uniform(self, *args, **kwargs):
+                calls.append("uniform")
+                return super().uniform(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+        config = PsoConfig(swarm_size=10, iterations=4)
+        optimize_batch(
+            (BOUND, replace(BOUND, shape="G")),
+            lambda t0, t1, thresholds: (np.zeros(t0.shape), np.zeros(t0.shape)),
+            (config, replace(config, seed=1)),
+        )
+        # Each swarm: its start, then r_cog, r_soc and one scout per iteration.
+        assert calls == [((10, 3),)] * 2 + [((10 + 10 + 1, 3),)] * 2 * 4
+
+
+# Any two of these lie a finite distance apart; subnormals and zeros included.
+BOUND_VALUES = st.floats(min_value=-8e307, max_value=8e307)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bounds=st.lists(st.tuples(BOUND_VALUES, BOUND_VALUES | st.none()), min_size=1, max_size=5),
+    rows=st.integers(1, 20),
+)
+def test_scaled_unit_draws_equal_uniform(seed, bounds, rows):
+    # optimize_batch draws unit doubles and scales them as lo + (hi - lo) * u,
+    # the bits Generator.uniform(lo, hi) returns only while numpy's C computes
+    # the product and the sum apart, not as one fused multiply-add.
+    # None, or a value equal to the first, gives a zero span with equal bits:
+    # uniform rejects the bounds (0.0, -0.0), which bound_to never makes.
+    pairs = [(a, a) if b is None or b == a else (min(a, b), max(a, b)) for a, b in bounds]
+    lo, hi = np.array(pairs).T
+    size = (rows, len(bounds))
+    unit = np.random.default_rng(seed).random(size)
+    assert unit.tobytes() == np.random.default_rng(seed).uniform(size=size).tobytes()
+    scaled = lo + (hi - lo) * unit
+    assert scaled.tobytes() == np.random.default_rng(seed).uniform(lo, hi, size).tobytes()
 
 
 class TestGridSearch:

@@ -9,6 +9,7 @@ from stlboost import (
     NEG_LABEL,
     Predicate,
     PstlTemplate,
+    ThresholdRangeError,
     Valuation,
     first_order_templates,
 )
@@ -45,6 +46,20 @@ def test_bound_to_constant_variable():
     template = PstlTemplate("G", ((1, GT),)).bound_to(ds)
     lo, hi = template.threshold_bounds[0]
     assert lo < 5.0 < hi
+
+
+@pytest.mark.parametrize("extreme", [0.89e308, 1.7e308])
+def test_bound_to_rejects_a_range_wider_than_a_float(extreme):
+    # At 0.89e308 the padding overflows the span; at 1.7e308 the raw span.
+    ds = constant_dataset([-extreme, 0.0, extreme], [POS_LABEL, NEG_LABEL, POS_LABEL])
+    with pytest.raises(ThresholdRangeError, match="x1"):
+        PstlTemplate("F", ((1, LE),)).bound_to(ds)
+
+
+@pytest.mark.parametrize("bounds", [(-1e308, 1e308), (-float("inf"), 0.0), (0.0, float("inf"))])
+def test_threshold_bounds_span_a_finite_range(bounds):
+    with pytest.raises(ThresholdRangeError, match="x2"):
+        PstlTemplate("G", ((2, GT),), (bounds,), horizon=2)
 
 
 def test_instantiate():
