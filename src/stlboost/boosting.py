@@ -22,7 +22,7 @@ import numpy as np
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights
 from .formula import And, Formula, Signal, extent, operator_count
 from .grammar import format_formula, parse_formula
-from .pso import PsoConfig
+from .pso import VELOCITY_CLAMP, PsoConfig
 from .tree import (
     MAX_DEPTH,
     Leaf,
@@ -256,6 +256,13 @@ def _tree_from_doc(doc: dict, depth: int = 0) -> TreeNode:
     )
 
 
+# The model file's key ("pso_" + key in the CLI), the PsoConfig field and its
+# type, per swarm setting.  Format v1 also holds "velocityClamp" (always
+# VELOCITY_CLAMP) and "seed" (always 0): each search takes its own seed.
+PSO_KEYS = (("swarm", "swarm_size", int), ("iters", "iterations", int),
+            ("omega", "inertia", float), ("c1", "cognitive", float), ("c2", "social", float))
+
+
 def model_to_dict(model: BoostedModel) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -279,13 +286,9 @@ def model_to_dict(model: BoostedModel) -> dict:
             "shapes": list(model.config.shapes),
             "requestedRounds": model.requested_rounds,
             "pso": {
-                "swarm": model.config.pso.swarm_size,
-                "iters": model.config.pso.iterations,
-                "omega": model.config.pso.inertia,
-                "c1": model.config.pso.cognitive,
-                "c2": model.config.pso.social,
-                "velocityClamp": model.config.pso.velocity_clamp,
-                "seed": model.config.pso.seed,
+                **{key: getattr(model.config.pso, name) for key, name, _ in PSO_KEYS},
+                "velocityClamp": VELOCITY_CLAMP,
+                "seed": 0,
             },
         },
     }
@@ -351,19 +354,14 @@ def model_from_dict(doc) -> BoostedModel:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     cfg = _field(doc, "config", dict)
     pso = _field(cfg, "pso", dict)
+    swarm = {name: _field(pso, key, kind) for key, name, kind in PSO_KEYS}
+    _field(pso, "velocityClamp", float)  # format v1 keys that no setting reads
+    _field(pso, "seed", int)
     config = TreeConfig(
         max_depth=_field(cfg, "maxDepth", int),
         purity_stop=_field(cfg, "lambda", float),
         shapes=tuple(_field(cfg, "shapes", list)),
-        pso=PsoConfig(
-            swarm_size=_field(pso, "swarm", int),
-            iterations=_field(pso, "iters", int),
-            inertia=_field(pso, "omega", float),
-            cognitive=_field(pso, "c1", float),
-            social=_field(pso, "c2", float),
-            velocity_clamp=_field(pso, "velocityClamp", float),
-            seed=_field(pso, "seed", int),
-        ),
+        pso=PsoConfig(**swarm),
     )
     dimension, horizon = _field(doc, "n", int), _field(doc, "T", int)
     m_weight = _field(doc, "M", float)

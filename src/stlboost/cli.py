@@ -22,6 +22,7 @@ from . import __version__
 from .boosting import (
     MAX_RETRIES,
     MAX_ROUNDS,
+    PSO_KEYS,
     ensemble_mcr,
     model_formula,
     model_from_dict,
@@ -62,7 +63,8 @@ class Setting:
     ``le`` and ``gt`` as >=, <= and >).
 
     A setting without bounds is range-checked by the library config that
-    owns it (TreeConfig, PsoConfig) when the CLI builds that config.
+    owns it (TreeConfig, PsoConfig) when the CLI builds that config, and
+    takes its default from that config.
     """
 
     key: str
@@ -78,8 +80,8 @@ class Setting:
 
 SETTINGS = {s.key: s for s in (
     Setting("trees", ("-K", "--trees"), int, 3, "boosting rounds", ge=1, le=MAX_ROUNDS),
-    Setting("max_depth", ("--max-depth",), int, 3, "depth limit of each tree"),
-    Setting("lambda", ("--lambda",), float, 0.95,
+    Setting("max_depth", ("--max-depth",), int, TreeConfig.max_depth, "depth limit of each tree"),
+    Setting("lambda", ("--lambda",), float, TreeConfig.purity_stop,
             "majority fraction that turns a node into a leaf"),
     Setting("M", ("--M",), float, 100.0,
             "vote weight assigned to trees with zero training error", gt=0.0),
@@ -87,11 +89,13 @@ SETTINGS = {s.key: s for s in (
     Setting("folds", ("--folds",), int, 5, "cross-validation folds", ge=2, commands=("cv",)),
     Setting("retries", ("--retries",), int, 5, "retrain attempts for weak trees",
             ge=0, le=MAX_RETRIES),
-    Setting("pso_swarm", ("--pso-swarm",), int, 40, "particles in each swarm search"),
-    Setting("pso_iters", ("--pso-iters",), int, 60, "iterations of each swarm search"),
-    Setting("pso_omega", ("--pso-omega",), float, 0.72, "swarm inertia"),
-    Setting("pso_c1", ("--pso-c1",), float, 1.49, "swarm cognitive factor"),
-    Setting("pso_c2", ("--pso-c2",), float, 1.49, "swarm social factor"),
+    Setting("pso_swarm", ("--pso-swarm",), int, PsoConfig.swarm_size,
+            "particles in each swarm search"),
+    Setting("pso_iters", ("--pso-iters",), int, PsoConfig.iterations,
+            "iterations of each swarm search"),
+    Setting("pso_omega", ("--pso-omega",), float, PsoConfig.inertia, "swarm inertia"),
+    Setting("pso_c1", ("--pso-c1",), float, PsoConfig.cognitive, "swarm cognitive factor"),
+    Setting("pso_c2", ("--pso-c2",), float, PsoConfig.social, "swarm social factor"),
 )}
 
 _NO_TREES = "no tree beat random guessing; adjust the configuration or the data"
@@ -208,13 +212,7 @@ def _load_settings(args) -> tuple[dict, TreeConfig]:
         config = TreeConfig(
             max_depth=settings["max_depth"],
             purity_stop=settings["lambda"],
-            pso=PsoConfig(
-                swarm_size=settings["pso_swarm"],
-                iterations=settings["pso_iters"],
-                inertia=settings["pso_omega"],
-                cognitive=settings["pso_c1"],
-                social=settings["pso_c2"],
-            ),
+            pso=PsoConfig(**{field: settings[f"pso_{key}"] for key, field, _ in PSO_KEYS}),
         )
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}")

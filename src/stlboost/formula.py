@@ -275,7 +275,9 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
         raise VariableOutOfRangeError(
             f"formula reads x{var}, but the signals have n={values.shape[1]} variables"
         )
-    return _trace(phi, values, t, t)[:, 0]
+    # A margin too wide for a float is +-inf, with the sign of the exact one.
+    with np.errstate(over="ignore"):
+        return _trace(phi, values, t, t)[:, 0]
 
 
 def _trace(phi: Formula, values: np.ndarray, lo: int, hi: int) -> np.ndarray:

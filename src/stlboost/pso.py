@@ -11,33 +11,35 @@ lockstep, one swarm of P particles each, and scores a whole iteration of all
 M swarms at once.  Its objective receives the projected swarms as
 ``(t0[M, P], t1[M, P], thresholds[M, P, k])`` (integer window bounds and
 float thresholds; row ``[m, p]`` is particle ``p`` of template ``m``) and
-returns ``(values[M, P], tie_values[M, P])``.  Each swarm draws from its own
-generator, seeded by its config, with one ``Generator.random`` call for the
-start and one per iteration, and is otherwise independent, so a template's
-result is the same in any batch as searched alone.  Candidates are offered
-to each template's incumbent in particle order: a strictly larger value
-wins, and an equal value wins only with a strictly larger tie value.
-:func:`optimize` adapts a per-valuation objective and tie-break to that
-contract.  The returned value is the one computed for the returned (already
-projected) valuation.
+returns ``(values[M, P], tie_values[M, P])``.  The swarms share one
+:class:`PsoConfig`, and each draws from its own generator, seeded by the
+caller, with one ``Generator.random`` call for the start and one per
+iteration; it is otherwise independent, so a template's result is the same
+in any batch as searched alone.  Candidates are offered to each template's
+incumbent in particle order: a strictly larger value wins, and an equal
+value wins only with a strictly larger tie value.  :func:`optimize` adapts a
+per-valuation objective and tie-break to that contract.  The returned value
+is the one computed for the returned (already projected) valuation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .formula import GT, LE
-from .templates import PstlTemplate, Valuation
+from .templates import PstlTemplate, ThresholdRangeError, Valuation
 
 Objective = Callable[[Valuation], float]
 BatchObjective = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 MAX_SWARM_SIZE = 1024
 MAX_ITERATIONS = 10_000
+MAX_ACCELERATION = 4.0  # the largest cognitive and social factors
+VELOCITY_CLAMP = 0.5  # the largest velocity component, as a fraction of its span
 
 
 class EmptyParameterSpaceError(ValueError):
@@ -51,6 +53,8 @@ class PsoConfig:
     ``swarm_size`` is in [2, MAX_SWARM_SIZE] and ``iterations`` in
     [1, MAX_ITERATIONS]: every iteration holds several (swarm size x node
     size) arrays at once, and these bounds keep one search within memory.
+    ``cognitive`` and ``social`` are in (0, MAX_ACCELERATION], which bounds
+    a velocity step.  The seed is not a setting: each search takes its own.
     """
 
     swarm_size: int = 40
@@ -58,8 +62,6 @@ class PsoConfig:
     inertia: float = 0.72
     cognitive: float = 1.49
     social: float = 1.49
-    velocity_clamp: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if not 2 <= self.swarm_size <= MAX_SWARM_SIZE:
@@ -68,10 +70,8 @@ class PsoConfig:
             raise ValueError(f"iteration count must be in [1, {MAX_ITERATIONS}]")
         if not 0 <= self.inertia < 1:
             raise ValueError("inertia must be in [0, 1)")
-        if not (0 < self.cognitive < math.inf and 0 < self.social < math.inf):
-            raise ValueError("cognitive and social factors must be positive and finite")
-        if not 0 < self.velocity_clamp <= 1:
-            raise ValueError("velocity clamp must be in (0, 1]")
+        if not (0 < self.cognitive <= MAX_ACCELERATION and 0 < self.social <= MAX_ACCELERATION):
+            raise ValueError(f"cognitive and social factors must be in (0, {MAX_ACCELERATION}]")
 
 
 def _face_pairs(template: PstlTemplate) -> list[tuple[int, int]]:
@@ -142,59 +142,62 @@ class _Best:
 
 
 def _space_arrays(template: PstlTemplate) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the (t0, t1, thresholds) space.  A velocity update moves at
+    most (1 + 2 * MAX_ACCELERATION) spans from a position within ``max(-lo,
+    hi)`` of zero; ThresholdRangeError names a variable where that overflows.
+    """
     if not template.is_bound:
         raise ValueError("template must be bound to a dataset before optimization")
-    lows = [0.0, 0.0] + [lo for lo, _ in template.threshold_bounds]
-    highs = [float(template.horizon)] * 2 + [hi for _, hi in template.threshold_bounds]
-    lb = np.array(lows)
-    ub = np.array(highs)
-    if np.any(lb > ub):
-        raise EmptyParameterSpaceError("threshold bounds are inverted")
+    for (var, _), (lo, hi) in zip(template.slots, template.threshold_bounds):
+        if not math.isfinite((1 + 2 * MAX_ACCELERATION) * (hi - lo) + max(-lo, hi)):
+            raise ThresholdRangeError(
+                f"the values of x{var} span too wide a range for the swarm: [{lo!r}, {hi!r}]"
+            )
     for gi, li in _face_pairs(template):
         if not template.threshold_bounds[gi][0] < template.threshold_bounds[li][1]:
             raise EmptyParameterSpaceError(
                 "no room for a lower face strictly below the upper face"
             )
-    return lb, ub
+    lows, highs = zip(*template.threshold_bounds)
+    return np.array((0.0, 0.0) + lows), np.array((float(template.horizon),) * 2 + highs)
 
 
 def optimize_batch(
     templates: Sequence[PstlTemplate],
     objective: BatchObjective,
-    configs: Sequence[PsoConfig],
+    config: PsoConfig,
+    seeds: Sequence[int],
 ) -> list[tuple[Valuation, float, float]]:
     """Maximize a batch ``objective`` over each template's parameter space,
     with one swarm per template, stepped in lockstep.
 
-    The templates share their parameter count, and the configs (one per
-    template) differ only in seed.  Returns, per template, the best valuation
-    with its value and tie value.  A template's result depends only on its
-    template, config and objective rows, so it is the same in any batch as
-    searched alone.  The best value seen is non-decreasing over iterations.
-    One eighth of each swarm re-samples its position uniformly every
-    iteration; projected objectives are piecewise constant, and without that
-    exploration the swarm can stall on the first plateau it reaches.
+    The templates share their parameter count, and each swarm draws from a
+    generator seeded by its entry of ``seeds``.  Returns, per template, the
+    best valuation with its value and tie value.  A template's result depends
+    only on its template, seed, the config and its objective rows, so it is
+    the same in any batch as searched alone.  The best value seen is
+    non-decreasing over iterations.  One eighth of each swarm re-samples its
+    position uniformly every iteration; projected objectives are piecewise
+    constant, and without that exploration the swarm can stall on the first
+    plateau it reaches.
     """
     templates = tuple(templates)
-    configs = tuple(configs)
-    if not templates or len(configs) != len(templates):
-        raise ValueError("need at least one template and one config per template")
+    seeds = tuple(seeds)
+    if not templates or len(seeds) != len(templates):
+        raise ValueError("need at least one template and one seed per template")
     if len({len(template.slots) for template in templates}) != 1:
         raise ValueError("templates searched in lockstep must have one parameter count")
-    config = configs[0]
-    if any(replace(other, seed=config.seed) != config for other in configs):
-        raise ValueError("configs searched in lockstep may differ only in seed")
     lb, ub = (np.stack(bounds)[:, np.newaxis] for bounds in zip(*map(_space_arrays, templates)))
     span = ub - lb
-    vmax = config.velocity_clamp * np.where(span > 0, span, 1.0)
+    vmax = VELOCITY_CLAMP * np.where(span > 0, span, 1.0)
     swarm = config.swarm_size
     scouts = max(1, swarm // 8)
     # Each swarm draws from its own generator: a block of unit doubles for the
     # start, then per iteration one block holding r_cog, r_soc and the scouts,
     # in that order.  Positions scale a unit draw as lb + span * u, the bits
-    # Generator.uniform(lb, ub) computes from the same doubles; PstlTemplate
+    # Generator.uniform(lb, ub) computes from the same doubles; _space_arrays
     # keeps every span finite, where uniform would raise OverflowError.
-    rngs = [np.random.default_rng(other.seed) for other in configs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     dims = lb.shape[2]
 
     positions = lb + span * np.stack([rng.random((swarm, dims)) for rng in rngs])
@@ -254,13 +257,14 @@ def optimize(
     objective: Objective,
     config: PsoConfig,
     tie_break: Callable[[Valuation], float] | None = None,
+    seed: int = 0,
 ) -> tuple[Valuation, float]:
     """Maximize a per-valuation ``objective`` over the template's parameter
-    space with :func:`optimize_batch`.
+    space with :func:`optimize_batch`, one swarm seeded by ``seed``.
 
     The returned value is exactly ``objective`` at the returned valuation.
     """
     [(valuation, value, _)] = optimize_batch(
-        (template,), _per_valuation(objective, tie_break), (config,)
+        (template,), _per_valuation(objective, tie_break), config, (seed,)
     )
     return valuation, value

@@ -11,7 +11,7 @@ node whenever the merged split strictly improves the gain.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -199,8 +199,8 @@ def optimize_primitive(
                 margins[:, part] = scores.margin.reshape(rho.shape[:2])
             return values, margins
 
-        configs = tuple(replace(config.pso, seed=mix_seed(seed, index)) for index in batch)
-        for index, result in zip(batch, optimize_batch(searched, objective, configs)):
+        seeds = [mix_seed(seed, index) for index in batch]
+        for index, result in zip(batch, optimize_batch(searched, objective, config.pso, seeds)):
             found[index] = result
         del batch_rho  # free this batch's range tables before the next one's
 

@@ -120,7 +120,7 @@ def test_pso_matches_grid_oracle():
     for seed in range(200, 220):
         template, accuracy, candidates = _planted_instance(seed)
         _, grid_best = grid_search(template, accuracy, candidates)
-        _, pso_best = optimize(template, accuracy, PsoConfig(seed=seed))
+        _, pso_best = optimize(template, accuracy, PsoConfig(), seed=seed)
         hits += pso_best >= grid_best - 1e-6
     elapsed = time.perf_counter() - started
     assert hits >= 19  # 95% of 20 runs

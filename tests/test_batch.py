@@ -7,7 +7,6 @@ learned formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,14 +250,14 @@ def test_lockstep_search_matches_each_template_alone(seed):
         for t in _random_batch(rng, dimension, horizon)
     )
     config = PsoConfig(swarm_size=int(rng.integers(2, 12)), iterations=int(rng.integers(1, 8)))
-    configs = tuple(replace(config, seed=int(s)) for s in rng.integers(0, 2**32, len(templates)))
+    seeds = rng.integers(0, 2**32, len(templates)).tolist()
     together = optimize_batch(
-        templates, _gain_objective(templates, values, labels, weights, path_rho), configs
+        templates, _gain_objective(templates, values, labels, weights, path_rho), config, seeds
     )
     assert len(together) == len(templates)
-    for template, alone_config, found in zip(templates, configs, together):
+    for template, seed, found in zip(templates, seeds, together):
         objective = _gain_objective((template,), values, labels, weights, path_rho)
-        assert [found] == optimize_batch((template,), objective, (alone_config,))
+        assert [found] == optimize_batch((template,), objective, config, (seed,))
 
 
 def test_node_search_runs_one_lockstep_batch(monkeypatch):
@@ -269,14 +268,14 @@ def test_node_search_runs_one_lockstep_batch(monkeypatch):
     real_optimize = tree_module.optimize_batch
     real_table = templates_module.range_table
 
-    def counting_optimize(templates, objective, configs):
+    def counting_optimize(templates, objective, config, seeds):
         calls["batches"] += 1
 
         def counted(*args):
             calls["objective"] += 1
             return objective(*args)
 
-        return real_optimize(templates, counted, configs)
+        return real_optimize(templates, counted, config, seeds)
 
     def counting_table(*args, **kwargs):
         calls["range_table"] += 1

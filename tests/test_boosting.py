@@ -350,6 +350,24 @@ class TestSerialization:
         assert set(doc) == {"version", "n", "T", "M", "trees", "prunedIndex", "config"}
         assert set(doc["trees"][0]) >= {"alpha", "epsilon", "formulaText", "treeStructure"}
 
+    def test_swarm_keys_of_format_v1(self):
+        # "velocityClamp" and "seed" stay in the file with fixed values; a
+        # load type-checks them and no setting reads them.
+        model = _stub_model([_stub_round(POS_LABEL, 2.0)])
+        doc = model_to_dict(model)
+        assert doc["config"]["pso"] == {"swarm": 16, "iters": 20, "omega": 0.72, "c1": 1.49,
+                                        "c2": 1.49, "velocityClamp": 0.5, "seed": 0}
+        doc["config"]["pso"].update(velocityClamp=0.9, seed=5)
+        assert model_to_dict(model_from_dict(doc)) == model_to_dict(model)
+        for key, value in (("velocityClamp", "0.5"), ("seed", 1.5)):
+            doc["config"]["pso"][key] = value
+            with pytest.raises(ValueError, match=key):
+                model_from_dict(doc)
+            doc["config"]["pso"].pop(key)
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                model_from_dict(doc)
+            doc["config"]["pso"][key] = 0
+
     @pytest.mark.parametrize("edit, match", [
         (lambda doc: doc["trees"][0].update(formulaText="F[0,1](x1 <= 1.0)"), "formulaText"),
         (lambda doc: doc.update(prunedIndex=7), "prunedIndex"),

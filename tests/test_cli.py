@@ -190,6 +190,7 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [
         ["--seed", "-1"], ["--M", "nan"], ["--M", "inf"], ["--M", "0"],
         ["--pso-c1", "nan"], ["--pso-c1", "inf"], ["--pso-c2=-inf"],
+        ["--pso-c1", "1e308", "--pso-c2", "1e308"], ["--pso-c2", "4.000000000000001"],
     ])
     def test_invalid_flag_values_rejected(self, naval_csv, capsys, monkeypatch, flags):
         monkeypatch.setattr(cli, "train_boosted", never)
@@ -275,11 +276,12 @@ class TestCrossValidate:
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])
-@pytest.mark.parametrize("extreme", [0.89e308, 1.7e308])
+@pytest.mark.parametrize("extreme", [0.85e308, 0.89e308, 1.7e308])
 def test_value_range_wider_than_a_float_rejected(tmp_path, capsys, command, extreme):
     # Every signal spans [-extreme, extreme], so every fold's training set
-    # does too.  At 0.89e308 the padded bounds are too far apart, at 1.7e308
-    # the values themselves.
+    # does too.  At 0.85e308 a velocity step of the swarm could overflow, at
+    # 0.89e308 the padded bounds are too far apart, at 1.7e308 the values
+    # themselves.
     path = tmp_path / "wide.csv"
     rows = ["id,t,label,x1"] + [
         f"s{i},{t},{1 if i % 2 else -1},{(extreme, float(i), -extreme)[t]!r}"
@@ -444,6 +446,16 @@ class TestMonitor:
         assert main(["monitor", "--formula", "x1 > 0", "--data", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ragged signal 'a'" in err
+
+    def test_overflowing_margin_is_capped(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("id,t,label,x1\na,0,1,1.7e308\nb,0,-1,-1.7e308\nc,0,1,0\n")
+        assert main(["monitor", "--formula", "x1 > -1e308", "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "a,1,1000000000000.0", "b,-1,-1000000000000.0", "c,1,1000000000000.0",
+        ]
+        assert captured.err == ""
 
     def test_deeply_nested_formula_rejected(self, naval_csv, capsys):
         formula = "(" * 400 + "x1 > 0" + ")" * 400

@@ -66,10 +66,9 @@ def files(tmp_path_factory):
     return root, str(root / "naval.csv"), model
 
 
-@pytest.fixture(scope="module")
-def stubbed(files):
-    """``cli.train_boosted`` returns the trained model, so no example runs a search."""
-    _, _, model = files
+@contextlib.contextmanager
+def stubbed(model):
+    """``cli.train_boosted`` returns ``model``, so the example runs no search."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "train_boosted", lambda *args, **kwargs: model)
         yield
@@ -95,9 +94,10 @@ def run(argv) -> None:
         max_size=4,
     ),
 )
-def test_training_flags(files, stubbed, command, flags):
-    _, data, _ = files
-    run([command, "--data", data] + [f"{flag}={value}" for flag, value in flags.items()])
+def test_training_flags(files, command, flags):
+    _, data, model = files
+    with stubbed(model):
+        run([command, "--data", data] + [f"{flag}={value}" for flag, value in flags.items()])
 
 
 @EXAMPLES
@@ -112,11 +112,12 @@ def test_training_flags(files, stubbed, command, flags):
         JSON_VALUES,
     ),
 )
-def test_config_file(files, stubbed, command, doc):
-    root, data, _ = files
+def test_config_file(files, command, doc):
+    root, data, model = files
     path = root / "config.json"
     path.write_text(json.dumps(doc))
-    run([command, "--data", data, "--config", str(path)])
+    with stubbed(model):
+        run([command, "--data", data, "--config", str(path)])
 
 
 def _paths(doc, prefix=()):
@@ -162,7 +163,7 @@ CELL_TEXT = st.one_of(
 
 
 @EXAMPLES
-@given(data=st.data(), command=st.sampled_from(["monitor", "eval"]))
+@given(data=st.data(), command=st.sampled_from(["monitor", "eval", "train", "cv"]))
 def test_dataset_file(files, data, command):
     root, dataset, _ = files
     lines = Path(dataset).read_text(encoding="utf-8").splitlines()
@@ -187,5 +188,8 @@ def test_dataset_file(files, data, command):
     path.write_bytes("\n".join(lines).encode("utf-8").replace(b"\xef\xbf\xbd", b"\xff"))
     if command == "monitor":
         run(["monitor", "--formula", "F[0,3](x1 > 40)", "--data", str(path)])
-    else:
+    elif command == "eval":
         run(["eval", "--model", str(root / "model.json"), "--data", str(path), "--per-signal"])
+    else:  # a real search, unstubbed
+        run([command, "--data", str(path), "-K", "1", "--pso-swarm", "4", "--pso-iters", "2"]
+            + (["--folds", "2"] if command == "cv" else []))

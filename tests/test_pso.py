@@ -16,6 +16,7 @@ from stlboost import (
     POS_LABEL,
     PsoConfig,
     PstlTemplate,
+    ThresholdRangeError,
     Valuation,
     first_order_templates,
     generate_naval,
@@ -74,12 +75,12 @@ class TestOptimize:
         def objective(v):
             return -((v.t_start - 3) ** 2) - (v.t_end - 6) ** 2 - (v.thresholds[0] - 1.0) ** 2
 
-        valuation, value = optimize(BOUND, objective, PsoConfig(seed=3))
+        valuation, value = optimize(BOUND, objective, PsoConfig(), seed=3)
         assert (valuation.t_start, valuation.t_end) == (3, 6)
         assert abs(valuation.thresholds[0] - 1.0) < 1e-3
 
     def test_constant_objective(self):
-        valuation, value = optimize(BOUND, lambda v: 4.25, PsoConfig(seed=1))
+        valuation, value = optimize(BOUND, lambda v: 4.25, PsoConfig(), seed=1)
         assert value == 4.25
         assert 0 <= valuation.t_start <= valuation.t_end <= 10
 
@@ -87,8 +88,8 @@ class TestOptimize:
         def objective(v):
             return -abs(v.thresholds[0] - 0.3) - 0.1 * v.t_start
 
-        a = optimize(BOUND, objective, PsoConfig(seed=11))
-        b = optimize(BOUND, objective, PsoConfig(seed=11))
+        a = optimize(BOUND, objective, PsoConfig(), seed=11)
+        b = optimize(BOUND, objective, PsoConfig(), seed=11)
         assert a == b
 
     def test_feasibility_of_every_query(self):
@@ -98,7 +99,7 @@ class TestOptimize:
             seen.append(v)
             return 0.0
 
-        optimize(BOUND, spying, PsoConfig(swarm_size=10, iterations=5, seed=2))
+        optimize(BOUND, spying, PsoConfig(swarm_size=10, iterations=5), seed=2)
         assert seen
         for v in seen:
             assert 0 <= v.t_start <= v.t_end <= 10
@@ -110,15 +111,15 @@ class TestOptimize:
 
         values = []
         for iterations in (1, 3, 6, 12, 24):
-            cfg = PsoConfig(iterations=iterations, seed=5)
-            values.append(optimize(BOUND, objective, cfg)[1])
+            cfg = PsoConfig(iterations=iterations)
+            values.append(optimize(BOUND, objective, cfg, seed=5)[1])
         assert values == sorted(values)
 
     def test_returned_value_matches_reevaluation(self):
         def objective(v):
             return float(v.t_start + v.t_end) + v.thresholds[0]
 
-        valuation, value = optimize(BOUND, objective, PsoConfig(seed=7))
+        valuation, value = optimize(BOUND, objective, PsoConfig(), seed=7)
         assert objective(valuation) == value
 
     def test_impurity_objective_beats_grid(self):
@@ -136,16 +137,29 @@ class TestOptimize:
             {v + eps for v in (0.0, 0.5, 2.0, 3.0)} | {v - eps for v in (0.0, 0.5, 2.0, 3.0)}
         )
         _, grid_best = grid_search(template, objective, candidates)
-        _, pso_best = optimize(template, objective, PsoConfig(seed=13))
+        _, pso_best = optimize(template, objective, PsoConfig(), seed=13)
         assert pso_best >= grid_best - 1e-6
         # The margin-weighted optimum sits between the classes, above the
         # value the grid or any hand-picked threshold of 1.0 reaches.
         assert pso_best >= 1.0 / 3.0
 
+    def test_widest_searchable_range(self):
+        # A step moves a particle at most 9 spans from where it is, at most
+        # max(-lo, hi) from zero.  19 * 9e306 fits a float and 19 * 1e307 does
+        # not: a search at the largest factors over the first range never
+        # overflows (warnings are errors here), and the second is refused
+        # before the first draw, as is a narrow range next to the largest float.
+        config = PsoConfig(swarm_size=16, iterations=20, inertia=0.99, cognitive=4.0, social=4.0)
+        wide = PstlTemplate("G", ((2, GT), (2, LE)), ((-9e306, 9e306),) * 2, horizon=3)
+        optimize(wide, lambda v: v.thresholds[1] - v.thresholds[0], config)
+        for bounds in ((-1e307, 1e307), (1.75e308, 1.79e308)):
+            with pytest.raises(ThresholdRangeError, match="x2"):
+                optimize(replace(wide, threshold_bounds=(bounds,) * 2), lambda v: 0.0, config)
+
     def test_empty_space(self):
         with pytest.raises(EmptyParameterSpaceError):
             bad = PstlTemplate("G", ((1, GT), (1, LE)), ((2.0, 5.0), (-5.0, 1.0)), horizon=3)
-            optimize(bad, lambda v: 0.0, PsoConfig(seed=0))
+            optimize(bad, lambda v: 0.0, PsoConfig())
 
 
 class TestRandomStream:
@@ -175,9 +189,8 @@ class TestRandomStream:
                     digest.update(np.ascontiguousarray(array).tobytes())
                 return objective(t0, t1, thresholds)
 
-            configs = tuple(PsoConfig(swarm_size=16, iterations=10, seed=1000 * index + m)
-                            for m in range(len(searched)))
-            optimize_batch(searched, recording, configs)
+            seeds = [1000 * index + m for m in range(len(searched))]
+            optimize_batch(searched, recording, PsoConfig(swarm_size=16, iterations=10), seeds)
         assert digest.hexdigest() == (
             "325aeee8401dfb476adc2c3f660a862d3367c08fe5d611655755ecec29b4412e"
         )
@@ -195,11 +208,11 @@ class TestRandomStream:
                 return super().uniform(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
-        config = PsoConfig(swarm_size=10, iterations=4)
         optimize_batch(
             (BOUND, replace(BOUND, shape="G")),
             lambda t0, t1, thresholds: (np.zeros(t0.shape), np.zeros(t0.shape)),
-            (config, replace(config, seed=1)),
+            PsoConfig(swarm_size=10, iterations=4),
+            (0, 1),
         )
         # Each swarm: its start, then r_cog, r_soc and one scout per iteration.
         assert calls == [((10, 3),)] * 2 + [((10 + 10 + 1, 3),)] * 2 * 4
@@ -281,8 +294,14 @@ class TestConfigValidation:
             PsoConfig(cognitive=float("nan"))
         with pytest.raises(ValueError):
             PsoConfig(social=float("inf"))
+
+    def test_acceleration_bound(self):
+        assert PsoConfig(cognitive=4.0, social=4.0)
+        above = float(np.nextafter(4.0, 5.0))
         with pytest.raises(ValueError):
-            PsoConfig(velocity_clamp=0.0)
+            PsoConfig(cognitive=above)
+        with pytest.raises(ValueError):
+            PsoConfig(social=above)
 
     def test_size_bounds(self):
         assert PsoConfig(swarm_size=MAX_SWARM_SIZE, iterations=MAX_ITERATIONS)
@@ -356,6 +375,6 @@ def test_oracle_gap_statistics():
         template, accuracy, candidates = _planted_instance(seed)
         _, grid_best = grid_search(template, accuracy, candidates)
         objective = _batch_accuracy(template, _planted_dataset(seed))
-        [(_, pso_best, _)] = optimize_batch((template,), objective, (PsoConfig(seed=seed),))
+        [(_, pso_best, _)] = optimize_batch((template,), objective, PsoConfig(), (seed,))
         hits += pso_best >= grid_best - 1e-6
     assert hits >= 95
