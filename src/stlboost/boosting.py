@@ -256,9 +256,9 @@ def _tree_from_doc(doc: dict, depth: int = 0) -> TreeNode:
     )
 
 
-# The model file's key ("pso_" + key in the CLI), the PsoConfig field and its
-# type, per swarm setting.  Format v1 also holds "velocityClamp" (always
-# VELOCITY_CLAMP) and "seed" (always 0): each search takes its own seed.
+# The model file's key, the PsoConfig field and its type, per swarm setting.
+# Format v1 also holds "velocityClamp" (always VELOCITY_CLAMP) and "seed"
+# (always 0): each search takes its own seed.
 PSO_KEYS = (("swarm", "swarm_size", int), ("iters", "iterations", int),
             ("omega", "inertia", float), ("c1", "cognitive", float), ("c2", "social", float))
 

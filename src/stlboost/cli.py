@@ -22,7 +22,6 @@ from . import __version__
 from .boosting import (
     MAX_RETRIES,
     MAX_ROUNDS,
-    PSO_KEYS,
     ensemble_mcr,
     model_formula,
     model_from_dict,
@@ -212,7 +211,13 @@ def _load_settings(args) -> tuple[dict, TreeConfig]:
         config = TreeConfig(
             max_depth=settings["max_depth"],
             purity_stop=settings["lambda"],
-            pso=PsoConfig(**{field: settings[f"pso_{key}"] for key, field, _ in PSO_KEYS}),
+            pso=PsoConfig(
+                swarm_size=settings["pso_swarm"],
+                iterations=settings["pso_iters"],
+                inertia=settings["pso_omega"],
+                cognitive=settings["pso_c1"],
+                social=settings["pso_c2"],
+            ),
         )
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}")

@@ -24,22 +24,19 @@ is the one computed for the returned (already projected) valuation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .formula import GT, LE
-from .templates import PstlTemplate, ThresholdRangeError, Valuation
+from .templates import MAX_ACCELERATION, VELOCITY_CLAMP, PstlTemplate, Valuation
 
 Objective = Callable[[Valuation], float]
 BatchObjective = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 MAX_SWARM_SIZE = 1024
 MAX_ITERATIONS = 10_000
-MAX_ACCELERATION = 4.0  # the largest cognitive and social factors
-VELOCITY_CLAMP = 0.5  # the largest velocity component, as a fraction of its span
 
 
 class EmptyParameterSpaceError(ValueError):
@@ -53,8 +50,8 @@ class PsoConfig:
     ``swarm_size`` is in [2, MAX_SWARM_SIZE] and ``iterations`` in
     [1, MAX_ITERATIONS]: every iteration holds several (swarm size x node
     size) arrays at once, and these bounds keep one search within memory.
-    ``cognitive`` and ``social`` are in (0, MAX_ACCELERATION], which bounds
-    a velocity step.  The seed is not a setting: each search takes its own.
+    ``cognitive`` and ``social`` are in (0, MAX_ACCELERATION], as
+    PstlTemplate's range check assumes.  Each search takes its own seed.
     """
 
     swarm_size: int = 40
@@ -142,17 +139,8 @@ class _Best:
 
 
 def _space_arrays(template: PstlTemplate) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the (t0, t1, thresholds) space.  A velocity update moves at
-    most (1 + 2 * MAX_ACCELERATION) spans from a position within ``max(-lo,
-    hi)`` of zero; ThresholdRangeError names a variable where that overflows.
-    """
     if not template.is_bound:
         raise ValueError("template must be bound to a dataset before optimization")
-    for (var, _), (lo, hi) in zip(template.slots, template.threshold_bounds):
-        if not math.isfinite((1 + 2 * MAX_ACCELERATION) * (hi - lo) + max(-lo, hi)):
-            raise ThresholdRangeError(
-                f"the values of x{var} span too wide a range for the swarm: [{lo!r}, {hi!r}]"
-            )
     for gi, li in _face_pairs(template):
         if not template.threshold_bounds[gi][0] < template.threshold_bounds[li][1]:
             raise EmptyParameterSpaceError(
@@ -195,7 +183,7 @@ def optimize_batch(
     # Each swarm draws from its own generator: a block of unit doubles for the
     # start, then per iteration one block holding r_cog, r_soc and the scouts,
     # in that order.  Positions scale a unit draw as lb + span * u, the bits
-    # Generator.uniform(lb, ub) computes from the same doubles; _space_arrays
+    # Generator.uniform(lb, ub) computes from the same doubles; PstlTemplate
     # keeps every span finite, where uniform would raise OverflowError.
     rngs = [np.random.default_rng(seed) for seed in seeds]
     dims = lb.shape[2]

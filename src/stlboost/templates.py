@@ -33,11 +33,16 @@ from .formula import (
 
 ALWAYS = "G"
 EVENTUALLY = "F"
+MAX_ACCELERATION = 4.0  # the largest cognitive and social factors of a swarm
+VELOCITY_CLAMP = 0.5  # a swarm's largest velocity component, as a fraction of its span
 
 
 class ThresholdRangeError(ValueError):
-    """A variable's threshold bounds are not finite or lie further apart than
-    a float can hold, so the swarm has no space to search."""
+    """A variable's threshold bounds are so large or so far apart that a
+    swarm's velocity step over them could overflow a float: before its clip
+    a velocity is at most VELOCITY_CLAMP + 2 * MAX_ACCELERATION spans, and
+    after it a particle moves at most VELOCITY_CLAMP spans from a position
+    within max(-lo, hi) of zero."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,9 @@ class PstlTemplate:
             for (var, _), (lo, hi) in zip(slots, bounds):
                 if not lo <= hi:
                     raise ValueError(f"invalid threshold bounds ({lo}, {hi})")
-                if not math.isfinite(hi - lo):
+                span = hi - lo
+                if not (math.isfinite((VELOCITY_CLAMP + 2 * MAX_ACCELERATION) * span)
+                        and math.isfinite(max(-lo, hi) + VELOCITY_CLAMP * span)):
                     raise ThresholdRangeError(
                         f"the values of x{var} span too wide a range to search for a "
                         f"threshold: [{lo!r}, {hi!r}]"
@@ -105,7 +112,7 @@ class PstlTemplate:
         """Attach threshold bounds (data range + 1% padding) and the horizon.
 
         Raises :class:`ThresholdRangeError`, naming the variable, when a
-        padded bound or the distance between the bounds is not finite.
+        swarm's velocity step over the padded bounds could overflow.
         """
         bounds = []
         for var, _ in self.slots:

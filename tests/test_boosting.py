@@ -394,10 +394,14 @@ class TestSerialization:
         (lambda doc: doc["trees"][0].update(alpha=-1.0), "alpha must be positive"),
         (lambda doc: doc.update(M=math.nan), "M must be a finite number"),
         (lambda doc: doc.pop("T"), "missing key 'T'"),
+        # Files written before the factors were bounded may hold more.
+        (lambda doc: doc["config"]["pso"].update(c1=4.5), "cognitive and social factors"),
+        (lambda doc: doc["config"]["pso"].update(c2=4.5), "cognitive and social factors"),
     ], ids=["formula-text", "pruned-7", "pruned-negative", "variable", "window", "nested-window",
             "config-5", "trees-string", "structure-string", "structure-list", "n-null",
             "alpha-null", "primitive-number", "shapes-number", "formula-text-number",
-            "top-level-list", "no-trees", "leaf-5", "alpha-negative", "m-nan", "missing-T"])
+            "top-level-list", "no-trees", "leaf-5", "alpha-negative", "m-nan", "missing-T",
+            "c1-above-bound", "c2-above-bound"])
     def test_rejects_inconsistent_model(self, edit, match):
         tree = Split(Always(0, 1, pred(1, LE, 1.0)), Leaf(POS_LABEL), Leaf(NEG_LABEL))
         model = _stub_model([TreeRound(tree, 2.0, 0.1, tree_to_formula(tree), 0)])

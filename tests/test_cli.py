@@ -295,6 +295,19 @@ def test_value_range_wider_than_a_float_rejected(tmp_path, capsys, command, extr
     assert err.startswith("error:") and "x1" in err
 
 
+def test_widest_value_range_trains(tmp_path, capsys):
+    # Values of +-1e307 pad to +-1.02e307, inside the swarm's limit at any
+    # factor; the default swarm trains on them without a warning.
+    path = tmp_path / "wide.csv"
+    rows = ["id,t,label,x1"] + [
+        f"s{i},{t},{label},{(1e307, label * 5e306, -1e307)[t]!r}"
+        for i, label in enumerate((1, -1, 1, -1)) for t in range(3)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["train", "--data", str(path), "-K", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestEvaluate:
     def test_eval_own_training_set(self, naval_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -56,7 +56,14 @@ def test_bound_to_rejects_a_range_wider_than_a_float(extreme):
         PstlTemplate("F", ((1, LE),)).bound_to(ds)
 
 
-@pytest.mark.parametrize("bounds", [(-1e308, 1e308), (-float("inf"), 0.0), (0.0, float("inf"))])
+@pytest.mark.parametrize("bounds", [
+    (-1e308, 1e308), (-float("inf"), 0.0), (0.0, float("inf")),
+    # Before its clip a swarm's velocity is at most 0.5 + 2 * 4 = 8.5 spans:
+    # 17 * 1.05e307 fits a float (test_pso searches it), 17 * 1.06e307 not.
+    (-1.06e307, 1.06e307),
+    # A particle then moves at most half a span from where it is.
+    (1.75e308, 1.79e308),
+])
 def test_threshold_bounds_span_a_finite_range(bounds):
     with pytest.raises(ThresholdRangeError, match="x2"):
         PstlTemplate("G", ((2, GT),), (bounds,), horizon=2)
