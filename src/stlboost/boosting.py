@@ -401,6 +401,18 @@ def save_model(model: BoostedModel, path) -> None:
         handle.write("\n")
 
 
-def load_model(path) -> BoostedModel:
+def read_json(path):
+    """The JSON document in a UTF-8 file.
+
+    Raises OSError for IO failures and ValueError for text that is not JSON,
+    including JSON nested too deeply to decode.
+    """
     with open(path, encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
+
+
+def load_model(path) -> BoostedModel:
+    return model_from_dict(read_json(path))

@@ -27,6 +27,7 @@ from .boosting import (
     model_from_dict,
     model_to_dict,
     predict_all,
+    read_json,
     save_model,
     train_boosted,
     typed_value,
@@ -165,14 +166,6 @@ def _read(path, what: str, load):
         raise CliError(f"cannot load {what} {path}: {exc}")
 
 
-def _json(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError("JSON nests too deeply") from None
-
-
 def _check(setting: Setting, value):
     """A flag or config-file value as the setting's own type, within its bounds."""
     try:
@@ -203,7 +196,7 @@ def _load_settings(args) -> tuple[dict, TreeConfig]:
     flags) and the TreeConfig built from them."""
     settings = {key: setting.default for key, setting in SETTINGS.items()}
     if args.config:
-        settings.update(_read(args.config, "config file", lambda p: _config_values(_json(p))))
+        settings.update(_read(args.config, "config file", lambda p: _config_values(read_json(p))))
     for key, setting in SETTINGS.items():
         if getattr(args, key, None) is not None:
             settings[key] = _check(setting, getattr(args, key))
@@ -409,7 +402,7 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _read(args.model, "model", lambda p: model_from_dict(_json(p)))
+    model = _read(args.model, "model", lambda p: model_from_dict(read_json(p)))
     dataset = _read(args.data, "dataset", load_csv)
     if dataset.dimension != model.dimension or dataset.horizon != model.horizon:
         raise CliError(

@@ -4,9 +4,13 @@ The on-disk format is long CSV with header ``id,t,label,x1,...,xn``: one row
 per (signal, timepoint), integer timepoints 0..T, label +1 or -1 constant
 within an id.
 
-``load_csv`` parses blocks of ``BLOCK_ROWS`` CSV records a column at a
-time, checks every row and then raggedness, and only then allocates the
-signal array.  Its errors name a record by line, counting CSV records.
+``load_csv`` reads blocks of ``BLOCK_ROWS`` lines or CSV records, checks
+every row and then raggedness, and only then allocates the signal array.
+A file with no quote character and no blank line is parsed by numpy's C
+reader (``np.loadtxt``); any other file, and any file that path refuses,
+is parsed by the exact path, ``int``/``float`` a column at a time.  The
+values are the same bits either way, and only the exact path writes error
+text, which names a record by line, counting CSV records.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .formula import Formula, Signal, robustness_all
 POS_LABEL = 1
 NEG_LABEL = -1
 
-BLOCK_ROWS = 4096  # CSV records converted at a time; bounds the loader's scratch memory
+BLOCK_ROWS = 4096  # lines or CSV records converted at a time; bounds the loader's scratch memory
 _READ_ERRORS = (UnicodeDecodeError, csv.Error)
 
 
@@ -104,11 +108,15 @@ def uniform_weights(count: int) -> np.ndarray:
 def load_csv(path) -> LabeledDataset:
     """Read a long-format dataset CSV; its rows may come in any order.
 
-    Each block of ``BLOCK_ROWS`` records is parsed a column at a time with
-    ``int`` and ``float``, the parsers of a row-by-row reader, so values are
-    bit-identical to ``float(text)``.  Raggedness is checked before the
-    (N, n, T+1) array is allocated, so a huge timepoint is reported, not
-    allocated.
+    A file with no quote character, no blank or whitespace-only line and no
+    line longer than ``csv.field_size_limit()`` is read by numpy's C parser
+    (``np.loadtxt``), a block of ``BLOCK_ROWS`` lines at a time.  Any other
+    file, or one that this fast path does not load cleanly, is read again by
+    the exact path: each block of records is parsed a column at a time with
+    ``int`` and ``float``, the parsers of a row-by-row reader.  Both paths
+    give bit-identical values, and only the exact path reports errors.
+    Raggedness is checked before the (N, n, T+1) array is allocated, so a
+    huge timepoint is reported, not allocated.
 
     Raises OSError for IO failures and SchemaError for malformed content
     (not UTF-8 CSV text, wrong header, ragged signals, duplicate timepoints,
@@ -118,8 +126,11 @@ def load_csv(path) -> LabeledDataset:
     order: field count, parsing, label, timepoint sign, finiteness, label
     change, duplicate timepoint.
     """
+    dataset = _load_fast(path)
+    if dataset is not None:
+        return dataset
     try:
-        return _load_csv(path)
+        return _load_exact(path)
     except _READ_ERRORS as exc:
         raise SchemaError(_not_text(exc)) from None
 
@@ -128,20 +139,72 @@ def _not_text(exc: Exception) -> str:
     return f"not a CSV text file: {exc}"
 
 
-def _load_csv(path) -> LabeledDataset:
+def _width(header: list[str]) -> int:
+    """The number of fields of a record, from the header's cells."""
+    header = [h.strip() for h in header]
+    if len(header) < 4 or header[:3] != ["id", "t", "label"]:
+        raise SchemaError(f"header must start with id,t,label,x1,... (got {header})")
+    expected = [f"x{j}" for j in range(1, len(header) - 2)]
+    if header[3:] != expected:
+        raise SchemaError(f"variable columns must be {expected} (got {header[3:]})")
+    return len(header)
+
+
+def _load_fast(path) -> LabeledDataset | None:
+    """The dataset, parsed by ``np.loadtxt``, or None where the exact path
+    must read the file.
+
+    Without a quote character a CSV record is one line, and its fields are
+    the text between commas, as loadtxt splits them.  A cell loadtxt parses
+    has the value ``int``/``float`` give it.  Some text they accept it
+    refuses (``1_0``, non-ASCII digits, ``1.0`` as an int, an int past
+    int64), and such a file takes the exact path.  loadtxt ignores fields
+    past the last column it reads and skips blank lines with a warning, so
+    field counts and blank lines are checked here, and so is line length:
+    csv refuses a field longer than ``csv.field_size_limit()``.
+    """
+    limit = csv.field_size_limit()
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = handle.readline()  # a quote in it fails _width
+            if len(header) > limit:
+                return None
+            width = _width(header.rstrip("\r\n").split(","))
+            row = np.dtype([("t", np.int64), ("label", np.int64), ("x", float, (width - 3,))])
+            code_of: dict[str, int] = {}
+            blocks = []
+            line = 2
+            while lines := list(islice(handle, BLOCK_ROWS)):
+                text = "".join(lines)
+                # loadtxt raises for a line with fewer than width - 1 commas,
+                # so this total leaves none with more.
+                if ('"' in text or text.count(",") != (width - 1) * len(lines)
+                        or any(map(str.isspace, lines)) or max(map(len, lines)) > limit):
+                    return None
+                del text  # not held while loadtxt runs: it adds to peak memory
+                # max_rows sizes the result once; grown as rows arrive, its
+                # reallocations leave heap holes that raise peak memory.
+                rows = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None,
+                                  usecols=range(1, width), ndmin=1, max_rows=len(lines))
+                if len(rows) != len(lines):
+                    return None
+                sids = [record.partition(",")[0] for record in lines]
+                blocks.append((np.arange(line, line + len(lines)), _codes(sids, code_of),
+                               rows["t"], rows["label"], rows["x"]))
+                line += len(lines)
+        return _dataset(blocks, code_of, width)
+    except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
+        return None
+
+
+def _load_exact(path) -> LabeledDataset:
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 4 or header[:3] != ["id", "t", "label"]:
-            raise SchemaError(f"header must start with id,t,label,x1,... (got {header})")
-        width = len(header)
-        expected = [f"x{j}" for j in range(1, width - 2)]
-        if header[3:] != expected:
-            raise SchemaError(f"variable columns must be {expected} (got {header[3:]})")
+        width = _width(header)
 
         code_of: dict[str, int] = {}  # id -> code, in order of first appearance
         blocks = []
@@ -159,30 +222,7 @@ def _load_csv(path) -> LabeledDataset:
             blocks.append(block)
             stop = fault or stop
             line += len(records)
-
-    if not blocks:
-        raise SchemaError(stop or "no data rows")
-    lines, codes, times, labels, points = (np.concatenate(column) for column in zip(*blocks))
-    ids = tuple(code_of)
-    first = np.unique(codes, return_index=True)[1]  # each id's first record
-    _check_rows(lines, codes, times, labels, points, first, ids)
-    if stop:
-        raise SchemaError(stop)
-    if not len(codes):
-        raise SchemaError("no data rows")
-
-    horizon = int(times[codes == 0].max())
-    # Timepoints are distinct and non-negative now, so an id covers 0..T
-    # exactly when it has T+1 of them and none lies past T.
-    late = np.bincount(codes[times > horizon], minlength=len(ids))
-    ragged = (np.bincount(codes, minlength=len(ids)) != horizon + 1) | (late > 0)
-    if ragged.any():
-        raise SchemaError(
-            f"ragged signal {ids[np.argmax(ragged)]!r}: timepoints do not cover 0..{horizon}"
-        )
-    values = np.empty((len(ids), width - 3, horizon + 1))
-    values[codes, :, times.astype(np.intp)] = points
-    return LabeledDataset(values, labels[first], ids)
+    return _dataset(blocks, code_of, width, stop)
 
 
 def _convert(records, line: int, width: int, code_of: dict[str, int]):
@@ -210,10 +250,7 @@ def _convert(records, line: int, width: int, code_of: dict[str, int]):
         fault = f"line {lines[cut]}: {message}"
         records, lines = records[:cut], lines[:cut]
         sids, columns = _columns(records, width)
-    for sid in dict.fromkeys(sids):
-        code_of.setdefault(sid, len(code_of))
-    codes = np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
-    return (lines, codes) + columns, fault
+    return (lines, _codes(sids, code_of)) + columns, fault
 
 
 def _columns(records, width: int):
@@ -246,6 +283,42 @@ def _first_unparsable(records) -> tuple[int, str]:
         except ValueError as exc:
             return index, str(exc)
     raise AssertionError("every cell parses")
+
+
+def _dataset(blocks, code_of: dict[str, int], width: int, stop: str | None = None):
+    """The dataset of blocks of ``(lines, codes, times, labels, points)``
+    columns, after the row checks, then ``stop`` (an error that ended
+    reading), then raggedness."""
+    if not blocks:
+        raise SchemaError(stop or "no data rows")
+    lines, codes, times, labels, points = (np.concatenate(column) for column in zip(*blocks))
+    ids = tuple(code_of)
+    first = np.unique(codes, return_index=True)[1]  # each id's first record
+    _check_rows(lines, codes, times, labels, points, first, ids)
+    if stop:
+        raise SchemaError(stop)
+    if not len(codes):
+        raise SchemaError("no data rows")
+
+    horizon = int(times[codes == 0].max())
+    # Timepoints are distinct and non-negative now, so an id covers 0..T
+    # exactly when it has T+1 of them and none lies past T.
+    late = np.bincount(codes[times > horizon], minlength=len(ids))
+    ragged = (np.bincount(codes, minlength=len(ids)) != horizon + 1) | (late > 0)
+    if ragged.any():
+        raise SchemaError(
+            f"ragged signal {ids[np.argmax(ragged)]!r}: timepoints do not cover 0..{horizon}"
+        )
+    values = np.empty((len(ids), width - 3, horizon + 1))
+    values[codes, :, times.astype(np.intp)] = points
+    return LabeledDataset(values, labels[first], ids)
+
+
+def _codes(sids, code_of: dict[str, int]) -> np.ndarray:
+    """Each id's code, adding unseen ids to ``code_of`` in order."""
+    for sid in dict.fromkeys(sids):
+        code_of.setdefault(sid, len(code_of))
+    return np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
 
 
 def _check_rows(lines, codes, times, labels, points, first, ids) -> None:

@@ -24,6 +24,7 @@ from stlboost import (
     TreeRound,
     ensemble_mcr,
     format_formula,
+    load_model,
     model_formula,
     model_from_dict,
     model_to_dict,
@@ -412,6 +413,12 @@ class TestSerialization:
             doc = edited
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
+
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_model(path)
 
     def test_rejects_unknown_version(self):
         model = _stub_model([_stub_round(POS_LABEL, 2.0)])

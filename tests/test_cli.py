@@ -151,7 +151,8 @@ class TestTrain:
         assert main(["train", "--data", naval_csv, "--config", str(config)]) == 1
 
     @pytest.mark.parametrize(
-        "text", ['{"trees": "2"}', "5", '{"max_depth": true}', '{"seed": 1.5}', '{"M": "1"}']
+        "text", ['{"trees": "2"}', "5", '{"max_depth": true}', '{"seed": 1.5}', '{"M": "1"}',
+                 pytest.param("[" * 5000, id="deep")]
     )
     def test_mistyped_config_rejected(self, naval_csv, tmp_path, capsys, monkeypatch, text):
         monkeypatch.setattr(cli, "train_boosted", never)

@@ -24,7 +24,7 @@ from stlboost import (
     save_model,
     train_boosted,
 )
-from stlboost import cli
+from stlboost import cli, data
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -74,7 +74,7 @@ def stubbed(model):
         yield
 
 
-def run(argv) -> None:
+def run(argv) -> int:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -83,6 +83,7 @@ def run(argv) -> None:
     assert "Traceback" not in stderr
     if code:
         assert stderr.startswith("error:"), stderr
+    return code
 
 
 @EXAMPLES
@@ -193,3 +194,49 @@ def test_dataset_file(files, data, command):
     else:  # a real search, unstubbed
         run([command, "--data", str(path), "-K", "1", "--pso-swarm", "4", "--pso-iters", "2"]
             + (["--folds", "2"] if command == "cv" else []))
+
+
+# Values at the edges of what a swarm searches: +-1.036e307 is about the
+# widest symmetric range it accepts, 1.06e307 lies past it.
+LOADABLE_VALUES = st.one_of(
+    st.sampled_from([1.036e307, -1.036e307, 1.05e307, -1.05e307, 1.06e307, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -0.0, 0.0]),
+    st.floats(-50, 50),
+)
+
+
+@st.composite
+def loadable_csv(draw):
+    """``(n, T, text)`` of an unquoted dataset CSV that loads: both classes,
+    one to four signals each, every id covering 0..T, rows in any order,
+    and each column either constant or drawn cell by cell."""
+    dim = draw(st.integers(1, 3))
+    horizon = draw(st.integers(0, 6))
+    constant = [draw(st.none() | LOADABLE_VALUES) for _ in range(dim)]  # None: varies
+    records = []
+    for label, prefix in ((1, "p"), (-1, "n")):
+        for i in range(draw(st.sampled_from([2, 3, 4, 1]))):
+            for t in range(horizon + 1):
+                cells = [draw(LOADABLE_VALUES) if c is None else c for c in constant]
+                records.append(f"{prefix}{i},{t},{label}," + ",".join(map(repr, cells)))
+    header = "id,t,label," + ",".join(f"x{j}" for j in range(1, dim + 1))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return dim, horizon, ending.join([header] + draw(st.permutations(records))) + ending
+
+
+@EXAMPLES
+@given(spec=loadable_csv())
+def test_loadable_dataset_file(files, spec):
+    """Every command on a file that loads, with the swarm searching for real."""
+    root, _, _ = files
+    dim, horizon, text = spec
+    path = root / "loadable.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert data._load_fast(path) is not None  # numpy's parser reads it
+    model = root / "loadable-model.json"
+    model.unlink(missing_ok=True)
+    search = ["-K", "1", "--pso-swarm", "4", "--pso-iters", "2"]
+    if run(["train", "--data", str(path), "--out", str(model)] + search) == 0:
+        run(["eval", "--model", str(model), "--data", str(path), "--per-signal"])
+    run(["cv", "--data", str(path), "--folds", "2"] + search)
+    run(["monitor", "--formula", f"G[0,{horizon}](x{dim} > 0)", "--data", str(path)])

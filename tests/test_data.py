@@ -295,24 +295,27 @@ def _underscored(text):
     return text
 
 
-def _spellings(text):
-    """Ways to write a number that ``int``/``float`` read as the same value."""
+def _spellings(text, underscore=True):
+    """Ways to write a number that ``int``/``float`` read as the same value;
+    ``np.loadtxt`` reads all of them but the underscored one."""
     signed = text if text.startswith("-") else "+" + text
-    return st.sampled_from([text, f" {text}", f"{text} ", signed, _underscored(text)])
+    forms = [text, f" {text}", f"{text} ", signed]
+    return st.sampled_from(forms + [_underscored(text)] if underscore else forms)
 
 
 @st.composite
-def dataset_records(draw):
+def dataset_records(draw, id_text=ID_TEXT, underscore=True):
     """The records of a valid dataset, in a shuffled order, as cell text."""
-    ids = draw(st.lists(ID_TEXT, min_size=1, max_size=5, unique=True))
+    ids = draw(st.lists(id_text, min_size=1, max_size=5, unique=True))
     dim = draw(st.integers(1, 3))
     horizon = draw(st.integers(0, 4))
     records = []
     for sid in ids:
         label = draw(st.sampled_from([POS_LABEL, NEG_LABEL]))
         for t in range(horizon + 1):
-            records.append([sid, draw(_spellings(str(t))), draw(_spellings(str(label)))]
-                           + [draw(_spellings(repr(draw(VALUES)))) for _ in range(dim)])
+            records.append([sid, draw(_spellings(str(t), underscore)),
+                            draw(_spellings(str(label), underscore))]
+                           + [draw(_spellings(repr(draw(VALUES)), underscore)) for _ in range(dim)])
     return dim, draw(st.permutations(records))
 
 
@@ -345,11 +348,15 @@ def _loaded(path):
     return ds.ids, ds.labels, ds.values
 
 
-def _compare(tmp_path_factory, content, block):
+def _compare(tmp_path_factory, content, block, **patches):
+    """``load_csv``'s outcome on ``content``, at ``BLOCK_ROWS`` of ``block``
+    and with ``patches`` set on the data module, checked against the oracle."""
     path = tmp_path_factory.mktemp("diff") / "data.csv"
     path.write_bytes(content)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "BLOCK_ROWS", block)
+        for name, value in patches.items():
+            patch.setattr(data, name, value)
         got = _outcome(_loaded, path)
     assert got == _outcome(naive_load_csv, path)
     return got
@@ -447,6 +454,73 @@ def test_unreadable_text_after_many_records(tmp_path_factory, block, early, late
         assert got[1].startswith("not a CSV text file"), got
     else:
         assert got[1].startswith("line "), got
+
+
+# Files without a quote character or a blank line are parsed by np.loadtxt;
+# the exact path reads the rest, and is the only one that reports errors.
+
+def _unreachable(path):
+    raise AssertionError("the exact path read the file")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), dataset_records(st.text(st.sampled_from("ab \x00\x0c\x1cé1"), max_size=4),
+                                  underscore=False),
+       BLOCKS, st.sampled_from(["\n", "\r\n", "\r"]))
+def test_clean_files_take_the_fast_path(tmp_path_factory, draw_data, spec, block, ending):
+    """An unquoted file with no blank line loads with the exact path
+    disabled, for each line ending, with or without a last one."""
+    dim, records = spec
+    header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dim + 1)]
+    text = ending.join(map(",".join, [header] + records))
+    text += draw_data.draw(st.sampled_from([ending, ""]))
+    got = _compare(tmp_path_factory, text.encode(), block, _load_exact=_unreachable)
+    assert isinstance(got[0], tuple), got
+
+
+CLEAN = "id,t,label,x1\na,0,1,0.5\na,1,1,1\nb,0,-1,2\nb,1,-1,3\n"
+WIDE = "0." + "0" * 70_000 + "1"  # two of them make a line longer than the field limit
+# Each file the fast path refuses, with what the oracle makes of it: the
+# dataset (None) or a piece of its error text.
+REFUSED = {
+    "quote": (CLEAN.replace("b,0", '"b",0'), None),
+    "quoted-header": ('"id"' + CLEAN[2:], None),
+    "blank-record": (CLEAN.replace("\nb,0", "\n\nb,0"), None),
+    "blank-crlf-record": (CLEAN.replace("\n", "\r\n") + "\r\n", None),
+    "whitespace-line": (CLEAN + " \t\n", "line 6: expected 4 fields"),
+    "long-line": (f"id,t,label,x1,x2\na,0,1,{WIDE},{WIDE}\nb,0,-1,1,2\n", None),
+    "long-header": (CLEAN.replace("x1", "x1" + " " * 140_000, 1), "field larger than field limit"),
+    "long-field": (CLEAN + "c,0,1,0." + "0" * 200_000 + "1\n", "field larger than field limit"),
+    "int64-timepoint": (CLEAN.replace("b,1,", "b,9223372036854775808,"), "ragged signal 'b'"),
+    "underscore": (CLEAN.replace(",3\n", ",1_0\n"), None),
+    "arabic-digit": (CLEAN.replace(",3\n", ",\u0663\n"), None),
+    "float-timepoint": (CLEAN.replace("b,1,", "b,1.0,"), "line 5: invalid literal for int()"),
+    "nul": (CLEAN.replace(",3\n", ",3\x00\n"), "line 5: could not convert"),
+    "bom": ("\ufeff" + CLEAN, "header must start with id"),
+    "extra-field": (CLEAN.replace(",3\n", ",3,4\n"), "line 5: expected 4 fields"),
+    # The commas of a block add up, but a blank line holds none.
+    "extra-fields-and-blank-line": (CLEAN.replace(",3\n", ",3,4,5,6\n\n"),
+                                    "line 5: expected 4 fields"),
+    "no-data": ("id,t,label,x1\n", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+@pytest.mark.parametrize("name", list(REFUSED))
+def test_refused_files_match_oracle(tmp_path_factory, block, name):
+    text, expected = REFUSED[name]
+    load_exact, exact = data._load_exact, []
+
+    def spy(path):
+        exact.append(path)
+        return load_exact(path)
+
+    got = _compare(tmp_path_factory, text.encode(), block, _load_exact=spy)
+    assert len(exact) == 1
+    if expected is None:
+        assert isinstance(got[0], tuple), got
+    else:
+        assert expected in got[1], got
 
 
 @st.composite
