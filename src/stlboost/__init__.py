@@ -21,6 +21,7 @@ from .boosting import (
     save_model,
     select_pruned_tree,
     train_boosted,
+    train_boosted_steps,
     tree_weight,
 )
 from .data import (
@@ -82,9 +83,11 @@ from .tree import (
     Split,
     TreeConfig,
     build_tree,
+    build_tree_steps,
     classify,
     classify_all,
     combine_primitives,
+    drive,
     optimize_primitive,
     tree_depth,
     tree_to_formula,

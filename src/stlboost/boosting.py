@@ -26,14 +26,19 @@ from .pso import VELOCITY_CLAMP, PsoConfig
 from .tree import (
     MAX_DEPTH,
     Leaf,
+    Searches,
     Split,
     TreeConfig,
     TreeNode,
-    build_tree,
+    build_tree_steps,
     classify_all,
+    drive,
     mix_seed,
     tree_to_formula,
 )
+
+# Unused here but bound: bench/tracer.py wraps it where this module binds it.
+from .tree import build_tree  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -106,8 +111,27 @@ def train_boosted(
     retries run out training stops early with the trees kept so far.  After
     a perfect round the sample weights stay unchanged (the exponential
     update is a no-op modulo normalization there).  ``rounds`` is in
-    [1, MAX_ROUNDS] and ``max_retries`` in [0, MAX_RETRIES].
+    [1, MAX_ROUNDS] and ``max_retries`` in [0, MAX_RETRIES].  This drives
+    :func:`train_boosted_steps` alone, serving each search as it comes.
     """
+    [model] = drive([train_boosted_steps(
+        dataset, rounds, config, m_weight, max_retries, seed, trace
+    )])
+    return model
+
+
+def train_boosted_steps(
+    dataset: LabeledDataset,
+    rounds: int,
+    config: TreeConfig | None = None,
+    m_weight: float = 100.0,
+    max_retries: int = 5,
+    seed: int = 0,
+    trace: TrainingTrace | None = None,
+) -> Searches[BoostedModel]:
+    """:func:`train_boosted` as a generator: each tree grows by
+    :func:`~stlboost.tree.build_tree_steps`, whose search requests it
+    passes on, and it returns the model."""
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"round count must be in [1, {MAX_ROUNDS}]")
     if not 0 <= max_retries <= MAX_RETRIES:
@@ -123,7 +147,7 @@ def train_boosted(
     for k in range(rounds):
         tree = None
         for attempt in range(max_retries + 1):
-            candidate_tree, merge_log = build_tree(
+            candidate_tree, merge_log = yield from build_tree_steps(
                 dataset, weights, config, seed=mix_seed(seed, k, attempt)
             )
             predictions = classify_all(candidate_tree, dataset.values)

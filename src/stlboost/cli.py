@@ -30,6 +30,7 @@ from .boosting import (
     read_json,
     save_model,
     train_boosted,
+    train_boosted_steps,
     typed_value,
 )
 from .data import LabeledDataset, TooFewSamplesError, load_csv, save_csv, stratified_folds
@@ -38,7 +39,7 @@ from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
 from .templates import ThresholdRangeError
-from .tree import TreeConfig, mix_seed
+from .tree import TreeConfig, drive, mix_seed
 
 logger = logging.getLogger(__name__)
 
@@ -285,44 +286,60 @@ def run_cross_validation(
     seed: int,
     max_retries: int = 5,
 ) -> tuple[list[FoldOutcome], float]:
+    """Train and score one model per fold; returns the outcomes and the wall
+    time.
+
+    The folds train together: each one is a generator of search requests
+    (:func:`~stlboost.boosting.train_boosted_steps`), and
+    :func:`~stlboost.tree.drive` serves the pending searches of every fold in
+    one lockstep batch per round.  Seeds are numbered within a fold, so each
+    fold's model is the one training it alone gives.  A fold that fails is
+    reported as ``fold k: ...``; when several fail, the lowest-numbered one.
+    """
     try:
         plan = stratified_folds(dataset, folds, seed)
     except TooFewSamplesError as exc:
         raise CliError(str(exc))
-    outcomes = []
     started = time.perf_counter()
-    for fold in range(folds):
-        train_set = dataset.subset(plan.train_indices(fold))
-        test_set = dataset.subset(plan.test_indices(fold))
-        try:
-            model = train_boosted(
-                train_set,
-                rounds=trees,
-                config=config,
-                m_weight=m_weight,
-                max_retries=max_retries,
-                seed=mix_seed(seed, fold),
-            )
-        except ThresholdRangeError as exc:
-            raise CliError(f"fold {fold}: {exc}")
-        if not model.rounds:
-            raise CliError(f"fold {fold}: {_NO_TREES}")
-        weighted = model_to_dict(model)
-        initial = model_formula(replace(model, pruned_index=None))
-        outcomes.append(
-            FoldOutcome(
-                fold=fold,
-                train_mcr=ensemble_mcr(model, train_set),
-                test_mcr=ensemble_mcr(model, test_set),
-                initial_formula=format_formula(initial),
-                final_formula=format_formula(model_formula(model)),
-                merges=sum(r.merges for r in model.rounds),
-                model_doc=weighted,
-            )
-        )
-        logger.info("fold %d: train %.4f test %.4f", fold,
-                    outcomes[-1].train_mcr, outcomes[-1].test_mcr)
+    steps = [
+        _fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
+        for fold in range(folds)
+    ]
+    outcomes = drive(steps)
+    for outcome in outcomes:
+        logger.info("fold %d: train %.4f test %.4f", outcome.fold,
+                    outcome.train_mcr, outcome.test_mcr)
     return outcomes, time.perf_counter() - started
+
+
+def _fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed):
+    """One fold of :func:`run_cross_validation` as a generator of search
+    requests; returns its outcome."""
+    train_set = dataset.subset(plan.train_indices(fold))
+    test_set = dataset.subset(plan.test_indices(fold))
+    try:
+        model = yield from train_boosted_steps(
+            train_set,
+            rounds=trees,
+            config=config,
+            m_weight=m_weight,
+            max_retries=max_retries,
+            seed=mix_seed(seed, fold),
+        )
+    except ThresholdRangeError as exc:
+        raise CliError(f"fold {fold}: {exc}")
+    if not model.rounds:
+        raise CliError(f"fold {fold}: {_NO_TREES}")
+    initial = model_formula(replace(model, pruned_index=None))
+    return FoldOutcome(
+        fold=fold,
+        train_mcr=ensemble_mcr(model, train_set),
+        test_mcr=ensemble_mcr(model, test_set),
+        initial_formula=format_formula(initial),
+        final_formula=format_formula(model_formula(model)),
+        merges=sum(r.merges for r in model.rounds),
+        model_doc=model_to_dict(model),
+    )
 
 
 def _report_doc(trees: int, folds: list[FoldOutcome], seed: int) -> dict:

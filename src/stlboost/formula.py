@@ -234,7 +234,12 @@ def range_table(series: np.ndarray, reduce: np.ufunc, out: np.ndarray) -> np.nda
 
 
 def range_query(
-    tables: np.ndarray, which: np.ndarray, is_min: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    tables: np.ndarray,
+    which: np.ndarray,
+    is_min: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    starts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Each series' window extremum over the inclusive windows [lo, hi], read
     from table ``which`` of stacked range tables.
@@ -242,14 +247,20 @@ def range_query(
     ``tables`` stacks tables from :func:`range_table`, shape (Q, levels, N,
     T+1).  ``which``, ``lo`` and ``hi`` broadcast to one shape S, and
     ``is_min`` (whether that table holds minima, else maxima) to S + (1,);
-    returns shape S + (N,).  The two power-of-two halves overlap, which min
-    and max do not mind, so the result is exactly the reduction over the
-    window.
+    returns shape S + (N,).  With ``starts``, which also broadcasts to S,
+    ``tables`` holds the stacked tables' runs of R consecutive series, shape
+    (Q, levels, N - R + 1, T+1, R) (``sliding_window_view`` along the series
+    axis), and each query reads only the R series from its start on: the
+    result is S + (R,).  The two power-of-two halves overlap, which min and
+    max do not mind, so the result is exactly the reduction over the window.
     """
     powers = 1 << np.arange(tables.shape[1])
     level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
-    first = tables[which, level, :, lo]
-    second = tables[which, level, :, hi - powers[level] + 1]
+    late = hi - powers[level] + 1
+    if starts is None:
+        first, second = tables[which, level, :, lo], tables[which, level, :, late]
+    else:
+        first, second = tables[which, level, starts, lo], tables[which, level, starts, late]
     return np.where(is_min, np.minimum(first, second), np.maximum(first, second))
 
 

@@ -55,18 +55,21 @@ def _masses(rho: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def gains_from_robustness(
-    rho: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    rho: np.ndarray, labels: np.ndarray, weights: np.ndarray, valid: np.ndarray | None = None
 ) -> PartitionScores:
-    """Score P candidate splits of the same N samples at once.
+    """Score P candidate splits at once.
 
     Row ``p`` of the (P, N) matrix ``rho`` is the robustness of candidate
-    ``p`` per sample; its satisfied side is ``rho >= 0``.  A degenerate row
-    (see :func:`_masses`) has gain 0: such a split carries no margin
-    information.  Every entry is bit-identical to scoring its row alone:
-    row sums of a C-contiguous matrix equal the 1-D sums of its rows, so
-    the full-row and positive-class sums run on the whole batch, and the
-    sums over each row's own sides are the 1-D sums of its compacted picks
-    (see :func:`_side_sums`).
+    ``p`` per sample; its satisfied side is ``rho >= 0``.  ``labels`` and
+    ``weights`` are the (N,) samples every row scores, or, with ``valid``,
+    (P, N) per row: then row ``p`` scores only its samples where
+    ``valid[p]`` holds, so rows of different nodes can be padded to one
+    width.  A degenerate row (see :func:`_masses`) has gain 0: such a split
+    carries no margin information.  Every entry is bit-identical to scoring
+    its row's samples alone: row sums of a C-contiguous matrix equal the
+    1-D sums of its rows, and every other sum is the 1-D sum of the row's
+    compacted picks (see :func:`_side_sums`).  A padded row's sums all take
+    that route, since trailing zeros would change numpy's pairwise grouping.
     """
     rho = np.asarray(rho, dtype=float)
     labels = np.asarray(labels)
@@ -74,17 +77,25 @@ def gains_from_robustness(
     if rho.shape[1] == 0:
         zeros = np.zeros(rho.shape[0])
         return PartitionScores(zeros, zeros, zeros, zeros, zeros, zeros)
+    if valid is not None:
+        # Padding has zero mass, so it never makes a row degenerate.
+        rho = np.where(valid, rho, 0.0)
+        weights = np.where(valid, weights, 0.0)
     mags, degenerate = _masses(rho, weights)
-    total = mags.sum(axis=1)
     pos = labels == POS_LABEL
-    # A boolean column selection comes out Fortran-ordered, and its row sums
-    # would then differ from the 1-D sums in the last bit.
-    pos_mass = np.ascontiguousarray(mags[:, pos]).sum(axis=1)
     sat = rho >= 0
     bot = ~sat
-    top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
-        mags, np.concatenate([sat, bot, sat & pos, bot & pos])
-    ).reshape(4, -1)
+    sides = [sat, bot, sat & pos, bot & pos]
+    if valid is None:
+        total = mags.sum(axis=1)
+        # A boolean column selection comes out Fortran-ordered, and its row
+        # sums would then differ from the 1-D sums in the last bit.
+        pos_mass = np.ascontiguousarray(mags[:, pos]).sum(axis=1)
+        sums = _side_sums(mags, np.concatenate(sides)).reshape(4, -1)
+    else:
+        sides = [valid, valid & pos] + [side & valid for side in sides]
+        total, pos_mass, *sums = _side_sums(mags, np.concatenate(sides)).reshape(6, -1)
+    top_mass, bot_mass, top_pos_mass, bot_pos_mass = sums
     p_top = top_mass / total
     p_bot = bot_mass / total
     p_pos = pos_mass / total

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledDataset
 from .formula import (
@@ -175,11 +176,38 @@ def _table_keys(template: PstlTemplate) -> tuple[tuple[int, np.ufunc], ...] | No
     )
 
 
+def table_bytes(signals: int, width: int) -> int:
+    """Bytes of one range table over ``signals`` series of ``width`` samples."""
+    return width.bit_length() * signals * width * np.dtype(float).itemsize
+
+
+def node_stacks(signals: list[int], width: int) -> list[list[int]]:
+    """Split nodes of ``signals[i]`` series of ``width`` samples each, in
+    order, into stacks to search together, as lists of node indices.
+
+    A stack takes nodes while one range table over their series stacked
+    fits TABLE_BUDGET_BYTES, so a node whose own table does not fit is
+    searched alone, and stacking never holds a larger table than searching
+    each node alone would.
+    """
+    stacks: list[list[int]] = []
+    stacked = 0
+    for index, count in enumerate(signals):
+        if stacks and table_bytes(stacked + count, width) <= TABLE_BUDGET_BYTES:
+            stacks[-1].append(index)
+            stacked += count
+        else:
+            stacks.append([index])
+            stacked = count
+    return stacks
+
+
 def lockstep_batches(
-    templates: tuple[PstlTemplate, ...], values: np.ndarray
+    templates: tuple[PstlTemplate, ...], signals: int, width: int
 ) -> list[list[int]]:
     """Split bound templates into batches for :func:`batch_robustness` over
-    ``values`` and a lockstep search, as lists of template indices.
+    at most ``signals`` series of ``width`` samples and a lockstep search, as
+    lists of template indices.
 
     Templates that read the same range tables go in one batch.  A batch takes
     such groups in template order while its distinct tables fit
@@ -187,8 +215,7 @@ def lockstep_batches(
     tables, whichever is larger.  A batch's templates share their parameter
     count, and an ``F`` over several faces is a batch of its own.
     """
-    count, _, width = values.shape
-    table_bytes = width.bit_length() * count * width * np.dtype(float).itemsize
+    one_table = table_bytes(signals, width)
     groups: dict[object, list[int]] = {}  # the tables read, or the index of an F
     for index, template in enumerate(templates):
         keys = _table_keys(template)
@@ -201,7 +228,7 @@ def lockstep_batches(
             tables is not None
             and open_tables is not None
             and len(templates[indices[0]].slots) == len(templates[batches[-1][0]].slots)
-            and len(open_tables | tables) * table_bytes <= TABLE_BUDGET_BYTES
+            and len(open_tables | tables) * one_table <= TABLE_BUDGET_BYTES
         ):
             batches[-1].extend(indices)
             open_tables |= tables
@@ -220,28 +247,39 @@ def particles_per_pass(templates: int, signals: int) -> int:
     return max(1, TABLE_BUDGET_BYTES // particle_bytes)
 
 
-def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) -> BatchRobustness:
+def batch_robustness(
+    templates: tuple[PstlTemplate, ...],
+    values: np.ndarray,
+    starts: np.ndarray | None = None,
+    count: int | None = None,
+) -> BatchRobustness:
     """Robustness of M templates with one parameter count, each at P
     valuations, over one batch of signals.
 
     Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, N)``
     whose row ``[m, p]`` equals, bit for bit, ``robustness_all`` of template
-    ``m`` instantiated at its valuation ``p``.  ``G`` over any box and ``F``
-    over one face read each face's window extremum from a range table:
-    rounding is monotone, so ``min_t fl(x_t - c) == fl(min_t x_t - c)``, and
-    the minimum over faces commutes with ``G``'s minimum over time.  The batch
-    builds one table per distinct (variable, min or max) its faces read, so
-    ``G`` over ``x > c`` and ``F`` over ``x <= c`` share the minimum table of
-    ``x``, and reads all M x P windows of a face slot with one gather.  ``F``
-    over several faces (only merged templates) does not commute: it takes
-    window slices per valuation and must be searched alone.  The tables live
-    as long as the returned function.
+    ``m`` instantiated at its valuation ``p``.  With ``starts`` (M,) and
+    ``count``, template ``m`` reads only the ``count`` signals from
+    ``values[starts[m]]`` on, which must lie within ``values``, and the
+    result is (M, P, count): templates of different nodes share one set of
+    tables over their nodes' signals stacked.
+
+    ``G`` over any box and ``F`` over one face read each face's window
+    extremum from a range table: rounding is monotone, so ``min_t fl(x_t -
+    c) == fl(min_t x_t - c)``, and the minimum over faces commutes with
+    ``G``'s minimum over time.  The batch builds one table per distinct
+    (variable, min or max) its faces read, so ``G`` over ``x > c`` and ``F``
+    over ``x <= c`` share the minimum table of ``x``, and reads all M x P
+    windows of a face slot with one gather.  ``F`` over several faces (only
+    merged templates) does not commute: it takes window slices per valuation
+    and must be searched alone, without ``starts``.  The tables live as long
+    as the returned function.
     """
     values = np.asarray(values, dtype=float)
     templates = tuple(templates)
     keys = [_table_keys(template) for template in templates]
     if None in keys:
-        if len(templates) > 1:
+        if len(templates) > 1 or starts is not None:
             raise ValueError("an F over several faces is searched alone")
         faces = templates[0].slots
 
@@ -268,12 +306,16 @@ def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) ->
     which = np.array([[distinct.index(key) for key in ks] for ks in keys])
     is_min = np.array([[reduce is np.minimum for _, reduce in ks] for ks in keys])
     is_gt = np.array([[op == GT for _, op in template.slots] for template in templates])
+    if starts is not None:
+        tables = sliding_window_view(tables, count, axis=2)
+        starts = np.asarray(starts)[:, np.newaxis]
 
     def ranged(t0, t1, thresholds):
         rho = []
         for k in range(which.shape[1]):
             extremum = range_query(
-                tables, which[:, k, np.newaxis], is_min[:, k, np.newaxis, np.newaxis], t0, t1
+                tables, which[:, k, np.newaxis], is_min[:, k, np.newaxis, np.newaxis], t0, t1,
+                starts,
             )
             cut = thresholds[:, :, k, np.newaxis]
             rho.append(np.where(

@@ -6,13 +6,17 @@ robustness-weighted misclassification gain of the full path formula, and a
 rewriting step tries to merge a node's primitive with a child candidate of
 the same temporal operator into a single wider box primitive, restarting the
 node whenever the merged split strictly improves the gain.
+
+Growth is a generator (:func:`build_tree_steps`) that yields each node and
+merge search as a :class:`SearchRequest` and resumes with its answer, so
+:func:`drive` can serve the searches of several trees at once.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,8 +54,11 @@ from .templates import (
     batch_robustness,
     first_order_templates,
     lockstep_batches,
+    node_stacks,
     particles_per_pass,
 )
+
+T = TypeVar("T")
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +152,51 @@ def _stop(dataset: LabeledDataset, depth: int, config: TreeConfig) -> bool:
     return majority / len(dataset) >= config.purity_stop
 
 
+@dataclass(frozen=True, eq=False)
+class SearchRequest:
+    """One node or merge search: the node's signals (N, n, T+1), labels,
+    weights and path robustness, the bound templates to search, the seed and
+    the swarm settings.  Its answer is ``(primitive, gain)``."""
+
+    values: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    path_rho: np.ndarray
+    templates: tuple[PstlTemplate, ...]
+    seed: int
+    pso: PsoConfig
+
+
+Searches = Generator[SearchRequest, tuple[Formula, float], T]
+
+
+def _request(
+    dataset: LabeledDataset,
+    weights: np.ndarray,
+    path_rho: np.ndarray,
+    templates: PstlTemplate | Sequence[PstlTemplate],
+    config: TreeConfig,
+    seed: int,
+) -> SearchRequest:
+    """A search of ``templates`` at a node, each bound to the node's data
+    unless it already is."""
+    if isinstance(templates, PstlTemplate):
+        templates = (templates,)
+    else:
+        templates = tuple(templates)
+    if not templates:
+        raise EmptyPrimitiveSetError("need at least one template")
+    return SearchRequest(
+        dataset.values,
+        dataset.labels,
+        np.asarray(weights, dtype=float),
+        np.asarray(path_rho, dtype=float),
+        tuple(t if t.is_bound else t.bound_to(dataset) for t in templates),
+        seed,
+        config.pso,
+    )
+
+
 def optimize_primitive(
     dataset: LabeledDataset,
     weights: np.ndarray,
@@ -153,57 +205,120 @@ def optimize_primitive(
     config: TreeConfig,
     seed: int = 0,
 ) -> tuple[Formula, float]:
-    """Best split primitive for a node and its gain.
+    """Best split primitive for a node and its gain: one search request,
+    served alone by :func:`serve_searches`.
 
     ``path_rho`` is the robustness of the node's path formula per sample
     (``np.full(N, np.inf)`` at the root).  Each template is searched with
     its own swarm, which scores a candidate by the misclassification gain of
     path ∧ candidate over the node's samples, whose robustness is
-    ``min(path_rho, candidate robustness)``.  The swarms run in lockstep
-    batches that share range tables within a memory budget
-    (:func:`~stlboost.templates.lockstep_batches`) and score their particles
-    in passes within the same budget
-    (:func:`~stlboost.templates.particles_per_pass`); a template's result
-    depends on neither.  The returned gain is the one the search found;
-    it equals that candidate's gain scored alone, bit for bit.  Ties break
-    toward fewer operators, then larger robustness margin, then the earlier
-    template.
+    ``min(path_rho, candidate robustness)``.  The returned gain is the one
+    the search found; it equals that candidate's gain scored alone, bit for
+    bit.  Ties break toward fewer operators, then larger robustness margin,
+    then the earlier template.
     """
-    if isinstance(templates, PstlTemplate):
-        templates = (templates,)
+    [found] = serve_searches([_request(dataset, weights, path_rho, templates, config, seed)])
+    return found
+
+
+def serve_searches(requests: Sequence[SearchRequest]) -> list[tuple[Formula, float]]:
+    """Answer each request with its best primitive and that primitive's gain.
+
+    Requests with one swarm setting and signal shape are stacked by
+    :func:`~stlboost.templates.node_stacks`.  The templates of a stack are
+    split by :func:`~stlboost.templates.lockstep_batches`, within
+    TABLE_BUDGET_BYTES on the stack's signals, and each batch is one
+    :func:`~stlboost.pso.optimize_batch` whose particles are scored in passes
+    within the same budget (:func:`~stlboost.templates.particles_per_pass`).
+    Template ``j`` of a request is searched with the seed
+    ``mix_seed(request.seed, j)``, and its result depends on neither the
+    batch nor the passes, so every answer is the bits of its request served
+    alone.
+    """
+    requests = list(requests)
+    found = {request: [None] * len(request.templates) for request in requests}
+    groups: dict[tuple, list[SearchRequest]] = {}
+    for request in requests:
+        groups.setdefault((request.pso, request.values.shape[1:]), []).append(request)
+    for (pso, (_, width)), members in groups.items():
+        sizes = [len(request.labels) for request in members]
+        for stack in node_stacks(sizes, width):
+            entries = [(members[k], j) for k in stack for j in range(len(members[k].templates))]
+            templates = tuple(request.templates[j] for request, j in entries)
+            signals = sum(sizes[k] for k in stack)
+            for batch in lockstep_batches(templates, signals, width):
+                searched = tuple(templates[k] for k in batch)
+                objective = _batch_objective(searched, [entries[k][0] for k in batch])
+                seeds = [mix_seed(request.seed, j) for request, j in (entries[k] for k in batch)]
+                for k, result in zip(batch, optimize_batch(searched, objective, pso, seeds)):
+                    request, j = entries[k]
+                    found[request][j] = result  # (valuation, gain, margin)
+                del objective  # free this batch's range tables before the next one's
+    return [_best(request.templates, found[request]) for request in requests]
+
+
+def _batch_objective(searched: tuple[PstlTemplate, ...], owners: list[SearchRequest]):
+    """The lockstep objective of ``searched``, template ``m`` of which
+    belongs to ``owners[m]``.
+
+    A batch of one request reads range tables over that node's signals.
+    Otherwise the tables are built over the signals of the batch's requests
+    stacked, each template reads a run of rows from its own node's first,
+    and the rows past its node's signals are masked out of every sum.  The
+    largest node goes last, so every run lies within the stack.
+    """
+    nodes = sorted(dict.fromkeys(owners), key=lambda node: len(node.labels))
+    if len(nodes) == 1:
+        [node] = nodes
+        signals, starts, count, valid = node.values, None, None, None
+        path_rho, labels, weights = node.path_rho, node.labels, node.weights
     else:
-        templates = tuple(templates)
-    if not templates:
-        raise EmptyPrimitiveSetError("need at least one template")
+        sizes = np.array([len(node.labels) for node in nodes])
+        which = np.array([nodes.index(owner) for owner in owners])
+        starts = (np.cumsum(sizes) - sizes)[which]
+        count = int(sizes[-1])
+        span = np.arange(count)
+        valid = span < sizes[which, np.newaxis]
+        rows = starts[:, np.newaxis] + span
+        signals = np.concatenate([node.values for node in nodes])
 
-    weights = np.asarray(weights, dtype=float)
-    labels = dataset.labels
-    templates = tuple(t if t.is_bound else t.bound_to(dataset) for t in templates)
+        def padded(field):
+            return np.concatenate([getattr(node, field) for node in nodes])[rows]
 
-    found = [None] * len(templates)  # (valuation, gain, margin) per template
-    for batch in lockstep_batches(templates, dataset.values):
-        searched = tuple(templates[index] for index in batch)
-        batch_rho = batch_robustness(searched, dataset.values)
-        step = particles_per_pass(len(batch), len(labels))
+        path_rho = padded("path_rho")[:, np.newaxis]
+        labels, weights = padded("labels"), padded("weights")
+    batch_rho = batch_robustness(searched, signals, starts, count)
+    step = particles_per_pass(len(searched), len(signals) if count is None else count)
 
-        def objective(t0, t1, thresholds):
-            # Rows are scored independently, so passes over a few particles
-            # at a time give the bits of one pass over the whole swarm.
-            values, margins = np.empty(t0.shape), np.empty(t0.shape)
-            for start in range(0, t0.shape[1], step):
-                part = slice(start, start + step)
-                candidate_rho = batch_rho(t0[:, part], t1[:, part], thresholds[:, part])
-                rho = np.minimum(path_rho, candidate_rho)
-                scores = gains_from_robustness(rho.reshape(-1, rho.shape[-1]), labels, weights)
-                values[:, part] = scores.gain.reshape(rho.shape[:2])
-                margins[:, part] = scores.margin.reshape(rho.shape[:2])
-            return values, margins
+    def per_row(array, particles):
+        # A template's node samples, once per particle of the pass.
+        return array if valid is None else np.repeat(array, particles, axis=0)
 
-        seeds = [mix_seed(seed, index) for index in batch]
-        for index, result in zip(batch, optimize_batch(searched, objective, config.pso, seeds)):
-            found[index] = result
-        del batch_rho  # free this batch's range tables before the next one's
+    def objective(t0, t1, thresholds):
+        # Rows are scored independently, so passes over a few particles
+        # at a time give the bits of one pass over the whole swarm.
+        values, margins = np.empty(t0.shape), np.empty(t0.shape)
+        for start in range(0, t0.shape[1], step):
+            part = slice(start, start + step)
+            candidate_rho = batch_rho(t0[:, part], t1[:, part], thresholds[:, part])
+            rho = np.minimum(path_rho, candidate_rho)
+            particles = rho.shape[1]
+            scores = gains_from_robustness(
+                rho.reshape(-1, rho.shape[-1]),
+                per_row(labels, particles),
+                per_row(weights, particles),
+                None if valid is None else per_row(valid, particles),
+            )
+            values[:, part] = scores.gain.reshape(rho.shape[:2])
+            margins[:, part] = scores.margin.reshape(rho.shape[:2])
+        return values, margins
 
+    return objective
+
+
+def _best(templates: tuple[PstlTemplate, ...], found) -> tuple[Formula, float]:
+    """The best primitive of a request and its gain: ties break toward fewer
+    operators, then larger margin, then the earlier template."""
     best = None  # (gain, ops, margin, formula)
     for template, (valuation, gain, margin) in zip(templates, found):
         phi = template.instantiate(valuation)
@@ -216,6 +331,37 @@ def optimize_primitive(
         ):
             best = (gain, ops, margin, phi)
     return best[3], best[0]
+
+
+def drive(steps: Sequence[Searches[T]]) -> list[T]:
+    """Run search generators together; returns what each one returns.
+
+    Each round sends every running generator the answer to its last request
+    and takes its next one, and one :func:`serve_searches` call answers all
+    of the round's requests.  When a generator raises, the ones after it are
+    dropped, and once each one before it has returned or raised, the
+    exception of the first generator that raised is raised: the error a run
+    of the generators one after the other would meet first.  An error while
+    serving a round is raised at once.
+    """
+    steps = list(steps)
+    results: list = [None] * len(steps)
+    replies = dict.fromkeys(range(len(steps)))  # running generator -> its answer
+    failed = None
+    while replies:
+        pending = {}
+        for index, reply in replies.items():
+            try:
+                pending[index] = steps[index].send(reply)
+            except StopIteration as stop:
+                results[index] = stop.value
+            except Exception as exc:
+                failed = exc  # every generator still running comes before this one
+                break
+        replies = dict(zip(pending, serve_searches(list(pending.values()))))
+    if failed is not None:
+        raise failed
+    return results
 
 
 def _as_primitive(phi: Formula):
@@ -253,7 +399,29 @@ def build_tree(
     config: TreeConfig,
     seed: int = 0,
 ) -> tuple[TreeNode, MergeLog]:
-    """Grow one tree on weighted samples; returns the root and merge log."""
+    """Grow one tree on weighted samples; returns the root and merge log.
+
+    This drives :func:`build_tree_steps` alone, serving each search as it
+    comes.
+    """
+    [grown] = drive([build_tree_steps(dataset, weights, config, seed)])
+    return grown
+
+
+def build_tree_steps(
+    dataset: LabeledDataset,
+    weights: np.ndarray,
+    config: TreeConfig,
+    seed: int = 0,
+) -> Searches[tuple[TreeNode, MergeLog]]:
+    """Tree growth as a generator: yields each node search and merge search
+    as a :class:`SearchRequest`, resumes with its ``(primitive, gain)``, and
+    returns the root and merge log.
+
+    The searches come in the order of a depth-first growth, and the k-th
+    search drawn (a node that becomes a leaf draws one too) takes the seed
+    ``mix_seed(seed, k)``, so the tree depends on the answers only.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot grow a tree on an empty dataset")
     weights = np.asarray(weights, dtype=float)
@@ -276,9 +444,9 @@ def build_tree(
         node_seed = next_seed()
         if _stop(sub, depth, config):
             return None
-        return optimize_primitive(sub, sub_weights, path_rho, templates, config, node_seed)
+        return (yield _request(sub, sub_weights, path_rho, templates, config, node_seed))
 
-    def grow(sub, sub_weights, path_rho, depth, found) -> TreeNode:
+    def grow(sub, sub_weights, path_rho, depth, found):
         # ``path_rho`` is the robustness of the conjunction of the primitives
         # (negated on right turns) from the root down to this node; ``found``
         # is this node's search result, ``(primitive, gain)`` or None at a leaf.
@@ -298,14 +466,14 @@ def build_tree(
             )
             children = []
             for child_set, child_w, child_rho in sides:
-                child = search(child_set, child_w, child_rho, depth + 1)
+                child = yield from search(child_set, child_w, child_rho, depth + 1)
                 children.append(child)
                 if restarts >= budget or child is None:
                     continue
                 merged = combine_primitives(candidate, child[0])
                 if merged is None:
                     continue
-                rewritten, new_gain = optimize_primitive(
+                rewritten, new_gain = yield _request(
                     sub, sub_weights, path_rho, merged, config, next_seed()
                 )
                 if new_gain >= gain + MIN_GAIN_IMPROVEMENT:
@@ -317,12 +485,13 @@ def build_tree(
                     restarts += 1
                     break
             else:
-                left = grow(*sides[0], depth + 1, children[0])
-                right = grow(*sides[1], depth + 1, children[1])
+                left = yield from grow(*sides[0], depth + 1, children[0])
+                right = yield from grow(*sides[1], depth + 1, children[1])
                 return Split(candidate, left, right)
 
     root_rho = np.full(len(dataset), np.inf)
-    root = grow(dataset, weights, root_rho, 0, search(dataset, weights, root_rho, 0))
+    found = yield from search(dataset, weights, root_rho, 0)
+    root = yield from grow(dataset, weights, root_rho, 0, found)
     return root, log
 
 

@@ -35,6 +35,7 @@ from stlboost import (
     robustness_all,
     uniform_weights,
 )
+from stlboost.cli import run_cross_validation
 from stlboost.impurity import _masses, _side_sums, robustness_margin
 from stlboost.pso import _project, _project_all
 from stlboost.templates import batch_robustness
@@ -161,6 +162,15 @@ def test_batch_robustness_matches_robustness_all(seed):
         for p in range(swarm):
             phi = template.instantiate(Valuation(t0[m, p], t1[m, p], projected[m, p]))
             assert rho[m, p].tobytes() == robustness_all(phi, values).tobytes()
+    if any(t.shape == "F" and len(t.slots) > 1 for t in templates):
+        return  # read by window slices, never from stacked nodes
+    # Each template reads its own run of the signals, as a node in a stack.
+    run = int(rng.integers(1, count + 1))
+    starts = rng.integers(0, count - run + 1, size=len(templates))
+    runs = batch_robustness(templates, values, starts, run)(t0, t1, projected)
+    assert runs.shape == (len(templates), swarm, run)
+    for m, start in enumerate(starts.tolist()):
+        assert runs[m].tobytes() == rho[m, :, start : start + run].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,18 +316,18 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     real_table = templates_module.range_table
     real_gains = tree_module.gains_from_robustness
 
-    def recording_batch(templates, values):
+    def recording_batch(templates, values, starts=None, count=None):
         batches.append((templates, []))
-        return real_batch(templates, values)
+        return real_batch(templates, values, starts, count)
 
     def recording_table(series, reduce, out):
         batches[-1][1].append(out.nbytes)
         return real_table(series, reduce, out)
 
-    def recording_gains(rho, labels, weights):
+    def recording_gains(rho, labels, weights, valid=None):
         templates = len(batches[-1][0])
         passes.append((templates, rho.shape[0] // templates, rho.nbytes))
-        return real_gains(rho, labels, weights)
+        return real_gains(rho, labels, weights, valid)
 
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
@@ -341,7 +351,7 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
 
 
 def test_lockstep_batches_group_by_table():
-    values = np.zeros((3, 2, 5))
+    values = np.zeros((3, 2, 5))  # three signals of five samples
     g_above, f_below = PstlTemplate("G", ((1, GT),)), PstlTemplate("F", ((1, LE),))
     g_below, f_x2 = PstlTemplate("G", ((1, LE),)), PstlTemplate("F", ((2, GT),))
     f_band = PstlTemplate("F", ((1, GT), (1, LE)))
@@ -349,9 +359,143 @@ def test_lockstep_batches_group_by_table():
     templates = (g_above, g_below, f_band, f_below, g_band, f_x2)
     # G x1 > c and F x1 <= c read the minimum table of x1; the F over two
     # faces reads slices and goes alone; a batch keeps one face count.
-    assert templates_module.lockstep_batches(templates, values) == [[0, 3, 1], [2], [4], [5]]
+    assert templates_module.lockstep_batches(templates, 3, 5) == [[0, 3, 1], [2], [4], [5]]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(templates_module, "TABLE_BUDGET_BYTES", 0)
-        assert templates_module.lockstep_batches(templates, values) == [[0, 3], [1], [2], [4], [5]]
+        assert templates_module.lockstep_batches(templates, 3, 5) == [[0, 3], [1], [2], [4], [5]]
     with pytest.raises(ValueError):
         batch_robustness((f_band, g_band), values)
+
+
+def test_node_stacks_keep_one_table_within_the_budget(monkeypatch):
+    # A table over n signals of 5 samples is 3 levels x n x 5 floats.
+    assert templates_module.table_bytes(1, 5) == 120
+    monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", 8 * 120)
+    stacks = templates_module.node_stacks([3, 4, 10, 1, 2, 8], 5)
+    assert stacks == [[0, 1], [2], [3, 4], [5]]
+
+
+# Past 128 samples numpy's pairwise summation splits a row in blocks, and
+# from 8 on it unrolls by 8, so padding a row with zeros would change its sum.
+RAGGED_SIZES = (1, 7, 8, 9, 127, 128, 129, 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_padded_gains_match_each_node_alone(seed):
+    rng = np.random.default_rng(seed)
+    swarm = 4
+    nodes = []  # (rho, labels, weights) of each node's candidates
+    for k, count in enumerate(RAGGED_SIZES):
+        rho = rng.normal(size=(swarm, count)) * 10.0 ** rng.integers(-3, 4)
+        rho[rng.random(size=rho.shape) < 0.2] = 0.0
+        rho[1] = 0.0  # all-zero masses
+        weights = rng.random(count) + 0.01
+        if k % 2:
+            rho[0] = math.inf  # the path is TRUE on every sample
+        else:
+            weights[rng.random(count) < 0.3] = 0.0  # zero weights; 0 * inf would be nan
+            weights[0] = 1.0
+        weights /= weights.sum()
+        nodes.append((rho, rng.choice([POS_LABEL, NEG_LABEL], size=count), weights))
+    width = max(RAGGED_SIZES)
+    rows = len(nodes) * swarm
+    # Padding holds values no sum may read.
+    rho = np.full((rows, width), math.nan)
+    labels = np.full((rows, width), 7)
+    weights = np.full((rows, width), math.inf)
+    valid = np.zeros((rows, width), dtype=bool)
+    for k, (node_rho, node_labels, node_weights) in enumerate(nodes):
+        part, count = slice(k * swarm, (k + 1) * swarm), len(node_labels)
+        rho[part, :count] = node_rho
+        labels[part, :count] = node_labels
+        weights[part, :count] = node_weights
+        valid[part, :count] = True
+    padded = gains_from_robustness(rho, labels, weights, valid)
+    for k, node in enumerate(nodes):
+        alone = gains_from_robustness(*node)
+        part = slice(k * swarm, (k + 1) * swarm)
+        for name, field in zip(alone._fields, alone):
+            assert getattr(padded, name)[part].tobytes() == field.tobytes(), name
+
+
+def _random_requests(rng, pso: PsoConfig) -> list:
+    """Requests of 1-4 nodes of one shape and different sizes: first-order
+    templates, G over a band, or F over a band (searched alone)."""
+    dimension = int(rng.integers(1, 3))
+    horizon = int(rng.integers(0, 12))
+    requests = []
+    for _ in range(int(rng.integers(1, 5))):
+        count = int(rng.integers(1, 25))
+        values = np.round(rng.normal(size=(count, dimension, horizon + 1)) * 3, 1)
+        labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
+        dataset = LabeledDataset(values, labels, tuple(str(i) for i in range(count)))
+        weights = rng.random(count) + 0.01
+        weights /= weights.sum()
+        path_rho = np.where(rng.random(count) < 0.5, np.inf, rng.normal(size=count))
+        kind = rng.integers(3)
+        if kind == 0:
+            templates = first_order_templates(dimension)
+        else:
+            templates = (PstlTemplate("G" if kind == 1 else "F", ((1, GT), (1, LE))),)
+        templates = tuple(t.bound_to(dataset) for t in templates)
+        seed = int(rng.integers(0, 2**32))
+        requests.append(tree_module.SearchRequest(
+            dataset.values, dataset.labels, weights, path_rho, templates, seed, pso
+        ))
+    return requests
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_requests_served_together_match_each_alone(seed):
+    rng = np.random.default_rng(seed)
+    pso = PsoConfig(swarm_size=int(rng.integers(2, 9)), iterations=int(rng.integers(1, 5)))
+    requests = _random_requests(rng, pso)
+    budget = int(rng.choice([0, 2000, templates_module.TABLE_BUDGET_BYTES]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
+        together = tree_module.serve_searches(requests)
+    alone = [tree_module.serve_searches([request])[0] for request in requests]
+    assert together == alone
+    for (_, gain_together), (_, gain_alone) in zip(together, alone):
+        assert np.float64(gain_together).tobytes() == np.float64(gain_alone).tobytes()
+
+
+@pytest.mark.parametrize("budget", [0, 2000, 1 << 30])
+def test_table_budget_keeps_cross_validation(monkeypatch, budget):
+    # Three folds searched together, whose merged searches run too.
+    dataset = generate_naval(NavalConfig(count_per_class=8, noise=2.0, seed=4))
+    config = TreeConfig(max_depth=3, pso=PsoConfig(swarm_size=6, iterations=4))
+
+    def outcomes():
+        return run_cross_validation(dataset, 2, config, 100.0, folds=3, seed=4)[0]
+
+    expected = outcomes()
+    assert sum(outcome.merges for outcome in expected) >= 1
+    batches = []  # (signals, whether nodes were stacked, bytes of each table, face count)
+    real_batch = tree_module.batch_robustness
+    real_table = templates_module.range_table
+
+    def recording_batch(templates, values, starts=None, count=None):
+        faces = max(len(t.slots) for t in templates)
+        batches.append((len(values), starts is not None, [], faces))
+        return real_batch(templates, values, starts, count)
+
+    def recording_table(series, reduce, out):
+        batches[-1][2].append(out.nbytes)
+        return real_table(series, reduce, out)
+
+    monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
+    monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
+    monkeypatch.setattr(templates_module, "range_table", recording_table)
+    assert outcomes() == expected
+    width = dataset.values.shape[2]
+    for signals, stacked, tables, faces in batches:
+        one_template = faces * templates_module.table_bytes(signals, width)
+        assert sum(tables) <= max(budget, one_template)
+        # Nodes are stacked only while one table over them fits the budget.
+        assert not stacked or max(tables, default=0) <= budget
+    # A naval node's table is larger than 2000 bytes, so small budgets
+    # search every node alone.
+    assert any(stacked for _, stacked, _, _ in batches) == (budget == 1 << 30)

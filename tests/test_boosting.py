@@ -163,7 +163,7 @@ class TestTraining:
             [0.0, 0.2, 2.0, 2.2], [POS_LABEL, POS_LABEL, NEG_LABEL, NEG_LABEL]
         )
         calls = {"n": 0}
-        real_build = boosting.build_tree
+        real_steps = boosting.build_tree_steps
 
         def flaky(dataset, weights, config, seed=0):
             from stlboost.tree import MergeLog
@@ -171,9 +171,9 @@ class TestTraining:
             calls["n"] += 1
             if calls["n"] == 1:
                 return Leaf(NEG_LABEL), MergeLog()
-            return real_build(dataset, weights, config, seed=seed)
+            return (yield from real_steps(dataset, weights, config, seed=seed))
 
-        monkeypatch.setattr(boosting, "build_tree", flaky)
+        monkeypatch.setattr(boosting, "build_tree_steps", flaky)
         model = train_boosted(ds, rounds=1, config=FAST, seed=6)
         assert calls["n"] == 2
         assert len(model.rounds) == 1
@@ -188,8 +188,9 @@ class TestTraining:
             from stlboost.tree import MergeLog
 
             return Leaf(NEG_LABEL), MergeLog()
+            yield  # a growth that makes no search
 
-        monkeypatch.setattr(boosting, "build_tree", hopeless)
+        monkeypatch.setattr(boosting, "build_tree_steps", hopeless)
         model = train_boosted(ds, rounds=2, config=FAST, seed=7, max_retries=2)
         assert len(model.rounds) == 0
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stlboost import (
+    LabeledDataset,
     NavalConfig,
     generate_naval,
     load_csv,
@@ -293,7 +294,40 @@ def test_value_range_wider_than_a_float_rejected(tmp_path, capsys, command, extr
     flags += ["--folds", "2"] if command == "cv" else []
     assert main([command, "--data", str(path)] + flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "x1" in err
+    assert err.startswith("error: fold 0:" if command == "cv" else "error:") and "x1" in err
+
+
+def test_cv_reports_the_lowest_failing_fold(tmp_path, capsys):
+    # One signal too wide to search sits in fold 0's test set, so fold 0
+    # trains and only fold 1's training set is refused.
+    dataset = generate_naval(NavalConfig(count_per_class=6, seed=2))
+    wide = stratified_folds(dataset, 2, seed=3).test_indices(0)[0]
+    values = dataset.values.copy()
+    values[wide, 0, 0] = 1.7e308
+    path = tmp_path / "wide.csv"
+    save_csv(LabeledDataset(values, dataset.labels, dataset.ids), path)
+    flags = ["-K", "1", "--pso-swarm", "4", "--pso-iters", "2", "--folds", "2", "--seed", "3"]
+    assert main(["cv", "--data", str(path)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fold 1:") and "x1" in err
+
+
+def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys):
+    # Fold 1's training set holds the wide signal and is refused at its
+    # first search; fold 0's identical signals fail only once every retry
+    # is spent, and fold 0 is still the one reported.
+    rows = ["id,t,label,x1"] + [
+        f"s{i},{t},{1 if i % 2 == 0 else -1},1.0" for i in range(8) for t in range(6)
+    ]
+    path = tmp_path / "identical.csv"
+    path.write_text("\n".join(rows) + "\n")
+    dataset = load_csv(path)
+    wide = stratified_folds(dataset, 2, seed=0).test_indices(0)[0]
+    values = dataset.values.copy()
+    values[wide, 0, 0] = 1.7e308
+    save_csv(LabeledDataset(values, dataset.labels, dataset.ids), path)
+    assert main(["cv", "--data", str(path), "--folds", "2", "--seed", "0"] + TINY_FLAGS) == 1
+    assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
 
 
 def test_widest_value_range_trains(tmp_path, capsys):

@@ -15,12 +15,17 @@ import io
 import json
 
 from stlboost import NavalConfig, UrbanConfig, generate_naval, generate_urban, save_csv
+import stlboost.cli as cli
+import stlboost.tree as tree
 from stlboost.cli import main
 
 # Noisy naval tracks: full-depth trees, and two merges fire in the second
 # tree of the first fold.
 NAVAL_CV_SHA256 = "57f652ebcebd4fa71eafaf848216fa6520f88b5ed06da9648a76f8a9fc2103ec"
 URBAN_TRAIN_SHA256 = "ec9e1f2876a9cf836822259b73dc4092c54ad6d4a519117a4617054a7c47f150"
+# Five folds searched together: merges fire in three of them.  Recorded
+# while the folds were still trained one after the other.
+NAVAL_CV_FIVE_FOLDS_SHA256 = "d503a74de194ee0220394ab601ebcccb535c8a2d765a0bd0ff233b304e3b081a"
 
 
 def _run(argv) -> str:
@@ -35,17 +40,34 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_naval_cv_report_is_pinned(tmp_path):
+def _naval_cv_argv(tmp_path) -> list[str]:
     data = tmp_path / "naval.csv"
     save_csv(generate_naval(NavalConfig(count_per_class=10, noise=2.0, seed=4)), data)
-    out = _run([
+    return [
         "cv", "--data", str(data), "-K", "3", "--max-depth", "3",
         "--pso-swarm", "8", "--pso-iters", "6", "--folds", "2", "--seed", "4",
         "--format", "json",
-    ])
+    ]
+
+
+def test_naval_cv_report_is_pinned(tmp_path):
+    out = _run(_naval_cv_argv(tmp_path))
     merges = [t["merges"] for f in json.loads(out)["folds"] for t in f["model"]["trees"]]
     assert sum(merges) >= 1
     assert _sha256(out) == NAVAL_CV_SHA256
+
+
+def test_naval_cv_five_folds_is_pinned(tmp_path):
+    data = tmp_path / "naval.csv"
+    save_csv(generate_naval(NavalConfig(count_per_class=10, noise=2.0, seed=5)), data)
+    out = _run([
+        "cv", "--data", str(data), "-K", "2", "--max-depth", "3",
+        "--pso-swarm", "6", "--pso-iters", "4", "--folds", "5", "--seed", "5",
+        "--format", "json",
+    ])
+    merges = [sum(t["merges"] for t in f["model"]["trees"]) for f in json.loads(out)["folds"]]
+    assert len(merges) == 5 and sum(merges) >= 1
+    assert _sha256(out) == NAVAL_CV_FIVE_FOLDS_SHA256
 
 
 def test_urban_train_report_is_pinned(tmp_path):
@@ -57,3 +79,31 @@ def test_urban_train_report_is_pinned(tmp_path):
     ])
     assert json.loads(out)["model"]["T"] == 499
     assert _sha256(out) == URBAN_TRAIN_SHA256
+
+
+def test_naval_cv_serves_its_folds_together(tmp_path, monkeypatch):
+    # Fewer swarm batches than the folds make one after the other, the same
+    # templates searched, and every swarm still scored 1 + iterations times.
+    argv = _naval_cv_argv(tmp_path)
+    searches = []  # (templates, objective rounds) per optimize_batch call
+    real_optimize = tree.optimize_batch
+
+    def counting_optimize(templates, objective, config, seeds):
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            return objective(*args)
+
+        found = real_optimize(templates, counted, config, seeds)
+        searches.append((len(templates), len(rounds)))
+        return found
+
+    monkeypatch.setattr(tree, "optimize_batch", counting_optimize)
+    together = _run(argv)
+    served, searches[:] = searches[:], []
+    monkeypatch.setattr(cli, "drive", lambda steps: [tree.drive([s])[0] for s in steps])
+    assert _run(argv) == together
+    assert len(served) < len(searches)
+    assert sum(t for t, _ in served) == sum(t for t, _ in searches)
+    assert {rounds for _, rounds in served + searches} == {6 + 1}
