@@ -10,12 +10,20 @@ A file with no quote character and no blank line is parsed by numpy's C
 reader (``np.loadtxt``); any other file, and any file that path refuses,
 is parsed by the exact path, ``int``/``float`` a column at a time.  The
 values are the same bits either way, and only the exact path writes error
-text, which names a record by line, counting CSV records.
+text, which names a record by line, counting CSV records.  The C reader
+holds the interpreter lock, so a large file is cut at line starts into one
+part per CPU, and forked children parse all parts but the first.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 
@@ -27,6 +35,10 @@ POS_LABEL = 1
 NEG_LABEL = -1
 
 BLOCK_ROWS = 4096  # lines or CSV records converted at a time; bounds the loader's scratch memory
+# Bytes: the smallest part a file is cut into.  A split pays from parts of
+# about 0.2 MiB (README, "Performance"); the floor keeps a margin.
+SPLIT_FLOOR = 1 << 19
+PART_CHUNK = 1 << 16  # bytes read from a file at a time by the fast path
 _READ_ERRORS = (UnicodeDecodeError, csv.Error)
 
 
@@ -118,6 +130,16 @@ def load_csv(path) -> LabeledDataset:
     Raggedness is checked before the (N, n, T+1) array is allocated, so a
     huge timepoint is reported, not allocated.
 
+    The fast path cuts a file's body just after ``\\n`` bytes into one part
+    per CPU of ``os.sched_getaffinity(0)``, none under ``SPLIT_FLOOR``
+    bytes, and forks a child to parse each part but the first, which this
+    process parses meanwhile.  Each child sends its columns back through a
+    pipe and is reaped before this function returns; any child still
+    running then is killed.  A file is one part, and no process is forked,
+    when it is under two floors, when ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or while another Python thread
+    runs.
+
     Raises OSError for IO failures and SchemaError for malformed content
     (not UTF-8 CSV text, wrong header, ragged signals, duplicate timepoints,
     bad labels).  A row's error names the earliest faulty record as
@@ -154,6 +176,121 @@ def _load_fast(path) -> LabeledDataset | None:
     """The dataset, parsed by ``np.loadtxt``, or None where the exact path
     must read the file.
 
+    The body is cut into parts (``_cuts``) at line starts.  Forked children
+    parse every part but the first, which this process parses meanwhile;
+    each part's ids are coded in order of first appearance within it, and
+    its codes are mapped onto the file's order here.  A part is refused as
+    a whole file would be, and one refused part refuses the file.  If no
+    process can be forked, this process parses the parts left.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = handle.readline()  # a quote in it fails _width
+            if len(header) > csv.field_size_limit():
+                return None
+            width = _width(header.rstrip("\r\n").split(","))
+            fd = handle.fileno()
+            cuts = _cuts(fd, len(header.encode("utf-8")), os.fstat(fd).st_size)
+            parts = list(zip(cuts, cuts[1:]))
+            children: dict[int, tuple[int, int]] = {}  # part index -> (pid, pipe)
+            try:
+                for index, (begin, end) in enumerate(parts[1:], 1):
+                    try:
+                        children[index] = _fork_part(fd, begin, end, width)
+                    except OSError:  # no process or pipe to be had
+                        break
+                code_of: dict[str, int] = {}
+                blocks = []
+                line = 2  # the fast path takes no blank line, so a line is a record
+                for index, (begin, end) in enumerate(parts):
+                    if index in children:
+                        part = _receive(children[index][1], width)
+                    else:
+                        part = _parse_part(fd, begin, end, width)
+                    if part is None:
+                        return None
+                    ids, part_blocks = part
+                    codes_of_ids = _codes(ids, code_of)
+                    for codes, times, labels, points in part_blocks:
+                        blocks.append((np.arange(line, line + len(codes)), codes_of_ids[codes],
+                                       times, labels, points))
+                        line += len(codes)
+            finally:
+                # A child whose part was received has nothing left to do, and
+                # any other is no longer wanted.
+                for pid, pipe in children.values():
+                    os.close(pipe)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        return _dataset(blocks, code_of, width)
+    except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
+        return None
+
+
+def _cpus() -> int:
+    """The CPUs a load may fork its parts onto.
+
+    1 without ``os.fork`` or ``os.sched_getaffinity``, and while another
+    Python thread runs: a forked child has only the thread that forked it,
+    and a lock another thread held stays locked in the child.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _cuts(fd: int, start: int, stop: int) -> list[int]:
+    """Offsets that cut the body, bytes ``start``..``stop``, into parts.
+
+    One part per CPU (``_cpus``), but no more parts than whole
+    ``SPLIT_FLOOR``s in the body, so a body under two floors is one part.
+    Each cut lies just after a ``\\n`` byte, which ends a line under any
+    line ending; a file with only ``\\r`` line ends is one part.
+    """
+    parts = min(_cpus(), (stop - start) // SPLIT_FLOOR)
+    cuts = [start]
+    for k in range(1, parts):
+        cut = _line_start(fd, start + (stop - start) * k // parts)
+        if cuts[-1] < cut < stop:
+            cuts.append(cut)
+    return cuts + [stop]
+
+
+def _line_start(fd: int, offset: int) -> int:
+    """The first offset at or after ``offset`` (at least 1) that follows a
+    ``\\n`` byte, or one past the end of the file."""
+    while chunk := os.pread(fd, PART_CHUNK, offset - 1):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return offset + found
+        offset += len(chunk)
+    return offset
+
+
+class _Part(io.RawIOBase):
+    """Bytes ``begin``..``end`` of an open file, read with ``os.pread``:
+    processes that share the descriptor do not share a file offset."""
+
+    def __init__(self, fd: int, begin: int, end: int):
+        self.fd, self.offset, self.end = fd, begin, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = os.pread(self.fd, min(len(buffer), self.end - self.offset), self.offset)
+        buffer[:len(chunk)] = chunk
+        self.offset += len(chunk)
+        return len(chunk)
+
+
+def _parse_part(fd: int, begin: int, end: int, width: int):
+    """The lines in bytes ``begin``..``end`` as ``(ids, blocks)``: the ids in
+    order of first appearance and blocks of ``(codes, times, labels,
+    points)`` columns, with codes indexing ``ids``.  None if the fast path
+    refuses the part.
+
     Without a quote character a CSV record is one line, and its fields are
     the text between commas, as loadtxt splits them.  A cell loadtxt parses
     has the value ``int``/``float`` give it.  Some text they accept it
@@ -164,37 +301,84 @@ def _load_fast(path) -> LabeledDataset | None:
     csv refuses a field longer than ``csv.field_size_limit()``.
     """
     limit = csv.field_size_limit()
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            header = handle.readline()  # a quote in it fails _width
-            if len(header) > limit:
+    row = np.dtype([("t", np.int64), ("label", np.int64), ("x", float, (width - 3,))])
+    code_of: dict[str, int] = {}
+    blocks = []
+    raw = io.BufferedReader(_Part(fd, begin, end), PART_CHUNK)
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
+        while lines := list(islice(handle, BLOCK_ROWS)):
+            text = "".join(lines)
+            # loadtxt raises for a line with fewer than width - 1 commas,
+            # so this total leaves none with more.
+            if ('"' in text or text.count(",") != (width - 1) * len(lines)
+                    or any(map(str.isspace, lines)) or max(map(len, lines)) > limit):
                 return None
-            width = _width(header.rstrip("\r\n").split(","))
-            row = np.dtype([("t", np.int64), ("label", np.int64), ("x", float, (width - 3,))])
-            code_of: dict[str, int] = {}
-            blocks = []
-            line = 2
-            while lines := list(islice(handle, BLOCK_ROWS)):
-                text = "".join(lines)
-                # loadtxt raises for a line with fewer than width - 1 commas,
-                # so this total leaves none with more.
-                if ('"' in text or text.count(",") != (width - 1) * len(lines)
-                        or any(map(str.isspace, lines)) or max(map(len, lines)) > limit):
-                    return None
-                del text  # not held while loadtxt runs: it adds to peak memory
-                # max_rows sizes the result once; grown as rows arrive, its
-                # reallocations leave heap holes that raise peak memory.
-                rows = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None,
-                                  usecols=range(1, width), ndmin=1, max_rows=len(lines))
-                if len(rows) != len(lines):
-                    return None
-                sids = [record.partition(",")[0] for record in lines]
-                blocks.append((np.arange(line, line + len(lines)), _codes(sids, code_of),
-                               rows["t"], rows["label"], rows["x"]))
-                line += len(lines)
-        return _dataset(blocks, code_of, width)
-    except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
-        return None
+            del text  # not held while loadtxt runs: it adds to peak memory
+            # max_rows sizes the result once; grown as rows arrive, its
+            # reallocations leave heap holes that raise peak memory.
+            rows = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None,
+                              usecols=range(1, width), ndmin=1, max_rows=len(lines))
+            if len(rows) != len(lines):
+                return None
+            sids = [record.partition(",")[0] for record in lines]
+            blocks.append((_codes(sids, code_of), rows["t"], rows["label"], rows["x"]))
+    return tuple(code_of), blocks
+
+
+def _fork_part(fd: int, begin: int, end: int, width: int) -> tuple[int, int]:
+    """Fork a child that parses bytes ``begin``..``end`` and sends the part
+    through a pipe, for ``_receive``; returns its pid and the pipe's read
+    end.  A child that refuses its part, or fails, sends nothing.
+    """
+    reader, writer = os.pipe()
+    parent = os.getpid()
+    status = 1
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns in fork when the OS lists other threads of
+            # the process.  None of them is a Python thread (_cpus), and
+            # OpenBLAS, whose pool they can be, restarts it in the child
+            # from its pthread_atfork handlers.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            os.close(reader)
+            with open(writer, "wb") as pipe:
+                part = _parse_part(fd, begin, end, width)
+                if part is not None:
+                    ids, blocks = part
+                    columns = [np.concatenate(column) for column in zip(*blocks)]
+                    pickle.dump((ids, len(columns[0])), pipe)
+                    for column in columns:
+                        pipe.write(column)
+                    status = 0
+    except BaseException:
+        if os.getpid() == parent:
+            os.close(reader)
+        raise
+    finally:
+        if os.getpid() != parent:
+            # The child never returns into the caller's stack, and exits
+            # without flushing the buffers it copied from the parent.
+            os._exit(status)
+        os.close(writer)
+    return pid, reader
+
+
+def _receive(pipe: int, width: int):
+    """The part a child sent through ``pipe``, as ``_parse_part`` returns
+    it, or None if the child sent nothing or too little."""
+    with open(pipe, "rb", closefd=False) as stream:
+        try:
+            ids, rows = pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):  # the child sent nothing, or died
+            return None
+        columns = (np.empty(rows, np.intp), np.empty(rows, np.int64), np.empty(rows, np.int64),
+                   np.empty((rows, width - 3)))
+        for column in columns:
+            if stream.readinto(column) != column.nbytes:
+                return None
+    return ids, [columns]
 
 
 def _load_exact(path) -> LabeledDataset:

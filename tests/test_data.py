@@ -1,7 +1,12 @@
 import csv
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -362,11 +367,21 @@ def _compare(tmp_path_factory, content, block, **patches):
     return got
 
 
+def _split(cpus):
+    """Patches under which even a tiny file is cut into up to ``cpus``
+    parts, parsed by forked children; none for one CPU."""
+    return {"SPLIT_FLOOR": 1, "_cpus": lambda: cpus} if cpus > 1 else {}
+
+
+CPUS = st.sampled_from([1, 2, 3])
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.data(), dataset_records(), BLOCKS)
-def test_load_matches_oracle_on_valid_files(tmp_path_factory, draw_data, spec, block):
+@given(st.data(), dataset_records(), BLOCKS, CPUS)
+def test_load_matches_oracle_on_valid_files(tmp_path_factory, draw_data, spec, block, cpus):
     dim, records = spec
-    got = _compare(tmp_path_factory, _csv_bytes(dim, records, draw_data.draw), block)
+    got = _compare(tmp_path_factory, _csv_bytes(dim, records, draw_data.draw), block,
+                   **_split(cpus))
     assert isinstance(got[0], tuple), got
 
 
@@ -425,19 +440,20 @@ EDGE_CASES = {
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
 @pytest.mark.parametrize("text", list(EDGE_CASES))
 def test_load_matches_oracle_on_edge_cases(tmp_path_factory, block, text):
-    got = _compare(tmp_path_factory, text.encode(), block)
     expected = EDGE_CASES[text]
-    if expected is None:
-        assert got[:2] == (("a", "b"), [POS_LABEL, NEG_LABEL]), got
-    else:
-        assert expected in got[1], got
+    for cpus in (1, 2, 3):
+        got = _compare(tmp_path_factory, text.encode(), block, **_split(cpus))
+        if expected is None:
+            assert got[:2] == (("a", "b"), [POS_LABEL, NEG_LABEL]), (cpus, got)
+        else:
+            assert expected in got[1], (cpus, got)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), faulty_records(), BLOCKS)
-def test_load_matches_oracle_on_faulty_files(tmp_path_factory, draw_data, spec, block):
+@given(st.data(), faulty_records(), BLOCKS, CPUS)
+def test_load_matches_oracle_on_faulty_files(tmp_path_factory, draw_data, spec, block, cpus):
     dim, records = spec
-    _compare(tmp_path_factory, _csv_bytes(dim, records, draw_data.draw), block)
+    _compare(tmp_path_factory, _csv_bytes(dim, records, draw_data.draw), block, **_split(cpus))
 
 
 @pytest.mark.parametrize("block", [3, 4096])
@@ -449,11 +465,13 @@ def test_unreadable_text_after_many_records(tmp_path_factory, block, early, late
     one, is still the one reported."""
     head = "id,t,label,x1\na,0,1,0.0\n" + early
     body = "".join(f"s{i // 10},{i % 10},1,{i}.5\n" for i in range(1000))
-    got = _compare(tmp_path_factory, (head + body).encode() + late + b"\n", block)
-    if not early:
-        assert got[1].startswith("not a CSV text file"), got
-    else:
-        assert got[1].startswith("line "), got
+    for cpus in (1, 2, 3):
+        got = _compare(tmp_path_factory, (head + body).encode() + late + b"\n", block,
+                       **_split(cpus))
+        if not early:
+            assert got[1].startswith("not a CSV text file"), (cpus, got)
+        else:
+            assert got[1].startswith("line "), (cpus, got)
 
 
 # Files without a quote character or a blank line are parsed by np.loadtxt;
@@ -466,15 +484,17 @@ def _unreachable(path):
 @settings(max_examples=120, deadline=None)
 @given(st.data(), dataset_records(st.text(st.sampled_from("ab \x00\x0c\x1cé1"), max_size=4),
                                   underscore=False),
-       BLOCKS, st.sampled_from(["\n", "\r\n", "\r"]))
-def test_clean_files_take_the_fast_path(tmp_path_factory, draw_data, spec, block, ending):
+       BLOCKS, st.sampled_from(["\n", "\r\n", "\r"]), CPUS)
+def test_clean_files_take_the_fast_path(tmp_path_factory, draw_data, spec, block, ending, cpus):
     """An unquoted file with no blank line loads with the exact path
-    disabled, for each line ending, with or without a last one."""
+    disabled, for each line ending, with or without a last one, and cut
+    into parts or not."""
     dim, records = spec
     header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dim + 1)]
     text = ending.join(map(",".join, [header] + records))
     text += draw_data.draw(st.sampled_from([ending, ""]))
-    got = _compare(tmp_path_factory, text.encode(), block, _load_exact=_unreachable)
+    got = _compare(tmp_path_factory, text.encode(), block, _load_exact=_unreachable,
+                   **_split(cpus))
     assert isinstance(got[0], tuple), got
 
 
@@ -515,12 +535,207 @@ def test_refused_files_match_oracle(tmp_path_factory, block, name):
         exact.append(path)
         return load_exact(path)
 
-    got = _compare(tmp_path_factory, text.encode(), block, _load_exact=spy)
-    assert len(exact) == 1
+    for cpus in (1, 2, 3):
+        exact.clear()
+        got = _compare(tmp_path_factory, text.encode(), block, _load_exact=spy, **_split(cpus))
+        assert len(exact) == 1, cpus
+        if expected is None:
+            assert isinstance(got[0], tuple), (cpus, got)
+        else:
+            assert expected in got[1], (cpus, got)
+
+
+# A file of at least two SPLIT_FLOORs is cut into parts at line starts, and
+# forked children parse every part but the first.
+
+HEAD = "id,t,label,x1\n"
+FOUR_LINES = HEAD + "a,0,1,0\na,1,1,1\nb,0,-1,2\nb,1,-1,3\n"
+# Each file, with what the oracle makes of it: the dataset (None) or a piece
+# of its error text.  The parts named are those of two CPUs.
+SPLIT_CASES = {
+    # The middle of the body is a line start: it is the cut.
+    "cut-at-line-start": (HEAD + "a,0,1,5\na,1,1,6\nb,0,1,7\nb,1,1,8\n", None),
+    # The child's part, "c,0 b,1 c,1", codes c before b; the file, b before c.
+    "id-first-seen-in-child": (HEAD + "a,0,1,0\na,1,1,1\nb,0,-1,2\nc,0,1,3\nb,1,-1,4\nc,1,1,5\n",
+                               None),
+    "duplicate-across-cut": (HEAD + "a,0,1,0\na,1,1,1\nb,0,1,2\na,0,1,3\n",
+                             "line 5: duplicate (id='a', t=0)"),
+    "label-change-across-cut": (HEAD + "a,0,1,0\nb,0,1,1\na,1,-1,2\nb,1,1,3\n",
+                                "line 4: label changes within id 'a'"),
+    "bad-cell-in-child": (FOUR_LINES.replace(",3\n", ",x\n"),
+                          "line 5: could not convert string to float: 'x'"),
+    "non-ascii-id-at-cut": (HEAD + "\u00e9,0,1,0\n\u00fc,0,1,1\n\u00e9,1,1,2\n\u00fc,1,1,3\n", None),
+    "crlf": (FOUR_LINES.replace("\n", "\r\n"), None),
+    # No "\n" to cut after: one part.
+    "cr-only": (FOUR_LINES.replace("\n", "\r"), None),
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("block", [1, 4096])
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_split_files_match_oracle(tmp_path_factory, name, block, cpus):
+    text, expected = SPLIT_CASES[name]
+    cuts, real_cuts = [], data._cuts
+
+    def spy(*args):
+        cuts.append(real_cuts(*args))
+        return cuts[-1]
+
+    got = _compare(tmp_path_factory, text.encode(), block, _cuts=spy, **_split(cpus))
+    assert len(cuts[0]) == (2 if name == "cr-only" else cpus + 1), cuts
     if expected is None:
         assert isinstance(got[0], tuple), got
     else:
         assert expected in got[1], got
+
+
+def test_cut_at_a_line_start_stays_there(tmp_path, monkeypatch):
+    text = SPLIT_CASES["cut-at-line-start"][0]
+    path = write_csv(tmp_path / "cut.csv", text)
+    monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        assert data._cuts(fd, len(HEAD), len(text)) == [len(HEAD), len(HEAD) + 16, len(text)]
+    finally:
+        os.close(fd)
+
+
+SPLIT_FILE = HEAD + "".join(f"s{i // 10},{i % 10},1,{i}.5\n" for i in range(100))
+
+
+def _in_child(action):
+    """A stand-in for ``data._parse_part`` that calls ``action`` first in a
+    forked child, and parses as usual in this process."""
+    parse, parent = data._parse_part, os.getpid()
+
+    def parse_part(*args):
+        if os.getpid() != parent:
+            action()
+        return parse(*args)
+
+    return parse_part
+
+
+def _raise(exc):
+    def action(*args):
+        raise exc
+    return action
+
+
+@pytest.mark.parametrize("case", ["success", "child-refuses", "child-raises", "parent-raises"])
+def test_no_child_outlives_a_load(tmp_path, monkeypatch, case):
+    """Every child is reaped before ``load_csv`` returns or raises, a child
+    still running is killed, and no pipe is left open."""
+    text = SPLIT_FILE.replace("s9,9,1,99.5", "s9,9,1,x") if case == "child-refuses" else SPLIT_FILE
+    path = write_csv(tmp_path / "split.csv", text)
+    monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    if case == "child-raises":
+        monkeypatch.setattr(data, "_parse_part", _in_child(_raise(RuntimeError("child"))))
+    elif case == "parent-raises":
+        monkeypatch.setattr(data, "_parse_part", _in_child(lambda: time.sleep(60)))
+        monkeypatch.setattr(data, "_receive", _raise(RuntimeError("parent")))
+    fds = os.listdir("/dev/fd")
+    start = time.monotonic()
+    try:
+        got = _outcome(_loaded, path)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert time.monotonic() - start < 30  # the sleeping children were killed
+    assert os.listdir("/dev/fd") == fds
+    if case == "parent-raises":
+        assert got == (RuntimeError, "parent")
+    else:
+        assert got == _outcome(naive_load_csv, path)
+        assert (case == "child-refuses") == (got[0] is SchemaError), got
+
+
+CHILD_SCRIPT = """
+import os, sys
+from stlboost import data
+data.SPLIT_FLOOR = 1
+data._cpus = lambda: 3
+parent, parse = os.getpid(), data._parse_part
+def parse_part(*args):
+    if os.getpid() != parent:
+        raise {exc}
+    return parse(*args)
+data._parse_part = parse_part
+sys.stdout.write("pending ")  # still in this process's buffer when it forks
+print(len(data.load_csv(sys.argv[1])))
+"""
+
+
+@pytest.mark.parametrize("exc", ["SystemExit(0)", "KeyboardInterrupt()", "RuntimeError()"])
+def test_child_never_returns_to_the_caller(tmp_path, exc):
+    """A child that raises leaves through ``os._exit``: it neither runs the
+    caller's code nor flushes the stdout buffer it copied."""
+    path = write_csv(tmp_path / "split.csv", SPLIT_FILE)
+    source = os.path.dirname(os.path.dirname(data.__file__))
+    done = subprocess.run([sys.executable, "-c", CHILD_SCRIPT.format(exc=exc), str(path)],
+                          env=dict(os.environ, PYTHONPATH=source), capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "pending 10\n", "")
+
+
+def _forbidden():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("gate", ["none", "under-floor", "thread", "no-affinity"])
+def test_fork_only_where_a_split_can_pay(tmp_path, monkeypatch, gate):
+    """No process is forked for a file under two floors (a naval file of
+    the benchmark's size), while another Python thread runs, or without
+    ``os.sched_getaffinity``; with none of these, one is."""
+    monkeypatch.setattr(os, "fork", _forbidden)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    path = tmp_path / "data.csv"
+    if gate == "under-floor":
+        save_csv(generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=0)), path)
+        assert path.stat().st_size < 2 * data.SPLIT_FLOOR
+    else:
+        write_csv(path, SPLIT_FILE)
+        monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
+    if gate == "none":
+        with pytest.raises(AssertionError, match="forked"):
+            load_csv(path)
+        return
+    if gate == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    if gate == "thread":
+        thread.start()
+    try:
+        assert _outcome(_loaded, path) == _outcome(naive_load_csv, path)
+    finally:
+        release.set()
+        if gate == "thread":
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+
+def test_parts_left_unforked_are_parsed_here(tmp_path_factory, monkeypatch):
+    """When a fork fails, this process parses the parts not yet forked."""
+    fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError("no more processes")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    fds = os.listdir("/dev/fd")
+    got = _compare(tmp_path_factory, SPLIT_FILE.encode(), 4096, _load_exact=_unreachable,
+                   **_split(3))
+    assert len(forks) == 2 and isinstance(got[0], tuple), got
+    assert os.listdir("/dev/fd") == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @st.composite
