@@ -200,8 +200,15 @@ def satisfies(phi: Formula, signal: Signal) -> bool:
 
 
 def face_rho(op: str, threshold, cols: np.ndarray) -> np.ndarray:
-    """Robustness of the face ``x op threshold`` at the sample values ``cols``."""
-    return cols - threshold if op == GT else threshold - cols
+    """Robustness of the face ``x op threshold`` at the sample values ``cols``.
+
+    A zero margin is always +0.0: ``-0.0 - 0.0`` would give -0.0, and a
+    window minimum over both zeros returns whichever its reduction order
+    meets, so a range table and a sliding window could disagree in the sign.
+    """
+    rho = cols - threshold if op == GT else threshold - cols
+    rho += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
+    return rho
 
 
 def box_window_rho(faces, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -252,7 +259,8 @@ def range_query(
     (Q, levels, N - R + 1, T+1, R) (``sliding_window_view`` along the series
     axis), and each query reads only the R series from its start on: the
     result is S + (R,).  The two power-of-two halves overlap, which min and
-    max do not mind, so the result is exactly the reduction over the window.
+    max do not mind, so the result is exactly the reduction over the window
+    up to the sign of a zero extremum, which :func:`face_rho` drops.
     """
     powers = 1 << np.arange(tables.shape[1])
     level = np.searchsorted(powers, hi - lo + 1, side="right") - 1

@@ -141,6 +141,23 @@ def test_project_all_matches_project(seed):
             assert all(a == b for a, b in zip(single.thresholds, projected[m, p]))
 
 
+@pytest.mark.parametrize("shape", ["G", "F"])
+@pytest.mark.parametrize("op", [GT, LE])
+@pytest.mark.parametrize("cut", [0.0, -0.0])
+def test_batch_robustness_signed_zero_margin(shape, op, cut):
+    # Both zeros in one window: the range table and the sliding window meet
+    # them in different orders, and a zero margin must still read +0.0.
+    values = np.array([[[1.0, -0.0, 0.0, 2.0]], [[-1.0, 0.0, -0.0, -2.0]]])
+    template = PstlTemplate(shape, ((1, op),), ((-3.0, 3.0),), 3)
+    rho = batch_robustness((template,), values)
+    for t0, t1 in [(1, 2), (0, 2), (1, 3), (0, 3)]:
+        row = rho(np.array([[t0]]), np.array([[t1]]), np.array([[[cut]]]))[0, 0]
+        phi = template.instantiate(Valuation(t0, t1, (cut,)))
+        assert row.tobytes() == robustness_all(phi, values).tobytes()
+        if (t0, t1) == (1, 2):  # only zeros in the window
+            assert row.tobytes() == np.zeros(2).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_batch_robustness_matches_robustness_all(seed):
