@@ -208,19 +208,17 @@ def select_pruned_tree(model: BoostedModel) -> int | None:
     return best
 
 
-def predict_all(
-    model: BoostedModel, values: np.ndarray, use_pruning: bool = True
-) -> np.ndarray:
+def predict_all(model: BoostedModel, values: np.ndarray) -> np.ndarray:
     """Predict labels for a batch of signals.
 
-    With pruning active and a perfect tree available, only that tree votes;
-    otherwise the alpha-weighted majority decides, with an exact zero vote
-    resolving to the positive class.
+    A pruned model's selected tree alone votes; otherwise the alpha-weighted
+    majority decides, with an exact zero vote resolving to the positive
+    class.  ``replace(model, pruned_index=None)`` is the unpruned model.
     """
     if not model.rounds:
         raise ValueError("model holds no trees")
     values = np.asarray(values, dtype=float)
-    if use_pruning and model.pruned_index is not None:
+    if model.pruned_index is not None:
         return classify_all(model.rounds[model.pruned_index].tree, values)
     vote = np.zeros(values.shape[0])
     for round_ in model.rounds:
@@ -228,14 +226,12 @@ def predict_all(
     return np.where(vote >= 0, POS_LABEL, NEG_LABEL)
 
 
-def predict(model: BoostedModel, signal: Signal, use_pruning: bool = True) -> int:
-    return int(predict_all(model, signal.values[np.newaxis], use_pruning)[0])
+def predict(model: BoostedModel, signal: Signal) -> int:
+    return int(predict_all(model, signal.values[np.newaxis])[0])
 
 
-def ensemble_mcr(
-    model: BoostedModel, dataset: LabeledDataset, use_pruning: bool = True
-) -> float:
-    predictions = predict_all(model, dataset.values, use_pruning)
+def ensemble_mcr(model: BoostedModel, dataset: LabeledDataset) -> float:
+    predictions = predict_all(model, dataset.values)
     return float(np.mean(predictions != dataset.labels))
 
 

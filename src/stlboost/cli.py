@@ -428,31 +428,23 @@ def _cmd_eval(args) -> int:
         )
     predictions = predict_all(model, dataset.values)
     error = float(np.mean(predictions != dataset.labels))
-    phi = model_formula(model)
+    fields = ["id", "label", "prediction", "robustness"]
+    rows = []
+    if args.per_signal:
+        rho = robustness_all(model_formula(model), dataset.values)
+        rows = [[sid, int(label), int(pred), _cap(r)]
+                for sid, label, pred, r in zip(dataset.ids, dataset.labels, predictions, rho)]
     if args.format == "json":
         doc = {"mcr": error}
         if args.per_signal:
-            rho = robustness_all(phi, dataset.values)
-            doc["signals"] = [
-                {
-                    "id": sid,
-                    "label": int(label),
-                    "prediction": int(pred),
-                    "robustness": _cap(r),
-                }
-                for sid, label, pred, r in zip(
-                    dataset.ids, dataset.labels, predictions, rho
-                )
-            ]
+            doc["signals"] = [dict(zip(fields, row)) for row in rows]
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(f"MCR: {100 * error:.2f}%")
     if args.per_signal:
         writer = csv.writer(sys.stdout)
-        writer.writerow(["id", "label", "prediction", "robustness"])
-        rho = robustness_all(phi, dataset.values)
-        for sid, label, pred, r in zip(dataset.ids, dataset.labels, predictions, rho):
-            writer.writerow([sid, int(label), int(pred), repr(_cap(float(r)))])
+        writer.writerow(fields)
+        writer.writerows(rows)  # csv writes a float as its repr
     return 0
 
 

@@ -4,13 +4,13 @@ The on-disk format is long CSV with header ``id,t,label,x1,...,xn``: one row
 per (signal, timepoint), integer timepoints 0..T, label +1 or -1 constant
 within an id.
 
-``load_csv`` reads blocks of ``BLOCK_ROWS`` lines or CSV records, checks
-every row and then raggedness, and only then allocates the signal array.
-A file with no quote character and no blank line is parsed by numpy's C
-reader (``np.loadtxt``); any other file, and any file that path refuses,
-is parsed by the exact path, ``int``/``float`` a column at a time.  The
-values are the same bits either way, and only the exact path writes error
-text, which names a record by line, counting CSV records.  The C reader
+``load_csv`` parses a file in blocks of ``BLOCK_ROWS`` rows, checks every
+row and then raggedness, and only then allocates the signal array.  A file
+with no quote character and no blank line is parsed by numpy's C reader
+(``np.loadtxt``); any other file, and any file that path refuses, is parsed
+by the exact path, ``int``/``float`` one record at a time.  The values are
+the same bits either way, and only the exact path writes error text, which
+names a record by line, counting CSV records.  The C reader
 holds the interpreter lock, so a large file is cut at line starts into one
 part per CPU, and forked children parse all parts but the first.
 """
@@ -25,7 +25,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .formula import Formula, Signal, robustness_all
 POS_LABEL = 1
 NEG_LABEL = -1
 
-BLOCK_ROWS = 4096  # lines or CSV records converted at a time; bounds the loader's scratch memory
+BLOCK_ROWS = 4096  # rows turned into columns at a time; bounds the loader's scratch memory
 # Bytes: the smallest part a file is cut into.  A split pays from parts of
 # about 0.2 MiB (README, "Performance"); the floor keeps a margin.
 SPLIT_FLOOR = 1 << 19
@@ -124,8 +124,8 @@ def load_csv(path) -> LabeledDataset:
     line longer than ``csv.field_size_limit()`` is read by numpy's C parser
     (``np.loadtxt``), a block of ``BLOCK_ROWS`` lines at a time.  Any other
     file, or one that this fast path does not load cleanly, is read again by
-    the exact path: each block of records is parsed a column at a time with
-    ``int`` and ``float``, the parsers of a row-by-row reader.  Both paths
+    the exact path, which parses one record at a time with ``int`` and
+    ``float`` and turns each ``BLOCK_ROWS`` rows into columns.  Both paths
     give bit-identical values, and only the exact path reports errors.
     Raggedness is checked before the (N, n, T+1) array is allocated, so a
     huge timepoint is reported, not allocated.
@@ -382,6 +382,13 @@ def _receive(pipe: int, width: int):
 
 
 def _load_exact(path) -> LabeledDataset:
+    """The dataset, read one CSV record at a time; the path that reports
+    every error.
+
+    Blank records are skipped.  Reading stops at the first record with the
+    wrong number of fields or a cell that does not parse, or at a read
+    error, and that error is raised if no earlier row fails a check.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -392,81 +399,43 @@ def _load_exact(path) -> LabeledDataset:
 
         code_of: dict[str, int] = {}  # id -> code, in order of first appearance
         blocks = []
+        rows = []  # (line, id, t, label, x) since the last block
         stop = None  # the error that ends reading, raised if no earlier row fails
-        line = 2
-        while stop is None:
-            records: list[list[str]] = []
-            try:
-                records.extend(islice(reader, BLOCK_ROWS))
-            except _READ_ERRORS as exc:  # the records read before it are kept
-                stop = _not_text(exc)
-            if not records:
-                break
-            block, fault = _convert(records, line, width, code_of)
-            blocks.append(block)
-            stop = fault or stop
-            line += len(records)
+        try:
+            for line, record in enumerate(reader, 2):
+                if not record:
+                    continue
+                if len(record) != width:
+                    stop = f"line {line}: expected {width} fields"
+                    break
+                try:
+                    rows.append((line, record[0], int(record[1]), int(record[2]),
+                                 list(map(float, record[3:]))))
+                except ValueError as exc:
+                    stop = f"line {line}: {exc}"
+                    break
+                if len(rows) == BLOCK_ROWS:
+                    blocks.append(_block(rows, code_of))
+                    rows = []
+        except _READ_ERRORS as exc:  # the rows read before it are kept
+            stop = _not_text(exc)
+    if rows:
+        blocks.append(_block(rows, code_of))
     return _dataset(blocks, code_of, width, stop)
 
 
-def _convert(records, line: int, width: int, code_of: dict[str, int]):
-    """One block of records, numbered from ``line``, as columns.
+def _block(rows, code_of: dict[str, int]):
+    """Rows of ``(line, id, t, label, x)`` as ``_dataset``'s columns.
 
-    Blank records are skipped.  The block ends before its first record with
-    the wrong number of fields or a cell that does not parse; that record's
-    error comes back with the columns (else None).
+    A t or label past int64 leaves both int columns as Python ints: such a
+    value is never stored, it is reported by a check.
     """
-    lines = np.arange(line, line + len(records))
-    fault = None
-    widths = np.fromiter(map(len, records), np.intp, len(records))
-    keep = widths != 0
-    wrong = np.flatnonzero(keep & (widths != width))
-    if wrong.size:
-        fault = f"line {lines[wrong[0]]}: expected {width} fields"
-        keep[wrong[0]:] = False
-    if not keep.all():
-        records = list(compress(records, keep))
-        lines = lines[keep]
+    lines, sids, times, labels, points = zip(*rows)
     try:
-        sids, columns = _columns(records, width)
-    except ValueError:
-        cut, message = _first_unparsable(records)
-        fault = f"line {lines[cut]}: {message}"
-        records, lines = records[:cut], lines[:cut]
-        sids, columns = _columns(records, width)
-    return (lines, _codes(sids, code_of)) + columns, fault
-
-
-def _columns(records, width: int):
-    """The id cells and the parsed t, label and x columns of a block."""
-    flat = list(chain.from_iterable(records))
-    points = np.empty((len(records), width - 3))
-    for j in range(3, width):
-        points[:, j - 3] = np.fromiter(map(float, flat[j::width]), float, len(records))
-    return flat[0::width], (_ints(flat[1::width]), _ints(flat[2::width]), points)
-
-
-def _ints(cells) -> np.ndarray:
-    """``int(cell)`` of each cell: int64, or Python ints if one does not fit.
-
-    Such a timepoint or label is never stored; it is reported by a check.
-    """
-    values = list(map(int, cells))
-    try:
-        return np.array(values, dtype=np.int64)
+        ints = np.array((times, labels), dtype=np.int64)
     except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _first_unparsable(records) -> tuple[int, str]:
-    """Index and error of the first record with a cell that does not parse,
-    trying t, label, x1, ..., xn in turn."""
-    for index, record in enumerate(records):
-        try:
-            int(record[1]), int(record[2]), [float(v) for v in record[3:]]
-        except ValueError as exc:
-            return index, str(exc)
-    raise AssertionError("every cell parses")
+        ints = np.array((times, labels), dtype=object)
+    return np.array(lines), _codes(sids, code_of), ints[0], ints[1], np.array(points)
 
 
 def _dataset(blocks, code_of: dict[str, int], width: int, stop: str | None = None):

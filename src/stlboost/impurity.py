@@ -21,22 +21,13 @@ from .formula import Formula, robustness_all
 class PartitionScore:
     """Split quality under the weighted misclassification-gain measure."""
 
-    p_top: float
-    p_bot: float
-    p_pos: float
-    p_neg: float
     gain: float
 
 
 class PartitionScores(NamedTuple):
-    """:class:`PartitionScore` fields for a batch of candidate splits, one
-    entry per candidate, plus each candidate's robustness margin (the total
-    mass, the tie-break criterion)."""
+    """The gain of each candidate split in a batch, plus each candidate's
+    robustness margin (the total mass, the tie-break criterion)."""
 
-    p_top: np.ndarray
-    p_bot: np.ndarray
-    p_pos: np.ndarray
-    p_neg: np.ndarray
     gain: np.ndarray
     margin: np.ndarray
 
@@ -76,7 +67,7 @@ def gains_from_robustness(
     weights = np.asarray(weights, dtype=float)
     if rho.shape[1] == 0:
         zeros = np.zeros(rho.shape[0])
-        return PartitionScores(zeros, zeros, zeros, zeros, zeros, zeros)
+        return PartitionScores(zeros, zeros)
     if valid is not None:
         # Padding has zero mass, so it never makes a row degenerate.
         rho = np.where(valid, rho, 0.0)
@@ -106,7 +97,7 @@ def gains_from_robustness(
         - p_bot * _minority(bot_mass, bot_pos_mass)
     )
     gain[degenerate] = 0.0
-    return PartitionScores(p_top, p_bot, p_pos, p_neg, gain, total)
+    return PartitionScores(gain, total)
 
 
 def _side_sums(mags: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -149,13 +140,7 @@ def gain_from_robustness(
     ``rho`` is the robustness of the full candidate formula per sample.
     """
     scores = gains_from_robustness(np.asarray(rho, dtype=float)[np.newaxis], labels, weights)
-    return PartitionScore(
-        float(scores.p_top[0]),
-        float(scores.p_bot[0]),
-        float(scores.p_pos[0]),
-        float(scores.p_neg[0]),
-        float(scores.gain[0]),
-    )
+    return PartitionScore(float(scores.gain[0]))
 
 
 def misclassification_gain(

@@ -109,12 +109,6 @@ def _project_all(
     return t0, t1, thresholds
 
 
-def _project(template: PstlTemplate, position: np.ndarray) -> Valuation:
-    position = np.asarray(position, dtype=float)[np.newaxis, np.newaxis]
-    t0, t1, thresholds = _project_all((template,), position)
-    return Valuation(t0[0, 0], t1[0, 0], thresholds[0, 0])
-
-
 class _Best:
     """The incumbent; ties on the value fall back to the tie value, which is
     None until there is an incumbent."""

@@ -21,7 +21,9 @@ from stlboost import (
     Predicate,
     Signal,
     TRUE,
+    Valuation,
 )
+from stlboost.pso import _project_all
 
 POS = 1
 NEG = -1
@@ -33,6 +35,13 @@ def pred(var: int, op: str, threshold: float) -> Predicate:
 
 def box(*faces) -> Predicate:
     return Predicate(BoxPredicate(tuple(Conjunct(v, op, th) for v, op, th in faces)))
+
+
+def project(template, position) -> Valuation:
+    """One particle's valuation: ``_project_all`` for a swarm of one."""
+    position = np.asarray(position, dtype=float)[np.newaxis, np.newaxis]
+    t0, t1, thresholds = _project_all((template,), position)
+    return Valuation(t0[0, 0], t1[0, 0], thresholds[0, 0])
 
 
 def constant_signal(value: float, horizon: int = 2, dimension: int = 1) -> Signal:

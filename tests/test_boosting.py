@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestPredict:
             pruned=0,
         )
         assert predict(model, constant_signal(0.0)) == POS_LABEL
-        assert predict(model, constant_signal(0.0), use_pruning=False) == NEG_LABEL
+        assert predict(replace(model, pruned_index=None), constant_signal(0.0)) == NEG_LABEL
 
     def test_alpha_rescale_invariance_without_pruning(self):
         rng = random.Random(8)
@@ -448,6 +449,6 @@ def test_training_mcr_trend_statistics():
                 config=model.config,
                 requested_rounds=k,
             )
-            errors.append(ensemble_mcr(prefix, ds, use_pruning=False))
+            errors.append(ensemble_mcr(prefix, ds))
         good += all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert good >= runs - 1

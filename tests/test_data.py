@@ -522,6 +522,10 @@ REFUSED = {
     "extra-fields-and-blank-line": (CLEAN.replace(",3\n", ",3,4,5,6\n\n"),
                                     "line 5: expected 4 fields"),
     "no-data": ("id,t,label,x1\n", "no data rows"),
+    # A row check's error on an earlier record beats the error that stops
+    # reading, wherever the blocks end.
+    "duplicate-then-bad-cell": (CLEAN + "b,1,-1,3\n\nc,0,1,x\n",
+                                "line 6: duplicate (id='b', t=1)"),
 }
 
 

@@ -51,19 +51,31 @@ class TestPartition:
 
 class TestGainExamples:
     def test_hand_computed_third(self):
+        # Masses w*|rho| under x1 <= 1: 0.25 + 0.125 positive (top side),
+        # 0.25 + 0.5 negative (bottom side).  The parent's minority share is
+        # 0.375 / 1.125 = 1/3 and both sides are pure, so all of it is gained.
         score = misclassification_gain(FOUR, uniform_weights(4), pred(1, LE, 1.0))
         assert math.isclose(score.gain, 1.0 / 3.0, abs_tol=1e-12)
-        assert math.isclose(score.p_pos, 1.0 / 3.0, abs_tol=1e-12)
-        assert math.isclose(score.p_top + score.p_bot, 1.0, abs_tol=1e-12)
+
+    def test_hand_computed_impure_side(self):
+        # Masses under x1 <= 2.5: 0.625 + 0.5 positive and 0.125 negative on
+        # top, 0.125 negative at the bottom, of 1.375 in all.  The parent's
+        # minority share is 2/11; the top side holds 10/11 of the mass with a
+        # minority share of 0.1, so the gain is 2/11 - 10/11 * 0.1 = 1/11.
+        score = misclassification_gain(FOUR, uniform_weights(4), pred(1, LE, 2.5))
+        assert math.isclose(score.gain, 1.0 / 11.0, abs_tol=1e-12)
 
     def test_pure_split_gain_is_parent_mr(self):
         score = misclassification_gain(FOUR, uniform_weights(4), pred(1, LE, 1.0))
-        parent_mr = min(score.p_pos, score.p_neg)
+        mags = uniform_weights(4) * np.abs(1.0 - FOUR.values[:, 0, 0])
+        pos = float(mags[FOUR.labels == POS_LABEL].sum())
+        parent_mr = min(pos, float(mags.sum()) - pos) / float(mags.sum())
         assert math.isclose(score.gain, parent_mr, abs_tol=1e-12)
 
     def test_no_split_zero_gain(self):
-        score = misclassification_gain(FOUR, uniform_weights(4), pred(1, LE, 10.0))
-        assert score.p_bot == 0.0
+        phi = pred(1, LE, 10.0)
+        score = misclassification_gain(FOUR, uniform_weights(4), phi)
+        assert (robustness_all(phi, FOUR.values) >= 0).all()  # the bottom side is empty
         assert math.isclose(score.gain, 0.0, abs_tol=1e-12)
 
     def test_degenerate_all_zero_robustness(self):
@@ -134,8 +146,7 @@ def test_weight_scale_invariance(seed, scale):
     ds, weights, phi = _random_case(seed)
     base = misclassification_gain(ds, weights, phi)
     scaled = misclassification_gain(ds, weights * scale, phi)
-    for field in ("p_top", "p_bot", "p_pos", "p_neg", "gain"):
-        assert math.isclose(getattr(base, field), getattr(scaled, field), abs_tol=1e-9)
+    assert math.isclose(base.gain, scaled.gain, abs_tol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +154,11 @@ def test_weight_scale_invariance(seed, scale):
 def test_gain_bounded_by_parent_mr(seed):
     ds, weights, phi = _random_case(seed)
     score = misclassification_gain(ds, weights, phi)
-    assert score.gain <= min(score.p_pos, score.p_neg) + 1e-12
+    mags = weights * np.abs(robustness_all(phi, ds.values))
+    if not np.isfinite(mags).all() or mags.sum() == 0.0:  # degenerate: plain weights
+        mags = weights
+    p_pos = float(mags[ds.labels == POS_LABEL].sum() / mags.sum())
+    assert score.gain <= min(p_pos, 1.0 - p_pos) + 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,9 +24,9 @@ from stlboost import (
     optimize_batch,
     uniform_weights,
 )
-from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE, _project
+from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE
 from stlboost.templates import batch_robustness
-from helpers import constant_dataset
+from helpers import constant_dataset, project
 from oracles import grid_search
 from test_batch import _gain_objective
 
@@ -35,9 +35,9 @@ BOUND = PstlTemplate("F", ((1, LE),), ((-5.0, 5.0),), horizon=10)
 
 class TestProjection:
     def test_rounds_clamps_and_orders_times(self):
-        v = _project(BOUND, np.array([7.6, 2.2, 0.0]))
+        v = project(BOUND, np.array([7.6, 2.2, 0.0]))
         assert (v.t_start, v.t_end) == (2, 8)
-        v = _project(BOUND, np.array([-3.0, 15.0, 9.0]))
+        v = project(BOUND, np.array([-3.0, 15.0, 9.0]))
         assert (v.t_start, v.t_end) == (0, 10)
         assert v.thresholds == (5.0,)
 
@@ -45,18 +45,18 @@ class TestProjection:
         template = PstlTemplate(
             "G", ((1, GT), (1, LE)), ((-5.0, 5.0), (-5.0, 5.0)), horizon=4
         )
-        v = _project(template, np.array([0.0, 1.0, 3.0, -2.0]))
+        v = project(template, np.array([0.0, 1.0, 3.0, -2.0]))
         lo, hi = v.thresholds
         assert lo < hi
-        v = _project(template, np.array([0.0, 1.0, 2.0, 2.0]))
+        v = project(template, np.array([0.0, 1.0, 2.0, 2.0]))
         lo, hi = v.thresholds
         assert lo < hi
 
     def test_face_gap_may_reach_the_upper_bound(self):
         template = PstlTemplate("G", ((1, GT), (1, LE)), ((-1.0, 1e-9), (-1.0, 1e-9)), horizon=2)
-        v = _project(template, np.array([0.0, 1.0, 0.0, 0.0]))
+        v = project(template, np.array([0.0, 1.0, 0.0, 0.0]))
         assert v.thresholds == (0.0, 1e-9)
-        v = _project(template, np.array([0.0, 1.0, 1e-9, 1e-9]))
+        v = project(template, np.array([0.0, 1.0, 1e-9, 1e-9]))
         assert v.thresholds == (0.0, 1e-9)
 
     def test_instantiation_always_valid(self):
@@ -66,7 +66,7 @@ class TestProjection:
         rng = np.random.default_rng(0)
         for _ in range(200):
             position = rng.uniform(-10, 10, size=4)
-            template.instantiate(_project(template, position))
+            template.instantiate(project(template, position))
 
 
 class TestOptimize:
