@@ -13,6 +13,11 @@ the same bits either way, and only the exact path writes error text, which
 names a record by line, counting CSV records.  The C reader
 holds the interpreter lock, so a large file is cut at line starts into one
 part per CPU, and forked children parse all parts but the first.
+
+``save_csv`` writes the bytes ``csv.writer`` would, one ``repr`` per value.
+A large dataset is cut into chunks of whole signals, dealt round-robin to
+this process and to forked children, one per further CPU, and this process
+writes the chunks in file order.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import partial
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +45,7 @@ BLOCK_ROWS = 4096  # rows turned into columns at a time; bounds the loader's scr
 # Bytes: the smallest part a file is cut into.  A split pays from parts of
 # about 0.2 MiB (README, "Performance"); the floor keeps a margin.
 SPLIT_FLOOR = 1 << 19
-PART_CHUNK = 1 << 16  # bytes read from a file at a time by the fast path
+PART_CHUNK = 1 << 16  # bytes read at a time: of a file by the fast path, of a pipe by save_csv
 _READ_ERRORS = (UnicodeDecodeError, csv.Error)
 
 
@@ -218,17 +225,14 @@ def _load_fast(path) -> LabeledDataset | None:
             finally:
                 # A child whose part was received has nothing left to do, and
                 # any other is no longer wanted.
-                for pid, pipe in children.values():
-                    os.close(pipe)
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+                _reap(children.values())
         return _dataset(blocks, code_of, width)
     except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
         return None
 
 
 def _cpus() -> int:
-    """The CPUs a load may fork its parts onto.
+    """The CPUs a load or a save may fork its parts onto.
 
     1 without ``os.fork`` or ``os.sched_getaffinity``, and while another
     Python thread runs: a forked child has only the thread that forked it,
@@ -330,6 +334,23 @@ def _fork_part(fd: int, begin: int, end: int, width: int) -> tuple[int, int]:
     through a pipe, for ``_receive``; returns its pid and the pipe's read
     end.  A child that refuses its part, or fails, sends nothing.
     """
+    def send(pipe):
+        part = _parse_part(fd, begin, end, width)
+        if part is not None:
+            ids, blocks = part
+            columns = [np.concatenate(column) for column in zip(*blocks)]
+            pickle.dump((ids, len(columns[0])), pipe)
+            for column in columns:
+                pipe.write(column)
+
+    return _fork(send)
+
+
+def _fork(send) -> tuple[int, int]:
+    """Fork a child that runs ``send`` on the write end of a new pipe, as a
+    binary file, and leaves through ``os._exit``; returns the child's pid
+    and the pipe's read end, to be given to ``_reap``.
+    """
     reader, writer = os.pipe()
     parent = os.getpid()
     status = 1
@@ -344,14 +365,8 @@ def _fork_part(fd: int, begin: int, end: int, width: int) -> tuple[int, int]:
         if pid == 0:
             os.close(reader)
             with open(writer, "wb") as pipe:
-                part = _parse_part(fd, begin, end, width)
-                if part is not None:
-                    ids, blocks = part
-                    columns = [np.concatenate(column) for column in zip(*blocks)]
-                    pickle.dump((ids, len(columns[0])), pipe)
-                    for column in columns:
-                        pipe.write(column)
-                    status = 0
+                send(pipe)
+            status = 0
     except BaseException:
         if os.getpid() == parent:
             os.close(reader)
@@ -363,6 +378,14 @@ def _fork_part(fd: int, begin: int, end: int, width: int) -> tuple[int, int]:
             os._exit(status)
         os.close(writer)
     return pid, reader
+
+
+def _reap(children) -> None:
+    """Close the pipe of each ``(pid, pipe)`` child, kill it and wait for it."""
+    for pid, pipe in children:
+        os.close(pipe)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _receive(pipe: int, width: int):
@@ -497,17 +520,94 @@ def _check_rows(lines, codes, times, labels, points, first, ids) -> None:
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write a dataset in the long CSV format (full float precision).
 
-    Each signal is written a column at a time: one ``tolist()`` of its
-    values and one ``map(repr, ...)`` per variable, so every value is the
-    shortest text that reads back to the same float.
+    The bytes are those ``csv.writer`` writes for one record per signal and
+    timepoint, each value given as its ``repr``: the shortest text that
+    reads back to the same float.  ``_signal_text`` formats a signal.
+
+    The signals are cut into chunks of whole signals, each of about
+    ``SPLIT_FLOOR`` bytes of values and a dataset under two floors one
+    chunk.  The chunks are dealt round-robin to this process and to one
+    forked child per further CPU (``_cpus``).  A child formats one chunk at
+    a time and sends its byte length and its bytes through a pipe.  This
+    process writes the chunks in file order: it formats its own one signal
+    at a time and copies a child's in reads of ``PART_CHUNK`` bytes.  If a
+    child sends nothing, this process formats the chunk itself; a chunk cut
+    short raises OSError.  Every child is reaped before this function
+    returns or raises.
     """
+    count = len(dataset)
+    chunk_count = max(1, min(count, dataset.values.nbytes // SPLIT_FLOOR))
+    bounds = [count * k // chunk_count for k in range(chunk_count + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    workers = min(_cpus(), chunk_count)
+    # writerow returns what it writes: "<id>,\r\n", the id quoted as in a record.
+    quote = csv.writer(SimpleNamespace(write=str)).writerow
+    quoted = [quote((sid, ""))[:-3] for sid in dataset.ids]
+    labels = dataset.labels.tolist()
     times = range(dataset.horizon + 1)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "t", "label"] + [f"x{j}" for j in range(1, dataset.dimension + 1)])
-        for sid, label, signal in zip(dataset.ids, dataset.labels.tolist(), dataset.values):
-            columns = [map(repr, row) for row in signal.tolist()]
-            writer.writerows(zip(repeat(sid), times, repeat(label), *columns))
+    # Each record's ",t,label," or, with no variables, ",t,label".
+    middles = {label: [f",{t},{label}{',' if dataset.dimension else ''}" for t in times]
+               for label in set(labels)}
+
+    def text(index: int) -> str:
+        return _signal_text(dataset.values[index], quoted[index], middles[labels[index]])
+
+    def send(pipe, mine):
+        for begin, end in mine:
+            data = "".join(map(text, range(begin, end))).encode("utf-8")
+            pipe.write(len(data).to_bytes(8, "little"))
+            pipe.write(data)
+
+    header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dataset.dimension + 1)]
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\r\n").encode("utf-8"))
+        children: dict[int, tuple[int, int]] = {}  # worker -> (pid, pipe)
+        try:
+            for worker in range(1, workers):
+                try:
+                    children[worker] = _fork(partial(send, mine=chunks[worker::workers]))
+                except OSError:  # no process or pipe to be had
+                    break
+            for index, (begin, end) in enumerate(chunks):
+                child = children.get(index % workers)
+                if child is None or not _copy(child[1], handle):
+                    for signal_index in range(begin, end):
+                        handle.write(text(signal_index).encode("utf-8"))
+        finally:
+            _reap(children.values())
+
+
+def _signal_text(values: np.ndarray, quoted_id: str, middles: list[str]) -> str:
+    """The CSV records of one signal's (n, T+1) ``values``: ``quoted_id``,
+    then ``middles[t]`` (``,t,label,``), then the values at ``t``.
+
+    A float in a list's repr is its own repr, and no repr holds ``", "``
+    or a bracket, so one repr of the rows splits into them.
+    """
+    if not middles:  # no timepoints, so no records
+        return ""
+    rows = repr(values.T.tolist()).replace(", ", ",")[2:-2].split("],[")
+    return quoted_id + ("\r\n" + quoted_id).join(map(str.__add__, middles, rows)) + "\r\n"
+
+
+def _copy(pipe: int, handle) -> bool:
+    """Copy the next chunk a child sent through ``pipe`` to ``handle``, in
+    reads of at most ``PART_CHUNK`` bytes; False if the child sent nothing
+    more.  Raises OSError for a chunk cut short: a file cut at a signal's
+    end would still load.
+    """
+    head = b""
+    while len(head) < 8 and (more := os.read(pipe, 8 - len(head))):
+        head += more
+    if not head:
+        return False
+    left = int.from_bytes(head, "little") if len(head) == 8 else -1  # -1: a length cut short
+    while left > 0 and (data := os.read(pipe, min(left, PART_CHUNK))):
+        handle.write(data)
+        left -= len(data)
+    if left:
+        raise OSError(f"{handle.name}: a chunk from a writer process was cut short")
+    return True
 
 
 def mcr(phi: Formula, dataset: LabeledDataset) -> float:

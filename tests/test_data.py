@@ -609,17 +609,18 @@ def test_cut_at_a_line_start_stays_there(tmp_path, monkeypatch):
 SPLIT_FILE = HEAD + "".join(f"s{i // 10},{i % 10},1,{i}.5\n" for i in range(100))
 
 
-def _in_child(action):
-    """A stand-in for ``data._parse_part`` that calls ``action`` first in a
-    forked child, and parses as usual in this process."""
-    parse, parent = data._parse_part, os.getpid()
+def _in_child(action, name="_parse_part"):
+    """A stand-in for ``data.<name>`` (``_parse_part`` by default) that
+    calls ``action`` first in a forked child, and runs as usual in this
+    process."""
+    run, parent = getattr(data, name), os.getpid()
 
-    def parse_part(*args):
+    def stand_in(*args):
         if os.getpid() != parent:
             action()
-        return parse(*args)
+        return run(*args)
 
-    return parse_part
+    return stand_in
 
 
 def _raise(exc):
@@ -691,21 +692,27 @@ def _forbidden():
 
 @pytest.mark.parametrize("gate", ["none", "under-floor", "thread", "no-affinity"])
 def test_fork_only_where_a_split_can_pay(tmp_path, monkeypatch, gate):
-    """No process is forked for a file under two floors (a naval file of
-    the benchmark's size), while another Python thread runs, or without
-    ``os.sched_getaffinity``; with none of these, one is."""
+    """No process is forked to load a file, or to save a dataset, under two
+    floors (a naval set of the benchmark's size), while another Python
+    thread runs, or without ``os.sched_getaffinity``; with none of these,
+    one is."""
     monkeypatch.setattr(os, "fork", _forbidden)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     path = tmp_path / "data.csv"
     if gate == "under-floor":
-        save_csv(generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=0)), path)
+        dataset = generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=0))
+        save_csv(dataset, path)
         assert path.stat().st_size < 2 * data.SPLIT_FLOOR
+        assert dataset.values.nbytes < 2 * data.SPLIT_FLOOR
     else:
         write_csv(path, SPLIT_FILE)
+        dataset = SAVE_SET
         monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
     if gate == "none":
         with pytest.raises(AssertionError, match="forked"):
             load_csv(path)
+        with pytest.raises(AssertionError, match="forked"):
+            save_csv(dataset, tmp_path / "saved.csv")
         return
     if gate == "no-affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -715,6 +722,7 @@ def test_fork_only_where_a_split_can_pay(tmp_path, monkeypatch, gate):
         thread.start()
     try:
         assert _outcome(_loaded, path) == _outcome(naive_load_csv, path)
+        _check_save(tmp_path, dataset)
     finally:
         release.set()
         if gate == "thread":
@@ -744,10 +752,10 @@ def test_parts_left_unforked_are_parsed_here(tmp_path_factory, monkeypatch):
 
 @st.composite
 def datasets(draw):
-    """Zero to five signals with 1-3 variables and horizons from 0, over ids
+    """Zero to five signals with 0-3 variables and horizons from 0, over ids
     that need quoting and extreme floats."""
     ids = draw(st.lists(ID_TEXT, max_size=5, unique=True))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(0, 3))
     width = draw(st.integers(1, 5))
     values = draw(st.lists(VALUES, min_size=len(ids) * dim * width,
                            max_size=len(ids) * dim * width))
@@ -756,11 +764,114 @@ def datasets(draw):
                           np.array(labels, dtype=int), tuple(ids))
 
 
-@settings(max_examples=150, deadline=None)
-@given(datasets())
-def test_save_matches_oracle(tmp_path_factory, ds):
+def _check_save(folder, ds):
     """``save_csv`` writes the same bytes as the record-at-a-time writer."""
-    folder = tmp_path_factory.mktemp("save")
     save_csv(ds, folder / "got.csv")
     naive_save_csv(ds, folder / "want.csv")
     assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
+def _save_split(folder, ds, cpus, floor=1):
+    """``_check_save`` with ``cpus`` CPUs and ``SPLIT_FLOOR`` at ``floor``
+    bytes, so that even a tiny dataset spans chunks and forked children;
+    returns the number of children forked and of chunks they sent."""
+    forks, copies = [], []
+    fork, copy = data._fork, data._copy
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "SPLIT_FLOOR", floor)
+        patch.setattr(data, "_cpus", lambda: cpus)
+        patch.setattr(data, "_fork", lambda send: forks.append(send) or fork(send))
+        patch.setattr(data, "_copy", lambda *args: copies.append(copy(*args)) or copies[-1])
+        _check_save(folder, ds)
+    return len(forks), sum(copies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), CPUS, st.sampled_from([1, 64]))
+def test_save_matches_oracle(tmp_path_factory, ds, cpus, floor):
+    """At one to three CPUs, with chunks of one signal or of 64 bytes of
+    values and more."""
+    _save_split(tmp_path_factory.mktemp("save"), ds, cpus, floor)
+
+
+def _dataset(ids, dim=2, width=3):
+    values = np.arange(len(ids) * dim * width, dtype=float).reshape(len(ids), dim, width) / 7
+    return LabeledDataset(values - 3, [(-1) ** k for k in range(len(ids))], ids)
+
+
+# At two and three CPUs, with one signal per chunk, chunks 1, 5, 7 and 11
+# are a child's, and each is the first it sends.
+QUOTED_IDS = [f"s{k}" for k in range(12)]
+QUOTED_IDS[1], QUOTED_IDS[5], QUOTED_IDS[7], QUOTED_IDS[11] = "a,b", 'q"x', "", "x\ny"
+SAVE_CASES = {
+    "quoted-ids-open-child-chunks": _dataset(QUOTED_IDS),
+    "one-signal": _dataset(["only"]),
+    "horizon-0": _dataset(["a", "b", "c", "d"], width=1),
+    "no-variables": _dataset(["a", "b", "c"], dim=0),
+    "no-timepoints": _dataset(["a", "b"], width=0),
+    "more-chunks-than-cpus": _dataset([f"s{k}" for k in range(10)], dim=3, width=4),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", list(SAVE_CASES))
+def test_save_cases_match_oracle(tmp_path, name, cpus):
+    """Named cases at one to three CPUs, with one signal per chunk."""
+    ds = SAVE_CASES[name]
+    chunks = len(ds) if ds.values.size else 1  # one signal each; with no values, one
+    workers = min(cpus, chunks)
+    # The children send every chunk but this process's, every workers-th.
+    assert _save_split(tmp_path, ds, cpus) == (workers - 1, chunks - math.ceil(chunks / workers))
+
+
+SAVE_SET = _dataset([f"s{k}" for k in range(10)], width=300)
+
+
+@pytest.mark.parametrize("case", ["success", "child-raises", "parent-write-fails"])
+def test_no_child_outlives_a_save(tmp_path, monkeypatch, case):
+    """Every child is reaped before ``save_csv`` returns or raises, and no
+    pipe is left open.  A child that fails before it sends leaves its
+    chunks to this process, which still writes the oracle's bytes; an
+    error writing the file propagates."""
+    monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    if case == "child-raises":
+        monkeypatch.setattr(data, "_signal_text",
+                            _in_child(_raise(RuntimeError("child")), "_signal_text"))
+    fds = os.listdir("/dev/fd")
+    try:
+        if case == "parent-write-fails":
+            with pytest.raises(OSError):  # the parent's own first chunk fills the device
+                save_csv(SAVE_SET, "/dev/full")
+        else:
+            _check_save(tmp_path, SAVE_SET)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert os.listdir("/dev/fd") == fds
+
+
+@pytest.mark.parametrize("sent, copied", [
+    (b"", False),  # the child sent nothing more
+    ((8).to_bytes(8, "little") + b"12345678", True),
+    (b"\x05\x00", None),  # a length cut short
+    ((9).to_bytes(8, "little") + b"12345678", None),  # a chunk cut short
+])
+def test_a_chunk_cut_short_raises(tmp_path, sent, copied):
+    """A chunk's byte length comes first.  A child that sent nothing more
+    leaves the chunk to this process, and one that sent less than a whole
+    chunk fails the save: a file cut at a signal's end would still load."""
+    reader, writer = os.pipe()
+    os.write(writer, sent)
+    os.close(writer)
+    try:
+        with open(tmp_path / "out.csv", "wb") as handle:
+            if copied is None:
+                with pytest.raises(OSError, match="cut short"):
+                    data._copy(reader, handle)
+            else:
+                assert data._copy(reader, handle) is copied
+    finally:
+        os.close(reader)
+    if copied:
+        assert (tmp_path / "out.csv").read_bytes() == b"12345678"
