@@ -15,9 +15,9 @@ holds the interpreter lock, so a large file is cut at line starts into one
 part per CPU, and forked children parse all parts but the first.
 
 ``save_csv`` writes the bytes ``csv.writer`` would, one ``repr`` per value.
-A large dataset is cut into chunks of whole signals, dealt round-robin to
-this process and to forked children, one per further CPU, and this process
-writes the chunks in file order.
+A large dataset's records are cut into chunks of bounded size, long
+signals too, dealt round-robin to this process and to forked children, one
+per further CPU, and this process writes the chunks in file order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from types import SimpleNamespace
 
@@ -522,43 +522,61 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 
     The bytes are those ``csv.writer`` writes for one record per signal and
     timepoint, each value given as its ``repr``: the shortest text that
-    reads back to the same float.  ``_signal_text`` formats a signal.
+    reads back to the same float.  ``_signal_text`` formats a run of one
+    signal's records.
 
-    The signals are cut into chunks of whole signals, each of about
-    ``SPLIT_FLOOR`` bytes of values and a dataset under two floors one
-    chunk.  The chunks are dealt round-robin to this process and to one
-    forked child per further CPU (``_cpus``).  A child formats one chunk at
-    a time and sends its byte length and its bytes through a pipe.  This
-    process writes the chunks in file order: it formats its own one signal
-    at a time and copies a child's in reads of ``PART_CHUNK`` bytes.  If a
-    child sends nothing, this process formats the chunk itself; a chunk cut
-    short raises OSError.  Every child is reaped before this function
-    returns or raises.
+    The records, in file order, are cut into chunks of about
+    ``SPLIT_FLOOR`` bytes of values each (a record of no variables counts
+    as one value), so a dataset under two floors is one chunk, and a long
+    signal is cut too.  A piece is one signal's records within a chunk.
+    The chunks are dealt round-robin to this process and to one forked
+    child per further CPU (``_cpus``).  A child formats one chunk at a time,
+    a piece at a time, and sends the chunk's byte length and bytes through
+    a pipe.  This process writes the chunks in file order: it formats its
+    own one piece at a time and copies a child's in reads of
+    ``PART_CHUNK`` bytes.  So a child holds at most one chunk's text and
+    this process one piece's, whatever the horizon.  If a child sends
+    nothing more, this process formats the chunk itself; a chunk cut short
+    raises OSError.  Every child is reaped before this function returns or
+    raises.
     """
-    count = len(dataset)
-    chunk_count = max(1, min(count, dataset.values.nbytes // SPLIT_FLOOR))
-    bounds = [count * k // chunk_count for k in range(chunk_count + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
+    count, dimension, width = dataset.values.shape
+    records = count * width
+    value_bytes = records * max(dimension, 1) * dataset.values.itemsize
+    chunk_count = min(records, max(1, value_bytes // SPLIT_FLOOR))
+    chunks = [(records * k // chunk_count, records * (k + 1) // chunk_count)
+              for k in range(chunk_count)]
     workers = min(_cpus(), chunk_count)
     # writerow returns what it writes: "<id>,\r\n", the id quoted as in a record.
     quote = csv.writer(SimpleNamespace(write=str)).writerow
     quoted = [quote((sid, ""))[:-3] for sid in dataset.ids]
     labels = dataset.labels.tolist()
-    times = range(dataset.horizon + 1)
-    # Each record's ",t,label," or, with no variables, ",t,label".
-    middles = {label: [f",{t},{label}{',' if dataset.dimension else ''}" for t in times]
-               for label in set(labels)}
 
-    def text(index: int) -> str:
-        return _signal_text(dataset.values[index], quoted[index], middles[labels[index]])
+    @lru_cache(maxsize=4)  # a whole signal's for each label, and the last cut ones
+    def middles(label: int, first: int, end: int) -> list[str]:
+        """Each record's ",t,label," or, with no variables, ",t,label"."""
+        return [f",{t},{label}{',' if dimension else ''}" for t in range(first, end)]
+
+    def pieces(chunk):
+        """The (signal, first t, end t) of each piece of ``chunk``."""
+        begin, end = chunk
+        for index in range(begin // width, (end - 1) // width + 1):
+            start = index * width
+            yield index, max(begin - start, 0), min(end - start, width)
+
+    def text(piece) -> bytes:
+        index, first, end = piece
+        return _signal_text(dataset.values[index, :, first:end], quoted[index],
+                            middles(labels[index], first, end)).encode("utf-8")
 
     def send(pipe, mine):
-        for begin, end in mine:
-            data = "".join(map(text, range(begin, end))).encode("utf-8")
-            pipe.write(len(data).to_bytes(8, "little"))
-            pipe.write(data)
+        for chunk in mine:
+            # The whole chunk, so that this child formats it while the pipe is full.
+            data = list(map(text, pieces(chunk)))
+            pipe.write(sum(map(len, data)).to_bytes(8, "little"))
+            pipe.writelines(data)
 
-    header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dataset.dimension + 1)]
+    header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dimension + 1)]
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\r\n").encode("utf-8"))
         children: dict[int, tuple[int, int]] = {}  # worker -> (pid, pipe)
@@ -568,24 +586,23 @@ def save_csv(dataset: LabeledDataset, path) -> None:
                     children[worker] = _fork(partial(send, mine=chunks[worker::workers]))
                 except OSError:  # no process or pipe to be had
                     break
-            for index, (begin, end) in enumerate(chunks):
+            for index, chunk in enumerate(chunks):
                 child = children.get(index % workers)
                 if child is None or not _copy(child[1], handle):
-                    for signal_index in range(begin, end):
-                        handle.write(text(signal_index).encode("utf-8"))
+                    for piece in pieces(chunk):
+                        handle.write(text(piece))
         finally:
             _reap(children.values())
 
 
 def _signal_text(values: np.ndarray, quoted_id: str, middles: list[str]) -> str:
-    """The CSV records of one signal's (n, T+1) ``values``: ``quoted_id``,
-    then ``middles[t]`` (``,t,label,``), then the values at ``t``.
+    """The CSV records of a signal's (n, k) ``values``, k of its timepoints:
+    ``quoted_id``, then ``middles[t]`` (``,t,label,``), then the values at
+    ``t``, for each of the k.
 
     A float in a list's repr is its own repr, and no repr holds ``", "``
     or a bracket, so one repr of the rows splits into them.
     """
-    if not middles:  # no timepoints, so no records
-        return ""
     rows = repr(values.T.tolist()).replace(", ", ",")[2:-2].split("],[")
     return quoted_id + ("\r\n" + quoted_id).join(map(str.__add__, middles, rows)) + "\r\n"
 
@@ -602,9 +619,13 @@ def _copy(pipe: int, handle) -> bool:
     if not head:
         return False
     left = int.from_bytes(head, "little") if len(head) == 8 else -1  # -1: a length cut short
-    while left > 0 and (data := os.read(pipe, min(left, PART_CHUNK))):
-        handle.write(data)
-        left -= len(data)
+    # One buffer for every read: reads of the odd sizes a pipe returns would
+    # each be a new bytes object, and their churn left this process's heap
+    # about 1 MiB larger.
+    buffer = memoryview(bytearray(PART_CHUNK))
+    while left > 0 and (size := os.readv(pipe, [buffer[:min(left, PART_CHUNK)]])):
+        handle.write(buffer[:size])
+        left -= size
     if left:
         raise OSError(f"{handle.name}: a chunk from a writer process was cut short")
     return True

@@ -789,8 +789,8 @@ def _save_split(folder, ds, cpus, floor=1):
 @settings(max_examples=150, deadline=None)
 @given(datasets(), CPUS, st.sampled_from([1, 64]))
 def test_save_matches_oracle(tmp_path_factory, ds, cpus, floor):
-    """At one to three CPUs, with chunks of one signal or of 64 bytes of
-    values and more."""
+    """At one to three CPUs, with chunks of one record or of 64 bytes of
+    values and more, which cut signals and span them."""
     _save_split(tmp_path_factory.mktemp("save"), ds, cpus, floor)
 
 
@@ -803,25 +803,31 @@ def _dataset(ids, dim=2, width=3):
 # are a child's, and each is the first it sends.
 QUOTED_IDS = [f"s{k}" for k in range(12)]
 QUOTED_IDS[1], QUOTED_IDS[5], QUOTED_IDS[7], QUOTED_IDS[11] = "a,b", 'q"x', "", "x\ny"
+# Each case's dataset and the number of chunks to cut it into, at a floor
+# of one signal's values but for the long signal.
 SAVE_CASES = {
-    "quoted-ids-open-child-chunks": _dataset(QUOTED_IDS),
-    "one-signal": _dataset(["only"]),
-    "horizon-0": _dataset(["a", "b", "c", "d"], width=1),
-    "no-variables": _dataset(["a", "b", "c"], dim=0),
-    "no-timepoints": _dataset(["a", "b"], width=0),
-    "more-chunks-than-cpus": _dataset([f"s{k}" for k in range(10)], dim=3, width=4),
+    "quoted-ids-open-child-chunks": (_dataset(QUOTED_IDS), 12),
+    "one-signal": (_dataset(["only"]), 1),
+    "long-signal": (_dataset(["long"], width=40), 4),
+    "horizon-0": (_dataset(["a", "b", "c", "d"], width=1), 4),
+    "no-variables": (_dataset(["a", "b", "c"], dim=0), 3),
+    "no-timepoints": (_dataset(["a", "b"], width=0), 0),
+    "more-chunks-than-cpus": (_dataset([f"s{k}" for k in range(10)], dim=3, width=4), 10),
 }
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("name", list(SAVE_CASES))
 def test_save_cases_match_oracle(tmp_path, name, cpus):
-    """Named cases at one to three CPUs, with one signal per chunk."""
-    ds = SAVE_CASES[name]
-    chunks = len(ds) if ds.values.size else 1  # one signal each; with no values, one
+    """Named cases at one to three CPUs; a long signal is cut into chunks
+    that children format too."""
+    ds, chunks = SAVE_CASES[name]
+    # A record of no variables counts as one value; with no records, any floor.
+    floor = len(ds) * max(ds.dimension, 1) * (ds.horizon + 1) * 8 // chunks if chunks else 1
     workers = min(cpus, chunks)
     # The children send every chunk but this process's, every workers-th.
-    assert _save_split(tmp_path, ds, cpus) == (workers - 1, chunks - math.ceil(chunks / workers))
+    assert _save_split(tmp_path, ds, cpus, floor) == (
+        max(workers - 1, 0), chunks - math.ceil(chunks / max(workers, 1)))
 
 
 SAVE_SET = _dataset([f"s{k}" for k in range(10)], width=300)
