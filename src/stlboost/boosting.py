@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights
+from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights, whole_file
 from .formula import And, Formula, Signal, extent, operator_count
 from .grammar import format_formula, parse_formula
 from .pso import VELOCITY_CLAMP, PsoConfig
@@ -416,7 +416,8 @@ def model_from_dict(doc) -> BoostedModel:
 
 
 def save_model(model: BoostedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write the model's JSON document to ``path``, whole or not at all."""
+    with whole_file(path, encoding="utf-8") as handle:
         json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
         handle.write("\n")
 

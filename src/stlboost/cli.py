@@ -12,13 +12,15 @@ import json
 import logging
 import operator
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from . import __version__
+from . import __version__, data
 from .boosting import (
     MAX_RETRIES,
     MAX_ROUNDS,
@@ -33,7 +35,14 @@ from .boosting import (
     train_boosted_steps,
     typed_value,
 )
-from .data import LabeledDataset, TooFewSamplesError, load_csv, save_csv, stratified_folds
+from .data import (
+    LabeledDataset,
+    TooFewSamplesError,
+    load_csv,
+    save_csv,
+    stratified_folds,
+    whole_file,
+)
 from .formula import extent, robustness_all
 from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
@@ -289,23 +298,63 @@ def run_cross_validation(
     """Train and score one model per fold; returns the outcomes and the wall
     time.
 
-    The folds train together: each one is a generator of search requests
-    (:func:`~stlboost.boosting.train_boosted_steps`), and
-    :func:`~stlboost.tree.drive` serves the pending searches of every fold in
-    one lockstep batch per round.  Seeds are numbered within a fold, so each
-    fold's model is the one training it alone gives.  A fold that fails is
-    reported as ``fold k: ...``; when several fail, the lowest-numbered one.
+    Each fold is a generator of search requests
+    (:func:`~stlboost.boosting.train_boosted_steps`).  Seeds are numbered
+    within a fold, so each fold's model is the one training it alone gives.
+    The folds are dealt round-robin to one worker per CPU, at most one per
+    fold, as the dataset loader and writer count CPUs (``data._cpus``).
+    This process is worker 0, and each further worker is a child forked
+    through ``data._fork``.  A worker trains its folds together:
+    :func:`~stlboost.tree.drive` serves the pending searches of all of them
+    in one lockstep batch per round.  A child pickles its outcomes back
+    through a pipe; every child is reaped before this function returns or
+    raises.
+
+    A fold whose worker sent no outcome (it failed, died or raised) is
+    trained again here, once the workers are done, together with any other
+    such fold.  So a fold that fails is reported as ``fold k: ...`` and,
+    when several fail, the lowest-numbered one, as one process would
+    report it.
     """
     try:
         plan = stratified_folds(dataset, folds, seed)
     except TooFewSamplesError as exc:
         raise CliError(str(exc))
     started = time.perf_counter()
-    steps = [
-        _fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
-        for fold in range(folds)
-    ]
-    outcomes = drive(steps)
+
+    def steps(share):
+        return [_fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
+                for fold in share]
+
+    def send(pipe, share):
+        pickle.dump(drive(steps(share)), pipe)
+
+    workers = min(data._cpus(), folds)
+    shares = [range(worker, folds, workers) for worker in range(workers)]
+    done: dict[int, FoldOutcome] = {}
+    children = []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append(data._fork(partial(send, share=share)))
+            except OSError:  # no process or pipe to be had
+                break
+        try:
+            done.update(zip(shares[0], drive(steps(shares[0]))))
+        except Exception:  # trained again below, to raise the error in fold order
+            pass
+        for _, pipe in children:
+            with open(pipe, "rb", closefd=False) as stream:
+                try:
+                    done.update((outcome.fold, outcome) for outcome in pickle.load(stream))
+                except (EOFError, pickle.UnpicklingError):  # the child sent nothing, or died
+                    pass
+    finally:
+        data._reap(children)
+    missing = [fold for fold in range(folds) if fold not in done]
+    if missing:
+        done.update(zip(missing, drive(steps(missing))))
+    outcomes = [done[fold] for fold in range(folds)]
     for outcome in outcomes:
         logger.info("fold %d: train %.4f test %.4f", outcome.fold,
                     outcome.train_mcr, outcome.test_mcr)
@@ -409,7 +458,7 @@ def _cmd_cv(args) -> int:
     # the wall clock goes to the text rendering only.
     rendered = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with whole_file(args.out, encoding="utf-8") as handle:
             handle.write(rendered + "\n")
     if args.format == "json":
         print(rendered)

@@ -18,6 +18,11 @@ part per CPU, and forked children parse all parts but the first.
 A large dataset's records are cut into chunks of bounded size, long
 signals too, dealt round-robin to this process and to forked children, one
 per further CPU, and this process writes the chunks in file order.
+``whole_file`` makes each file the CLI writes appear whole or not at all.
+
+The fork plumbing (``_cpus``, ``_fork``, ``_reap``) is shared: the loader,
+the writer and ``stlboost cv``'s fold workers all fork through it, so
+``_cpus`` alone decides how many processes any of them uses.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import pickle
 import signal
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
@@ -61,8 +67,9 @@ class TooFewSamplesError(ValueError):
 class LabeledDataset:
     """Signals sharing one dimension and horizon, each labeled +1 or -1.
 
-    ``values`` has shape (N, n, T+1); ``labels`` is (N,) over {+1, -1};
-    ``ids`` keeps the source identifiers for reporting.
+    ``values`` has shape (N, n, T+1) with at least one variable and one
+    timepoint; ``labels`` is (N,) over {+1, -1}; ``ids`` keeps the source
+    identifiers for reporting.
     """
 
     values: np.ndarray
@@ -74,6 +81,8 @@ class LabeledDataset:
         labels = np.asarray(self.labels, dtype=int)
         if values.ndim != 3:
             raise ValueError("values must have shape (signals, variables, timepoints)")
+        if not values.shape[1] or not values.shape[2]:
+            raise ValueError("signals must have at least one variable and one timepoint")
         # Empty datasets are legal as transient partition results; loaders and
         # training entry points insist on at least one signal.
         if not np.all(np.isfinite(values)):
@@ -526,24 +535,25 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     signal's records.
 
     The records, in file order, are cut into chunks of about
-    ``SPLIT_FLOOR`` bytes of values each (a record of no variables counts
-    as one value), so a dataset under two floors is one chunk, and a long
-    signal is cut too.  A piece is one signal's records within a chunk.
-    The chunks are dealt round-robin to this process and to one forked
-    child per further CPU (``_cpus``).  A child formats one chunk at a time,
-    a piece at a time, and sends the chunk's byte length and bytes through
-    a pipe.  This process writes the chunks in file order: it formats its
+    ``SPLIT_FLOOR`` bytes of values each, so a dataset under two floors is
+    one chunk, and a long signal is cut too.  A piece is one signal's
+    records within a chunk.  The chunks are dealt round-robin to this
+    process and to one forked child per further CPU (``_cpus``).  A child
+    formats one chunk at a time, a piece at a time, and sends the chunk's
+    byte length and bytes through a pipe.  This process writes the chunks in file order: it formats its
     own one piece at a time and copies a child's in reads of
     ``PART_CHUNK`` bytes.  So a child holds at most one chunk's text and
     this process one piece's, whatever the horizon.  If a child sends
     nothing more, this process formats the chunk itself; a chunk cut short
     raises OSError.  Every child is reaped before this function returns or
-    raises.
+    raises, and the file is written through ``whole_file``.
+
+    A dataset of no signals is written as a header alone, which
+    ``load_csv`` refuses; every other dataset loads back as it was.
     """
     count, dimension, width = dataset.values.shape
     records = count * width
-    value_bytes = records * max(dimension, 1) * dataset.values.itemsize
-    chunk_count = min(records, max(1, value_bytes // SPLIT_FLOOR))
+    chunk_count = min(records, max(1, dataset.values.nbytes // SPLIT_FLOOR))
     chunks = [(records * k // chunk_count, records * (k + 1) // chunk_count)
               for k in range(chunk_count)]
     workers = min(_cpus(), chunk_count)
@@ -554,8 +564,8 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 
     @lru_cache(maxsize=4)  # a whole signal's for each label, and the last cut ones
     def middles(label: int, first: int, end: int) -> list[str]:
-        """Each record's ",t,label," or, with no variables, ",t,label"."""
-        return [f",{t},{label}{',' if dimension else ''}" for t in range(first, end)]
+        """Each record's ",t,label,"."""
+        return [f",{t},{label}," for t in range(first, end)]
 
     def pieces(chunk):
         """The (signal, first t, end t) of each piece of ``chunk``."""
@@ -577,7 +587,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
             pipe.writelines(data)
 
     header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dimension + 1)]
-    with open(path, "wb") as handle:
+    with whole_file(path, "wb") as handle:
         handle.write((",".join(header) + "\r\n").encode("utf-8"))
         children: dict[int, tuple[int, int]] = {}  # worker -> (pid, pipe)
         try:
@@ -627,8 +637,40 @@ def _copy(pipe: int, handle) -> bool:
         handle.write(buffer[:size])
         left -= size
     if left:
-        raise OSError(f"{handle.name}: a chunk from a writer process was cut short")
+        raise OSError("a chunk from a writer process was cut short")
     return True
+
+
+@contextmanager
+def whole_file(path, mode: str = "w", **options):
+    """``open(path, mode, **options)`` for writing, such that ``path`` holds
+    its old bytes, or no file, until every byte is written.
+
+    The file is written at a new temporary name beside the file ``path``
+    resolves to, through symbolic links.  It replaces that file if the
+    block runs through, and is removed if the block raises.  A path that
+    names something other than a regular file, such as ``/dev/null`` or a
+    pipe, is opened and written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, mode, **options) as handle:
+            yield handle
+        return
+    folder, name = os.path.split(target)
+    temporary = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:  # O_EXCL never opens another's file; 0o666 gives open's permissions
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # the error names the file asked for
+        raise
+    try:
+        with open(fd, mode, **options) as handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def mcr(phi: Formula, dataset: LabeledDataset) -> float:

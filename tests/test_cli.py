@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from stlboost import (
     save_csv,
     stratified_folds,
 )
-from stlboost import cli
+from stlboost import cli, data
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost.cli import main
 from stlboost.tree import MAX_DEPTH
@@ -51,6 +56,15 @@ def identical_csv(tmp_path_factory):
 
 def never(*args, **kwargs):
     raise AssertionError("invalid settings must be rejected before training")
+
+
+# cv at one worker, and at up to three: this process and forked children.
+WORKERS = pytest.mark.parametrize("workers", [1, 3])
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestGenerate:
@@ -266,10 +280,13 @@ class TestCrossValidate:
             )
             assert math.isclose(recomputed, fold_doc["testMcr"], abs_tol=1e-12)
 
-    def test_no_tree_beats_guessing(self, identical_csv, capsys):
+    @WORKERS
+    def test_no_tree_beats_guessing(self, identical_csv, capsys, monkeypatch, workers):
+        monkeypatch.setattr(data, "_cpus", lambda: workers)
         assert main(["cv", "--data", identical_csv, "--folds", "2", "--retries", "0"]
                     + TINY_FLAGS) == 1
         assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
+        _assert_no_child_left()
 
     def test_too_many_folds(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
@@ -297,9 +314,11 @@ def test_value_range_wider_than_a_float_rejected(tmp_path, capsys, command, extr
     assert err.startswith("error: fold 0:" if command == "cv" else "error:") and "x1" in err
 
 
-def test_cv_reports_the_lowest_failing_fold(tmp_path, capsys):
+@WORKERS
+def test_cv_reports_the_lowest_failing_fold(tmp_path, capsys, monkeypatch, workers):
     # One signal too wide to search sits in fold 0's test set, so fold 0
     # trains and only fold 1's training set is refused.
+    monkeypatch.setattr(data, "_cpus", lambda: workers)
     dataset = generate_naval(NavalConfig(count_per_class=6, seed=2))
     wide = stratified_folds(dataset, 2, seed=3).test_indices(0)[0]
     values = dataset.values.copy()
@@ -310,12 +329,16 @@ def test_cv_reports_the_lowest_failing_fold(tmp_path, capsys):
     assert main(["cv", "--data", str(path)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: fold 1:") and "x1" in err
+    _assert_no_child_left()
 
 
-def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys):
+@WORKERS
+def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys, monkeypatch, workers):
     # Fold 1's training set holds the wide signal and is refused at its
     # first search; fold 0's identical signals fail only once every retry
-    # is spent, and fold 0 is still the one reported.
+    # is spent, and fold 0 is still the one reported.  At two workers or
+    # more, fold 1 fails in a child, and fold 0 in this process.
+    monkeypatch.setattr(data, "_cpus", lambda: workers)
     rows = ["id,t,label,x1"] + [
         f"s{i},{t},{1 if i % 2 == 0 else -1},1.0" for i in range(8) for t in range(6)
     ]
@@ -328,6 +351,93 @@ def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys):
     save_csv(LabeledDataset(values, dataset.labels, dataset.ids), path)
     assert main(["cv", "--data", str(path), "--folds", "2", "--seed", "0"] + TINY_FLAGS) == 1
     assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
+    _assert_no_child_left()
+
+
+def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers):
+    """The stdout and ``--out`` bytes of a 5-fold cv at up to ``workers``
+    workers; checks that no child is left."""
+    monkeypatch.setattr(data, "_cpus", lambda: workers)
+    out = tmp_path / f"report-{workers}.json"
+    assert main(["cv", "--data", naval_csv, "--trees", "2", "--folds", "5", "--seed", "7",
+                 "--format", "json", "--out", str(out)] + FAST_FLAGS) == 0
+    _assert_no_child_left()
+    return capsys.readouterr().out, out.read_bytes()
+
+
+def test_cv_bytes_do_not_depend_on_the_workers(naval_csv, tmp_path, capsys, monkeypatch):
+    """Five folds at one, two and three workers: one child holds two folds
+    at two workers, and the folds of a share are trained together."""
+    alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1)
+    for workers in (2, 3):
+        assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers) == alone
+
+
+def test_folds_of_a_failed_child_are_trained_here(naval_csv, tmp_path, capsys, monkeypatch):
+    """A child that fails before it sends leaves its folds to this process,
+    which trains them after its own share and reports the same bytes."""
+    alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1)
+    parent, fold_steps, trained = os.getpid(), cli._fold_steps, []
+
+    def stand_in(dataset, plan, fold, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        trained.append(fold)
+        return fold_steps(dataset, plan, fold, *args)
+
+    monkeypatch.setattr(cli, "_fold_steps", stand_in)
+    assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 3) == alone
+    assert trained == [0, 3, 1, 2, 4]  # share 0, then the children's folds in order
+
+
+def test_an_interrupted_cv_reaps_its_children(identical_csv, monkeypatch):
+    """A Ctrl-C in this process kills and reaps the children still training."""
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    parent, real_drive = os.getpid(), cli.drive
+
+    def drive(steps):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real_drive(steps)
+
+    monkeypatch.setattr(cli, "drive", drive)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["cv", "--data", identical_csv, "--folds", "3"] + TINY_FLAGS)
+    _assert_no_child_left()
+    assert time.monotonic() - start < 30  # the sleeping children were killed
+
+
+def _forbidden(send):
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("gate", ["none", "thread"])
+def test_cv_forks_nothing_while_another_thread_runs(identical_csv, monkeypatch, gate):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(data, "_fork", _forbidden)
+    dataset = load_csv(identical_csv)
+    config = cli.TreeConfig(max_depth=1)
+
+    def cv():
+        return cli.run_cross_validation(dataset, trees=1, config=config, m_weight=100.0,
+                                        folds=2, seed=0, max_retries=0)
+
+    if gate == "none":
+        with pytest.raises(AssertionError, match="forked"):
+            cv()
+        return
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        with pytest.raises(cli.CliError, match="fold 0: no tree beat random guessing"):
+            cv()
+    finally:
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 def test_widest_value_range_trains(tmp_path, capsys):
@@ -524,3 +634,35 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+LIMITED_SCRIPT = """
+import resource, signal, sys
+from stlboost.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit raises instead
+resource.setrlimit(resource.RLIMIT_FSIZE, (512, 512))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-naval", "--count-per-class", "5"],
+    ["train", "--trees", "1"] + FAST_FLAGS,
+    ["cv", "--trees", "1", "--folds", "2"] + FAST_FLAGS,
+])
+@pytest.mark.parametrize("old", [None, b"old bytes"])
+def test_an_output_cut_short_leaves_the_old_file(naval_csv, tmp_path, command, old):
+    """Under a file size limit, each command that writes an output file fails
+    with exit 1 and leaves the old file, or none, and no temporary file."""
+    out = tmp_path / "out"
+    if old is not None:
+        out.write_bytes(old)
+    flags = [] if command[0].startswith("gen") else ["--data", naval_csv]
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", LIMITED_SCRIPT, *command, *flags,
+                           "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=source), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 1 and "File too large" in done.stderr, done.stderr
+    assert os.listdir(tmp_path) == ([] if old is None else ["out"])
+    assert old is None or out.read_bytes() == old

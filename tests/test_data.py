@@ -281,6 +281,11 @@ def test_dataset_validation():
         LabeledDataset(np.full((1, 1, 2), np.inf), np.array([1]), ("a",))
     with pytest.raises(ValueError):
         mcr(FALSE, LabeledDataset(np.zeros((0, 1, 2)), np.zeros(0, dtype=int), ()))
+    # No variables or no timepoints: such a dataset could not be saved to a
+    # file that loads back, nor trained on.
+    for shape in ((2, 0, 3), (2, 1, 0), (0, 0, 3)):
+        with pytest.raises(ValueError, match="one variable and one timepoint"):
+            LabeledDataset(np.zeros(shape), np.ones(shape[0], dtype=int), ("a", "b")[:shape[0]])
 
 
 # Differential tests: ``load_csv`` against the record-at-a-time oracle.
@@ -752,10 +757,10 @@ def test_parts_left_unforked_are_parsed_here(tmp_path_factory, monkeypatch):
 
 @st.composite
 def datasets(draw):
-    """Zero to five signals with 0-3 variables and horizons from 0, over ids
+    """Zero to five signals with 1-3 variables and horizons from 0, over ids
     that need quoting and extreme floats."""
     ids = draw(st.lists(ID_TEXT, max_size=5, unique=True))
-    dim = draw(st.integers(0, 3))
+    dim = draw(st.integers(1, 3))
     width = draw(st.integers(1, 5))
     values = draw(st.lists(VALUES, min_size=len(ids) * dim * width,
                            max_size=len(ids) * dim * width))
@@ -810,8 +815,6 @@ SAVE_CASES = {
     "one-signal": (_dataset(["only"]), 1),
     "long-signal": (_dataset(["long"], width=40), 4),
     "horizon-0": (_dataset(["a", "b", "c", "d"], width=1), 4),
-    "no-variables": (_dataset(["a", "b", "c"], dim=0), 3),
-    "no-timepoints": (_dataset(["a", "b"], width=0), 0),
     "more-chunks-than-cpus": (_dataset([f"s{k}" for k in range(10)], dim=3, width=4), 10),
 }
 
@@ -822,12 +825,10 @@ def test_save_cases_match_oracle(tmp_path, name, cpus):
     """Named cases at one to three CPUs; a long signal is cut into chunks
     that children format too."""
     ds, chunks = SAVE_CASES[name]
-    # A record of no variables counts as one value; with no records, any floor.
-    floor = len(ds) * max(ds.dimension, 1) * (ds.horizon + 1) * 8 // chunks if chunks else 1
     workers = min(cpus, chunks)
     # The children send every chunk but this process's, every workers-th.
-    assert _save_split(tmp_path, ds, cpus, floor) == (
-        max(workers - 1, 0), chunks - math.ceil(chunks / max(workers, 1)))
+    assert _save_split(tmp_path, ds, cpus, ds.values.nbytes // chunks) == (
+        workers - 1, chunks - math.ceil(chunks / workers))
 
 
 SAVE_SET = _dataset([f"s{k}" for k in range(10)], width=300)
@@ -881,3 +882,79 @@ def test_a_chunk_cut_short_raises(tmp_path, sent, copied):
         os.close(reader)
     if copied:
         assert (tmp_path / "out.csv").read_bytes() == b"12345678"
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets().filter(len), CPUS)
+def test_saved_datasets_load_back(tmp_path_factory, ds, cpus):
+    """Every dataset of one signal or more loads back as it was saved: the
+    values' bits, the labels and the ids.  At one to three CPUs with a floor
+    of 64 bytes, the save and the load are cut into chunks and parts."""
+    path = tmp_path_factory.mktemp("round") / "data.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "SPLIT_FLOOR", 64)
+        patch.setattr(data, "_cpus", lambda: cpus)
+        save_csv(ds, path)
+        again = load_csv(path)
+    assert again.values.shape == ds.values.shape
+    assert again.values.tobytes() == ds.values.tobytes()
+    assert again.labels.tolist() == ds.labels.tolist()
+    assert again.ids == ds.ids
+
+
+def _fail_midway(handle):
+    handle.write("new bytes")
+    raise OSError("the device is full")
+
+
+@pytest.mark.parametrize("old", [None, "old bytes"])
+def test_whole_file_leaves_the_old_bytes_on_failure(tmp_path, old):
+    """A write that raises midway leaves the old bytes, or no file, and no
+    temporary file; one that runs through replaces them."""
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_text(old)
+    with pytest.raises(OSError, match="full"):
+        with data.whole_file(path) as handle:
+            _fail_midway(handle)
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.txt"])
+    assert old is None or path.read_text() == old
+    with data.whole_file(path) as handle:
+        handle.write("new bytes")
+    assert os.listdir(tmp_path) == ["out.txt"] and path.read_text() == "new bytes"
+
+
+def test_whole_file_writes_through_links_and_devices(tmp_path):
+    """A symbolic link is written through, and a device is written in place."""
+    target = tmp_path / "target.txt"
+    target.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with data.whole_file(link) as handle:
+        handle.write("new")
+    assert link.is_symlink() and target.read_text() == "new"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+    with data.whole_file(os.devnull) as handle:
+        handle.write("gone")
+    assert not os.path.isfile(os.devnull)
+
+
+def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    """``save_csv`` raising midway, past its header and first piece, leaves
+    the old file and no temporary file."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"old bytes")
+    monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    text, calls = data._signal_text, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("the device is full")
+        return text(*args)
+
+    monkeypatch.setattr(data, "_signal_text", failing)
+    with pytest.raises(OSError, match="full"):
+        save_csv(SAVE_SET, path)
+    assert os.listdir(tmp_path) == ["data.csv"] and path.read_bytes() == b"old bytes"
