@@ -12,11 +12,9 @@ import json
 import logging
 import operator
 import os
-import pickle
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -301,20 +299,19 @@ def run_cross_validation(
     Each fold is a generator of search requests
     (:func:`~stlboost.boosting.train_boosted_steps`).  Seeds are numbered
     within a fold, so each fold's model is the one training it alone gives.
-    The folds are dealt round-robin to one worker per CPU, at most one per
-    fold, as the dataset loader and writer count CPUs (``data._cpus``).
-    This process is worker 0, and each further worker is a child forked
-    through ``data._fork``.  A worker trains its folds together:
+    The folds are dealt round-robin into one share per CPU (``data._cpus``),
+    at most one per fold, and :func:`~stlboost.data.fan_out` trains share 0
+    in this process and each further share in a forked child, which pickles
+    the share's outcomes back.  A worker trains its folds together:
     :func:`~stlboost.tree.drive` serves the pending searches of all of them
-    in one lockstep batch per round.  A child pickles its outcomes back
-    through a pipe; every child is reaped before this function returns or
-    raises.
+    in one lockstep batch per round.  Every child is reaped before this
+    function returns or raises.
 
-    A fold whose worker sent no outcome (it failed, died or raised) is
-    trained again here, once the workers are done, together with any other
-    such fold.  So a fold that fails is reported as ``fold k: ...`` and,
-    when several fail, the lowest-numbered one, as one process would
-    report it.
+    A fold with no outcome (its share raised, or its child died and the
+    share raised here) is trained again once every share is done, together
+    with any other such fold.  So a fold that fails is reported as
+    ``fold k: ...`` and, when several fail, the lowest-numbered one, as one
+    process would report it.
     """
     try:
         plan = stratified_folds(dataset, folds, seed)
@@ -326,31 +323,19 @@ def run_cross_validation(
         return [_fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
                 for fold in share]
 
-    def send(pipe, share):
-        pickle.dump(drive(steps(share)), pipe)
+    def attempt(share):
+        try:
+            return drive(steps(share))
+        except Exception:  # trained again below, to raise the error in fold order
+            return None
 
     workers = min(data._cpus(), folds)
     shares = [range(worker, folds, workers) for worker in range(workers)]
     done: dict[int, FoldOutcome] = {}
-    children = []
-    try:
-        for share in shares[1:]:
-            try:
-                children.append(data._fork(partial(send, share=share)))
-            except OSError:  # no process or pipe to be had
-                break
-        try:
-            done.update(zip(shares[0], drive(steps(shares[0]))))
-        except Exception:  # trained again below, to raise the error in fold order
-            pass
-        for _, pipe in children:
-            with open(pipe, "rb", closefd=False) as stream:
-                try:
-                    done.update((outcome.fold, outcome) for outcome in pickle.load(stream))
-                except (EOFError, pickle.UnpicklingError):  # the child sent nothing, or died
-                    pass
-    finally:
-        data._reap(children)
+    with data.fan_out(attempt, shares) as results:
+        for share, outcomes in zip(shares, results):
+            if outcomes is not None:
+                done.update(zip(share, outcomes))
     missing = [fold for fold in range(folds) if fold not in done]
     if missing:
         done.update(zip(missing, drive(steps(missing))))

@@ -16,13 +16,15 @@ part per CPU, and forked children parse all parts but the first.
 
 ``save_csv`` writes the bytes ``csv.writer`` would, one ``repr`` per value.
 A large dataset's records are cut into chunks of bounded size, long
-signals too, dealt round-robin to this process and to forked children, one
-per further CPU, and this process writes the chunks in file order.
+signals too, and this process writes the formatted chunks in file order.
 ``whole_file`` makes each file the CLI writes appear whole or not at all.
 
-The fork plumbing (``_cpus``, ``_fork``, ``_reap``) is shared: the loader,
-the writer and ``stlboost cv``'s fold workers all fork through it, so
-``_cpus`` alone decides how many processes any of them uses.
+``fan_out`` is the one way work is spread over CPUs: the loader's parts,
+the writer's chunks and ``stlboost cv``'s fold shares are dealt
+round-robin to this process and to one forked child per further CPU
+(``_cpus``), and each child pickles its results back through a pipe.  A
+task a child did not send is run here, and no child outlives the
+``with`` block.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,7 +53,7 @@ BLOCK_ROWS = 4096  # rows turned into columns at a time; bounds the loader's scr
 # Bytes: the smallest part a file is cut into.  A split pays from parts of
 # about 0.2 MiB (README, "Performance"); the floor keeps a margin.
 SPLIT_FLOOR = 1 << 19
-PART_CHUNK = 1 << 16  # bytes read at a time: of a file by the fast path, of a pipe by save_csv
+PART_CHUNK = 1 << 16  # bytes of a file the fast path reads at a time
 _READ_ERRORS = (UnicodeDecodeError, csv.Error)
 
 
@@ -83,8 +85,8 @@ class LabeledDataset:
             raise ValueError("values must have shape (signals, variables, timepoints)")
         if not values.shape[1] or not values.shape[2]:
             raise ValueError("signals must have at least one variable and one timepoint")
-        # Empty datasets are legal as transient partition results; loaders and
-        # training entry points insist on at least one signal.
+        # Empty datasets are legal as transient partition results; loaders,
+        # save_csv and training entry points insist on at least one signal.
         if not np.all(np.isfinite(values)):
             raise ValueError("signal values must be finite")
         if labels.shape != (values.shape[0],):
@@ -148,13 +150,12 @@ def load_csv(path) -> LabeledDataset:
 
     The fast path cuts a file's body just after ``\\n`` bytes into one part
     per CPU of ``os.sched_getaffinity(0)``, none under ``SPLIT_FLOOR``
-    bytes, and forks a child to parse each part but the first, which this
-    process parses meanwhile.  Each child sends its columns back through a
-    pipe and is reaped before this function returns; any child still
-    running then is killed.  A file is one part, and no process is forked,
-    when it is under two floors, when ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, or while another Python thread
-    runs.
+    bytes.  This process parses the first part, and forked children parse
+    the others and send them back through pipes (``fan_out``); every child
+    is reaped before this function returns, and one still running then is
+    killed.  A file is one part, and no process is forked, when it is under
+    two floors, when ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    or while another Python thread runs.
 
     Raises OSError for IO failures and SchemaError for malformed content
     (not UTF-8 CSV text, wrong header, ragged signals, duplicate timepoints,
@@ -192,12 +193,11 @@ def _load_fast(path) -> LabeledDataset | None:
     """The dataset, parsed by ``np.loadtxt``, or None where the exact path
     must read the file.
 
-    The body is cut into parts (``_cuts``) at line starts.  Forked children
-    parse every part but the first, which this process parses meanwhile;
-    each part's ids are coded in order of first appearance within it, and
-    its codes are mapped onto the file's order here.  A part is refused as
-    a whole file would be, and one refused part refuses the file.  If no
-    process can be forked, this process parses the parts left.
+    The body is cut into parts (``_cuts``) at line starts, and ``fan_out``
+    parses them on this process and forked children.  Each part's ids are
+    coded in order of first appearance within it, and its codes are mapped
+    onto the file's order here.  A part is refused as a whole file would
+    be, and one refused part refuses the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -207,41 +207,34 @@ def _load_fast(path) -> LabeledDataset | None:
             width = _width(header.rstrip("\r\n").split(","))
             fd = handle.fileno()
             cuts = _cuts(fd, len(header.encode("utf-8")), os.fstat(fd).st_size)
-            parts = list(zip(cuts, cuts[1:]))
-            children: dict[int, tuple[int, int]] = {}  # part index -> (pid, pipe)
-            try:
-                for index, (begin, end) in enumerate(parts[1:], 1):
-                    try:
-                        children[index] = _fork_part(fd, begin, end, width)
-                    except OSError:  # no process or pipe to be had
-                        break
-                code_of: dict[str, int] = {}
-                blocks = []
-                line = 2  # the fast path takes no blank line, so a line is a record
-                for index, (begin, end) in enumerate(parts):
-                    if index in children:
-                        part = _receive(children[index][1], width)
-                    else:
-                        part = _parse_part(fd, begin, end, width)
+            code_of: dict[str, int] = {}
+            blocks = []
+            line = 2  # the fast path takes no blank line, so a line is a record
+
+            def parse(part):  # an error refuses a part as None does, in a child too
+                try:
+                    return _parse_part(fd, *part, width)
+                except (ValueError, OverflowError):
+                    return None
+
+            with fan_out(parse, zip(cuts, cuts[1:])) as parts:
+                for part in parts:
                     if part is None:
                         return None
                     ids, part_blocks = part
                     codes_of_ids = _codes(ids, code_of)
-                    for codes, times, labels, points in part_blocks:
+                    for codes, rows in part_blocks:
                         blocks.append((np.arange(line, line + len(codes)), codes_of_ids[codes],
-                                       times, labels, points))
+                                       rows["t"], rows["label"], rows["x"]))
                         line += len(codes)
-            finally:
-                # A child whose part was received has nothing left to do, and
-                # any other is no longer wanted.
-                _reap(children.values())
         return _dataset(blocks, code_of, width)
     except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
         return None
 
 
 def _cpus() -> int:
-    """The CPUs a load or a save may fork its parts onto.
+    """How many workers ``fan_out`` deals a load's, a save's or a cv's tasks
+    to: this process and one child per further CPU.
 
     1 without ``os.fork`` or ``os.sched_getaffinity``, and while another
     Python thread runs: a forked child has only the thread that forked it,
@@ -300,9 +293,11 @@ class _Part(io.RawIOBase):
 
 def _parse_part(fd: int, begin: int, end: int, width: int):
     """The lines in bytes ``begin``..``end`` as ``(ids, blocks)``: the ids in
-    order of first appearance and blocks of ``(codes, times, labels,
-    points)`` columns, with codes indexing ``ids``.  None if the fast path
-    refuses the part.
+    order of first appearance and blocks of ``(codes, rows)``, with codes
+    indexing ``ids`` and rows a structured array of fields ``t``, ``label``
+    and ``x``.  None if the fast path refuses the part.  A block is two
+    contiguous arrays, which a child pickles without a copy; the fields of
+    ``rows`` would each be copied.
 
     Without a quote character a CSV record is one line, and its fields are
     the text between commas, as loadtxt splits them.  A cell loadtxt parses
@@ -326,6 +321,10 @@ def _parse_part(fd: int, begin: int, end: int, width: int):
             if ('"' in text or text.count(",") != (width - 1) * len(lines)
                     or any(map(str.isspace, lines)) or max(map(len, lines)) > limit):
                 return None
+            # Some non-ASCII text in an int field crashes loadtxt (numpy 2.4.6
+            # on "\U000c1fd9\u00c5"), so the exact path reads any such block.
+            if not text.isascii() and not all(line.partition(",")[2].isascii() for line in lines):
+                return None
             del text  # not held while loadtxt runs: it adds to peak memory
             # max_rows sizes the result once; grown as rows arrive, its
             # reallocations leave heap holes that raise peak memory.
@@ -334,31 +333,14 @@ def _parse_part(fd: int, begin: int, end: int, width: int):
             if len(rows) != len(lines):
                 return None
             sids = [record.partition(",")[0] for record in lines]
-            blocks.append((_codes(sids, code_of), rows["t"], rows["label"], rows["x"]))
+            blocks.append((_codes(sids, code_of), rows))
     return tuple(code_of), blocks
-
-
-def _fork_part(fd: int, begin: int, end: int, width: int) -> tuple[int, int]:
-    """Fork a child that parses bytes ``begin``..``end`` and sends the part
-    through a pipe, for ``_receive``; returns its pid and the pipe's read
-    end.  A child that refuses its part, or fails, sends nothing.
-    """
-    def send(pipe):
-        part = _parse_part(fd, begin, end, width)
-        if part is not None:
-            ids, blocks = part
-            columns = [np.concatenate(column) for column in zip(*blocks)]
-            pickle.dump((ids, len(columns[0])), pipe)
-            for column in columns:
-                pipe.write(column)
-
-    return _fork(send)
 
 
 def _fork(send) -> tuple[int, int]:
     """Fork a child that runs ``send`` on the write end of a new pipe, as a
     binary file, and leaves through ``os._exit``; returns the child's pid
-    and the pipe's read end, to be given to ``_reap``.
+    and the pipe's read end.
     """
     reader, writer = os.pipe()
     parent = os.getpid()
@@ -389,28 +371,61 @@ def _fork(send) -> tuple[int, int]:
     return pid, reader
 
 
-def _reap(children) -> None:
-    """Close the pipe of each ``(pid, pipe)`` child, kill it and wait for it."""
-    for pid, pipe in children:
-        os.close(pipe)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+@contextmanager
+def fan_out(work, tasks):
+    """For a ``with`` block, an iterator of ``work(task)`` for each of
+    ``tasks``, in task order.
+
+    The tasks are dealt round-robin to this process and to one forked child
+    per further CPU (``_cpus``), at most one worker per task.  A child runs
+    its tasks in order and pickles each result through a pipe as soon as it
+    has it; this process runs its own tasks as the iterator reaches them.
+    A task whose child sent nothing for it (the child raised, died or was
+    cut short, or could not be forked) is run here, and so are that
+    child's later tasks.  Every child is reaped when the block exits,
+    however it exits, and one still running is killed.
+
+    A context manager, not a generator: a generator's ``finally`` waits for
+    it to be collected, which a traceback holding the caller's frame defers.
+    """
+    tasks = list(tasks)
+    workers = min(_cpus(), len(tasks))
+    children = []  # (pid, pipe) of workers 1, 2, ...
+
+    def results():
+        streams = {worker: open(pipe, "rb", closefd=False)
+                   for worker, (_, pipe) in enumerate(children, 1)}
+        for index, task in enumerate(tasks):
+            worker = index % workers
+            if worker in streams:
+                try:
+                    result = pickle.load(streams[worker])
+                except (EOFError, pickle.UnpicklingError):  # the child sent nothing more
+                    del streams[worker]
+            if worker not in streams:
+                result = work(task)
+            yield result
+
+    try:
+        for worker in range(1, workers):
+            try:
+                children.append(_fork(partial(_send, work, tasks[worker::workers])))
+            except OSError:  # no process or pipe to be had
+                break
+        yield results()
+    finally:
+        for pid, pipe in children:  # one still running is no longer wanted
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _receive(pipe: int, width: int):
-    """The part a child sent through ``pipe``, as ``_parse_part`` returns
-    it, or None if the child sent nothing or too little."""
-    with open(pipe, "rb", closefd=False) as stream:
-        try:
-            ids, rows = pickle.load(stream)
-        except (EOFError, pickle.UnpicklingError):  # the child sent nothing, or died
-            return None
-        columns = (np.empty(rows, np.intp), np.empty(rows, np.int64), np.empty(rows, np.int64),
-                   np.empty((rows, width - 3)))
-        for column in columns:
-            if stream.readinto(column) != column.nbytes:
-                return None
-    return ids, [columns]
+def _send(work, tasks, pipe) -> None:
+    """A child's side of ``fan_out``: each task's result, pickled as soon as
+    it is made."""
+    for task in tasks:
+        pickle.dump(work(task), pipe, pickle.HIGHEST_PROTOCOL)
+        pipe.flush()
 
 
 def _load_exact(path) -> LabeledDataset:
@@ -537,26 +552,25 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     The records, in file order, are cut into chunks of about
     ``SPLIT_FLOOR`` bytes of values each, so a dataset under two floors is
     one chunk, and a long signal is cut too.  A piece is one signal's
-    records within a chunk.  The chunks are dealt round-robin to this
-    process and to one forked child per further CPU (``_cpus``).  A child
-    formats one chunk at a time, a piece at a time, and sends the chunk's
-    byte length and bytes through a pipe.  This process writes the chunks in file order: it formats its
-    own one piece at a time and copies a child's in reads of
-    ``PART_CHUNK`` bytes.  So a child holds at most one chunk's text and
-    this process one piece's, whatever the horizon.  If a child sends
-    nothing more, this process formats the chunk itself; a chunk cut short
-    raises OSError.  Every child is reaped before this function returns or
-    raises, and the file is written through ``whole_file``.
+    records within a chunk.  ``fan_out`` formats the chunks, a piece at a
+    time, in this process and in one forked child per further CPU, and this
+    process writes them in file order.  So each process holds one chunk's
+    text at a time, whatever the horizon.  A chunk that a child did not
+    send whole is formatted here.  Every child is reaped before this
+    function returns or raises, and the file is written through
+    ``whole_file``.
 
-    A dataset of no signals is written as a header alone, which
-    ``load_csv`` refuses; every other dataset loads back as it was.
+    Raises ValueError, before ``path`` is opened, for a dataset of no
+    signals: ``load_csv`` refuses a file of no records.  Every other
+    dataset loads back as it was.
     """
+    if not len(dataset):
+        raise ValueError("a dataset of no signals cannot be saved")
     count, dimension, width = dataset.values.shape
     records = count * width
     chunk_count = min(records, max(1, dataset.values.nbytes // SPLIT_FLOOR))
     chunks = [(records * k // chunk_count, records * (k + 1) // chunk_count)
               for k in range(chunk_count)]
-    workers = min(_cpus(), chunk_count)
     # writerow returns what it writes: "<id>,\r\n", the id quoted as in a record.
     quote = csv.writer(SimpleNamespace(write=str)).writerow
     quoted = [quote((sid, ""))[:-3] for sid in dataset.ids]
@@ -579,30 +593,13 @@ def save_csv(dataset: LabeledDataset, path) -> None:
         return _signal_text(dataset.values[index, :, first:end], quoted[index],
                             middles(labels[index], first, end)).encode("utf-8")
 
-    def send(pipe, mine):
-        for chunk in mine:
-            # The whole chunk, so that this child formats it while the pipe is full.
-            data = list(map(text, pieces(chunk)))
-            pipe.write(sum(map(len, data)).to_bytes(8, "little"))
-            pipe.writelines(data)
+    def work(chunk) -> list[bytes]:
+        return list(map(text, pieces(chunk)))
 
     header = ["id", "t", "label"] + [f"x{j}" for j in range(1, dimension + 1)]
-    with whole_file(path, "wb") as handle:
+    with whole_file(path, "wb") as handle, fan_out(work, chunks) as texts:
         handle.write((",".join(header) + "\r\n").encode("utf-8"))
-        children: dict[int, tuple[int, int]] = {}  # worker -> (pid, pipe)
-        try:
-            for worker in range(1, workers):
-                try:
-                    children[worker] = _fork(partial(send, mine=chunks[worker::workers]))
-                except OSError:  # no process or pipe to be had
-                    break
-            for index, chunk in enumerate(chunks):
-                child = children.get(index % workers)
-                if child is None or not _copy(child[1], handle):
-                    for piece in pieces(chunk):
-                        handle.write(text(piece))
-        finally:
-            _reap(children.values())
+        handle.writelines(chain.from_iterable(texts))
 
 
 def _signal_text(values: np.ndarray, quoted_id: str, middles: list[str]) -> str:
@@ -615,30 +612,6 @@ def _signal_text(values: np.ndarray, quoted_id: str, middles: list[str]) -> str:
     """
     rows = repr(values.T.tolist()).replace(", ", ",")[2:-2].split("],[")
     return quoted_id + ("\r\n" + quoted_id).join(map(str.__add__, middles, rows)) + "\r\n"
-
-
-def _copy(pipe: int, handle) -> bool:
-    """Copy the next chunk a child sent through ``pipe`` to ``handle``, in
-    reads of at most ``PART_CHUNK`` bytes; False if the child sent nothing
-    more.  Raises OSError for a chunk cut short: a file cut at a signal's
-    end would still load.
-    """
-    head = b""
-    while len(head) < 8 and (more := os.read(pipe, 8 - len(head))):
-        head += more
-    if not head:
-        return False
-    left = int.from_bytes(head, "little") if len(head) == 8 else -1  # -1: a length cut short
-    # One buffer for every read: reads of the odd sizes a pipe returns would
-    # each be a new bytes object, and their churn left this process's heap
-    # about 1 MiB larger.
-    buffer = memoryview(bytearray(PART_CHUNK))
-    while left > 0 and (size := os.readv(pipe, [buffer[:min(left, PART_CHUNK)]])):
-        handle.write(buffer[:size])
-        left -= size
-    if left:
-        raise OSError("a chunk from a writer process was cut short")
-    return True
 
 
 @contextmanager

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stlboost import (
     LabeledDataset,
@@ -22,7 +24,7 @@ from stlboost import (
     save_csv,
     stratified_folds,
 )
-from stlboost import cli, data
+from stlboost import UrbanConfig, cli, data, generate_urban, templates
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost.cli import main
 from stlboost.tree import MAX_DEPTH
@@ -60,11 +62,6 @@ def never(*args, **kwargs):
 
 # cv at one worker, and at up to three: this process and forked children.
 WORKERS = pytest.mark.parametrize("workers", [1, 3])
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestGenerate:
@@ -286,7 +283,6 @@ class TestCrossValidate:
         assert main(["cv", "--data", identical_csv, "--folds", "2", "--retries", "0"]
                     + TINY_FLAGS) == 1
         assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
-        _assert_no_child_left()
 
     def test_too_many_folds(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
@@ -329,7 +325,6 @@ def test_cv_reports_the_lowest_failing_fold(tmp_path, capsys, monkeypatch, worke
     assert main(["cv", "--data", str(path)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: fold 1:") and "x1" in err
-    _assert_no_child_left()
 
 
 @WORKERS
@@ -351,17 +346,15 @@ def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys, monkeypatch,
     save_csv(LabeledDataset(values, dataset.labels, dataset.ids), path)
     assert main(["cv", "--data", str(path), "--folds", "2", "--seed", "0"] + TINY_FLAGS) == 1
     assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
-    _assert_no_child_left()
 
 
 def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers):
     """The stdout and ``--out`` bytes of a 5-fold cv at up to ``workers``
-    workers; checks that no child is left."""
+    workers."""
     monkeypatch.setattr(data, "_cpus", lambda: workers)
     out = tmp_path / f"report-{workers}.json"
     assert main(["cv", "--data", naval_csv, "--trees", "2", "--folds", "5", "--seed", "7",
                  "--format", "json", "--out", str(out)] + FAST_FLAGS) == 0
-    _assert_no_child_left()
     return capsys.readouterr().out, out.read_bytes()
 
 
@@ -405,7 +398,6 @@ def test_an_interrupted_cv_reaps_its_children(identical_csv, monkeypatch):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["cv", "--data", identical_csv, "--folds", "3"] + TINY_FLAGS)
-    _assert_no_child_left()
     assert time.monotonic() - start < 30  # the sleeping children were killed
 
 
@@ -438,6 +430,57 @@ def test_cv_forks_nothing_while_another_thread_runs(identical_csv, monkeypatch, 
         release.set()
         thread.join(timeout=60)
         assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def jobs(tmp_path_factory):
+    """A ``cv``, ``train``, ``monitor`` and ``eval --per-signal`` job over
+    an urban file of more than two default floors, and a function that runs
+    them and returns their exit codes and stdout, and the file's bytes as
+    ``save_csv`` writes them again."""
+    root = tmp_path_factory.mktemp("jobs")
+    path, model = str(root / "urban.csv"), str(root / "model.json")
+    dataset = generate_urban(UrbanConfig(count_per_class=12, horizon=499, seed=0))
+    save_csv(dataset, path)
+    assert os.path.getsize(path) > 2 * data.SPLIT_FLOOR
+    flags = ["--data", path, "-K", "2", "--max-depth", "2", "--pso-swarm", "4",
+             "--pso-iters", "3", "--seed", "1", "--format", "json"]
+    argvs = [["cv", "--folds", "4"] + flags, ["train", "--out", model] + flags,
+             ["monitor", "--formula", "F[0,400](G[0,99]((x3 > 1) & (x1 <= 30)))",
+              "--data", path],
+             ["eval", "--model", model, "--data", path, "--per-signal"]]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [main(argv) for argv in argvs]
+        save_csv(dataset, root / "again.csv")
+        return codes, out.getvalue(), (root / "again.csv").read_bytes()
+
+    return run, run()
+
+
+@settings(max_examples=3, deadline=None)
+@given(cpus=st.integers(1, 3), floor=st.integers(1, 1 << 16), block=st.integers(100, 1000),
+       chunk=st.integers(64, 4096), budget=st.integers(1, 1 << 16))
+def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chunk, budget):
+    """Every setting that trades processes or memory for speed, drawn small
+    at once, leaves each job's stdout bytes, and a saved file's bytes, as
+    the defaults give them: the CPUs of loads, saves and cv folds; the
+    floor of a part or chunk; the loader's block rows and read size; and
+    the range table budget behind node stacking, lockstep batches and
+    passes.  The clean file never needs the exact loader, which would hide
+    a fault of the fast one."""
+    run, default = jobs
+    assert default[0] == [0, 0, 0, 0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_load_exact", never)
+        patch.setattr(data, "_cpus", lambda: cpus)
+        patch.setattr(data, "SPLIT_FLOOR", floor)
+        patch.setattr(data, "BLOCK_ROWS", block)
+        patch.setattr(data, "PART_CHUNK", chunk)
+        patch.setattr(templates, "TABLE_BUDGET_BYTES", budget)
+        assert run() == default
 
 
 def test_widest_value_range_trains(tmp_path, capsys):

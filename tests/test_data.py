@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -436,6 +438,8 @@ EDGE_CASES = {
     "id,t,label,x1\na,0,1,0\n\na,1,1,0,9\na,x,1,0\n": "line 4: expected 4 fields",
     "id,t,label,x1\na,0,1,0\na,1,1,x\na,1,1,0,9\n": "line 3: could not convert",
     "id,t,label,x1\na,0,1,0\na,1,1,nan\na,x,1,0\n": "line 3: non-finite",
+    # A t that crashed numpy 2.4.6's loadtxt.
+    "id,t,label,x1\na,0,1,0\na,\U000c1fd9\u00c5,1,0\n": "line 3: invalid literal for int()",
     # Blank records only, then a valid file with blank records and odd spellings.
     "id,t,label,x1\n\n\n": "no data rows",
     "id,t,label,x1\n\na,0,+1,0\n\nb,0,-1,1_0\n": None,
@@ -614,15 +618,17 @@ def test_cut_at_a_line_start_stays_there(tmp_path, monkeypatch):
 SPLIT_FILE = HEAD + "".join(f"s{i // 10},{i % 10},1,{i}.5\n" for i in range(100))
 
 
-def _in_child(action, name="_parse_part"):
+def _in_child(action, name="_parse_part", here=None):
     """A stand-in for ``data.<name>`` (``_parse_part`` by default) that
     calls ``action`` first in a forked child, and runs as usual in this
-    process."""
+    process, or calls ``here`` instead if given."""
     run, parent = getattr(data, name), os.getpid()
 
     def stand_in(*args):
         if os.getpid() != parent:
             action()
+        elif here is not None:
+            return here(*args)
         return run(*args)
 
     return stand_in
@@ -644,9 +650,9 @@ def test_no_child_outlives_a_load(tmp_path, monkeypatch, case):
     monkeypatch.setattr(data, "_cpus", lambda: 3)
     if case == "child-raises":
         monkeypatch.setattr(data, "_parse_part", _in_child(_raise(RuntimeError("child"))))
-    elif case == "parent-raises":
-        monkeypatch.setattr(data, "_parse_part", _in_child(lambda: time.sleep(60)))
-        monkeypatch.setattr(data, "_receive", _raise(RuntimeError("parent")))
+    elif case == "parent-raises":  # this process, while the children sleep
+        monkeypatch.setattr(data, "_parse_part", _in_child(lambda: time.sleep(60),
+                                                           here=_raise(RuntimeError("parent"))))
     fds = os.listdir("/dev/fd")
     start = time.monotonic()
     try:
@@ -661,6 +667,20 @@ def test_no_child_outlives_a_load(tmp_path, monkeypatch, case):
     else:
         assert got == _outcome(naive_load_csv, path)
         assert (case == "child-refuses") == (got[0] is SchemaError), got
+
+
+def test_a_part_a_child_refuses_is_parsed_once(tmp_path, monkeypatch):
+    """A child whose part holds a cell loadtxt cannot parse sends its
+    refusal: this process parses its own part alone before the exact path
+    reads the file."""
+    path = write_csv(tmp_path / "bad.csv", SPLIT_FILE.replace("s9,9,1,99.5", "s9,9,1,x"))
+    monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    parse, here = data._parse_part, []  # a child's appends stay in the child
+    monkeypatch.setattr(data, "_parse_part", lambda *args: here.append(args) or parse(*args))
+    with pytest.raises(SchemaError, match="line 101: could not convert"):
+        load_csv(path)
+    assert len(here) == 1
 
 
 CHILD_SCRIPT = """
@@ -755,6 +775,102 @@ def test_parts_left_unforked_are_parsed_here(tmp_path_factory, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _made(task):
+    """A task's result, with the process that made it."""
+    return task, os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fan_out_deals_tasks_round_robin(monkeypatch, cpus):
+    """With more tasks than workers, task k is made by worker k mod the
+    workers, worker 0 being this process, and results come in task order."""
+    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    with data.fan_out(_made, range(8)) as results:
+        got = list(results)
+    assert [task for task, _ in got] == list(range(8))
+    makers = [pid for _, pid in got]
+    assert makers == [makers[k % cpus] for k in range(8)]
+    assert makers[0] == os.getpid() and len(set(makers)) == cpus
+
+
+def _cut_dump(k):
+    """A ``pickle.dump`` that, in a forked child, writes half of its k-th
+    pickle (counting from 0) and exits."""
+    parent, dump, dumps = os.getpid(), pickle.dump, []
+
+    def stand_in(obj, file, *args):
+        if os.getpid() != parent:
+            dumps.append(None)
+            if len(dumps) > k:
+                blob = pickle.dumps(obj, *args)
+                file.write(blob[:len(blob) // 2])
+                file.flush()
+                os._exit(0)
+        dump(obj, file, *args)
+
+    return stand_in
+
+
+@pytest.mark.parametrize("size", [0, 1 << 17])
+@pytest.mark.parametrize("fault", ["raises", "cut-short"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_tasks_a_child_did_not_send_are_made_here(monkeypatch, k, fault, size):
+    """A child that raises on its k-th task, or exits halfway through
+    pickling its result, leaves that task and its later ones to this
+    process; results of ``size`` bytes fill the pipe before the cut."""
+    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    parent = os.getpid()
+    if fault == "cut-short":
+        monkeypatch.setattr(pickle, "dump", _cut_dump(k))
+
+    def work(task):
+        if fault == "raises" and os.getpid() != parent and task == 2 * k + 1:
+            raise RuntimeError("child")
+        return _made(task) + (bytes(size),)
+
+    with data.fan_out(work, range(6)) as results:
+        got = list(results)
+    assert [task for task, _, _ in got] == list(range(6))
+    assert all(len(padding) == size for _, _, padding in got)
+    here = [task for task, pid, _ in got if pid == parent]
+    assert here == sorted({0, 2, 4} | set(range(2 * k + 1, 6, 2)))
+
+
+@pytest.mark.parametrize("leave", ["break", "raise"])
+def test_leaving_a_fan_out_early_reaps_its_children(monkeypatch, leave):
+    """Leaving the block at the first result, while the children still
+    work, kills and reaps them and closes their pipes."""
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    parent = os.getpid()
+
+    def work(task):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return task
+
+    fds = os.listdir("/dev/fd")
+    start = time.monotonic()
+    with contextlib.suppress(RuntimeError):
+        with data.fan_out(work, range(6)) as results:
+            for _ in results:
+                if leave == "raise":
+                    raise RuntimeError("left")
+                break
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir("/dev/fd") == fds
+    assert time.monotonic() - start < 30  # the sleeping children were killed
+
+
+@pytest.mark.parametrize("cpus, tasks", [(1, 5), (3, 1), (3, 0)])
+def test_fan_out_forks_nothing_for_one_worker(monkeypatch, cpus, tasks):
+    """At one CPU, or with one task or none, every task is made here."""
+    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", _forbidden)
+    with data.fan_out(_made, range(tasks)) as results:
+        assert list(results) == [_made(task) for task in range(tasks)]
+
+
 @st.composite
 def datasets(draw):
     """Zero to five signals with 1-3 variables and horizons from 0, over ids
@@ -780,19 +896,25 @@ def _save_split(folder, ds, cpus, floor=1):
     """``_check_save`` with ``cpus`` CPUs and ``SPLIT_FLOOR`` at ``floor``
     bytes, so that even a tiny dataset spans chunks and forked children;
     returns the number of children forked and of chunks they sent."""
-    forks, copies = [], []
-    fork, copy = data._fork, data._copy
+    forks, chunks, here = [], [], []
+    fork, fan_out = data._fork, data.fan_out
+
+    def counted(work, tasks):
+        chunks.extend(tasks)
+        # A child's appends stay in the child: ``here`` holds this process's.
+        return fan_out(lambda chunk: here.append(chunk) or work(chunk), chunks)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "SPLIT_FLOOR", floor)
         patch.setattr(data, "_cpus", lambda: cpus)
         patch.setattr(data, "_fork", lambda send: forks.append(send) or fork(send))
-        patch.setattr(data, "_copy", lambda *args: copies.append(copy(*args)) or copies[-1])
+        patch.setattr(data, "fan_out", counted)
         _check_save(folder, ds)
-    return len(forks), sum(copies)
+    return len(forks), len(chunks) - len(here)
 
 
 @settings(max_examples=150, deadline=None)
-@given(datasets(), CPUS, st.sampled_from([1, 64]))
+@given(datasets().filter(len), CPUS, st.sampled_from([1, 64]))
 def test_save_matches_oracle(tmp_path_factory, ds, cpus, floor):
     """At one to three CPUs, with chunks of one record or of 64 bytes of
     values and more, which cut signals and span them."""
@@ -834,17 +956,21 @@ def test_save_cases_match_oracle(tmp_path, name, cpus):
 SAVE_SET = _dataset([f"s{k}" for k in range(10)], width=300)
 
 
-@pytest.mark.parametrize("case", ["success", "child-raises", "parent-write-fails"])
+@pytest.mark.parametrize("case", ["success", "child-raises", "child-cut-short",
+                                  "parent-write-fails"])
 def test_no_child_outlives_a_save(tmp_path, monkeypatch, case):
     """Every child is reaped before ``save_csv`` returns or raises, and no
-    pipe is left open.  A child that fails before it sends leaves its
-    chunks to this process, which still writes the oracle's bytes; an
-    error writing the file propagates."""
+    pipe is left open.  A child that fails before it sends, or that sends
+    one chunk and then only part of the next, leaves its chunks from there
+    on to this process, which still writes the oracle's bytes; an error
+    writing the file propagates."""
     monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
     monkeypatch.setattr(data, "_cpus", lambda: 3)
     if case == "child-raises":
         monkeypatch.setattr(data, "_signal_text",
                             _in_child(_raise(RuntimeError("child")), "_signal_text"))
+    elif case == "child-cut-short":
+        monkeypatch.setattr(pickle, "dump", _cut_dump(1))
     fds = os.listdir("/dev/fd")
     try:
         if case == "parent-write-fails":
@@ -858,30 +984,15 @@ def test_no_child_outlives_a_save(tmp_path, monkeypatch, case):
     assert os.listdir("/dev/fd") == fds
 
 
-@pytest.mark.parametrize("sent, copied", [
-    (b"", False),  # the child sent nothing more
-    ((8).to_bytes(8, "little") + b"12345678", True),
-    (b"\x05\x00", None),  # a length cut short
-    ((9).to_bytes(8, "little") + b"12345678", None),  # a chunk cut short
-])
-def test_a_chunk_cut_short_raises(tmp_path, sent, copied):
-    """A chunk's byte length comes first.  A child that sent nothing more
-    leaves the chunk to this process, and one that sent less than a whole
-    chunk fails the save: a file cut at a signal's end would still load."""
-    reader, writer = os.pipe()
-    os.write(writer, sent)
-    os.close(writer)
-    try:
-        with open(tmp_path / "out.csv", "wb") as handle:
-            if copied is None:
-                with pytest.raises(OSError, match="cut short"):
-                    data._copy(reader, handle)
-            else:
-                assert data._copy(reader, handle) is copied
-    finally:
-        os.close(reader)
-    if copied:
-        assert (tmp_path / "out.csv").read_bytes() == b"12345678"
+def test_a_dataset_of_no_signals_is_not_saved(tmp_path):
+    """``load_csv`` refuses a file of no records, so ``save_csv`` refuses
+    to write one, before it opens the path: the old file stays."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"old bytes")
+    empty = LabeledDataset(np.zeros((0, 2, 3)), np.zeros(0, dtype=int), ())
+    with pytest.raises(ValueError, match="no signals"):
+        save_csv(empty, path)
+    assert os.listdir(tmp_path) == ["data.csv"] and path.read_bytes() == b"old bytes"
 
 
 @settings(max_examples=100, deadline=None)
