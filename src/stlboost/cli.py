@@ -273,17 +273,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-@dataclass
-class FoldOutcome:
-    fold: int
-    train_mcr: float
-    test_mcr: float
-    initial_formula: str
-    final_formula: str
-    merges: int
-    model_doc: dict
-
-
 def run_cross_validation(
     dataset: LabeledDataset,
     trees: int,
@@ -292,26 +281,21 @@ def run_cross_validation(
     folds: int,
     seed: int,
     max_retries: int = 5,
-) -> tuple[list[FoldOutcome], float]:
-    """Train and score one model per fold; returns the outcomes and the wall
-    time.
+) -> tuple[list[dict], float]:
+    """Train and score one model per fold; returns each fold's report entry,
+    in fold order, and the wall time.
 
     Each fold is a generator of search requests
-    (:func:`~stlboost.boosting.train_boosted_steps`).  Seeds are numbered
-    within a fold, so each fold's model is the one training it alone gives.
-    The folds are dealt round-robin into one share per CPU (``data._cpus``),
-    at most one per fold, and :func:`~stlboost.data.fan_out` trains share 0
-    in this process and each further share in a forked child, which pickles
-    the share's outcomes back.  A worker trains its folds together:
-    :func:`~stlboost.tree.drive` serves the pending searches of all of them
-    in one lockstep batch per round.  Every child is reaped before this
-    function returns or raises.
-
-    A fold with no outcome (its share raised, or its child died and the
-    share raised here) is trained again once every share is done, together
-    with any other such fold.  So a fold that fails is reported as
-    ``fold k: ...`` and, when several fail, the lowest-numbered one, as one
-    process would report it.
+    (:func:`~stlboost.boosting.train_boosted_steps`) seeded within the fold,
+    so each fold's model is the one training it alone gives.  The folds are
+    cut into one run of consecutive folds per CPU (``data._cpus``), at most
+    one per fold, the longer runs first.  :func:`~stlboost.data.fan_out`
+    trains the first run here and each other run in a forked child, and
+    :func:`~stlboost.tree.drive` serves a run's searches in one lockstep
+    batch per round.  The runs come back in fold order, and a run whose
+    child sent nothing is trained here, so the first error raised is the
+    lowest failing fold's, ``fold k: ...``, as one process would report it.
+    No child outlives this call.
     """
     try:
         plan = stratified_folds(dataset, folds, seed)
@@ -319,36 +303,24 @@ def run_cross_validation(
         raise CliError(str(exc))
     started = time.perf_counter()
 
-    def steps(share):
-        return [_fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
-                for fold in share]
-
-    def attempt(share):
-        try:
-            return drive(steps(share))
-        except Exception:  # trained again below, to raise the error in fold order
-            return None
+    def train(run):
+        return drive([_fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
+                      for fold in run])
 
     workers = min(data._cpus(), folds)
-    shares = [range(worker, folds, workers) for worker in range(workers)]
-    done: dict[int, FoldOutcome] = {}
-    with data.fan_out(attempt, shares) as results:
-        for share, outcomes in zip(shares, results):
-            if outcomes is not None:
-                done.update(zip(share, outcomes))
-    missing = [fold for fold in range(folds) if fold not in done]
-    if missing:
-        done.update(zip(missing, drive(steps(missing))))
-    outcomes = [done[fold] for fold in range(folds)]
-    for outcome in outcomes:
-        logger.info("fold %d: train %.4f test %.4f", outcome.fold,
-                    outcome.train_mcr, outcome.test_mcr)
-    return outcomes, time.perf_counter() - started
+    size, extra = divmod(folds, workers)
+    starts = [worker * size + min(worker, extra) for worker in range(workers + 1)]
+    with data.fan_out(train, map(range, starts, starts[1:])) as runs:
+        entries = [entry for run in runs for entry in run]
+    for entry in entries:
+        logger.info("fold %d: train %.4f test %.4f", entry["fold"],
+                    entry["trainMcr"], entry["testMcr"])
+    return entries, time.perf_counter() - started
 
 
 def _fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed):
     """One fold of :func:`run_cross_validation` as a generator of search
-    requests; returns its outcome."""
+    requests; returns the fold's entry in the report."""
     train_set = dataset.subset(plan.train_indices(fold))
     test_set = dataset.subset(plan.test_indices(fold))
     try:
@@ -365,20 +337,20 @@ def _fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
     if not model.rounds:
         raise CliError(f"fold {fold}: {_NO_TREES}")
     initial = model_formula(replace(model, pruned_index=None))
-    return FoldOutcome(
-        fold=fold,
-        train_mcr=ensemble_mcr(model, train_set),
-        test_mcr=ensemble_mcr(model, test_set),
-        initial_formula=format_formula(initial),
-        final_formula=format_formula(model_formula(model)),
-        merges=sum(r.merges for r in model.rounds),
-        model_doc=model_to_dict(model),
-    )
+    return {
+        "fold": fold,
+        "trainMcr": ensemble_mcr(model, train_set),
+        "testMcr": ensemble_mcr(model, test_set),
+        "initialFormula": format_formula(initial),
+        "finalFormula": format_formula(model_formula(model)),
+        "merges": sum(r.merges for r in model.rounds),
+        "model": model_to_dict(model),
+    }
 
 
-def _report_doc(trees: int, folds: list[FoldOutcome], seed: int) -> dict:
-    tr = [f.train_mcr for f in folds]
-    te = [f.test_mcr for f in folds]
+def _report_doc(trees: int, folds: list[dict], seed: int) -> dict:
+    tr = [f["trainMcr"] for f in folds]
+    te = [f["testMcr"] for f in folds]
     return {
         "trees": trees,
         "seed": seed,
@@ -386,19 +358,8 @@ def _report_doc(trees: int, folds: list[FoldOutcome], seed: int) -> dict:
         "trainStdPct": 100 * float(np.std(tr)),
         "testMeanPct": 100 * float(np.mean(te)),
         "testStdPct": 100 * float(np.std(te)),
-        "merges": sum(f.merges for f in folds),
-        "folds": [
-            {
-                "fold": f.fold,
-                "trainMcr": f.train_mcr,
-                "testMcr": f.test_mcr,
-                "initialFormula": f.initial_formula,
-                "finalFormula": f.final_formula,
-                "merges": f.merges,
-                "model": f.model_doc,
-            }
-            for f in folds
-        ],
+        "merges": sum(f["merges"] for f in folds),
+        "folds": folds,
     }
 
 
@@ -429,7 +390,7 @@ def _report_text(doc: dict, runtime: float) -> str:
 def _cmd_cv(args) -> int:
     settings, config = _load_settings(args)
     dataset = _read(args.data, "dataset", load_csv)
-    outcomes, runtime = run_cross_validation(
+    entries, runtime = run_cross_validation(
         dataset,
         trees=settings["trees"],
         config=config,
@@ -438,7 +399,7 @@ def _cmd_cv(args) -> int:
         seed=settings["seed"],
         max_retries=settings["retries"],
     )
-    doc = _report_doc(settings["trees"], outcomes, settings["seed"])
+    doc = _report_doc(settings["trees"], entries, settings["seed"])
     # The machine-readable report stays byte-identical for a fixed seed, so
     # the wall clock goes to the text rendering only.
     rendered = json.dumps(doc, indent=2, sort_keys=True)

@@ -9,8 +9,8 @@ row and then raggedness, and only then allocates the signal array.  A file
 with no quote character and no blank line is parsed by numpy's C reader
 (``np.loadtxt``); any other file, and any file that path refuses, is parsed
 by the exact path, ``int``/``float`` one record at a time.  The values are
-the same bits either way, and only the exact path writes error text, which
-names a record by line, counting CSV records.  The C reader
+the same bits either way, and so are the errors, which name a record by
+line, counting CSV records.  The C reader
 holds the interpreter lock, so a large file is cut at line starts into one
 part per CPU, and forked children parse all parts but the first.
 
@@ -20,7 +20,7 @@ signals too, and this process writes the formatted chunks in file order.
 ``whole_file`` makes each file the CLI writes appear whole or not at all.
 
 ``fan_out`` is the one way work is spread over CPUs: the loader's parts,
-the writer's chunks and ``stlboost cv``'s fold shares are dealt
+the writer's chunks and ``stlboost cv``'s fold runs are dealt
 round-robin to this process and to one forked child per further CPU
 (``_cpus``), and each child pickles its results back through a pipe.  A
 task a child did not send is run here, and no child outlives the
@@ -141,10 +141,11 @@ def load_csv(path) -> LabeledDataset:
     A file with no quote character, no blank or whitespace-only line and no
     line longer than ``csv.field_size_limit()`` is read by numpy's C parser
     (``np.loadtxt``), a block of ``BLOCK_ROWS`` lines at a time.  Any other
-    file, or one that this fast path does not load cleanly, is read again by
-    the exact path, which parses one record at a time with ``int`` and
+    file, or one whose header or cells this fast path refuses, is read again
+    by the exact path, which parses one record at a time with ``int`` and
     ``float`` and turns each ``BLOCK_ROWS`` rows into columns.  Both paths
-    give bit-identical values, and only the exact path reports errors.
+    give bit-identical values and the same errors; a file the fast path
+    parses whole fails its row checks there, without a second read.
     Raggedness is checked before the (N, n, T+1) array is allocated, so a
     huge timepoint is reported, not allocated.
 
@@ -191,7 +192,7 @@ def _width(header: list[str]) -> int:
 
 def _load_fast(path) -> LabeledDataset | None:
     """The dataset, parsed by ``np.loadtxt``, or None where the exact path
-    must read the file.
+    must read the file; a file parsed whole raises the exact path's errors.
 
     The body is cut into parts (``_cuts``) at line starts, and ``fan_out``
     parses them on this process and forked children.  Each part's ids are
@@ -227,9 +228,9 @@ def _load_fast(path) -> LabeledDataset | None:
                         blocks.append((np.arange(line, line + len(codes)), codes_of_ids[codes],
                                        rows["t"], rows["label"], rows["x"]))
                         line += len(codes)
-        return _dataset(blocks, code_of, width)
     except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
         return None
+    return _dataset(blocks, code_of, width)
 
 
 def _cpus() -> int:

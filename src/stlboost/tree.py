@@ -528,11 +528,18 @@ def tree_depth(node: TreeNode) -> int:
 
 
 def tree_to_formula(node: TreeNode) -> Formula:
-    """Formula satisfied exactly by the signals the tree labels positive.
+    """Formula satisfied by the signals the tree labels positive, but for a
+    split's boundary.
 
     Built recursively as (phi ∧ left) ∨ (¬phi ∧ right) with constant
     children folded away, which keeps shared prefixes factored instead of
     expanding every root-to-leaf path.
+
+    Where a split's ``phi`` has robustness exactly 0 the tree goes left, but
+    ``¬phi`` reads -0.0, which ``satisfies`` and ``mcr`` count as satisfied:
+    ``Split(G[0,0](x1 > 5), Leaf(-1), Leaf(1))`` labels x1 = 5 negative, and
+    its formula holds there.  A learned threshold practically never equals
+    a data value; a hand-written one can.
     """
     if isinstance(node, Leaf):
         return TRUE if node.label == POS_LABEL else FALSE

@@ -1,6 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, so a failure repeats on the next run;
+# ``--hypothesis-profile=explore`` draws new ones (and ``--hypothesis-seed``
+# picks them).
+settings.register_profile("repeatable", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(autouse=True)

@@ -188,11 +188,11 @@ def test_end_to_end_naval():
     outcomes, _ = run_cross_validation(
         ds, trees=3, config=config, m_weight=100.0, folds=5, seed=7
     )
-    test_mean = float(np.mean([o.test_mcr for o in outcomes]))
+    test_mean = float(np.mean([o["testMcr"] for o in outcomes]))
     assert test_mean == 0.0
     for outcome in outcomes:
-        assert outcome.model_doc["prunedIndex"] is not None
-        final = parse_formula(outcome.final_formula)
+        assert outcome["model"]["prunedIndex"] is not None
+        final = parse_formula(outcome["finalFormula"])
         assert operator_count(final) <= 6
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
@@ -216,8 +216,8 @@ def test_noisy_boosting_trend():
         three, _ = run_cross_validation(
             ds, trees=3, config=config, m_weight=100.0, folds=5, seed=seed
         )
-        te_one = float(np.mean([o.test_mcr for o in one]))
-        te_three = float(np.mean([o.test_mcr for o in three]))
+        te_one = float(np.mean([o["testMcr"] for o in one]))
+        te_three = float(np.mean([o["testMcr"] for o in three]))
         single_tree_errors.append(te_one)
         wins += te_three <= te_one
     mean_single = float(np.mean(single_tree_errors))

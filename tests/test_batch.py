@@ -491,7 +491,7 @@ def test_table_budget_keeps_cross_validation(monkeypatch, budget):
         return run_cross_validation(dataset, 2, config, 100.0, folds=3, seed=4)[0]
 
     expected = outcomes()
-    assert sum(outcome.merges for outcome in expected) >= 1
+    assert sum(outcome["merges"] for outcome in expected) >= 1
     batches = []  # (signals, whether nodes were stacked, bytes of each table, face count)
     real_batch = tree_module.batch_robustness
     real_table = templates_module.range_table

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -348,27 +349,29 @@ def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
 
 
-def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers):
-    """The stdout and ``--out`` bytes of a 5-fold cv at up to ``workers``
-    workers."""
+def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers, folds=5):
+    """The stdout and ``--out`` bytes of a cv of ``folds`` folds at up to
+    ``workers`` workers."""
     monkeypatch.setattr(data, "_cpus", lambda: workers)
     out = tmp_path / f"report-{workers}.json"
-    assert main(["cv", "--data", naval_csv, "--trees", "2", "--folds", "5", "--seed", "7",
+    assert main(["cv", "--data", naval_csv, "--trees", "2", "--folds", str(folds), "--seed", "7",
                  "--format", "json", "--out", str(out)] + FAST_FLAGS) == 0
     return capsys.readouterr().out, out.read_bytes()
 
 
 def test_cv_bytes_do_not_depend_on_the_workers(naval_csv, tmp_path, capsys, monkeypatch):
-    """Five folds at one, two and three workers: one child holds two folds
-    at two workers, and the folds of a share are trained together."""
-    alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1)
-    for workers in (2, 3):
-        assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers) == alone
+    """Three and five folds at one, two and three workers: five folds at two
+    workers are the runs 0-2 and 3-4, and the folds of a run are trained
+    together."""
+    for folds in (3, 5):
+        alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1, folds)
+        for workers in (2, 3):
+            assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers, folds) == alone
 
 
 def test_folds_of_a_failed_child_are_trained_here(naval_csv, tmp_path, capsys, monkeypatch):
-    """A child that fails before it sends leaves its folds to this process,
-    which trains them after its own share and reports the same bytes."""
+    """A child that fails before it sends leaves its run to this process,
+    which trains it after the runs before it and reports the same bytes."""
     alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1)
     parent, fold_steps, trained = os.getpid(), cli._fold_steps, []
 
@@ -380,7 +383,59 @@ def test_folds_of_a_failed_child_are_trained_here(naval_csv, tmp_path, capsys, m
 
     monkeypatch.setattr(cli, "_fold_steps", stand_in)
     assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 3) == alone
-    assert trained == [0, 3, 1, 2, 4]  # share 0, then the children's folds in order
+    assert trained == [0, 1, 2, 3, 4]  # the runs 0-1, 2-3 and 4, in order
+
+
+def _placed(dataset, plan, fold, *args):
+    """A fold that trains nothing and names the process that ran it."""
+    yield from ()
+    return {"fold": fold, "pid": os.getpid(), "trainMcr": 0.0, "testMcr": 0.0}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_cv_deals_one_run_of_consecutive_folds_per_worker(monkeypatch, cpus):
+    """The folds come back in order, cut into one run per worker, at most
+    one worker per fold, with the longer runs first and this process
+    training the first run."""
+    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_fold_steps", _placed)
+    dataset = generate_naval(NavalConfig(count_per_class=7, seed=0))
+    for folds in range(2, 8):
+        entries, _ = cli.run_cross_validation(dataset, trees=1, config=cli.TreeConfig(),
+                                              m_weight=100.0, folds=folds, seed=0)
+        assert [entry["fold"] for entry in entries] == list(range(folds))
+        runs = [(pid, len(list(run)))
+                for pid, run in itertools.groupby(entry["pid"] for entry in entries)]
+        pids, sizes = zip(*runs)
+        assert len(set(pids)) == len(pids) == min(cpus, folds), runs
+        assert pids[0] == os.getpid()
+        assert list(sizes) == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1, runs
+
+
+def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monkeypatch):
+    """Fold 1 fails in this process's run (folds 0-2) while the child's run
+    (folds 3-4) sleeps: the error is raised without waiting for the child,
+    which is killed, and no fold is trained twice."""
+    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    parent, fold_steps, log = os.getpid(), cli._fold_steps, tmp_path / "trained"
+
+    def stand_in(dataset, plan, fold, *args):
+        with open(log, "a") as handle:
+            handle.write(f"{fold}\n")
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif fold == 1:
+            raise cli.CliError("fold 1: failed here")
+        return (yield from fold_steps(dataset, plan, fold, *args))
+
+    monkeypatch.setattr(cli, "_fold_steps", stand_in)
+    start = time.monotonic()
+    assert main(["cv", "--data", naval_csv, "--folds", "5"] + TINY_FLAGS) == 1
+    assert time.monotonic() - start < 30  # the sleeping child was not waited for
+    assert capsys.readouterr().err == "error: fold 1: failed here\n"
+    trained = log.read_text().split()
+    assert {"0", "1"} <= set(trained) <= {"0", "1", "3"}
+    assert len(trained) == len(set(trained)), trained
 
 
 def test_an_interrupted_cv_reaps_its_children(identical_csv, monkeypatch):

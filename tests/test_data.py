@@ -484,7 +484,7 @@ def test_unreadable_text_after_many_records(tmp_path_factory, block, early, late
 
 
 # Files without a quote character or a blank line are parsed by np.loadtxt;
-# the exact path reads the rest, and is the only one that reports errors.
+# the exact path reads the rest.
 
 def _unreachable(path):
     raise AssertionError("the exact path read the file")
@@ -530,7 +530,6 @@ REFUSED = {
     # The commas of a block add up, but a blank line holds none.
     "extra-fields-and-blank-line": (CLEAN.replace(",3\n", ",3,4,5,6\n\n"),
                                     "line 5: expected 4 fields"),
-    "no-data": ("id,t,label,x1\n", "no data rows"),
     # A row check's error on an earlier record beats the error that stops
     # reading, wherever the blocks end.
     "duplicate-then-bad-cell": (CLEAN + "b,1,-1,3\n\nc,0,1,x\n",
@@ -556,6 +555,32 @@ def test_refused_files_match_oracle(tmp_path_factory, block, name):
             assert isinstance(got[0], tuple), (cpus, got)
         else:
             assert expected in got[1], (cpus, got)
+
+
+# A clean file that fails a row check, or is ragged, or holds no record, is
+# parsed whole by the fast path, which raises the exact path's error.
+ROW_FAULTS = {
+    "label": CLEAN.replace("b,1,-1,", "b,1,2,"),
+    "negative-timepoint": CLEAN.replace("b,1,", "b,-1,"),
+    "non-finite": CLEAN.replace(",3\n", ",inf\n"),
+    "label-change": CLEAN.replace("b,1,-1,", "b,1,1,"),
+    "duplicate": CLEAN + "b,1,-1,3\n",
+    "ragged": CLEAN + "c,0,1,4\n",
+    "no-data": "id,t,label,x1\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+@pytest.mark.parametrize("name", list(ROW_FAULTS))
+def test_row_faults_of_clean_files_are_raised_by_the_fast_path(tmp_path_factory, block, name):
+    path = tmp_path_factory.mktemp("exact") / "data.csv"
+    path.write_text(ROW_FAULTS[name], encoding="utf-8")
+    with pytest.raises(SchemaError) as exact:
+        data._load_exact(path)
+    for cpus in (1, 2, 3):
+        got = _compare(tmp_path_factory, ROW_FAULTS[name].encode(), block,
+                       _load_exact=_unreachable, **_split(cpus))
+        assert got == (SchemaError, str(exact.value)), cpus
 
 
 # A file of at least two SPLIT_FLOORs is cut into parts at line starts, and

@@ -21,6 +21,7 @@ from stlboost import (
     POS_LABEL,
     PsoConfig,
     PstlTemplate,
+    Signal,
     Split,
     TRUE,
     TreeConfig,
@@ -264,6 +265,19 @@ class TestTreeToFormula:
     def test_negated_single_path(self):
         phi = Always(0, 1, pred(1, LE, 1.0))
         assert tree_to_formula(Split(phi, Leaf(NEG_LABEL), Leaf(POS_LABEL))) == Not(phi)
+
+    def test_a_split_at_zero_robustness(self):
+        """On the threshold the tree goes left (-1), while the formula
+        ``Not(phi)`` reads -0.0 and holds; off it, the two agree."""
+        phi = Always(0, 0, pred(1, GT, 5.0))
+        tree = Split(phi, Leaf(NEG_LABEL), Leaf(POS_LABEL))
+        formula = tree_to_formula(tree)
+        values = np.array([[[5.0]], [[5.5]], [[4.5]]])
+        assert formula == Not(phi)
+        assert classify_all(tree, values).tolist() == [NEG_LABEL, NEG_LABEL, POS_LABEL]
+        rho = robustness_all(formula, values)
+        assert rho[0] == 0.0 and np.signbit(rho[0])
+        assert [satisfies(formula, Signal(v)) for v in values] == [True, False, True]
 
     def test_three_level_shape(self):
         p1 = Always(0, 1, pred(1, LE, 1.0))
