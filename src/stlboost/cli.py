@@ -1,7 +1,8 @@
 """Command-line interface: train, cross-validate, evaluate, monitor, generate.
 
-Exit codes: 0 success, 1 user error (bad input, bad flags), 2 internal
-error.  Set STLBOOST_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control logging.
+Exit codes: 0 success, 1 user error (bad input, bad flags, an input too
+large for memory), 2 internal error.  Set STLBOOST_LOG_LEVEL
+(DEBUG/INFO/WARNING/...) to control logging.
 """
 
 from __future__ import annotations
@@ -493,6 +494,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, OSError) as exc:  # OSError: writing an output file the user named
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a child's too: fan_out runs the tasks it did not send here
+        print("error: not enough memory for this input", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected bugs
         logger.exception("internal error")

@@ -20,11 +20,13 @@ signals too, and this process writes the formatted chunks in file order.
 ``whole_file`` makes each file the CLI writes appear whole or not at all.
 
 ``fan_out`` is the one way work is spread over CPUs: the loader's parts,
-the writer's chunks and ``stlboost cv``'s fold runs are dealt
-round-robin to this process and to one forked child per further CPU
-(``_cpus``), and each child pickles its results back through a pipe.  A
-task a child did not send is run here, and no child outlives the
-``with`` block.
+the writer's chunks, ``stlboost cv``'s fold runs and the lockstep batches
+of a round of searches (``tree.serve_searches``) are dealt round-robin to
+this process and to one forked child per further CPU (``_cpus``), and each
+child pickles its results back through a pipe.  A task a child did not
+send is run here, and no child outlives the ``with`` block.  Fan-outs do
+not nest: one started inside a fan-out of several workers, in this process
+or in a child, runs every task here, so a cv fold's searches never fork.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ BLOCK_ROWS = 4096  # rows turned into columns at a time; bounds the loader's scr
 SPLIT_FLOOR = 1 << 19
 PART_CHUNK = 1 << 16  # bytes of a file the fast path reads at a time
 _READ_ERRORS = (UnicodeDecodeError, csv.Error)
+_fanning = False  # within a fan_out of several workers, or in one of its children
 
 
 class SchemaError(ValueError):
@@ -234,8 +237,9 @@ def _load_fast(path) -> LabeledDataset | None:
 
 
 def _cpus() -> int:
-    """How many workers ``fan_out`` deals a load's, a save's or a cv's tasks
-    to: this process and one child per further CPU.
+    """How many workers ``fan_out`` deals a load's, a save's, a cv's or a
+    search round's tasks to: this process and one child per further CPU
+    (``fan_out`` itself takes one inside another fan-out of several).
 
     1 without ``os.fork`` or ``os.sched_getaffinity``, and while another
     Python thread runs: a forked child has only the thread that forked it,
@@ -386,11 +390,16 @@ def fan_out(work, tasks):
     child's later tasks.  Every child is reaped when the block exits,
     however it exits, and one still running is killed.
 
+    Fan-outs do not nest: while a fan-out of several workers is active,
+    and in its children, a fan-out runs every task here and forks nothing,
+    so the CPUs an outer fan-out fills get no further processes.
+
     A context manager, not a generator: a generator's ``finally`` waits for
     it to be collected, which a traceback holding the caller's frame defers.
     """
+    global _fanning
     tasks = list(tasks)
-    workers = min(_cpus(), len(tasks))
+    workers = 1 if _fanning else min(_cpus(), len(tasks))
     children = []  # (pid, pipe) of workers 1, 2, ...
 
     def results():
@@ -407,6 +416,7 @@ def fan_out(work, tasks):
                 result = work(task)
             yield result
 
+    outer, _fanning = _fanning, _fanning or workers > 1  # a child keeps it set
     try:
         for worker in range(1, workers):
             try:
@@ -415,6 +425,7 @@ def fan_out(work, tasks):
                 break
         yield results()
     finally:
+        _fanning = outer
         for pid, pipe in children:  # one still running is no longer wanted
             os.close(pipe)
             os.kill(pid, signal.SIGKILL)

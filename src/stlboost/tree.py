@@ -20,7 +20,7 @@ from typing import Generator, Sequence, TypeVar
 
 import numpy as np
 
-from .data import LabeledDataset, POS_LABEL
+from .data import LabeledDataset, POS_LABEL, fan_out
 from .formula import (
     And,
     Always,
@@ -234,27 +234,46 @@ def serve_searches(requests: Sequence[SearchRequest]) -> list[tuple[Formula, flo
     ``mix_seed(request.seed, j)``, and its result depends on neither the
     batch nor the passes, so every answer is the bits of its request served
     alone.
+
+    The round's batches are the tasks of one :func:`~stlboost.data.fan_out`:
+    this process searches its share, and a forked child per further CPU
+    searches the rest and sends back each template's ``(valuation, gain,
+    margin)``.  A round has several batches only when its tables pass the
+    budget or its templates cannot share a batch (another swarm setting,
+    signal shape or parameter count).  A round of one batch forks nothing,
+    and neither does one inside a cv fold run, which is itself a fan-out's
+    task.
     """
     requests = list(requests)
     found = {request: [None] * len(request.templates) for request in requests}
     groups: dict[tuple, list[SearchRequest]] = {}
     for request in requests:
         groups.setdefault((request.pso, request.values.shape[1:]), []).append(request)
+    tasks = []  # (pso, [(request, template index), ...]) per lockstep batch
     for (pso, (_, width)), members in groups.items():
         sizes = [len(request.labels) for request in members]
         for stack in node_stacks(sizes, width):
             entries = [(members[k], j) for k in stack for j in range(len(members[k].templates))]
             templates = tuple(request.templates[j] for request, j in entries)
             signals = sum(sizes[k] for k in stack)
-            for batch in lockstep_batches(templates, signals, width):
-                searched = tuple(templates[k] for k in batch)
-                objective = _batch_objective(searched, [entries[k][0] for k in batch])
-                seeds = [mix_seed(request.seed, j) for request, j in (entries[k] for k in batch)]
-                for k, result in zip(batch, optimize_batch(searched, objective, pso, seeds)):
-                    request, j = entries[k]
-                    found[request][j] = result  # (valuation, gain, margin)
-                del objective  # free this batch's range tables before the next one's
+            tasks += [(pso, [entries[k] for k in batch])
+                      for batch in lockstep_batches(templates, signals, width)]
+    with fan_out(_search_batch, tasks) as answers:
+        for (_, batch), results in zip(tasks, answers):
+            for (request, j), result in zip(batch, results):
+                found[request][j] = result  # (valuation, gain, margin)
     return [_best(request.templates, found[request]) for request in requests]
+
+
+def _search_batch(task) -> list:
+    """One lockstep batch of :func:`serve_searches`, ``(pso, entries)`` with
+    an entry ``(request, j)`` per template, searched; its range tables are
+    freed on return, before the next batch's are built."""
+    pso, entries = task
+    searched = tuple(request.templates[j] for request, j in entries)
+    objective = _batch_objective(searched, [request for request, _ in entries])
+    seeds = [mix_seed(request.seed, j) for request, j in entries]
+    return optimize_batch(searched, objective, pso, seeds)
 
 
 def _batch_objective(searched: tuple[PstlTemplate, ...], owners: list[SearchRequest]):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import stlboost.templates as templates_module
 import stlboost.tree as tree_module
+from stlboost import data
 from stlboost import (
     GT,
     LE,
@@ -329,6 +330,8 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     expected = build_tree(dataset, weights, config, seed=1)
     assert expected[1].count == 1
 
+    # One worker, so that every batch is recorded in this process.
+    monkeypatch.setattr(data, "_cpus", lambda: 1)
     batches = []  # (templates, bytes of each range table built) per batch
     passes = []  # (templates in the batch, particles per template) per scoring pass
     real_batch = tree_module.batch_robustness
@@ -518,3 +521,62 @@ def test_table_budget_keeps_cross_validation(monkeypatch, budget):
     # A naval node's table is larger than 2000 bytes, so small budgets
     # search every node alone.
     assert any(stacked for _, stacked, _, _ in batches) == (budget == 1 << 30)
+
+
+def _stacked_round():
+    """Three naval nodes of different sizes, with the budget that stacks
+    them: one range table over all their signals.  Each of the stack's 4
+    tables is then a lockstep batch of its own."""
+    dataset = generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=3))
+    config = TreeConfig(pso=PsoConfig(swarm_size=6, iterations=3))
+    templates = first_order_templates(dataset.dimension)
+    rng = np.random.default_rng(3)
+    requests = []
+    for seed, count in enumerate((9, 17, 30)):
+        node = dataset.subset(rng.choice(len(dataset), count, replace=False))
+        path_rho = np.where(rng.random(count) < 0.5, np.inf, rng.normal(size=count))
+        requests.append(tree_module._request(node, uniform_weights(count), path_rho,
+                                             templates, config, seed))
+    return requests, templates_module.table_bytes(9 + 17 + 30, dataset.horizon + 1)
+
+
+def _bits(answers):
+    return [(phi, np.float64(gain).tobytes()) for phi, gain in answers]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_round_is_answered_alike_on_any_cpu_count(monkeypatch, cpus):
+    # The round's batches are dealt to this process and cpus - 1 children.
+    requests, budget = _stacked_round()
+    monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
+    sizes, width = [len(r.labels) for r in requests], requests[0].values.shape[2]
+    assert templates_module.node_stacks(sizes, width) == [[0, 1, 2]]
+    searched = []
+    real_search = tree_module._search_batch
+    monkeypatch.setattr(tree_module, "_search_batch",
+                        lambda task: searched.append(task) or real_search(task))
+    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    alone = tree_module.serve_searches(requests)
+    assert len(searched) == 4
+
+    forks = []
+    real_fork = data._fork
+    monkeypatch.setattr(data, "_fork", lambda send: forks.append(send) or real_fork(send))
+    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    assert _bits(tree_module.serve_searches(requests)) == _bits(alone)
+    assert len(forks) == cpus - 1
+
+
+def test_batches_a_child_did_not_send_are_searched_here(monkeypatch):
+    requests, budget = _stacked_round()
+    monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
+    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    alone = tree_module.serve_searches(requests)
+    searched = []  # the batches searched in this process
+    real_search = tree_module._search_batch
+    monkeypatch.setattr(tree_module, "_search_batch",
+                        lambda task: searched.append(task) or real_search(task))
+    monkeypatch.setattr(data, "_send", lambda work, tasks, pipe: None)  # the children send nothing
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    assert _bits(tree_module.serve_searches(requests)) == _bits(alone)
+    assert len(searched) == 4

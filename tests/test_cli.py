@@ -487,6 +487,60 @@ def test_cv_forks_nothing_while_another_thread_runs(identical_csv, monkeypatch, 
         assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_not_enough_memory_exits_one(naval_csv, capsys, monkeypatch, cpus):
+    # At 2 CPUs the child's MemoryError leaves its batches to this process,
+    # whose own MemoryError ends the command.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    forks = []
+    real_fork = data._fork
+    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    monkeypatch.setattr(data, "_fork", lambda send: forks.append(send) or real_fork(send))
+    monkeypatch.setattr(templates, "TABLE_BUDGET_BYTES", 1)  # a batch per range table
+    monkeypatch.setattr(templates, "range_table", out_of_memory)
+    assert main(["train", "--data", naval_csv] + TINY_FLAGS) == 1
+    assert capsys.readouterr().err == "error: not enough memory for this input\n"
+    assert len(forks) == cpus - 1
+
+
+def test_cv_fold_runs_fork_no_grandchild(naval_csv, tmp_path, capsys, monkeypatch):
+    # Every round of a fold run has several batches, but the runs fill the
+    # CPUs, so only this process forks.  A child records its forks in a file.
+    top, marks = os.getpid(), tmp_path / "forked-in-a-child"
+    forks = []
+    real_fork = data._fork
+
+    def fork(send):
+        if os.getpid() != top:
+            with open(marks, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+        forks.append(send)
+        return real_fork(send)
+
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(data, "_fork", fork)
+    monkeypatch.setattr(templates, "TABLE_BUDGET_BYTES", 1)
+    assert main(["cv", "--data", naval_csv, "--folds", "3", "-K", "1", "--max-depth", "2",
+                 "--pso-swarm", "4", "--pso-iters", "2"]) == 0
+    assert len(forks) == 2
+    assert not marks.exists()
+
+
+def test_a_naval_train_forks_no_search(tmp_path, capsys, monkeypatch):
+    # At the default budget the 4 range tables of a node of the naval
+    # baseline's 200 signals fit one batch, and train searches one node a
+    # round, so no round forks.  The file loads as one part.
+    path = tmp_path / "naval.csv"
+    save_csv(generate_naval(NavalConfig(count_per_class=100, seed=1)), path)
+    assert os.path.getsize(path) < 2 * data.SPLIT_FLOOR
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(data, "_fork", _forbidden)
+    assert main(["train", "--data", str(path), "-K", "3", "--max-depth", "3",
+                 "--pso-swarm", "4", "--pso-iters", "2", "--seed", "7"]) == 0
+
+
 @pytest.fixture(scope="module")
 def jobs(tmp_path_factory):
     """A ``cv``, ``train``, ``monitor`` and ``eval --per-signal`` job over
@@ -521,11 +575,17 @@ def jobs(tmp_path_factory):
 def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chunk, budget):
     """Every setting that trades processes or memory for speed, drawn small
     at once, leaves each job's stdout bytes, and a saved file's bytes, as
-    the defaults give them: the CPUs of loads, saves and cv folds; the
-    floor of a part or chunk; the loader's block rows and read size; and
-    the range table budget behind node stacking, lockstep batches and
-    passes.  The clean file never needs the exact loader, which would hide
-    a fault of the fast one."""
+    the defaults give them: the CPUs of loads, saves, cv folds and a
+    round's lockstep batches; the floor of a part or chunk; the loader's
+    block rows and read size; and the range table budget behind node
+    stacking, lockstep batches and passes.  The clean file never needs the
+    exact loader, which would hide a fault of the fast one.
+
+    The train job reaches the searches' fan-out: the 8 range tables of its
+    24-signal root pass the default budget, and a drawn budget is smaller,
+    so each round has several batches, and at 2 or 3 CPUs forked children
+    search some of them.  The cv job's rounds run in its fold runs, which
+    fork nothing more."""
     run, default = jobs
     assert default[0] == [0, 0, 0, 0]
     with pytest.MonkeyPatch.context() as patch:
