@@ -12,7 +12,11 @@ by the exact path, ``int``/``float`` one record at a time.  The values are
 the same bits either way, and so are the errors, which name a record by
 line, counting CSV records.  The C reader
 holds the interpreter lock, so a large file is cut at line starts into one
-part per CPU, and forked children parse all parts but the first.
+part per CPU, and forked children parse all parts but the first.  A block
+is four column arrays: id codes, ``t``, ``label`` and ``x``.  The checks
+read the joined ints and a finite flag per row, and each block's ``x`` is
+copied into the signal array and freed in turn, so a load of an urban set
+peaks under 3 times the bytes of the values it returns.
 
 ``save_csv`` writes the bytes ``csv.writer`` would, one ``repr`` per value.
 A large dataset's records are cut into chunks of bounded size, long
@@ -38,6 +42,7 @@ import pickle
 import signal
 import threading
 import warnings
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -161,6 +166,16 @@ def load_csv(path) -> LabeledDataset:
     two floors, when ``os.fork`` or ``os.sched_getaffinity`` is missing,
     or while another Python thread runs.
 
+    Either path keeps a block as column arrays (id codes, ``t``, ``label``
+    and the (rows, n) ``x``), with no line number per row.  The checks read
+    the joined codes, ``t`` and ``label`` and one finite flag per row.  The
+    values are allocated after them and filled a block at a time, and each
+    block's ``x`` is freed once copied.  So the peak is the values, the
+    parsed ``x`` and a few ints per row, plus one block's scratch: under 3
+    times ``values.nbytes`` on the urban sets (n=4, T=499).  The ints weigh
+    more with fewer variables, and one block's scratch more in a file of a
+    few blocks.
+
     Raises OSError for IO failures and SchemaError for malformed content
     (not UTF-8 CSV text, wrong header, ragged signals, duplicate timepoints,
     bad labels).  A row's error names the earliest faulty record as
@@ -213,7 +228,6 @@ def _load_fast(path) -> LabeledDataset | None:
             cuts = _cuts(fd, len(header.encode("utf-8")), os.fstat(fd).st_size)
             code_of: dict[str, int] = {}
             blocks = []
-            line = 2  # the fast path takes no blank line, so a line is a record
 
             def parse(part):  # an error refuses a part as None does, in a child too
                 try:
@@ -227,13 +241,11 @@ def _load_fast(path) -> LabeledDataset | None:
                         return None
                     ids, part_blocks = part
                     codes_of_ids = _codes(ids, code_of)
-                    for codes, rows in part_blocks:
-                        blocks.append((np.arange(line, line + len(codes)), codes_of_ids[codes],
-                                       rows["t"], rows["label"], rows["x"]))
-                        line += len(codes)
+                    blocks += ((codes_of_ids[codes], *rest) for codes, *rest in part_blocks)
+                    part_blocks.clear()  # blocks alone holds them, for _dataset to free
     except (ValueError, OverflowError):  # SchemaError and UnicodeDecodeError too
         return None
-    return _dataset(blocks, code_of, width)
+    return _dataset(blocks, code_of, width)  # no blank line, so row i is on line i + 2
 
 
 def _cpus() -> int:
@@ -297,12 +309,12 @@ class _Part(io.RawIOBase):
 
 
 def _parse_part(fd: int, begin: int, end: int, width: int):
-    """The lines in bytes ``begin``..``end`` as ``(ids, blocks)``: the ids in
-    order of first appearance and blocks of ``(codes, rows)``, with codes
-    indexing ``ids`` and rows a structured array of fields ``t``, ``label``
-    and ``x``.  None if the fast path refuses the part.  A block is two
-    contiguous arrays, which a child pickles without a copy; the fields of
-    ``rows`` would each be copied.
+    """The lines in bytes ``begin``..``end`` as ``(ids, blocks)``: the ids
+    in order of first appearance and ``_dataset``'s blocks of ``(codes, t,
+    label, x)``, with codes indexing ``ids``.  None if the fast path refuses
+    the part.  A block's structured ``np.loadtxt`` result is split into
+    contiguous columns, which take no more memory, are freed one by one in
+    ``_dataset`` and are pickled by a child without a copy.
 
     Without a quote character a CSV record is one line, and its fields are
     the text between commas, as loadtxt splits them.  A cell loadtxt parses
@@ -338,7 +350,9 @@ def _parse_part(fd: int, begin: int, end: int, width: int):
             if len(rows) != len(lines):
                 return None
             sids = [record.partition(",")[0] for record in lines]
-            blocks.append((_codes(sids, code_of), rows))
+            blocks.append((_codes(sids, code_of), rows["t"].copy(), rows["label"].copy(),
+                           rows["x"].copy()))
+            del lines, rows, sids  # not held while the next block is read
     return tuple(code_of), blocks
 
 
@@ -444,9 +458,11 @@ def _load_exact(path) -> LabeledDataset:
     """The dataset, read one CSV record at a time; the path that reports
     every error.
 
-    Blank records are skipped.  Reading stops at the first record with the
-    wrong number of fields or a cell that does not parse, or at a read
-    error, and that error is raised if no earlier row fails a check.
+    Blank records are skipped, and ``skipped`` keeps, for each, the number
+    of rows before it, which places every row on its line.  Reading stops
+    at the first record with the wrong number of fields or a cell that does
+    not parse, or at a read error, and that error is raised if no earlier
+    row fails a check.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -458,59 +474,74 @@ def _load_exact(path) -> LabeledDataset:
 
         code_of: dict[str, int] = {}  # id -> code, in order of first appearance
         blocks = []
-        rows = []  # (line, id, t, label, x) since the last block
+        rows = []  # (id, t, label, x) since the last block
+        skipped = []
         stop = None  # the error that ends reading, raised if no earlier row fails
         try:
             for line, record in enumerate(reader, 2):
                 if not record:
+                    skipped.append(line - 2 - len(skipped))
                     continue
                 if len(record) != width:
                     stop = f"line {line}: expected {width} fields"
                     break
                 try:
-                    rows.append((line, record[0], int(record[1]), int(record[2]),
+                    rows.append((record[0], int(record[1]), int(record[2]),
                                  list(map(float, record[3:]))))
                 except ValueError as exc:
                     stop = f"line {line}: {exc}"
                     break
                 if len(rows) == BLOCK_ROWS:
                     blocks.append(_block(rows, code_of))
-                    rows = []
         except _READ_ERRORS as exc:  # the rows read before it are kept
             stop = _not_text(exc)
     if rows:
         blocks.append(_block(rows, code_of))
-    return _dataset(blocks, code_of, width, stop)
+    return _dataset(blocks, code_of, width, stop, skipped)
 
 
-def _block(rows, code_of: dict[str, int]):
-    """Rows of ``(line, id, t, label, x)`` as ``_dataset``'s columns.
+def _block(rows: list, code_of: dict[str, int]):
+    """Rows of ``(id, t, label, x)`` as a ``_dataset`` block; ``rows`` is
+    emptied.
 
     A t or label past int64 leaves both int columns as Python ints: such a
     value is never stored, it is reported by a check.
     """
-    lines, sids, times, labels, points = zip(*rows)
+    sids, times, labels, points = zip(*rows)
+    rows.clear()
     try:
         ints = np.array((times, labels), dtype=np.int64)
     except OverflowError:
         ints = np.array((times, labels), dtype=object)
-    return np.array(lines), _codes(sids, code_of), ints[0], ints[1], np.array(points)
+    return _codes(sids, code_of), ints[0], ints[1], np.array(points)
 
 
-def _dataset(blocks, code_of: dict[str, int], width: int, stop: str | None = None):
-    """The dataset of blocks of ``(lines, codes, times, labels, points)``
-    columns, after the row checks, then ``stop`` (an error that ended
-    reading), then raggedness."""
+def _dataset(blocks, code_of: dict[str, int], width: int, stop: str | None = None,
+             skipped=()) -> LabeledDataset:
+    """The dataset of ``blocks`` of ``(codes, t, label, x)`` arrays in file
+    order, after the row checks, then ``stop`` (an error that ended
+    reading), then raggedness.  ``skipped`` holds, for each blank record,
+    the number of rows before it, so row i is on line ``i + 2`` plus the
+    number of entries of ``skipped`` at most i.
+
+    The list ``blocks`` is emptied, so each array is freed once used.  Only
+    the columns the checks read are joined: id codes, ``t``, ``label`` and
+    a flag per row that its ``x`` is finite.  The values are allocated
+    after every check, and each block's ``x`` is copied into them and
+    freed in turn, so the parsed rows and the values are never both whole.
+    """
     if not blocks:
         raise SchemaError(stop or "no data rows")
-    lines, codes, times, labels, points = (np.concatenate(column) for column in zip(*blocks))
+    *ints, points = map(list, zip(*blocks))
+    blocks.clear()  # these lists alone hold the arrays now
+    finite = np.concatenate([np.isfinite(x).all(axis=1) for x in points])
+    codes, times, labels = map(np.concatenate, ints)
+    del ints  # frees each block's ints
     ids = tuple(code_of)
     first = np.unique(codes, return_index=True)[1]  # each id's first record
-    _check_rows(lines, codes, times, labels, points, first, ids)
+    _check_rows(codes, times, labels, finite, first, ids, skipped)
     if stop:
         raise SchemaError(stop)
-    if not len(codes):
-        raise SchemaError("no data rows")
 
     horizon = int(times[codes == 0].max())
     # Timepoints are distinct and non-negative now, so an id covers 0..T
@@ -521,9 +552,16 @@ def _dataset(blocks, code_of: dict[str, int], width: int, stop: str | None = Non
         raise SchemaError(
             f"ragged signal {ids[np.argmax(ragged)]!r}: timepoints do not cover 0..{horizon}"
         )
+    labels = labels[first]
+    times = times.astype(np.intp, copy=False)
     values = np.empty((len(ids), width - 3, horizon + 1))
-    values[codes, :, times.astype(np.intp)] = points
-    return LabeledDataset(values, labels[first], ids)
+    start = 0
+    for k in range(len(points)):
+        rows = slice(start, start + len(points[k]))
+        values[codes[rows], :, times[rows]] = points[k]
+        points[k] = None  # freed once copied
+        start = rows.stop
+    return LabeledDataset(values, labels, ids)
 
 
 def _codes(sids, code_of: dict[str, int]) -> np.ndarray:
@@ -533,16 +571,22 @@ def _codes(sids, code_of: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
 
 
-def _check_rows(lines, codes, times, labels, points, first, ids) -> None:
-    """Raise SchemaError for the earliest record that fails a row check."""
+def _check_rows(codes, times, labels, finite, first, ids, skipped=()) -> None:
+    """Raise SchemaError for the earliest record that fails a row check;
+    ``finite`` flags the rows whose values are all finite, and ``skipped``
+    places rows on lines as in ``_dataset``."""
     order = np.lexsort((times, codes))
-    repeat = (np.diff(codes[order]) == 0) & (times[order][1:] == times[order][:-1])
+    ranked = codes[order]
+    repeat = ranked[1:] == ranked[:-1]
+    ranked = times[order]  # one sorted copy at a time
+    repeat &= ranked[1:] == ranked[:-1]
+    del ranked
     duplicate = np.zeros(len(codes), dtype=bool)
     duplicate[order[1:][repeat]] = True  # the stable sort keeps file order within a key
     checks = (  # in the order a row's checks run
         ((labels != POS_LABEL) & (labels != NEG_LABEL), lambda i: f"unknown label {labels[i]}"),
         (times < 0, lambda i: f"negative timepoint {times[i]}"),
-        (~np.isfinite(points).all(axis=1), lambda i: "non-finite value"),
+        (~finite, lambda i: "non-finite value"),
         (labels != labels[first][codes],
          lambda i: f"label changes within id {ids[codes[i]]!r}"),
         (duplicate, lambda i: f"duplicate (id={ids[codes[i]]!r}, t={times[i]})"),
@@ -550,7 +594,8 @@ def _check_rows(lines, codes, times, labels, points, first, ids) -> None:
     faults = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks) if bad.any()]
     if faults:
         index, rank = min(faults)
-        raise SchemaError(f"line {lines[index]}: {checks[rank][1](index)}")
+        line = index + 2 + bisect_right(skipped, index)
+        raise SchemaError(f"line {line}: {checks[rank][1](index)}")
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -585,7 +585,12 @@ def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chu
     24-signal root pass the default budget, and a drawn budget is smaller,
     so each round has several batches, and at 2 or 3 CPUs forked children
     search some of them.  The cv job's rounds run in its fold runs, which
-    fork nothing more."""
+    fork nothing more.
+
+    Every load fills the values block by block from several blocks per
+    part: the file's 12,000 rows are at most 3 parts of about 4,000, and a
+    drawn block holds at most 1,000 rows (the defaults give 2 blocks of a
+    part at 2 CPUs)."""
     run, default = jobs
     assert default[0] == [0, 0, 0, 0]
     with pytest.MonkeyPatch.context() as patch:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from stlboost import (
     uniform_weights,
 )
 from stlboost import data
-from stlboost.scenarios import NavalConfig, generate_naval
+from stlboost.scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
 from helpers import constant_dataset, pred, random_formula, random_signal
 from oracles import naive_load_csv, naive_mcr, naive_save_csv
 
@@ -799,6 +800,58 @@ def test_parts_left_unforked_are_parsed_here(tmp_path_factory, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
+
+
+# At its peak the loader holds the values, every block's x and a few ints
+# per row, under 3 times the values' bytes on urban data (n=4).  Blocks of
+# 256 rows keep one block's scratch memory small next to the result.
+
+@pytest.fixture(scope="module")
+def urban_files(tmp_path_factory):
+    """Two files of 20 urban signals with T=499, the second with its rows
+    shuffled, each with the oracle's outcome."""
+    root = tmp_path_factory.mktemp("urban")
+    path, shuffled = root / "urban.csv", root / "shuffled.csv"
+    save_csv(generate_urban(UrbanConfig(count_per_class=10, horizon=499, seed=0)), path)
+    head, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(0).shuffle(records)
+    shuffled.write_text(head + "".join(records), encoding="utf-8")
+    return {False: (path, _outcome(naive_load_csv, path)),
+            True: (shuffled, _outcome(naive_load_csv, shuffled))}
+
+
+def _traced(load, path):
+    """``load(path)``, and the peak of the memory traced while it ran."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        dataset = load(path)
+        return dataset, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("loader", ["fast-1", "fast-2", "fast-3", "exact"])
+def test_load_peaks_under_three_times_the_values(urban_files, monkeypatch, loader, shuffled):
+    """The fast path, its file cut into one part per CPU, and the exact
+    path peak under 3 times ``values.nbytes``, and fill the values block
+    by block as the oracle reads them, rows in file order or shuffled."""
+    path, expected = urban_files[shuffled]
+    monkeypatch.setattr(data, "BLOCK_ROWS", 256)
+    if loader == "exact":
+        load = data._load_exact
+    else:
+        for name, value in {"_load_exact": _unreachable, **_split(int(loader[-1]))}.items():
+            monkeypatch.setattr(data, name, value)
+        load = load_csv
+    dataset, peak = _traced(load, path)
+    assert _outcome(lambda _: (dataset.ids, dataset.labels, dataset.values), path) == expected
+    assert peak <= 3 * dataset.values.nbytes, peak / dataset.values.nbytes
 
 def _made(task):
     """A task's result, with the process that made it."""
