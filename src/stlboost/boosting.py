@@ -276,7 +276,8 @@ def _tree_from_doc(doc: dict, depth: int = 0) -> TreeNode:
     )
 
 
-# The model file's key, the PsoConfig field and its type, per swarm setting.
+# The model file's key, the PsoConfig field and its type, per swarm setting;
+# the CLI's setting is "pso_" + the model file's key.
 # Format v1 also holds "velocityClamp" (always VELOCITY_CLAMP) and "seed"
 # (always 0): each search takes its own seed.
 PSO_KEYS = (("swarm", "swarm_size", int), ("iters", "iterations", int),

@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, data
+from . import __version__
 from .boosting import (
     MAX_RETRIES,
     MAX_ROUNDS,
+    PSO_KEYS,
     ensemble_mcr,
     model_formula,
     model_from_dict,
@@ -42,6 +43,7 @@ from .data import (
     stratified_folds,
     whole_file,
 )
+from .fanout import fan_out, worker_count
 from .formula import extent, robustness_all
 from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
@@ -213,13 +215,7 @@ def _load_settings(args) -> tuple[dict, TreeConfig]:
         config = TreeConfig(
             max_depth=settings["max_depth"],
             purity_stop=settings["lambda"],
-            pso=PsoConfig(
-                swarm_size=settings["pso_swarm"],
-                iterations=settings["pso_iters"],
-                inertia=settings["pso_omega"],
-                cognitive=settings["pso_c1"],
-                social=settings["pso_c2"],
-            ),
+            pso=PsoConfig(**{name: settings["pso_" + key] for key, name, _ in PSO_KEYS}),
         )
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}")
@@ -289,14 +285,14 @@ def run_cross_validation(
     Each fold is a generator of search requests
     (:func:`~stlboost.boosting.train_boosted_steps`) seeded within the fold,
     so each fold's model is the one training it alone gives.  The folds are
-    cut into one run of consecutive folds per CPU (``data._cpus``), at most
-    one per fold, the longer runs first.  :func:`~stlboost.data.fan_out`
-    trains the first run here and each other run in a forked child, and
-    :func:`~stlboost.tree.drive` serves a run's searches in one lockstep
-    batch per round.  The runs come back in fold order, and a run whose
-    child sent nothing is trained here, so the first error raised is the
-    lowest failing fold's, ``fold k: ...``, as one process would report it.
-    No child outlives this call.
+    cut into one run of consecutive folds per worker, at most one per fold
+    (:func:`~stlboost.fanout.worker_count`), the longer runs first.
+    :func:`~stlboost.fanout.fan_out` trains the first run here and each
+    other run in a forked child, and :func:`~stlboost.tree.drive` serves a
+    run's searches in one lockstep batch per round.  The runs come back in
+    fold order, and a run whose child sent nothing is trained here, so the
+    first error raised is the lowest failing fold's, ``fold k: ...``, as one
+    process would report it.  No child outlives this call.
     """
     try:
         plan = stratified_folds(dataset, folds, seed)
@@ -308,10 +304,10 @@ def run_cross_validation(
         return drive([_fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
                       for fold in run])
 
-    workers = min(data._cpus(), folds)
+    workers = worker_count(folds)
     size, extra = divmod(folds, workers)
     starts = [worker * size + min(worker, extra) for worker in range(workers + 1)]
-    with data.fan_out(train, map(range, starts, starts[1:])) as runs:
+    with fan_out(train, map(range, starts, starts[1:])) as runs:
         entries = [entry for run in runs for entry in run]
     for entry in entries:
         logger.info("fold %d: train %.4f test %.4f", entry["fold"],

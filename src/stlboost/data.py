@@ -21,16 +21,8 @@ peaks under 3 times the bytes of the values it returns.
 ``save_csv`` writes the bytes ``csv.writer`` would, one ``repr`` per value.
 A large dataset's records are cut into chunks of bounded size, long
 signals too, and this process writes the formatted chunks in file order.
+Both spread their parts or chunks over CPUs through ``fanout.fan_out``.
 ``whole_file`` makes each file the CLI writes appear whole or not at all.
-
-``fan_out`` is the one way work is spread over CPUs: the loader's parts,
-the writer's chunks, ``stlboost cv``'s fold runs and the lockstep batches
-of a round of searches (``tree.serve_searches``) are dealt round-robin to
-this process and to one forked child per further CPU (``_cpus``), and each
-child pickles its results back through a pipe.  A task a child did not
-send is run here, and no child outlives the ``with`` block.  Fan-outs do
-not nest: one started inside a fan-out of several workers, in this process
-or in a child, runs every task here, so a cv fold's searches never fork.
 """
 
 from __future__ import annotations
@@ -38,19 +30,16 @@ from __future__ import annotations
 import csv
 import io
 import os
-import pickle
-import signal
-import threading
-import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice
 from types import SimpleNamespace
 
 import numpy as np
 
+from .fanout import fan_out, worker_count
 from .formula import Formula, Signal, robustness_all
 
 POS_LABEL = 1
@@ -62,7 +51,6 @@ BLOCK_ROWS = 4096  # rows turned into columns at a time; bounds the loader's scr
 SPLIT_FLOOR = 1 << 19
 PART_CHUNK = 1 << 16  # bytes of a file the fast path reads at a time
 _READ_ERRORS = (UnicodeDecodeError, csv.Error)
-_fanning = False  # within a fan_out of several workers, or in one of its children
 
 
 class SchemaError(ValueError):
@@ -158,13 +146,9 @@ def load_csv(path) -> LabeledDataset:
     huge timepoint is reported, not allocated.
 
     The fast path cuts a file's body just after ``\\n`` bytes into one part
-    per CPU of ``os.sched_getaffinity(0)``, none under ``SPLIT_FLOOR``
-    bytes.  This process parses the first part, and forked children parse
-    the others and send them back through pipes (``fan_out``); every child
-    is reaped before this function returns, and one still running then is
-    killed.  A file is one part, and no process is forked, when it is under
-    two floors, when ``os.fork`` or ``os.sched_getaffinity`` is missing,
-    or while another Python thread runs.
+    per worker (``fanout.worker_count``), none under ``SPLIT_FLOOR`` bytes,
+    and ``fan_out`` parses the first part here and the others in forked
+    children.  A file under two floors is one part, and forks nothing.
 
     Either path keeps a block as column arrays (id codes, ``t``, ``label``
     and the (rows, n) ``x``), with no line number per row.  The checks read
@@ -248,30 +232,15 @@ def _load_fast(path) -> LabeledDataset | None:
     return _dataset(blocks, code_of, width)  # no blank line, so row i is on line i + 2
 
 
-def _cpus() -> int:
-    """How many workers ``fan_out`` deals a load's, a save's, a cv's or a
-    search round's tasks to: this process and one child per further CPU
-    (``fan_out`` itself takes one inside another fan-out of several).
-
-    1 without ``os.fork`` or ``os.sched_getaffinity``, and while another
-    Python thread runs: a forked child has only the thread that forked it,
-    and a lock another thread held stays locked in the child.
-    """
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _cuts(fd: int, start: int, stop: int) -> list[int]:
     """Offsets that cut the body, bytes ``start``..``stop``, into parts.
 
-    One part per CPU (``_cpus``), but no more parts than whole
-    ``SPLIT_FLOOR``s in the body, so a body under two floors is one part.
-    Each cut lies just after a ``\\n`` byte, which ends a line under any
-    line ending; a file with only ``\\r`` line ends is one part.
+    One part per worker (``fanout.worker_count``), but no more parts than
+    whole ``SPLIT_FLOOR``s in the body, so a body under two floors is one
+    part.  Each cut lies just after a ``\\n`` byte, which ends a line under
+    any line ending; a file with only ``\\r`` line ends is one part.
     """
-    parts = min(_cpus(), (stop - start) // SPLIT_FLOOR)
+    parts = worker_count((stop - start) // SPLIT_FLOOR)
     cuts = [start]
     for k in range(1, parts):
         cut = _line_start(fd, start + (stop - start) * k // parts)
@@ -354,104 +323,6 @@ def _parse_part(fd: int, begin: int, end: int, width: int):
                            rows["x"].copy()))
             del lines, rows, sids  # not held while the next block is read
     return tuple(code_of), blocks
-
-
-def _fork(send) -> tuple[int, int]:
-    """Fork a child that runs ``send`` on the write end of a new pipe, as a
-    binary file, and leaves through ``os._exit``; returns the child's pid
-    and the pipe's read end.
-    """
-    reader, writer = os.pipe()
-    parent = os.getpid()
-    status = 1
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns in fork when the OS lists other threads of
-            # the process.  None of them is a Python thread (_cpus), and
-            # OpenBLAS, whose pool they can be, restarts it in the child
-            # from its pthread_atfork handlers.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            os.close(reader)
-            with open(writer, "wb") as pipe:
-                send(pipe)
-            status = 0
-    except BaseException:
-        if os.getpid() == parent:
-            os.close(reader)
-        raise
-    finally:
-        if os.getpid() != parent:
-            # The child never returns into the caller's stack, and exits
-            # without flushing the buffers it copied from the parent.
-            os._exit(status)
-        os.close(writer)
-    return pid, reader
-
-
-@contextmanager
-def fan_out(work, tasks):
-    """For a ``with`` block, an iterator of ``work(task)`` for each of
-    ``tasks``, in task order.
-
-    The tasks are dealt round-robin to this process and to one forked child
-    per further CPU (``_cpus``), at most one worker per task.  A child runs
-    its tasks in order and pickles each result through a pipe as soon as it
-    has it; this process runs its own tasks as the iterator reaches them.
-    A task whose child sent nothing for it (the child raised, died or was
-    cut short, or could not be forked) is run here, and so are that
-    child's later tasks.  Every child is reaped when the block exits,
-    however it exits, and one still running is killed.
-
-    Fan-outs do not nest: while a fan-out of several workers is active,
-    and in its children, a fan-out runs every task here and forks nothing,
-    so the CPUs an outer fan-out fills get no further processes.
-
-    A context manager, not a generator: a generator's ``finally`` waits for
-    it to be collected, which a traceback holding the caller's frame defers.
-    """
-    global _fanning
-    tasks = list(tasks)
-    workers = 1 if _fanning else min(_cpus(), len(tasks))
-    children = []  # (pid, pipe) of workers 1, 2, ...
-
-    def results():
-        streams = {worker: open(pipe, "rb", closefd=False)
-                   for worker, (_, pipe) in enumerate(children, 1)}
-        for index, task in enumerate(tasks):
-            worker = index % workers
-            if worker in streams:
-                try:
-                    result = pickle.load(streams[worker])
-                except (EOFError, pickle.UnpicklingError):  # the child sent nothing more
-                    del streams[worker]
-            if worker not in streams:
-                result = work(task)
-            yield result
-
-    outer, _fanning = _fanning, _fanning or workers > 1  # a child keeps it set
-    try:
-        for worker in range(1, workers):
-            try:
-                children.append(_fork(partial(_send, work, tasks[worker::workers])))
-            except OSError:  # no process or pipe to be had
-                break
-        yield results()
-    finally:
-        _fanning = outer
-        for pid, pipe in children:  # one still running is no longer wanted
-            os.close(pipe)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _send(work, tasks, pipe) -> None:
-    """A child's side of ``fan_out``: each task's result, pickled as soon as
-    it is made."""
-    for task in tasks:
-        pickle.dump(work(task), pipe, pickle.HIGHEST_PROTOCOL)
-        pipe.flush()
 
 
 def _load_exact(path) -> LabeledDataset:
@@ -610,12 +481,9 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     ``SPLIT_FLOOR`` bytes of values each, so a dataset under two floors is
     one chunk, and a long signal is cut too.  A piece is one signal's
     records within a chunk.  ``fan_out`` formats the chunks, a piece at a
-    time, in this process and in one forked child per further CPU, and this
-    process writes them in file order.  So each process holds one chunk's
-    text at a time, whatever the horizon.  A chunk that a child did not
-    send whole is formatted here.  Every child is reaped before this
-    function returns or raises, and the file is written through
-    ``whole_file``.
+    time, in this process and in forked children, and this process writes
+    them in file order.  So each process holds one chunk's text at a time,
+    whatever the horizon.  The file is written through ``whole_file``.
 
     Raises ValueError, before ``path`` is opened, for a dataset of no
     signals: ``load_csv`` refuses a file of no records.  Every other

@@ -243,11 +243,11 @@ class _Parser:
         if not re.fullmatch(r"\d+", tok.text):
             raise SemanticError(f"time bound {tok.text} is not a non-negative integer",
                                 tok.line, tok.column)
-        return int(tok.text)
+        return _integer(tok, tok.text, "time bound")
 
     def predicate(self) -> Predicate:
         var_tok = self.expect("var", "variable")
-        var = int(var_tok.text[1:])
+        var = _integer(var_tok, var_tok.text[1:], "variable index")
         if var < 1:
             raise SemanticError("variable indices start at x1", var_tok.line, var_tok.column)
         cmp_tok = self.expect("cmp", '"<=" or ">"')
@@ -258,6 +258,15 @@ class _Parser:
             raise SemanticError(f"threshold {num_tok.text} is not finite",
                                 num_tok.line, num_tok.column)
         return Predicate(BoxPredicate((Conjunct(var, op, threshold),)))
+
+
+def _integer(tok: _Token, digits: str, what: str) -> int:
+    """``int(digits)``, or a SemanticError at ``tok`` when ``digits`` pass
+    the interpreter's limit on the length of an integer's text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SemanticError(f"{what} has too many digits", tok.line, tok.column) from None
 
 
 def _merge_predicates(children: list[Formula]) -> Predicate | None:

@@ -25,6 +25,22 @@ from .data import LabeledDataset, NEG_LABEL, POS_LABEL
 
 MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats
 
+# Maritime geometry (positions in abstract map units).  The island leg
+# mirrors the normal x profile so no single x window tells them apart; the
+# low island y and the loiterer's high x carry the class information.
+SEA = (66.0, 41.0)
+BAND = (43.5, 29.0)
+HARBOR = (22.0, 24.0)
+ISLAND = (45.0, 14.0)
+PASSAGE = (53.0, 29.0)
+
+# Street kinematics: distance profile endpoints and velocity-gap plateau.
+START_GAP = 38.0
+APPROACH_GAP = 30.0
+CLOSE_GAP = 4.0
+CLOSING_SPEED = 9.5
+DRIFT_SPEED = -1.2
+
 
 def _check_config(config, dimension: int, min_horizon: int, geometry: str) -> None:
     if config.count_per_class < 1:
@@ -47,14 +63,6 @@ class NavalConfig:
     horizon: int = 60
     noise: float = 0.0
     seed: int = 0
-    # Geometry (positions in abstract map units).  The island leg mirrors the
-    # normal x profile so no single x window tells them apart; the low island
-    # y and the loiterer's high x carry the class information.
-    sea: tuple[float, float] = (66.0, 41.0)
-    band: tuple[float, float] = (43.5, 29.0)
-    harbor: tuple[float, float] = (22.0, 24.0)
-    island: tuple[float, float] = (45.0, 14.0)
-    passage: tuple[float, float] = (53.0, 29.0)
 
     def __post_init__(self):
         _check_config(self, dimension=2, min_horizon=30, geometry="maritime")
@@ -66,12 +74,6 @@ class UrbanConfig:
     horizon: int = 499
     noise: float = 0.0
     seed: int = 0
-    # Kinematics: distance profile endpoints and velocity-gap plateau.
-    start_gap: float = 38.0
-    approach_gap: float = 30.0
-    close_gap: float = 4.0
-    closing_speed: float = 9.5
-    drift_speed: float = -1.2
 
     def __post_init__(self):
         _check_config(self, dimension=4, min_horizon=100, geometry="street")
@@ -104,10 +106,10 @@ def generate_naval(config: NavalConfig) -> LabeledDataset:
         )
 
     for i in range(config.count_per_class):
-        sea = jitter(config.sea, 3.0)
-        band = jitter(config.band, 1.5)
-        harbor = jitter(config.harbor, 1.5)
-        rest = jitter(config.harbor, 1.5)
+        sea = jitter(SEA, 3.0)
+        band = jitter(BAND, 1.5)
+        harbor = jitter(HARBOR, 1.5)
+        rest = jitter(HARBOR, 1.5)
         signals.append(
             _path(
                 horizon,
@@ -125,22 +127,22 @@ def generate_naval(config: NavalConfig) -> LabeledDataset:
     for i in range(config.count_per_class):
         if i % 2 == 0:
             # Veers to the island (y collapses early) before heading in.
-            sea = jitter(config.sea, 3.0)
-            island = jitter(config.island, 2.0)
-            harbor = jitter(config.harbor, 1.5)
+            sea = jitter(SEA, 3.0)
+            island = jitter(ISLAND, 2.0)
+            harbor = jitter(HARBOR, 1.5)
             waypoints = [
                 (0.0, *sea),
                 (18 / 60, *island),
                 (45 / 60, *harbor),
-                (1.0, *jitter(config.harbor, 1.5)),
+                (1.0, *jitter(HARBOR, 1.5)),
             ]
         else:
             # Loiters in the passage and returns to open sea (x stays high).
-            sea = jitter(config.sea, 3.0)
-            passage = jitter(config.passage, 1.5)
-            loiter = (config.passage[0] - 2 + rng.uniform(-2, 2),
-                      config.passage[1] - 1 + rng.uniform(-1.5, 1.5))
-            back = (config.sea[0] + 1 + rng.uniform(-3, 3), 40.0 + rng.uniform(-2, 2))
+            sea = jitter(SEA, 3.0)
+            passage = jitter(PASSAGE, 1.5)
+            loiter = (PASSAGE[0] - 2 + rng.uniform(-2, 2),
+                      PASSAGE[1] - 1 + rng.uniform(-1.5, 1.5))
+            back = (SEA[0] + 1 + rng.uniform(-3, 3), 40.0 + rng.uniform(-2, 2))
             waypoints = [
                 (0.0, *sea),
                 (15 / 60, *passage),
@@ -172,10 +174,10 @@ def generate_urban(config: UrbanConfig) -> LabeledDataset:
     for i in range(config.count_per_class):
         brake = 0.70 + rng.uniform(0.0, 0.04)
         ramp_done = brake + 0.12
-        gap0 = config.start_gap + rng.uniform(-4, 4)
-        gap1 = config.approach_gap + rng.uniform(-3, 3)
-        gap2 = config.close_gap + rng.uniform(-1.5, 1.5)
-        speed = config.closing_speed + rng.uniform(-0.6, 0.6)
+        gap0 = START_GAP + rng.uniform(-4, 4)
+        gap1 = APPROACH_GAP + rng.uniform(-3, 3)
+        gap2 = CLOSE_GAP + rng.uniform(-1.5, 1.5)
+        speed = CLOSING_SPEED + rng.uniform(-0.6, 0.6)
         y = _profile(horizon, [(0.0, gap0), (brake, gap1), (0.94, gap2), (1.0, gap2 - 1)])
         v_y = _profile(
             horizon,
@@ -189,9 +191,9 @@ def generate_urban(config: UrbanConfig) -> LabeledDataset:
         ids.append(f"pos{i}")
 
     for i in range(config.count_per_class):
-        gap0 = config.start_gap - 6 + rng.uniform(-4, 4)
+        gap0 = START_GAP - 6 + rng.uniform(-4, 4)
         gap1 = gap0 + 10 + rng.uniform(-2, 4)
-        drift = config.drift_speed + rng.uniform(-0.6, 0.6)
+        drift = DRIFT_SPEED + rng.uniform(-0.6, 0.6)
         y = _profile(horizon, [(0.0, gap0), (1.0, gap1)])
         v_y = _profile(
             horizon, [(0.0, drift), (0.5, drift + rng.uniform(-0.4, 0.4)), (1.0, drift)]

@@ -20,7 +20,8 @@ from typing import Generator, Sequence, TypeVar
 
 import numpy as np
 
-from .data import LabeledDataset, POS_LABEL, fan_out
+from .data import LabeledDataset, POS_LABEL
+from .fanout import fan_out
 from .formula import (
     And,
     Always,
@@ -235,9 +236,9 @@ def serve_searches(requests: Sequence[SearchRequest]) -> list[tuple[Formula, flo
     batch nor the passes, so every answer is the bits of its request served
     alone.
 
-    The round's batches are the tasks of one :func:`~stlboost.data.fan_out`:
-    this process searches its share, and a forked child per further CPU
-    searches the rest and sends back each template's ``(valuation, gain,
+    The round's batches are the tasks of one
+    :func:`~stlboost.fanout.fan_out`: this process searches its share, and
+    a forked child per further worker searches the rest and sends back each template's ``(valuation, gain,
     margin)``.  A round has several batches only when its tables pass the
     budget or its templates cannot share a batch (another swarm setting,
     signal shape or parameter count).  A round of one batch forks nothing,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
 
 import numpy as np
@@ -23,6 +25,7 @@ from stlboost import (
     TRUE,
     Valuation,
 )
+from stlboost import fanout
 from stlboost.pso import _project_all
 
 POS = 1
@@ -182,3 +185,48 @@ def two_band_dataset(count: int = 10, horizon: int = 20, seed: int = 3) -> Label
     values = np.stack(signals)
     ids = tuple(str(i) for i in range(len(labels)))
     return LabeledDataset(values, np.asarray(labels), ids)
+
+
+def count_forks(patch, marks=None) -> list:
+    """Set ``fanout._fork``, through ``patch``, to one that forks as before
+    and appends each child's ``send`` to the list returned.  A child's
+    appends stay in the child; with ``marks``, a fork made in a child also
+    writes that child's pid as a line of the file ``marks``."""
+    forks, fork, top = [], fanout._fork, os.getpid()
+
+    def counted(send):
+        if marks is not None and os.getpid() != top:
+            with open(marks, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+        forks.append(send)
+        return fork(send)
+
+    patch.setattr(fanout, "_fork", counted)
+    return forks
+
+
+def _forbidden():
+    raise AssertionError("forked")
+
+
+def forbid_forks(patch) -> None:
+    """Set ``os.fork``, through ``patch``, to raise AssertionError("forked")."""
+    patch.setattr(os, "fork", _forbidden)
+
+
+def cut_dump(k):
+    """A ``pickle.dump`` that, in a forked child, writes half of its k-th
+    pickle (counting from 0) and exits."""
+    parent, dump, dumps = os.getpid(), pickle.dump, []
+
+    def stand_in(obj, file, *args):
+        if os.getpid() != parent:
+            dumps.append(None)
+            if len(dumps) > k:
+                blob = pickle.dumps(obj, *args)
+                file.write(blob[:len(blob) // 2])
+                file.flush()
+                os._exit(0)
+        dump(obj, file, *args)
+
+    return stand_in

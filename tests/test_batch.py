@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import stlboost.templates as templates_module
 import stlboost.tree as tree_module
-from stlboost import data
+from stlboost import fanout
 from stlboost import (
     GT,
     LE,
@@ -40,7 +40,7 @@ from stlboost.cli import run_cross_validation
 from stlboost.impurity import _masses, _side_sums, robustness_margin
 from stlboost.pso import _project_all
 from stlboost.templates import batch_robustness
-from helpers import project
+from helpers import count_forks, project
 from oracles import naive_side_sums
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -331,7 +331,7 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     assert expected[1].count == 1
 
     # One worker, so that every batch is recorded in this process.
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
     batches = []  # (templates, bytes of each range table built) per batch
     passes = []  # (templates in the batch, particles per template) per scoring pass
     real_batch = tree_module.batch_robustness
@@ -555,14 +555,12 @@ def test_a_round_is_answered_alike_on_any_cpu_count(monkeypatch, cpus):
     real_search = tree_module._search_batch
     monkeypatch.setattr(tree_module, "_search_batch",
                         lambda task: searched.append(task) or real_search(task))
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
     alone = tree_module.serve_searches(requests)
     assert len(searched) == 4
 
-    forks = []
-    real_fork = data._fork
-    monkeypatch.setattr(data, "_fork", lambda send: forks.append(send) or real_fork(send))
-    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(fanout, "_cpus", lambda: cpus)
     assert _bits(tree_module.serve_searches(requests)) == _bits(alone)
     assert len(forks) == cpus - 1
 
@@ -570,13 +568,13 @@ def test_a_round_is_answered_alike_on_any_cpu_count(monkeypatch, cpus):
 def test_batches_a_child_did_not_send_are_searched_here(monkeypatch):
     requests, budget = _stacked_round()
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
     alone = tree_module.serve_searches(requests)
     searched = []  # the batches searched in this process
     real_search = tree_module._search_batch
     monkeypatch.setattr(tree_module, "_search_batch",
                         lambda task: searched.append(task) or real_search(task))
-    monkeypatch.setattr(data, "_send", lambda work, tasks, pipe: None)  # the children send nothing
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "_send", lambda work, tasks, pipe: None)  # the children send nothing
+    monkeypatch.setattr(fanout, "_cpus", lambda: 3)
     assert _bits(tree_module.serve_searches(requests)) == _bits(alone)
     assert len(searched) == 4

@@ -25,10 +25,11 @@ from stlboost import (
     save_csv,
     stratified_folds,
 )
-from stlboost import UrbanConfig, cli, data, generate_urban, templates
+from stlboost import UrbanConfig, cli, data, fanout, generate_urban, templates
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost.cli import main
 from stlboost.tree import MAX_DEPTH
+from helpers import count_forks, forbid_forks
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +281,7 @@ class TestCrossValidate:
 
     @WORKERS
     def test_no_tree_beats_guessing(self, identical_csv, capsys, monkeypatch, workers):
-        monkeypatch.setattr(data, "_cpus", lambda: workers)
+        monkeypatch.setattr(fanout, "_cpus", lambda: workers)
         assert main(["cv", "--data", identical_csv, "--folds", "2", "--retries", "0"]
                     + TINY_FLAGS) == 1
         assert capsys.readouterr().err.startswith("error: fold 0: no tree beat random guessing")
@@ -315,7 +316,7 @@ def test_value_range_wider_than_a_float_rejected(tmp_path, capsys, command, extr
 def test_cv_reports_the_lowest_failing_fold(tmp_path, capsys, monkeypatch, workers):
     # One signal too wide to search sits in fold 0's test set, so fold 0
     # trains and only fold 1's training set is refused.
-    monkeypatch.setattr(data, "_cpus", lambda: workers)
+    monkeypatch.setattr(fanout, "_cpus", lambda: workers)
     dataset = generate_naval(NavalConfig(count_per_class=6, seed=2))
     wide = stratified_folds(dataset, 2, seed=3).test_indices(0)[0]
     values = dataset.values.copy()
@@ -334,7 +335,7 @@ def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys, monkeypatch,
     # first search; fold 0's identical signals fail only once every retry
     # is spent, and fold 0 is still the one reported.  At two workers or
     # more, fold 1 fails in a child, and fold 0 in this process.
-    monkeypatch.setattr(data, "_cpus", lambda: workers)
+    monkeypatch.setattr(fanout, "_cpus", lambda: workers)
     rows = ["id,t,label,x1"] + [
         f"s{i},{t},{1 if i % 2 == 0 else -1},1.0" for i in range(8) for t in range(6)
     ]
@@ -352,7 +353,7 @@ def test_cv_reports_a_lower_fold_that_fails_later(tmp_path, capsys, monkeypatch,
 def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers, folds=5):
     """The stdout and ``--out`` bytes of a cv of ``folds`` folds at up to
     ``workers`` workers."""
-    monkeypatch.setattr(data, "_cpus", lambda: workers)
+    monkeypatch.setattr(fanout, "_cpus", lambda: workers)
     out = tmp_path / f"report-{workers}.json"
     assert main(["cv", "--data", naval_csv, "--trees", "2", "--folds", str(folds), "--seed", "7",
                  "--format", "json", "--out", str(out)] + FAST_FLAGS) == 0
@@ -397,7 +398,7 @@ def test_cv_deals_one_run_of_consecutive_folds_per_worker(monkeypatch, cpus):
     """The folds come back in order, cut into one run per worker, at most
     one worker per fold, with the longer runs first and this process
     training the first run."""
-    monkeypatch.setattr(data, "_cpus", lambda: cpus)
+    monkeypatch.setattr(fanout, "_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_fold_steps", _placed)
     dataset = generate_naval(NavalConfig(count_per_class=7, seed=0))
     for folds in range(2, 8):
@@ -416,7 +417,7 @@ def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monk
     """Fold 1 fails in this process's run (folds 0-2) while the child's run
     (folds 3-4) sleeps: the error is raised without waiting for the child,
     which is killed, and no fold is trained twice."""
-    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 2)
     parent, fold_steps, log = os.getpid(), cli._fold_steps, tmp_path / "trained"
 
     def stand_in(dataset, plan, fold, *args):
@@ -440,7 +441,7 @@ def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monk
 
 def test_an_interrupted_cv_reaps_its_children(identical_csv, monkeypatch):
     """A Ctrl-C in this process kills and reaps the children still training."""
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 3)
     parent, real_drive = os.getpid(), cli.drive
 
     def drive(steps):
@@ -456,14 +457,10 @@ def test_an_interrupted_cv_reaps_its_children(identical_csv, monkeypatch):
     assert time.monotonic() - start < 30  # the sleeping children were killed
 
 
-def _forbidden(send):
-    raise AssertionError("forked")
-
-
 @pytest.mark.parametrize("gate", ["none", "thread"])
 def test_cv_forks_nothing_while_another_thread_runs(identical_csv, monkeypatch, gate):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(data, "_fork", _forbidden)
+    forbid_forks(monkeypatch)
     dataset = load_csv(identical_csv)
     config = cli.TreeConfig(max_depth=1)
 
@@ -494,10 +491,8 @@ def test_not_enough_memory_exits_one(naval_csv, capsys, monkeypatch, cpus):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    forks = []
-    real_fork = data._fork
-    monkeypatch.setattr(data, "_cpus", lambda: cpus)
-    monkeypatch.setattr(data, "_fork", lambda send: forks.append(send) or real_fork(send))
+    monkeypatch.setattr(fanout, "_cpus", lambda: cpus)
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(templates, "TABLE_BUDGET_BYTES", 1)  # a batch per range table
     monkeypatch.setattr(templates, "range_table", out_of_memory)
     assert main(["train", "--data", naval_csv] + TINY_FLAGS) == 1
@@ -508,19 +503,9 @@ def test_not_enough_memory_exits_one(naval_csv, capsys, monkeypatch, cpus):
 def test_cv_fold_runs_fork_no_grandchild(naval_csv, tmp_path, capsys, monkeypatch):
     # Every round of a fold run has several batches, but the runs fill the
     # CPUs, so only this process forks.  A child records its forks in a file.
-    top, marks = os.getpid(), tmp_path / "forked-in-a-child"
-    forks = []
-    real_fork = data._fork
-
-    def fork(send):
-        if os.getpid() != top:
-            with open(marks, "a") as handle:
-                handle.write(f"{os.getpid()}\n")
-        forks.append(send)
-        return real_fork(send)
-
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
-    monkeypatch.setattr(data, "_fork", fork)
+    marks = tmp_path / "forked-in-a-child"
+    monkeypatch.setattr(fanout, "_cpus", lambda: 3)
+    forks = count_forks(monkeypatch, marks)
     monkeypatch.setattr(templates, "TABLE_BUDGET_BYTES", 1)
     assert main(["cv", "--data", naval_csv, "--folds", "3", "-K", "1", "--max-depth", "2",
                  "--pso-swarm", "4", "--pso-iters", "2"]) == 0
@@ -535,8 +520,8 @@ def test_a_naval_train_forks_no_search(tmp_path, capsys, monkeypatch):
     path = tmp_path / "naval.csv"
     save_csv(generate_naval(NavalConfig(count_per_class=100, seed=1)), path)
     assert os.path.getsize(path) < 2 * data.SPLIT_FLOOR
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
-    monkeypatch.setattr(data, "_fork", _forbidden)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 3)
+    forbid_forks(monkeypatch)
     assert main(["train", "--data", str(path), "-K", "3", "--max-depth", "3",
                  "--pso-swarm", "4", "--pso-iters", "2", "--seed", "7"]) == 0
 
@@ -595,7 +580,7 @@ def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chu
     assert default[0] == [0, 0, 0, 0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_load_exact", never)
-        patch.setattr(data, "_cpus", lambda: cpus)
+        patch.setattr(fanout, "_cpus", lambda: cpus)
         patch.setattr(data, "SPLIT_FLOOR", floor)
         patch.setattr(data, "BLOCK_ROWS", block)
         patch.setattr(data, "PART_CHUNK", chunk)
@@ -778,11 +763,15 @@ class TestMonitor:
         ]
         assert captured.err == ""
 
-    def test_deeply_nested_formula_rejected(self, naval_csv, capsys):
-        formula = "(" * 400 + "x1 > 0" + ")" * 400
+    @pytest.mark.parametrize("formula, detail", [
+        ("(" * 400 + "x1 > 0" + ")" * 400, "nesting deeper"),
+        ("G[0," + "9" * 5000 + "](x1 > 0)", "time bound has too many digits"),
+        ("x" + "9" * 5000 + " > 0", "variable index has too many digits"),
+    ], ids=["nesting", "long-bound", "long-variable"])
+    def test_deeply_nested_formula_rejected(self, naval_csv, capsys, formula, detail):
         assert main(["monitor", "--formula", formula, "--data", naval_csv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bad formula") and "nesting deeper" in err
+        assert err.startswith("error: bad formula") and detail in err
 
     def test_library_error_is_internal(self, naval_csv, capsys, monkeypatch):
         def broken(*args, **kwargs):

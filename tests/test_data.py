@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import io
 import math
@@ -31,9 +30,17 @@ from stlboost import (
     stratified_folds,
     uniform_weights,
 )
-from stlboost import data
+from stlboost import data, fanout
 from stlboost.scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
-from helpers import constant_dataset, pred, random_formula, random_signal
+from helpers import (
+    constant_dataset,
+    count_forks,
+    cut_dump,
+    forbid_forks,
+    pred,
+    random_formula,
+    random_signal,
+)
 from oracles import naive_load_csv, naive_mcr, naive_save_csv
 
 
@@ -361,15 +368,20 @@ def _loaded(path):
     return ds.ids, ds.labels, ds.values
 
 
+def _set(patch, patches):
+    """Set each of ``patches`` where it is defined: ``_cpus`` on the fanout
+    module, every other name on the data module."""
+    for name, value in patches.items():
+        patch.setattr(fanout if name == "_cpus" else data, name, value)
+
+
 def _compare(tmp_path_factory, content, block, **patches):
     """``load_csv``'s outcome on ``content``, at ``BLOCK_ROWS`` of ``block``
-    and with ``patches`` set on the data module, checked against the oracle."""
+    and with ``patches`` set (``_set``), checked against the oracle."""
     path = tmp_path_factory.mktemp("diff") / "data.csv"
     path.write_bytes(content)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "BLOCK_ROWS", block)
-        for name, value in patches.items():
-            patch.setattr(data, name, value)
+        _set(patch, {"BLOCK_ROWS": block, **patches})
         got = _outcome(_loaded, path)
     assert got == _outcome(naive_load_csv, path)
     return got
@@ -633,7 +645,7 @@ def test_cut_at_a_line_start_stays_there(tmp_path, monkeypatch):
     text = SPLIT_CASES["cut-at-line-start"][0]
     path = write_csv(tmp_path / "cut.csv", text)
     monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
-    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 2)
     fd = os.open(path, os.O_RDONLY)
     try:
         assert data._cuts(fd, len(HEAD), len(text)) == [len(HEAD), len(HEAD) + 16, len(text)]
@@ -673,7 +685,7 @@ def test_no_child_outlives_a_load(tmp_path, monkeypatch, case):
     text = SPLIT_FILE.replace("s9,9,1,99.5", "s9,9,1,x") if case == "child-refuses" else SPLIT_FILE
     path = write_csv(tmp_path / "split.csv", text)
     monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 3)
     if case == "child-raises":
         monkeypatch.setattr(data, "_parse_part", _in_child(_raise(RuntimeError("child"))))
     elif case == "parent-raises":  # this process, while the children sleep
@@ -701,7 +713,7 @@ def test_a_part_a_child_refuses_is_parsed_once(tmp_path, monkeypatch):
     reads the file."""
     path = write_csv(tmp_path / "bad.csv", SPLIT_FILE.replace("s9,9,1,99.5", "s9,9,1,x"))
     monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
-    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 2)
     parse, here = data._parse_part, []  # a child's appends stay in the child
     monkeypatch.setattr(data, "_parse_part", lambda *args: here.append(args) or parse(*args))
     with pytest.raises(SchemaError, match="line 101: could not convert"):
@@ -711,9 +723,9 @@ def test_a_part_a_child_refuses_is_parsed_once(tmp_path, monkeypatch):
 
 CHILD_SCRIPT = """
 import os, sys
-from stlboost import data
+from stlboost import data, fanout
 data.SPLIT_FLOOR = 1
-data._cpus = lambda: 3
+fanout._cpus = lambda: 3
 parent, parse = os.getpid(), data._parse_part
 def parse_part(*args):
     if os.getpid() != parent:
@@ -737,17 +749,13 @@ def test_child_never_returns_to_the_caller(tmp_path, exc):
     assert (done.returncode, done.stdout, done.stderr) == (0, "pending 10\n", "")
 
 
-def _forbidden():
-    raise AssertionError("forked")
-
-
 @pytest.mark.parametrize("gate", ["none", "under-floor", "thread", "no-affinity"])
 def test_fork_only_where_a_split_can_pay(tmp_path, monkeypatch, gate):
     """No process is forked to load a file, or to save a dataset, under two
     floors (a naval set of the benchmark's size), while another Python
     thread runs, or without ``os.sched_getaffinity``; with none of these,
     one is."""
-    monkeypatch.setattr(os, "fork", _forbidden)
+    forbid_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     path = tmp_path / "data.csv"
     if gate == "under-floor":
@@ -846,107 +854,11 @@ def test_load_peaks_under_three_times_the_values(urban_files, monkeypatch, loade
     if loader == "exact":
         load = data._load_exact
     else:
-        for name, value in {"_load_exact": _unreachable, **_split(int(loader[-1]))}.items():
-            monkeypatch.setattr(data, name, value)
+        _set(monkeypatch, {"_load_exact": _unreachable, **_split(int(loader[-1]))})
         load = load_csv
     dataset, peak = _traced(load, path)
     assert _outcome(lambda _: (dataset.ids, dataset.labels, dataset.values), path) == expected
     assert peak <= 3 * dataset.values.nbytes, peak / dataset.values.nbytes
-
-def _made(task):
-    """A task's result, with the process that made it."""
-    return task, os.getpid()
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_fan_out_deals_tasks_round_robin(monkeypatch, cpus):
-    """With more tasks than workers, task k is made by worker k mod the
-    workers, worker 0 being this process, and results come in task order."""
-    monkeypatch.setattr(data, "_cpus", lambda: cpus)
-    with data.fan_out(_made, range(8)) as results:
-        got = list(results)
-    assert [task for task, _ in got] == list(range(8))
-    makers = [pid for _, pid in got]
-    assert makers == [makers[k % cpus] for k in range(8)]
-    assert makers[0] == os.getpid() and len(set(makers)) == cpus
-
-
-def _cut_dump(k):
-    """A ``pickle.dump`` that, in a forked child, writes half of its k-th
-    pickle (counting from 0) and exits."""
-    parent, dump, dumps = os.getpid(), pickle.dump, []
-
-    def stand_in(obj, file, *args):
-        if os.getpid() != parent:
-            dumps.append(None)
-            if len(dumps) > k:
-                blob = pickle.dumps(obj, *args)
-                file.write(blob[:len(blob) // 2])
-                file.flush()
-                os._exit(0)
-        dump(obj, file, *args)
-
-    return stand_in
-
-
-@pytest.mark.parametrize("size", [0, 1 << 17])
-@pytest.mark.parametrize("fault", ["raises", "cut-short"])
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_tasks_a_child_did_not_send_are_made_here(monkeypatch, k, fault, size):
-    """A child that raises on its k-th task, or exits halfway through
-    pickling its result, leaves that task and its later ones to this
-    process; results of ``size`` bytes fill the pipe before the cut."""
-    monkeypatch.setattr(data, "_cpus", lambda: 2)
-    parent = os.getpid()
-    if fault == "cut-short":
-        monkeypatch.setattr(pickle, "dump", _cut_dump(k))
-
-    def work(task):
-        if fault == "raises" and os.getpid() != parent and task == 2 * k + 1:
-            raise RuntimeError("child")
-        return _made(task) + (bytes(size),)
-
-    with data.fan_out(work, range(6)) as results:
-        got = list(results)
-    assert [task for task, _, _ in got] == list(range(6))
-    assert all(len(padding) == size for _, _, padding in got)
-    here = [task for task, pid, _ in got if pid == parent]
-    assert here == sorted({0, 2, 4} | set(range(2 * k + 1, 6, 2)))
-
-
-@pytest.mark.parametrize("leave", ["break", "raise"])
-def test_leaving_a_fan_out_early_reaps_its_children(monkeypatch, leave):
-    """Leaving the block at the first result, while the children still
-    work, kills and reaps them and closes their pipes."""
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
-    parent = os.getpid()
-
-    def work(task):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return task
-
-    fds = os.listdir("/dev/fd")
-    start = time.monotonic()
-    with contextlib.suppress(RuntimeError):
-        with data.fan_out(work, range(6)) as results:
-            for _ in results:
-                if leave == "raise":
-                    raise RuntimeError("left")
-                break
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.listdir("/dev/fd") == fds
-    assert time.monotonic() - start < 30  # the sleeping children were killed
-
-
-@pytest.mark.parametrize("cpus, tasks", [(1, 5), (3, 1), (3, 0)])
-def test_fan_out_forks_nothing_for_one_worker(monkeypatch, cpus, tasks):
-    """At one CPU, or with one task or none, every task is made here."""
-    monkeypatch.setattr(data, "_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", _forbidden)
-    with data.fan_out(_made, range(tasks)) as results:
-        assert list(results) == [_made(task) for task in range(tasks)]
 
 
 @st.composite
@@ -974,8 +886,8 @@ def _save_split(folder, ds, cpus, floor=1):
     """``_check_save`` with ``cpus`` CPUs and ``SPLIT_FLOOR`` at ``floor``
     bytes, so that even a tiny dataset spans chunks and forked children;
     returns the number of children forked and of chunks they sent."""
-    forks, chunks, here = [], [], []
-    fork, fan_out = data._fork, data.fan_out
+    chunks, here = [], []
+    fan_out = data.fan_out
 
     def counted(work, tasks):
         chunks.extend(tasks)
@@ -984,8 +896,8 @@ def _save_split(folder, ds, cpus, floor=1):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "SPLIT_FLOOR", floor)
-        patch.setattr(data, "_cpus", lambda: cpus)
-        patch.setattr(data, "_fork", lambda send: forks.append(send) or fork(send))
+        patch.setattr(fanout, "_cpus", lambda: cpus)
+        forks = count_forks(patch)
         patch.setattr(data, "fan_out", counted)
         _check_save(folder, ds)
     return len(forks), len(chunks) - len(here)
@@ -1043,12 +955,12 @@ def test_no_child_outlives_a_save(tmp_path, monkeypatch, case):
     on to this process, which still writes the oracle's bytes; an error
     writing the file propagates."""
     monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 3)
     if case == "child-raises":
         monkeypatch.setattr(data, "_signal_text",
                             _in_child(_raise(RuntimeError("child")), "_signal_text"))
     elif case == "child-cut-short":
-        monkeypatch.setattr(pickle, "dump", _cut_dump(1))
+        monkeypatch.setattr(pickle, "dump", cut_dump(1))
     fds = os.listdir("/dev/fd")
     try:
         if case == "parent-write-fails":
@@ -1082,7 +994,7 @@ def test_saved_datasets_load_back(tmp_path_factory, ds, cpus):
     path = tmp_path_factory.mktemp("round") / "data.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "SPLIT_FLOOR", 64)
-        patch.setattr(data, "_cpus", lambda: cpus)
+        patch.setattr(fanout, "_cpus", lambda: cpus)
         save_csv(ds, path)
         again = load_csv(path)
     assert again.values.shape == ds.values.shape
@@ -1134,7 +1046,7 @@ def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes(b"old bytes")
     monkeypatch.setattr(data, "SPLIT_FLOOR", 1)
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
     text, calls = data._signal_text, []
 
     def failing(*args):

@@ -16,7 +16,7 @@ import json
 
 from stlboost import NavalConfig, UrbanConfig, generate_naval, generate_urban, save_csv
 import stlboost.cli as cli
-import stlboost.data as data
+import stlboost.fanout as fanout
 import stlboost.tree as tree
 from stlboost.cli import main
 
@@ -86,7 +86,7 @@ def test_naval_cv_serves_its_folds_together(tmp_path, monkeypatch):
     # Fewer swarm batches than the folds make one after the other, the same
     # templates searched, and every swarm still scored 1 + iterations times.
     # One worker, so that every fold's searches are counted in this process.
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
     argv = _naval_cv_argv(tmp_path)
     searches = []  # (templates, objective rounds) per optimize_batch call
     real_optimize = tree.optimize_batch

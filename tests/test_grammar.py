@@ -117,6 +117,15 @@ class TestErrors:
         with pytest.raises(SemanticError, match="not finite"):
             parse_formula("F[0,2](x1 > 1e400)")
 
+    @pytest.mark.parametrize("text, column, what", [
+        ("G[0," + "9" * 5000 + "](x1 > 0)", 5, "time bound"),
+        ("x" + "9" * 5000 + " > 0", 1, "variable index"),
+    ], ids=["long-bound", "long-variable"])
+    def test_number_too_long_for_int(self, text, column, what):
+        with pytest.raises(SemanticError, match=f"{what} has too many digits") as info:
+            parse_formula(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
     def test_weight_count_mismatch(self):
         with pytest.raises(SemanticError):
             parse_formula("(x1 <= 1 &^{1.0} x2 > 0 & x3 > 0)")
