@@ -50,6 +50,11 @@ MODEL_FORMAT_VERSION = 1
 MAX_ROUNDS = 1000
 MAX_RETRIES = 100
 
+# Training defaults: the vote weight of a tree with zero training error, and
+# the retrain attempts a round may make for a tree that beats random guessing.
+M_WEIGHT = 100.0
+RETRIES = 5
+
 
 @dataclass(frozen=True)
 class TreeRound:
@@ -99,8 +104,8 @@ def train_boosted(
     dataset: LabeledDataset,
     rounds: int,
     config: TreeConfig | None = None,
-    m_weight: float = 100.0,
-    max_retries: int = 5,
+    m_weight: float = M_WEIGHT,
+    max_retries: int = RETRIES,
     seed: int = 0,
     trace: TrainingTrace | None = None,
 ) -> BoostedModel:
@@ -124,8 +129,8 @@ def train_boosted_steps(
     dataset: LabeledDataset,
     rounds: int,
     config: TreeConfig | None = None,
-    m_weight: float = 100.0,
-    max_retries: int = 5,
+    m_weight: float = M_WEIGHT,
+    max_retries: int = RETRIES,
     seed: int = 0,
     trace: TrainingTrace | None = None,
 ) -> Searches[BoostedModel]:
@@ -368,7 +373,10 @@ def model_from_dict(doc) -> BoostedModel:
     wrong JSON type, and when the document is inconsistent: no trees, a
     ``formulaText`` that is not its tree's formula, a ``prunedIndex`` that
     names no tree, a primitive that reads past the model's ``n`` variables
-    or ``T`` horizon, or a vote weight that is not positive.
+    or ``T`` horizon, a vote weight that is not positive, or, without
+    ``prunedIndex``, vote weights whose sum in round order is not finite.
+    Rounding is monotone, so that sum bounds every partial sum of the vote
+    :func:`predict_all` takes; a pruned model's selected tree votes alone.
     """
     doc = typed_value("model", doc, dict)
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -389,6 +397,7 @@ def model_from_dict(doc) -> BoostedModel:
     if not m_weight > 0:
         raise ValueError(f"M must be positive, got {m_weight}")
     rounds = []
+    vote = 0.0  # the alphas summed in round order: a bound on every partial vote
     for k, t in enumerate(_field(doc, "trees", list)):
         t = typed_value(f"tree {k}", t, dict)
         tree = _tree_from_doc(_field(t, "treeStructure", dict))
@@ -399,12 +408,15 @@ def model_from_dict(doc) -> BoostedModel:
         alpha, epsilon = _field(t, "alpha", float), _field(t, "epsilon", float)
         if not alpha > 0:
             raise ValueError(f"tree {k}: alpha must be positive, got {alpha}")
+        vote += alpha
         rounds.append(TreeRound(tree, alpha, epsilon, formula, _field(t, "merges", int, 0)))
     if not rounds:
         raise ValueError("model holds no trees")
     pruned = None if doc.get("prunedIndex") is None else _field(doc, "prunedIndex", int)
     if pruned is not None and pruned not in range(len(rounds)):
         raise ValueError(f"prunedIndex {pruned} names no tree of {len(rounds)}")
+    if pruned is None and not math.isfinite(vote):
+        raise ValueError("the trees' alphas sum past the float range, so their vote overflows")
     return BoostedModel(
         rounds=tuple(rounds),
         m_weight=m_weight,

@@ -21,9 +21,11 @@ import numpy as np
 
 from . import __version__
 from .boosting import (
+    M_WEIGHT,
     MAX_RETRIES,
     MAX_ROUNDS,
     PSO_KEYS,
+    RETRIES,
     ensemble_mcr,
     model_formula,
     model_from_dict,
@@ -94,11 +96,11 @@ SETTINGS = {s.key: s for s in (
     Setting("max_depth", ("--max-depth",), int, TreeConfig.max_depth, "depth limit of each tree"),
     Setting("lambda", ("--lambda",), float, TreeConfig.purity_stop,
             "majority fraction that turns a node into a leaf"),
-    Setting("M", ("--M",), float, 100.0,
+    Setting("M", ("--M",), float, M_WEIGHT,
             "vote weight assigned to trees with zero training error", gt=0.0),
     Setting("seed", ("--seed",), int, 0, "training seed", ge=0),
     Setting("folds", ("--folds",), int, 5, "cross-validation folds", ge=2, commands=("cv",)),
-    Setting("retries", ("--retries",), int, 5, "retrain attempts for weak trees",
+    Setting("retries", ("--retries",), int, RETRIES, "retrain attempts for weak trees",
             ge=0, le=MAX_RETRIES),
     Setting("pso_swarm", ("--pso-swarm",), int, PsoConfig.swarm_size,
             "particles in each swarm search"),
@@ -277,7 +279,7 @@ def run_cross_validation(
     m_weight: float,
     folds: int,
     seed: int,
-    max_retries: int = 5,
+    max_retries: int = RETRIES,
 ) -> tuple[list[dict], float]:
     """Train and score one model per fold; returns each fold's report entry,
     in fold order, and the wall time.

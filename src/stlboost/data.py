@@ -5,12 +5,12 @@ per (signal, timepoint), integer timepoints 0..T, label +1 or -1 constant
 within an id.
 
 ``load_csv`` parses a file in blocks of ``BLOCK_ROWS`` rows, checks every
-row and then raggedness, and only then allocates the signal array.  A file
-with no quote character and no blank line is parsed by numpy's C reader
-(``np.loadtxt``); any other file, and any file that path refuses, is parsed
-by the exact path, ``int``/``float`` one record at a time.  The values are
-the same bits either way, and so are the errors, which name a record by
-line, counting CSV records.  The C reader
+row and then raggedness, and only then allocates the signal array.  A
+regular file with no quote character and no blank line is parsed by numpy's
+C reader (``np.loadtxt``); any other file, a pipe too, and any file that
+path refuses, is parsed by the exact path, ``int``/``float`` one record at
+a time.  The values are the same bits either way, and so are the errors,
+which name a record by line, counting CSV records.  The C reader
 holds the interpreter lock, so a large file is cut at line starts into one
 part per CPU, and forked children parse all parts but the first.  A block
 is four column arrays: id codes, ``t``, ``label`` and ``x``.  The checks
@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import stat
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -139,7 +140,9 @@ def load_csv(path) -> LabeledDataset:
     (``np.loadtxt``), a block of ``BLOCK_ROWS`` lines at a time.  Any other
     file, or one whose header or cells this fast path refuses, is read again
     by the exact path, which parses one record at a time with ``int`` and
-    ``float`` and turns each ``BLOCK_ROWS`` rows into columns.  Both paths
+    ``float`` and turns each ``BLOCK_ROWS`` rows into columns.  A file that
+    is not a regular file, such as a pipe, goes to the exact path unread:
+    the fast path reads by offset, which a pipe does not allow.  Both paths
     give bit-identical values and the same errors; a file the fast path
     parses whole fails its row checks there, without a second read.
     Raggedness is checked before the (N, n, T+1) array is allocated, so a
@@ -168,9 +171,11 @@ def load_csv(path) -> LabeledDataset:
     order: field count, parsing, label, timepoint sign, finiteness, label
     change, duplicate timepoint.
     """
-    dataset = _load_fast(path)
-    if dataset is not None:
-        return dataset
+    # A pipe is opened once: reopening a named FIFO can lose its writer.
+    if stat.S_ISREG(os.stat(path).st_mode):
+        dataset = _load_fast(path)
+        if dataset is not None:
+            return dataset
     try:
         return _load_exact(path)
     except _READ_ERRORS as exc:

@@ -5,7 +5,9 @@ timepoints 0..T.  Formulas are built from axis-aligned box predicates over
 signal components, Boolean connectives, and the bounded temporal operators
 G (always) and F (eventually).  The robustness degree is the standard
 min/max margin semantics: a non-negative value means the signal satisfies
-the formula.
+the formula.  :func:`robustness_all` implements it; the swarm search's
+kernel shares its face margin, :func:`face_rho`, and reads window extrema
+from range tables of window minima (:func:`range_table`).
 """
 
 from __future__ import annotations
@@ -199,14 +201,18 @@ def satisfies(phi: Formula, signal: Signal) -> bool:
     return robustness(phi, signal, 0) >= 0
 
 
-def face_rho(op: str, threshold, cols: np.ndarray) -> np.ndarray:
-    """Robustness of the face ``x op threshold`` at the sample values ``cols``.
+def face_rho(sign, threshold, cols: np.ndarray) -> np.ndarray:
+    """Robustness ``sign * (cols - threshold)`` of a face at the sample
+    values ``cols``: +1 for ``x > threshold``, and -1 for ``x <= threshold``,
+    which gives the bits of ``threshold - cols``.  ``sign`` and
+    ``threshold`` may be arrays that broadcast to ``cols``.
 
     A zero margin is always +0.0: ``-0.0 - 0.0`` would give -0.0, and a
     window minimum over both zeros returns whichever its reduction order
     meets, so a range table and a sliding window could disagree in the sign.
     """
-    rho = cols - threshold if op == GT else threshold - cols
+    rho = cols - threshold
+    rho *= sign
     rho += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
     return rho
 
@@ -217,59 +223,50 @@ def box_window_rho(faces, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     ``faces`` yields (variable, comparator, threshold); returns shape
     (N, hi - lo + 1).
     """
-    return np.minimum.reduce(
-        [face_rho(op, threshold, values[:, var - 1, lo : hi + 1]) for var, op, threshold in faces]
-    )
+    return np.minimum.reduce([
+        face_rho(1 if op == GT else -1, threshold, values[:, var - 1, lo : hi + 1])
+        for var, op, threshold in faces
+    ])
 
 
-def range_table(series: np.ndarray, reduce: np.ufunc, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the sparse table of ``reduce`` (``np.minimum`` or
-    ``np.maximum``) over a (N, T+1) series, for window queries in O(1).
+def range_table(series: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the sparse table of the window minima of ``sign *
+    series`` over a (N, T+1) series, for window queries in O(1).  ``sign``
+    is +1 or -1: the maximum of x is exactly minus the minimum of -x.
 
     ``out`` has shape (levels, N, T+1) with ``levels = (T+1).bit_length()``.
-    Level ``j`` holds ``reduce`` over samples [t, t + 2**j) at column ``t``;
-    only columns ``t <= T + 1 - 2**j`` are filled.
+    Level ``j`` holds the minimum over samples [t, t + 2**j) at column ``t``;
+    only columns ``t <= T + 1 - 2**j`` are filled.  The series is negated
+    into level 0, so no other series-sized array is allocated.
     """
     width = series.shape[1]
-    out[0] = series
+    np.multiply(series, sign, out=out[0])
     for level in range(1, out.shape[0]):
         half = 1 << (level - 1)
         filled = width - 2 * half + 1
-        reduce(out[level - 1, :, :filled], out[level - 1, :, half : half + filled],
-               out=out[level, :, :filled])
+        np.minimum(out[level - 1, :, :filled], out[level - 1, :, half : half + filled],
+                   out=out[level, :, :filled])
     return out
 
 
 def range_query(
-    tables: np.ndarray,
-    which: np.ndarray,
-    is_min: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    starts: np.ndarray | None = None,
+    tables: np.ndarray, which: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """Each series' window extremum over the inclusive windows [lo, hi], read
-    from table ``which`` of stacked range tables.
+    """Window minima over the inclusive windows [lo, hi] of runs of R
+    consecutive series, read from table ``which`` of stacked range tables.
 
-    ``tables`` stacks tables from :func:`range_table`, shape (Q, levels, N,
-    T+1).  ``which``, ``lo`` and ``hi`` broadcast to one shape S, and
-    ``is_min`` (whether that table holds minima, else maxima) to S + (1,);
-    returns shape S + (N,).  With ``starts``, which also broadcasts to S,
-    ``tables`` holds the stacked tables' runs of R consecutive series, shape
+    ``tables`` holds the runs of the tables from :func:`range_table`, shape
     (Q, levels, N - R + 1, T+1, R) (``sliding_window_view`` along the series
-    axis), and each query reads only the R series from its start on: the
-    result is S + (R,).  The two power-of-two halves overlap, which min and
-    max do not mind, so the result is exactly the reduction over the window
-    up to the sign of a zero extremum, which :func:`face_rho` drops.
+    axis).  ``which``, ``lo``, ``hi`` and ``starts`` broadcast to one shape
+    S, and each query reads the R series from its start on; returns shape
+    S + (R,).  The two power-of-two halves overlap, which a minimum does not
+    mind, so the result is exactly the minimum over the window up to the
+    sign of a zero, which :func:`face_rho` drops.
     """
     powers = 1 << np.arange(tables.shape[1])
     level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
     late = hi - powers[level] + 1
-    if starts is None:
-        first, second = tables[which, level, :, lo], tables[which, level, :, late]
-    else:
-        first, second = tables[which, level, starts, lo], tables[which, level, starts, late]
-    return np.where(is_min, np.minimum(first, second), np.maximum(first, second))
+    return np.minimum(tables[which, level, starts, lo], tables[which, level, starts, late])
 
 
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:

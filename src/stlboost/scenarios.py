@@ -15,7 +15,6 @@ single eventually-box primitive by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,10 @@ from .data import LabeledDataset, NEG_LABEL, POS_LABEL
 
 
 MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats
+# The largest noise scale.  ``rng.normal`` turns a draw z into noise * z, and
+# a scale this large overflows a float only for |z| above 1.7e8 standard
+# deviations; numpy's normal draws stay under 14, so every value is finite.
+MAX_NOISE = 1e300
 
 # Maritime geometry (positions in abstract map units).  The island leg
 # mirrors the normal x profile so no single x window tells them apart; the
@@ -51,8 +54,8 @@ def _check_config(config, dimension: int, min_horizon: int, geometry: str) -> No
     if size > MAX_VALUES:
         raise ValueError(f"{2 * config.count_per_class} signals of {dimension} x "
                          f"{config.horizon + 1} values exceed the {MAX_VALUES} value limit")
-    if not 0 <= config.noise < math.inf:
-        raise ValueError("noise must be non-negative and finite")
+    if not 0 <= config.noise <= MAX_NOISE:
+        raise ValueError(f"noise must be in [0, {MAX_NOISE:g}], got {config.noise!r}")
     if config.seed < 0:
         raise ValueError("seed must be non-negative")
 

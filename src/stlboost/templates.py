@@ -4,13 +4,15 @@ interval endpoints and free thresholds.
 A template fixes the operator shape and which (variable, comparator) faces
 exist; a valuation supplies concrete integer time bounds and thresholds.
 Threshold search bounds come from the data range of each variable, padded
-by one percent so boundary splits stay reachable.
+by one percent so boundary splits stay reachable.  :func:`batch_robustness`
+scores many valuations at once from range tables of window minima.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -162,16 +164,16 @@ BatchRobustness = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 TABLE_BUDGET_BYTES = 4 << 20
 
 
-def _table_keys(template: PstlTemplate) -> tuple[tuple[int, np.ufunc], ...] | None:
-    """The (variable, ``np.minimum`` or ``np.maximum``) range table each face
-    of ``template`` reads, or None for ``F`` over several faces, which reads
-    window slices instead."""
+def _table_keys(template: PstlTemplate) -> tuple[tuple[int, int], ...] | None:
+    """The (variable, sign) range table each face of ``template`` reads, a
+    table of the window minima of sign * x, or None for ``F`` over several
+    faces, which reads window slices instead."""
     if template.shape == EVENTUALLY and len(template.slots) > 1:
         return None
-    # G over x > c needs the window minimum of x; G over x <= c, the maximum.
-    # F flips both.
+    # G over x > c needs the window minimum of x; G over x <= c, the maximum,
+    # which is minus the minimum of -x.  F flips both.
     return tuple(
-        (var, np.minimum if (op == GT) == (template.shape == ALWAYS) else np.maximum)
+        (var, 1 if (op == GT) == (template.shape == ALWAYS) else -1)
         for var, op in template.slots
     )
 
@@ -254,42 +256,45 @@ def batch_robustness(
     count: int | None = None,
 ) -> BatchRobustness:
     """Robustness of M templates with one parameter count, each at P
-    valuations, over one batch of signals.
+    valuations, over runs of stacked signals.
 
-    Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, N)``
+    Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, count)``
     whose row ``[m, p]`` equals, bit for bit, ``robustness_all`` of template
-    ``m`` instantiated at its valuation ``p``.  With ``starts`` (M,) and
-    ``count``, template ``m`` reads only the ``count`` signals from
-    ``values[starts[m]]`` on, which must lie within ``values``, and the
-    result is (M, P, count): templates of different nodes share one set of
-    tables over their nodes' signals stacked.
+    ``m`` at its valuation ``p`` over the ``count`` signals from
+    ``values[starts[m]]`` on (all of ``values`` without ``starts``), so
+    templates of different nodes share tables over their signals stacked.
 
     ``G`` over any box and ``F`` over one face read each face's window
     extremum from a range table: rounding is monotone, so ``min_t fl(x_t -
     c) == fl(min_t x_t - c)``, and the minimum over faces commutes with
-    ``G``'s minimum over time.  The batch builds one table per distinct
-    (variable, min or max) its faces read, so ``G`` over ``x > c`` and ``F``
-    over ``x <= c`` share the minimum table of ``x``, and reads all M x P
-    windows of a face slot with one gather.  ``F`` over several faces (only
-    merged templates) does not commute: it takes window slices per valuation
-    and must be searched alone, without ``starts``.  The tables live as long
-    as the returned function.
+    ``G``'s minimum over time.  There is one table per distinct (variable,
+    sign) of :func:`_table_keys`, so ``G`` over ``x > c`` and ``F`` over
+    ``x <= c`` share the table of x.  With m its minimum, a face reads
+    ``face_rho(shape, sign * c, m)``, shape +1 for ``G`` and -1 for ``F``:
+    ``G`` over ``x <= c`` gives ``m + c``, that is ``c - max x``, and ``F``
+    over ``x > c`` gives ``-(m + c)``, that is ``max x - c``.  ``F`` over
+    several faces (only merged templates) does not commute: it takes window
+    slices per valuation and is searched alone.  The tables live as long as
+    the returned function.
     """
     values = np.asarray(values, dtype=float)
     templates = tuple(templates)
+    if starts is None:
+        starts, count = np.zeros(len(templates), dtype=int), len(values)
     keys = [_table_keys(template) for template in templates]
     if None in keys:
-        if len(templates) > 1 or starts is not None:
+        if len(templates) > 1:
             raise ValueError("an F over several faces is searched alone")
         faces = templates[0].slots
+        run = values[starts[0] : starts[0] + count]
 
         def sliced(t0, t1, thresholds):
-            rho = np.empty(t0.shape + (values.shape[0],))
+            rho = np.empty(t0.shape + (count,))
             for row, lo, hi, cuts in zip(
                 rho[0], t0[0].tolist(), t1[0].tolist(), thresholds[0].tolist()
             ):
                 window = box_window_rho(
-                    ((var, op, c) for (var, op), c in zip(faces, cuts)), values, lo, hi
+                    ((var, op, c) for (var, op), c in zip(faces, cuts)), run, lo, hi
                 )
                 row[:] = window.max(axis=1)
             return rho
@@ -299,30 +304,20 @@ def batch_robustness(
     distinct = list(dict.fromkeys(key for ks in keys for key in ks))
     width = values.shape[2]
     tables = np.empty((len(distinct), width.bit_length(), values.shape[0], width))
-    for (var, reduce), table in zip(distinct, tables):
-        range_table(values[:, var - 1, :], reduce, out=table)
-    # Per template (row) and face slot (column): the table, whether it holds
-    # minima, and whether the face is ``x > c``.
+    for (var, sign), table in zip(distinct, tables):
+        range_table(values[:, var - 1, :], sign, out=table)
+    tables = sliding_window_view(tables, count, axis=2)
+    starts = np.asarray(starts)[:, np.newaxis]
+    # Per template and face slot: the table and its sign; per template, the shape.
     which = np.array([[distinct.index(key) for key in ks] for ks in keys])
-    is_min = np.array([[reduce is np.minimum for _, reduce in ks] for ks in keys])
-    is_gt = np.array([[op == GT for _, op in template.slots] for template in templates])
-    if starts is not None:
-        tables = sliding_window_view(tables, count, axis=2)
-        starts = np.asarray(starts)[:, np.newaxis]
+    signs = np.array([[sign for _, sign in ks] for ks in keys])[:, :, np.newaxis, np.newaxis]
+    shapes = np.array([1 if t.shape == ALWAYS else -1 for t in templates]).reshape(-1, 1, 1)
 
     def ranged(t0, t1, thresholds):
-        rho = []
-        for k in range(which.shape[1]):
-            extremum = range_query(
-                tables, which[:, k, np.newaxis], is_min[:, k, np.newaxis, np.newaxis], t0, t1,
-                starts,
-            )
-            cut = thresholds[:, :, k, np.newaxis]
-            rho.append(np.where(
-                is_gt[:, k, np.newaxis, np.newaxis],
-                face_rho(GT, cut, extremum),
-                face_rho(LE, cut, extremum),
-            ))
-        return np.minimum.reduce(rho)
+        return reduce(np.minimum, (
+            face_rho(shapes, signs[:, k] * thresholds[:, :, k, np.newaxis],
+                     range_query(tables, which[:, k, np.newaxis], t0, t1, starts))
+            for k in range(which.shape[1])
+        ))
 
     return ranged

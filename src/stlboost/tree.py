@@ -281,22 +281,22 @@ def _batch_objective(searched: tuple[PstlTemplate, ...], owners: list[SearchRequ
     """The lockstep objective of ``searched``, template ``m`` of which
     belongs to ``owners[m]``.
 
-    A batch of one request reads range tables over that node's signals.
-    Otherwise the tables are built over the signals of the batch's requests
-    stacked, each template reads a run of rows from its own node's first,
-    and the rows past its node's signals are masked out of every sum.  The
-    largest node goes last, so every run lies within the stack.
+    The range tables are built over the signals of the batch's requests
+    stacked, and each template reads a run of rows from its own node's
+    first; the largest node goes last, so every run lies within the stack.
+    A batch of one request scores its node's arrays as they are.  Otherwise
+    the rows past a node's signals are masked out of every sum.
     """
     nodes = sorted(dict.fromkeys(owners), key=lambda node: len(node.labels))
+    sizes = np.array([len(node.labels) for node in nodes])
+    which = np.array([nodes.index(owner) for owner in owners])
+    starts = (np.cumsum(sizes) - sizes)[which]
+    count = int(sizes[-1])
     if len(nodes) == 1:
         [node] = nodes
-        signals, starts, count, valid = node.values, None, None, None
+        signals, valid = node.values, None
         path_rho, labels, weights = node.path_rho, node.labels, node.weights
     else:
-        sizes = np.array([len(node.labels) for node in nodes])
-        which = np.array([nodes.index(owner) for owner in owners])
-        starts = (np.cumsum(sizes) - sizes)[which]
-        count = int(sizes[-1])
         span = np.arange(count)
         valid = span < sizes[which, np.newaxis]
         rows = starts[:, np.newaxis] + span
@@ -308,7 +308,7 @@ def _batch_objective(searched: tuple[PstlTemplate, ...], owners: list[SearchRequ
         path_rho = padded("path_rho")[:, np.newaxis]
         labels, weights = padded("labels"), padded("weights")
     batch_rho = batch_robustness(searched, signals, starts, count)
-    step = particles_per_pass(len(searched), len(signals) if count is None else count)
+    step = particles_per_pass(len(searched), count)
 
     def per_row(array, particles):
         # A template's node samples, once per particle of the pass.

@@ -342,9 +342,9 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
         batches.append((templates, []))
         return real_batch(templates, values, starts, count)
 
-    def recording_table(series, reduce, out):
+    def recording_table(series, sign, out):
         batches[-1][1].append(out.nbytes)
-        return real_table(series, reduce, out)
+        return real_table(series, sign, out)
 
     def recording_gains(rho, labels, weights, valid=None):
         templates = len(batches[-1][0])
@@ -501,12 +501,12 @@ def test_table_budget_keeps_cross_validation(monkeypatch, budget):
 
     def recording_batch(templates, values, starts=None, count=None):
         faces = max(len(t.slots) for t in templates)
-        batches.append((len(values), starts is not None, [], faces))
+        batches.append((len(values), count < len(values), [], faces))
         return real_batch(templates, values, starts, count)
 
-    def recording_table(series, reduce, out):
+    def recording_table(series, sign, out):
         batches[-1][2].append(out.nbytes)
-        return real_table(series, reduce, out)
+        return real_table(series, sign, out)
 
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)

@@ -25,7 +25,20 @@ from stlboost import (
     save_csv,
     stratified_folds,
 )
-from stlboost import UrbanConfig, cli, data, fanout, generate_urban, templates
+from stlboost import (
+    BoostedModel,
+    Leaf,
+    TreeConfig,
+    TreeRound,
+    UrbanConfig,
+    cli,
+    data,
+    fanout,
+    generate_urban,
+    model_to_dict,
+    templates,
+    tree_to_formula,
+)
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost.cli import main
 from stlboost.tree import MAX_DEPTH
@@ -109,6 +122,16 @@ class TestGenerate:
         assert main([command, "--count-per-class", str(10**9), "--horizon", str(10**9),
                      "--out", out]) == 1
         assert "value limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-naval", "gen-urban"])
+    def test_gen_noise_past_the_float_range_rejected(self, tmp_path, capsys, command):
+        # Noise of 1e308 overflows a draw to +-inf.
+        out = tmp_path / "x.csv"
+        assert main([command, "--count-per-class", "2", "--noise", "1e308",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "noise" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_gen_invalid_count(self, tmp_path):
         code = main(["gen-naval", "--count-per-class", "0", "--out",
@@ -657,6 +680,18 @@ class TestEvaluate:
             err = capsys.readouterr().err
             assert err.startswith("error: cannot load model") and "Traceback" not in err
 
+    def test_model_whose_vote_overflows_rejected(self, naval_csv, tmp_path, capsys):
+        # The exact vote of these four trees is 0, but summed in floats it
+        # passes the float range, so the command could not trust it.
+        rounds = tuple(TreeRound(Leaf(label), 1e308, 0.1, tree_to_formula(Leaf(label)), 0)
+                       for label in (-1, -1, 1, 1))
+        model = BoostedModel(rounds, 100.0, None, 2, 60, TreeConfig(), len(rounds))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        assert main(["eval", "--model", str(path), "--data", naval_csv, "--per-signal"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load model") and "alphas" in err
+
     def test_deeply_nested_model_file_rejected(self, naval_csv, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 5000)
@@ -706,6 +741,18 @@ class TestEvaluate:
         by_id = {sid: float(r) for sid, r in zip(dataset.ids, rho)}
         for row in rows[1:6]:
             assert math.isclose(float(row[3]), by_id[row[0]], abs_tol=1e-9)
+
+
+# Reads every sample of both variables of a naval signal.
+PIPE_FORMULA = "G[0,60](x1 > 40) | F[0,60](x2 <= 30)"
+
+
+def _cli(argv, **options):
+    """The command ``stlboost argv`` run in a fresh process."""
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-m", "stlboost.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=source), capture_output=True,
+                          timeout=300, **options)
 
 
 class TestMonitor:
@@ -780,6 +827,41 @@ class TestMonitor:
         monkeypatch.setattr(cli, "robustness_all", broken)
         assert main(["monitor", "--formula", "x1 > 0", "--data", naval_csv]) == 2
         assert capsys.readouterr().err.startswith("internal error: a library bug")
+
+    def test_dataset_read_from_standard_input(self, naval_csv):
+        # A pipe cannot be read by offset, so it takes the exact path.
+        with open(naval_csv, "rb") as handle:
+            piped = _cli(["monitor", "--formula", PIPE_FORMULA, "--data", "/dev/stdin"],
+                         input=handle.read())
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == _cli(["monitor", "--formula", PIPE_FORMULA,
+                                     "--data", naval_csv]).stdout
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_dataset_read_from_a_named_pipe(self, naval_csv, tmp_path):
+        # The pipe is opened once: a second open would wait for a writer that
+        # has already gone.
+        fifo = tmp_path / "data.csv"
+        os.mkfifo(fifo)
+        with open(naval_csv, "rb") as handle:
+            content = handle.read()
+
+        def write():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as pipe:
+                pipe.write(content)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            done = _cli(["monitor", "--formula", PIPE_FORMULA, "--data", str(fifo)])
+        finally:
+            if writer.is_alive():  # no reader came: let the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == _cli(["monitor", "--formula", PIPE_FORMULA,
+                                    "--data", naval_csv]).stdout
 
 
 def test_version_flag(capsys):

@@ -17,7 +17,7 @@ from stlboost import (
     robustness_all,
     save_csv,
 )
-from stlboost.scenarios import MAX_VALUES
+from stlboost.scenarios import MAX_NOISE, MAX_VALUES
 from oracles import grid_search
 
 NAVAL_BAND = parse_formula(
@@ -147,3 +147,16 @@ class TestUrban:
         rho = robustness_all(URBAN_CLOSING, ds.values)
         assert np.all(rho[ds.labels == POS_LABEL] > 0)
         assert np.all(rho[ds.labels == NEG_LABEL] < 0)
+
+
+@pytest.mark.parametrize("config, generate", [(NavalConfig, generate_naval),
+                                              (UrbanConfig, generate_urban)])
+def test_noise_is_bounded_below_the_float_range(config, generate):
+    # Noise of 1e308 would overflow a draw to +-inf; the largest allowed
+    # noise gives finite values.
+    with pytest.raises(ValueError, match="noise"):
+        config(noise=1e308)
+    with pytest.raises(ValueError, match="noise"):
+        config(noise=MAX_NOISE * 1.5)
+    dataset = generate(config(count_per_class=3, noise=MAX_NOISE, seed=1))
+    assert np.all(np.isfinite(dataset.values))
