@@ -9,7 +9,6 @@ robustness degree.
 
 from .boosting import (
     BoostedModel,
-    TrainingTrace,
     TreeRound,
     ensemble_mcr,
     load_model,

@@ -15,7 +15,8 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,21 +79,6 @@ class BoostedModel:
     requested_rounds: int
 
 
-@dataclass
-class RoundRecord:
-    epsilon: float
-    alpha: float
-    weights_before: np.ndarray
-    weights_after: np.ndarray
-    predictions: np.ndarray
-    attempts: int
-
-
-@dataclass
-class TrainingTrace:
-    records: list[RoundRecord] = field(default_factory=list)
-
-
 def tree_weight(epsilon: float, m_weight: float) -> float:
     """Vote weight for a tree with weighted error ``epsilon``."""
     if epsilon == 0.0:
@@ -107,21 +93,19 @@ def train_boosted(
     m_weight: float = M_WEIGHT,
     max_retries: int = RETRIES,
     seed: int = 0,
-    trace: TrainingTrace | None = None,
 ) -> BoostedModel:
     """Train a boosted ensemble of ``rounds`` trees.
 
-    A round whose tree has weighted error >= 0.5 is discarded and retried
-    with a different optimizer seed up to ``max_retries`` times; when the
-    retries run out training stops early with the trees kept so far.  After
-    a perfect round the sample weights stay unchanged (the exponential
-    update is a no-op modulo normalization there).  ``rounds`` is in
-    [1, MAX_ROUNDS] and ``max_retries`` in [0, MAX_RETRIES].  This drives
+    A round whose tree has weighted error >= 0.5 is discarded, logged at
+    DEBUG as ``round k attempt a discarded``, and retried with a different
+    optimizer seed up to ``max_retries`` times; when the retries run out
+    training stops early with the trees kept so far.  After a perfect round
+    the sample weights stay unchanged (the exponential update is a no-op
+    modulo normalization there).  ``rounds`` is in [1, MAX_ROUNDS] and
+    ``max_retries`` in [0, MAX_RETRIES].  This drives
     :func:`train_boosted_steps` alone, serving each search as it comes.
     """
-    [model] = drive([train_boosted_steps(
-        dataset, rounds, config, m_weight, max_retries, seed, trace
-    )])
+    [model] = drive([train_boosted_steps(dataset, rounds, config, m_weight, max_retries, seed)])
     return model
 
 
@@ -132,7 +116,6 @@ def train_boosted_steps(
     m_weight: float = M_WEIGHT,
     max_retries: int = RETRIES,
     seed: int = 0,
-    trace: TrainingTrace | None = None,
 ) -> Searches[BoostedModel]:
     """:func:`train_boosted` as a generator: each tree grows by
     :func:`~stlboost.tree.build_tree_steps`, whose search requests it
@@ -175,14 +158,9 @@ def train_boosted_steps(
         kept.append(
             TreeRound(tree, alpha, epsilon, tree_to_formula(tree), merge_log.count)
         )
-        weights_before = weights.copy()
         if epsilon > 0.0:
             weights = weights * np.exp(-alpha * dataset.labels * predictions)
             weights = weights / weights.sum()
-        if trace is not None:
-            trace.records.append(
-                RoundRecord(epsilon, alpha, weights_before, weights.copy(), predictions, attempt + 1)
-            )
 
     model = BoostedModel(
         rounds=tuple(kept),
@@ -213,18 +191,31 @@ def select_pruned_tree(model: BoostedModel) -> int | None:
     return best
 
 
+def _check_finite_vote(rounds: Iterable[TreeRound]) -> None:
+    """Raise ValueError unless the positive alphas of ``rounds``, summed in
+    round order, are finite.  Rounding is monotone, so that sum bounds every
+    partial sum of the vote :func:`predict_all` takes unpruned."""
+    vote = 0.0
+    for round_ in rounds:
+        vote += round_.alpha
+    if not math.isfinite(vote):
+        raise ValueError("the trees' alphas sum past the float range, so their vote overflows")
+
+
 def predict_all(model: BoostedModel, values: np.ndarray) -> np.ndarray:
     """Predict labels for a batch of signals.
 
     A pruned model's selected tree alone votes; otherwise the alpha-weighted
     majority decides, with an exact zero vote resolving to the positive
-    class.  ``replace(model, pruned_index=None)`` is the unpruned model.
+    class.  ``replace(model, pruned_index=None)`` is the unpruned model; its
+    vote raises ValueError when the alphas overflow (:func:`_check_finite_vote`).
     """
     if not model.rounds:
         raise ValueError("model holds no trees")
     values = np.asarray(values, dtype=float)
     if model.pruned_index is not None:
         return classify_all(model.rounds[model.pruned_index].tree, values)
+    _check_finite_vote(model.rounds)
     vote = np.zeros(values.shape[0])
     for round_ in model.rounds:
         vote = vote + round_.alpha * classify_all(round_.tree, values)
@@ -374,9 +365,8 @@ def model_from_dict(doc) -> BoostedModel:
     ``formulaText`` that is not its tree's formula, a ``prunedIndex`` that
     names no tree, a primitive that reads past the model's ``n`` variables
     or ``T`` horizon, a vote weight that is not positive, or, without
-    ``prunedIndex``, vote weights whose sum in round order is not finite.
-    Rounding is monotone, so that sum bounds every partial sum of the vote
-    :func:`predict_all` takes; a pruned model's selected tree votes alone.
+    ``prunedIndex``, vote weights whose sum in round order is not finite
+    (:func:`_check_finite_vote`); a pruned model's selected tree votes alone.
     """
     doc = typed_value("model", doc, dict)
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -397,7 +387,6 @@ def model_from_dict(doc) -> BoostedModel:
     if not m_weight > 0:
         raise ValueError(f"M must be positive, got {m_weight}")
     rounds = []
-    vote = 0.0  # the alphas summed in round order: a bound on every partial vote
     for k, t in enumerate(_field(doc, "trees", list)):
         t = typed_value(f"tree {k}", t, dict)
         tree = _tree_from_doc(_field(t, "treeStructure", dict))
@@ -408,15 +397,14 @@ def model_from_dict(doc) -> BoostedModel:
         alpha, epsilon = _field(t, "alpha", float), _field(t, "epsilon", float)
         if not alpha > 0:
             raise ValueError(f"tree {k}: alpha must be positive, got {alpha}")
-        vote += alpha
         rounds.append(TreeRound(tree, alpha, epsilon, formula, _field(t, "merges", int, 0)))
     if not rounds:
         raise ValueError("model holds no trees")
     pruned = None if doc.get("prunedIndex") is None else _field(doc, "prunedIndex", int)
     if pruned is not None and pruned not in range(len(rounds)):
         raise ValueError(f"prunedIndex {pruned} names no tree of {len(rounds)}")
-    if pruned is None and not math.isfinite(vote):
-        raise ValueError("the trees' alphas sum past the float range, so their vote overflows")
+    if pruned is None:
+        _check_finite_vote(rounds)
     return BoostedModel(
         rounds=tuple(rounds),
         m_weight=m_weight,

@@ -252,8 +252,8 @@ def particles_per_pass(templates: int, signals: int) -> int:
 def batch_robustness(
     templates: tuple[PstlTemplate, ...],
     values: np.ndarray,
-    starts: np.ndarray | None = None,
-    count: int | None = None,
+    starts: np.ndarray,
+    count: int,
 ) -> BatchRobustness:
     """Robustness of M templates with one parameter count, each at P
     valuations, over runs of stacked signals.
@@ -261,8 +261,8 @@ def batch_robustness(
     Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, count)``
     whose row ``[m, p]`` equals, bit for bit, ``robustness_all`` of template
     ``m`` at its valuation ``p`` over the ``count`` signals from
-    ``values[starts[m]]`` on (all of ``values`` without ``starts``), so
-    templates of different nodes share tables over their signals stacked.
+    ``values[starts[m]]`` on, so templates of different nodes share tables
+    over their signals stacked.
 
     ``G`` over any box and ``F`` over one face read each face's window
     extremum from a range table: rounding is monotone, so ``min_t fl(x_t -
@@ -279,8 +279,6 @@ def batch_robustness(
     """
     values = np.asarray(values, dtype=float)
     templates = tuple(templates)
-    if starts is None:
-        starts, count = np.zeros(len(templates), dtype=int), len(values)
     keys = [_table_keys(template) for template in templates]
     if None in keys:
         if len(templates) > 1:

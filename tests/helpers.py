@@ -27,6 +27,8 @@ from stlboost import (
 )
 from stlboost import fanout
 from stlboost.pso import _project_all
+from stlboost.templates import batch_robustness
+from oracles import boosting_weights
 
 POS = 1
 NEG = -1
@@ -45,6 +47,11 @@ def project(template, position) -> Valuation:
     position = np.asarray(position, dtype=float)[np.newaxis, np.newaxis]
     t0, t1, thresholds = _project_all((template,), position)
     return Valuation(t0[0, 0], t1[0, 0], thresholds[0, 0])
+
+
+def whole_batch_robustness(templates, values):
+    """``batch_robustness`` with every template over all of ``values``."""
+    return batch_robustness(templates, values, np.zeros(len(templates), int), len(values))
 
 
 def constant_signal(value: float, horizon: int = 2, dimension: int = 1) -> Signal:
@@ -146,6 +153,22 @@ def _try_merge(children):
         return Predicate(BoxPredicate(tuple(faces)))
     except ValueError:
         return None
+
+
+def check_replay(model, dataset) -> int:
+    """Assert that ``model`` replays its training (``boosting_weights``):
+    each round's ``epsilon`` is, bit for bit, its tree's error under the
+    replayed weights, which pins the library's update of the round before;
+    and each imperfect tree's error under the next round's weights is 1/2.
+    Returns the count of imperfect rounds."""
+    weights, wrong = boosting_weights(model, dataset)
+    imperfect = 0
+    for k, round_ in enumerate(model.rounds):
+        assert round_.epsilon == float(weights[k][wrong[k]].sum())
+        if round_.epsilon > 0.0:
+            assert abs(float(weights[k + 1][wrong[k]].sum()) - 0.5) <= 1e-9
+            imperfect += 1
+    return imperfect
 
 
 def signal_rows(signal: Signal) -> list[list[float]]:

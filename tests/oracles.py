@@ -2,8 +2,9 @@
 
 Everything here is written directly from the definitions, without importing
 the library's evaluation code, so it can serve as an oracle for the optimized
-implementations.  All but :func:`naive_side_sums` are written without numpy;
-that one pins the bits of numpy's own 1-D sums.
+implementations.  All but :func:`naive_side_sums` and
+:func:`boosting_weights` are written without numpy; those two pin the bits
+of numpy's own 1-D sums.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from stlboost.formula import (
 )
 from stlboost.pso import EmptyParameterSpaceError
 from stlboost.templates import Valuation
+from stlboost.tree import Leaf
 
 POS = 1
 NEG = -1
@@ -94,6 +96,40 @@ def naive_side_sums(mags, masks):
     ``mags`` compacted to its ``masks`` picks, the order in which a split
     scored alone sums each side's mass."""
     return np.array([np.add.reduce(row[mask]) for row, mask in zip(mags, masks)])
+
+
+def naive_route(tree, rows):
+    """The leaf label a signal reaches, going left where the split's
+    primitive holds at time 0."""
+    while not isinstance(tree, Leaf):
+        tree = tree.left if naive_robustness(tree.primitive, rows, 0) >= 0 else tree.right
+    return tree.label
+
+
+def boosting_weights(model, dataset):
+    """Replay training's sample weights from the model alone.
+
+    Returns ``(weights, wrong)``: ``weights[k]`` are the sample weights round
+    ``k`` trained on, and ``weights[-1]`` those after the last round;
+    ``wrong[k]`` marks the signals that round's tree misclassifies, routed by
+    :func:`naive_route`.  Weights start uniform and take AdaBoost's update
+    ``w * exp(-alpha * y * h)``, normalized, except after a perfect round.
+    The arithmetic is numpy's, so a weighted error ``weights[k][wrong[k]].sum()``
+    has the bits of numpy's own 1-D sum, as the library's ``epsilon`` does.
+    """
+    rows = [[[float(v) for v in var] for var in signal] for signal in dataset.values]
+    labels = [int(y) for y in dataset.labels]
+    current = np.full(len(rows), 1.0 / len(rows))
+    weights, wrong = [current], []
+    for round_ in model.rounds:
+        miss = np.array([naive_route(round_.tree, r) != y for r, y in zip(rows, labels)])
+        if current[miss].sum() > 0.0:
+            # -alpha * y * h is alpha where the tree errs and -alpha elsewhere.
+            current = current * np.exp(np.where(miss, round_.alpha, -round_.alpha))
+            current = current / current.sum()
+        weights.append(current)
+        wrong.append(miss)
+    return weights, wrong
 
 
 def naive_mcr(phi, rows_list, labels):

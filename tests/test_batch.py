@@ -40,7 +40,7 @@ from stlboost.cli import run_cross_validation
 from stlboost.impurity import _masses, _side_sums, robustness_margin
 from stlboost.pso import _project_all
 from stlboost.templates import batch_robustness
-from helpers import count_forks, project
+from helpers import count_forks, project, whole_batch_robustness
 from oracles import naive_side_sums
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -151,7 +151,7 @@ def test_batch_robustness_signed_zero_margin(shape, op, cut):
     # them in different orders, and a zero margin must still read +0.0.
     values = np.array([[[1.0, -0.0, 0.0, 2.0]], [[-1.0, 0.0, -0.0, -2.0]]])
     template = PstlTemplate(shape, ((1, op),), ((-3.0, 3.0),), 3)
-    rho = batch_robustness((template,), values)
+    rho = whole_batch_robustness((template,), values)
     for t0, t1 in [(1, 2), (0, 2), (1, 3), (0, 3)]:
         row = rho(np.array([[t0]]), np.array([[t1]]), np.array([[[cut]]]))[0, 0]
         phi = template.instantiate(Valuation(t0, t1, (cut,)))
@@ -175,7 +175,7 @@ def test_batch_robustness_matches_robustness_all(seed):
     times[:, 1] = (0, horizon)  # the full horizon
     thresholds = rng.integers(-5, 5, size=(len(templates), swarm, len(templates[0].slots))) / 2
     t0, t1, projected = _project_all(templates, np.concatenate([times, thresholds], axis=2))
-    rho = batch_robustness(templates, values)(t0, t1, projected)
+    rho = whole_batch_robustness(templates, values)(t0, t1, projected)
     assert rho.shape == (len(templates), swarm, count)
     for m, template in enumerate(templates):
         for p in range(swarm):
@@ -252,7 +252,7 @@ def test_side_sums_match_naive_side_sums(seed):
 def _gain_objective(templates, values, labels, weights, path_rho):
     """The node search's objective: the gain of path ∧ candidate, with the
     margin as the tie value."""
-    template_rho = batch_robustness(templates, values)
+    template_rho = whole_batch_robustness(templates, values)
 
     def objective(t0, t1, thresholds):
         rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
@@ -338,7 +338,7 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     real_table = templates_module.range_table
     real_gains = tree_module.gains_from_robustness
 
-    def recording_batch(templates, values, starts=None, count=None):
+    def recording_batch(templates, values, starts, count):
         batches.append((templates, []))
         return real_batch(templates, values, starts, count)
 
@@ -386,7 +386,7 @@ def test_lockstep_batches_group_by_table():
         patch.setattr(templates_module, "TABLE_BUDGET_BYTES", 0)
         assert templates_module.lockstep_batches(templates, 3, 5) == [[0, 3], [1], [2], [4], [5]]
     with pytest.raises(ValueError):
-        batch_robustness((f_band, g_band), values)
+        whole_batch_robustness((f_band, g_band), values)
 
 
 def test_node_stacks_keep_one_table_within_the_budget(monkeypatch):
@@ -499,7 +499,7 @@ def test_table_budget_keeps_cross_validation(monkeypatch, budget):
     real_batch = tree_module.batch_robustness
     real_table = templates_module.range_table
 
-    def recording_batch(templates, values, starts=None, count=None):
+    def recording_batch(templates, values, starts, count):
         faces = max(len(t.slots) for t in templates)
         batches.append((len(values), count < len(values), [], faces))
         return real_batch(templates, values, starts, count)

@@ -25,8 +25,7 @@ from stlboost import (
     uniform_weights,
 )
 from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE
-from stlboost.templates import batch_robustness
-from helpers import constant_dataset, project
+from helpers import constant_dataset, project, whole_batch_robustness
 from oracles import grid_search
 from test_batch import _gain_objective
 
@@ -351,7 +350,7 @@ def _planted_instance(seed):
 def _batch_accuracy(template, ds):
     """The accuracy of a whole swarm iteration, each row equal to the
     per-valuation accuracy; every tie value is 0."""
-    template_rho = batch_robustness((template,), ds.values)
+    template_rho = whole_batch_robustness((template,), ds.values)
 
     def batch(t0, t1, thresholds):
         predicted = np.where(template_rho(t0, t1, thresholds) >= 0, POS_LABEL, NEG_LABEL)
