@@ -76,8 +76,6 @@ from .templates import PstlTemplate, ThresholdRangeError, Valuation, first_order
 from .tree import (
     EmptyPrimitiveSetError,
     Leaf,
-    MergeEvent,
-    MergeLog,
     NotAPrimitiveError,
     Split,
     TreeConfig,

@@ -7,6 +7,9 @@ such tree exists, prediction uses only the one with the fewest formula
 operators, otherwise the weighted majority vote over all trees decides.
 Trees no better than chance are discarded and retrained with a fresh
 optimizer seed.
+
+A round's formula is ``tree_to_formula`` of its tree.  A model file writes
+it as ``formulaText``, which loading checks against the tree and drops.
 """
 
 from __future__ import annotations
@@ -59,12 +62,11 @@ RETRIES = 5
 
 @dataclass(frozen=True)
 class TreeRound:
-    """One kept boosting round: the tree, its vote weight, and its formula."""
+    """One kept boosting round: the tree, its vote weight and error, and its merge count."""
 
     tree: TreeNode
     alpha: float
     epsilon: float
-    formula: Formula
     merges: int
 
 
@@ -135,7 +137,7 @@ def train_boosted_steps(
     for k in range(rounds):
         tree = None
         for attempt in range(max_retries + 1):
-            candidate_tree, merge_log = yield from build_tree_steps(
+            candidate_tree, merges = yield from build_tree_steps(
                 dataset, weights, config, seed=mix_seed(seed, k, attempt)
             )
             predictions = classify_all(candidate_tree, dataset.values)
@@ -155,9 +157,7 @@ def train_boosted_steps(
                 )
             break
         alpha = tree_weight(epsilon, m_weight)
-        kept.append(
-            TreeRound(tree, alpha, epsilon, tree_to_formula(tree), merge_log.count)
-        )
+        kept.append(TreeRound(tree, alpha, epsilon, merges))
         if epsilon > 0.0:
             weights = weights * np.exp(-alpha * dataset.labels * predictions)
             weights = weights / weights.sum()
@@ -185,7 +185,7 @@ def select_pruned_tree(model: BoostedModel) -> int | None:
     for k, round_ in enumerate(model.rounds):
         if round_.alpha != model.m_weight:
             continue
-        ops = operator_count(round_.formula)
+        ops = operator_count(tree_to_formula(round_.tree))
         if best is None or ops < best_ops:
             best, best_ops = k, ops
     return best
@@ -240,9 +240,9 @@ def model_formula(model: BoostedModel) -> Formula:
     if not model.rounds:
         raise ValueError("model holds no trees")
     if model.pruned_index is not None:
-        return model.rounds[model.pruned_index].formula
+        return tree_to_formula(model.rounds[model.pruned_index].tree)
     return And(
-        tuple(r.formula for r in model.rounds),
+        tuple(tree_to_formula(r.tree) for r in model.rounds),
         tuple(r.alpha for r in model.rounds),
     )
 
@@ -290,7 +290,7 @@ def model_to_dict(model: BoostedModel) -> dict:
             {
                 "alpha": r.alpha,
                 "epsilon": r.epsilon,
-                "formulaText": format_formula(r.formula),
+                "formulaText": format_formula(tree_to_formula(r.tree)),
                 "treeStructure": _tree_to_doc(r.tree),
                 "merges": r.merges,
             }
@@ -391,13 +391,12 @@ def model_from_dict(doc) -> BoostedModel:
         t = typed_value(f"tree {k}", t, dict)
         tree = _tree_from_doc(_field(t, "treeStructure", dict))
         _check_fits(tree, dimension, horizon)
-        formula = parse_formula(_field(t, "formulaText", str))
-        if formula != tree_to_formula(tree):
+        if parse_formula(_field(t, "formulaText", str)) != tree_to_formula(tree):
             raise ValueError(f"tree {k}: formulaText does not match treeStructure")
         alpha, epsilon = _field(t, "alpha", float), _field(t, "epsilon", float)
         if not alpha > 0:
             raise ValueError(f"tree {k}: alpha must be positive, got {alpha}")
-        rounds.append(TreeRound(tree, alpha, epsilon, formula, _field(t, "merges", int, 0)))
+        rounds.append(TreeRound(tree, alpha, epsilon, _field(t, "merges", int, 0)))
     if not rounds:
         raise ValueError("model holds no trees")
     pruned = None if doc.get("prunedIndex") is None else _field(doc, "prunedIndex", int)

@@ -483,8 +483,9 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("STLBOOST_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # getLevelName maps a level's name to its number and any other text to a str.
+    level = logging.getLevelName(os.environ.get("STLBOOST_LOG_LEVEL", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:

@@ -592,9 +592,7 @@ def mcr(phi: Formula, dataset: LabeledDataset) -> float:
 class FoldPlan:
     """Stratified assignment of sample indices to folds."""
 
-    fold_count: int
     assignment: np.ndarray
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)
@@ -626,4 +624,4 @@ def stratified_folds(dataset: LabeledDataset, fold_count: int, seed: int = 0) ->
         for offset, index in enumerate(members):
             assignment[index] = (cursor + offset) % fold_count
         cursor += len(members)
-    return FoldPlan(fold_count, assignment, seed)
+    return FoldPlan(assignment)

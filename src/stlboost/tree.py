@@ -9,7 +9,8 @@ node whenever the merged split strictly improves the gain.
 
 Growth is a generator (:func:`build_tree_steps`) that yields each node and
 merge search as a :class:`SearchRequest` and resumes with its answer, so
-:func:`drive` can serve the searches of several trees at once.
+:func:`drive` can serve the searches of several trees at once.  It returns
+the root and the number of merges accepted, each logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -119,26 +120,6 @@ class TreeConfig:
             raise ValueError("purity stop must be in (0.5, 1]")
         if not self.shapes or any(s not in (ALWAYS, EVENTUALLY) for s in self.shapes):
             raise ValueError(f"shapes must be drawn from ({ALWAYS!r}, {EVENTUALLY!r})")
-
-
-@dataclass(frozen=True)
-class MergeEvent:
-    """One accepted primitive-merge rewrite at a node."""
-
-    depth: int
-    before: Formula
-    after: Formula
-    gain_before: float
-    gain_after: float
-
-
-@dataclass
-class MergeLog:
-    events: list[MergeEvent] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.events)
 
 
 def mix_seed(*parts: int) -> int:
@@ -418,8 +399,8 @@ def build_tree(
     weights: np.ndarray,
     config: TreeConfig,
     seed: int = 0,
-) -> tuple[TreeNode, MergeLog]:
-    """Grow one tree on weighted samples; returns the root and merge log.
+) -> tuple[TreeNode, int]:
+    """Grow one tree on weighted samples; returns the root and merge count.
 
     This drives :func:`build_tree_steps` alone, serving each search as it
     comes.
@@ -433,10 +414,11 @@ def build_tree_steps(
     weights: np.ndarray,
     config: TreeConfig,
     seed: int = 0,
-) -> Searches[tuple[TreeNode, MergeLog]]:
+) -> Searches[tuple[TreeNode, int]]:
     """Tree growth as a generator: yields each node search and merge search
     as a :class:`SearchRequest`, resumes with its ``(primitive, gain)``, and
-    returns the root and merge log.
+    returns the root and the number of merges accepted.  Each accepted merge
+    is logged at DEBUG as ``depth d merge accepted: gain g -> g'``.
 
     The searches come in the order of a depth-first growth, and the k-th
     search drawn (a node that becomes a leaf draws one too) takes the seed
@@ -451,9 +433,8 @@ def build_tree_steps(
     if not np.isclose(total, 1.0):
         raise ValueError("weights must be normalized")
 
-    log = MergeLog()
     templates = first_order_templates(dataset.dimension, config.shapes)
-    state = {"calls": 0}
+    state = {"calls": 0, "merges": 0}
 
     def next_seed() -> int:
         state["calls"] += 1
@@ -497,7 +478,7 @@ def build_tree_steps(
                     sub, sub_weights, path_rho, merged, config, next_seed()
                 )
                 if new_gain >= gain + MIN_GAIN_IMPROVEMENT:
-                    log.events.append(MergeEvent(depth, candidate, rewritten, gain, new_gain))
+                    state["merges"] += 1
                     logger.debug(
                         "depth %d merge accepted: gain %.6f -> %.6f", depth, gain, new_gain
                     )
@@ -512,7 +493,7 @@ def build_tree_steps(
     root_rho = np.full(len(dataset), np.inf)
     found = yield from search(dataset, weights, root_rho, 0)
     root = yield from grow(dataset, weights, root_rho, 0, found)
-    return root, log
+    return root, state["merges"]
 
 
 def classify(node: TreeNode, signal: Signal) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import re
 
 import numpy as np
 
@@ -18,16 +19,19 @@ from stlboost import (
     GT,
     LE,
     LabeledDataset,
+    Leaf,
     Not,
     Or,
     Predicate,
     Signal,
+    Split,
     TRUE,
     Valuation,
 )
 from stlboost import fanout
 from stlboost.pso import _project_all
 from stlboost.templates import batch_robustness
+from stlboost.tree import MIN_GAIN_IMPROVEMENT, build_tree_steps, serve_searches
 from oracles import boosting_weights
 
 POS = 1
@@ -52,6 +56,16 @@ def project(template, position) -> Valuation:
 def whole_batch_robustness(templates, values):
     """``batch_robustness`` with every template over all of ``values``."""
     return batch_robustness(templates, values, np.zeros(len(templates), int), len(values))
+
+
+def spelled(*primitives):
+    """The tree whose formula (``tree_to_formula``) is ``primitives[0]``
+    alone, or the nested ``And`` of them all: each satisfied primitive goes
+    on to the next, and the last one to a positive leaf."""
+    tree = Leaf(POS)
+    for phi in reversed(primitives):
+        tree = Split(phi, tree, Leaf(NEG))
+    return tree
 
 
 def constant_signal(value: float, horizon: int = 2, dimension: int = 1) -> Signal:
@@ -169,6 +183,40 @@ def check_replay(model, dataset) -> int:
             assert abs(float(weights[k + 1][wrong[k]].sum()) - 0.5) <= 1e-9
             imperfect += 1
     return imperfect
+
+
+def grow_recording_merges(dataset, weights, config, seed=0):
+    """``build_tree`` stepped one search at a time; returns the root, the
+    merge count and each accepted merge as ``(merged primitive, gain_before,
+    gain_after)``.
+
+    A node's first search is the first request on its signals, and a later
+    request on the same signals is one of its merge searches.  That merge is
+    accepted when its gain beats the node's incumbent gain by
+    ``MIN_GAIN_IMPROVEMENT``, and its gain becomes the incumbent.
+    """
+    steps = build_tree_steps(dataset, weights, config, seed)
+    incumbents = []  # [the node's signals, its incumbent gain] per node
+    merges = []
+    answer = None
+    while True:
+        try:
+            request = steps.send(answer)
+        except StopIteration as stop:
+            return (*stop.value, merges)
+        answer = primitive, gain = serve_searches([request])[0]
+        node = next((entry for entry in incumbents if entry[0] is request.values), None)
+        if node is None:
+            incumbents.append([request.values, gain])
+        elif gain >= node[1] + MIN_GAIN_IMPROVEMENT:
+            merges.append((primitive, node[1], gain))
+            node[1] = gain
+
+
+def accepted_merge_gains(caplog) -> list[tuple[float, float]]:
+    """``(gain_before, gain_after)`` of each ``merge accepted`` DEBUG line."""
+    return [(float(before), float(after))
+            for before, after in re.findall(r"merge accepted: gain (\S+) -> (\S+)", caplog.text)]
 
 
 def signal_rows(signal: Signal) -> list[list[float]]:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  The heavy end-to-end checks sit at the end.
 """
 
+import logging
 import math
 import random
 import time
@@ -11,20 +12,17 @@ import time
 import numpy as np
 
 from stlboost import (
-    And,
     Always,
     Eventually,
     GT,
     LE,
     LabeledDataset,
-    Leaf,
     NEG_LABEL,
     POS_LABEL,
     PsoConfig,
     TreeConfig,
     TreeRound,
     BoostedModel,
-    build_tree,
     classify,
     format_formula,
     misclassification_gain,
@@ -42,11 +40,14 @@ from stlboost.cli import run_cross_validation
 from stlboost.scenarios import NavalConfig, generate_naval
 
 from helpers import (
+    accepted_merge_gains,
     check_replay,
+    grow_recording_merges,
     pred,
     random_formula,
     random_signal,
     signal_rows,
+    spelled,
     two_band_dataset,
 )
 from oracles import grid_search, naive_gain, naive_robustness
@@ -152,24 +153,27 @@ def test_boosting_weight_update_identity():
     _report("boosting weight update identity", f"{runs_with_check} seeded runs")
 
 
-def test_merge_rewriting_soundness():
+def test_merge_rewriting_soundness(caplog):
     ds = two_band_dataset(count=10)
     config = TreeConfig(
         max_depth=2, shapes=("G",), pso=PsoConfig(swarm_size=30, iterations=40)
     )
-    root, log = build_tree(ds, uniform_weights(len(ds)), config, seed=11)
-    assert log.count >= 1
-    for event in log.events:
-        assert event.gain_after > event.gain_before
-    merged = log.events[0].after
+    caplog.set_level(logging.DEBUG, logger="stlboost.tree")
+    _, count, merges = grow_recording_merges(ds, uniform_weights(len(ds)), config, seed=11)
+    assert count == len(merges) >= 1
+    assert accepted_merge_gains(caplog) == [
+        (round(before, 6), round(after, 6)) for _, before, after in merges
+    ]
+    for _, gain_before, gain_after in merges:
+        assert gain_after > gain_before
+    merged, gain_before, gain_after = merges[0]
     assert isinstance(merged, (Always, Eventually))
     faces = merged.child.box.conjuncts
     assert len(faces) == 2
     assert {c.op for c in faces} == {GT, LE}
     _report(
         "merge rewriting soundness",
-        f"{log.count} events, gain {log.events[0].gain_before:.4f} -> "
-        f"{log.events[0].gain_after:.4f}",
+        f"{count} events, gain {gain_before:.4f} -> {gain_after:.4f}",
     )
 
 
@@ -222,22 +226,15 @@ def test_noisy_boosting_trend():
 
 
 def test_pruning_rule_prefers_simplest():
-    five_ops = And(
-        (
-            Always(0, 1, pred(1, LE, 1.0)),
-            Eventually(0, 1, pred(1, GT, 0.0)),
-            Always(0, 1, pred(1, GT, 2.0)),
-        )
+    five_ops = spelled(
+        Always(0, 1, pred(1, LE, 1.0)),
+        Eventually(0, 1, pred(1, GT, 0.0)),
+        Always(0, 1, pred(1, GT, 2.0)),
     )
-    three_ops = And(
-        (Always(0, 1, pred(1, LE, 1.0)), Eventually(0, 1, pred(1, GT, 0.0)))
-    )
-    assert operator_count(five_ops) == 5
-    assert operator_count(three_ops) == 3
-    rounds = tuple(
-        TreeRound(Leaf(POS_LABEL), 100.0, 0.0, phi, 0)
-        for phi in (five_ops, three_ops)
-    )
+    three_ops = spelled(Always(0, 1, pred(1, LE, 1.0)), Eventually(0, 1, pred(1, GT, 0.0)))
+    assert operator_count(tree_to_formula(five_ops)) == 5
+    assert operator_count(tree_to_formula(three_ops)) == 3
+    rounds = tuple(TreeRound(tree, 100.0, 0.0, 0) for tree in (five_ops, three_ops))
     model = BoostedModel(
         rounds=rounds,
         m_weight=100.0,

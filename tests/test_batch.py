@@ -328,7 +328,7 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     weights = uniform_weights(len(dataset))
     config = TreeConfig(max_depth=3, purity_stop=1.0, pso=PsoConfig(swarm_size=10, iterations=8))
     expected = build_tree(dataset, weights, config, seed=1)
-    assert expected[1].count == 1
+    assert expected[1] == 1
 
     # One worker, so that every batch is recorded in this process.
     monkeypatch.setattr(fanout, "_cpus", lambda: 1)

@@ -37,7 +37,15 @@ from stlboost import (
     tree_to_formula,
     tree_weight,
 )
-from helpers import box, check_replay, constant_dataset, constant_signal, pred, random_signal
+from helpers import (
+    box,
+    check_replay,
+    constant_dataset,
+    constant_signal,
+    pred,
+    random_signal,
+    spelled,
+)
 from oracles import boosting_weights
 
 FAST = TreeConfig(max_depth=2, pso=PsoConfig(swarm_size=16, iterations=20))
@@ -55,11 +63,11 @@ def noisy_dataset(seed, count=30, flip=4):
     return constant_dataset(values, labels, horizon=3)
 
 
-def _stub_round(label, alpha, formula=None):
-    tree = Leaf(label)
-    if formula is None:
-        formula = tree_to_formula(tree)
-    return TreeRound(tree=tree, alpha=alpha, epsilon=0.1, formula=formula, merges=0)
+def _stub_round(tree, alpha):
+    """A round of ``tree``, or of a leaf of that label."""
+    if isinstance(tree, int):
+        tree = Leaf(tree)
+    return TreeRound(tree=tree, alpha=alpha, epsilon=0.1, merges=0)
 
 
 def _stub_model(rounds, m_weight=100.0, pruned=None):
@@ -166,11 +174,9 @@ class TestTraining:
         real_steps = boosting.build_tree_steps
 
         def flaky(dataset, weights, config, seed=0):
-            from stlboost.tree import MergeLog
-
             calls["n"] += 1
             if calls["n"] == 1:
-                return Leaf(NEG_LABEL), MergeLog()
+                return Leaf(NEG_LABEL), 0
             return (yield from real_steps(dataset, weights, config, seed=seed))
 
         monkeypatch.setattr(boosting, "build_tree_steps", flaky)
@@ -186,9 +192,7 @@ class TestTraining:
         )
 
         def hopeless(dataset, weights, config, seed=0):
-            from stlboost.tree import MergeLog
-
-            return Leaf(NEG_LABEL), MergeLog()
+            return Leaf(NEG_LABEL), 0
             yield  # a growth that makes no search
 
         monkeypatch.setattr(boosting, "build_tree_steps", hopeless)
@@ -203,7 +207,7 @@ class TestPredict:
         tree = Split(
             Always(0, 1, pred(1, LE, 1.0)), Leaf(POS_LABEL), Leaf(NEG_LABEL)
         )
-        rounds = (TreeRound(tree, 1.5, 0.2, tree_to_formula(tree), 0),)
+        rounds = (TreeRound(tree, 1.5, 0.2, 0),)
         model = _stub_model(rounds)
         assert predict(model, constant_signal(0.0)) == POS_LABEL
         assert predict(model, constant_signal(2.0)) == NEG_LABEL
@@ -255,14 +259,9 @@ class TestPredict:
         tree_b = Split(
             Eventually(0, 2, pred(1, GT, 2.0)), Leaf(NEG_LABEL), Leaf(POS_LABEL)
         )
-        rounds = tuple(
-            TreeRound(t, a, 0.3, tree_to_formula(t), 0)
-            for t, a in ((tree_a, 0.9), (tree_b, 0.4))
-        )
+        rounds = tuple(TreeRound(t, a, 0.3, 0) for t, a in ((tree_a, 0.9), (tree_b, 0.4)))
         base = predict_all(_stub_model(rounds), values)
-        scaled_rounds = tuple(
-            TreeRound(r.tree, 7.3 * r.alpha, r.epsilon, r.formula, 0) for r in rounds
-        )
+        scaled_rounds = tuple(replace(r, alpha=7.3 * r.alpha) for r in rounds)
         scaled = predict_all(_stub_model(scaled_rounds), values)
         assert np.array_equal(base, scaled)
 
@@ -273,38 +272,27 @@ class TestPruning:
         assert select_pruned_tree(model) is None
 
     def test_simplest_perfect_tree_wins(self):
-        five_ops = And(
-            (
-                Always(0, 1, pred(1, LE, 1.0)),
-                Eventually(0, 1, pred(1, GT, 0.0)),
-                Always(0, 1, pred(1, GT, 2.0)),
-            )
+        five_ops = spelled(
+            Always(0, 1, pred(1, LE, 1.0)),
+            Eventually(0, 1, pred(1, GT, 0.0)),
+            Always(0, 1, pred(1, GT, 2.0)),
         )
-        three_ops = And(
-            (Always(0, 1, pred(1, LE, 1.0)), Eventually(0, 1, pred(1, GT, 0.0)))
-        )
-        assert operator_count(five_ops) == 5
-        assert operator_count(three_ops) == 3
-        model = _stub_model(
-            [
-                _stub_round(POS_LABEL, 100.0, five_ops),
-                _stub_round(POS_LABEL, 100.0, three_ops),
-            ]
-        )
+        three_ops = spelled(Always(0, 1, pred(1, LE, 1.0)), Eventually(0, 1, pred(1, GT, 0.0)))
+        assert operator_count(tree_to_formula(five_ops)) == 5
+        assert operator_count(tree_to_formula(three_ops)) == 3
+        model = _stub_model([_stub_round(five_ops, 100.0), _stub_round(three_ops, 100.0)])
         assert select_pruned_tree(model) == 1
 
     def test_tie_takes_earliest(self):
         phi = Always(0, 1, pred(1, LE, 1.0))
-        model = _stub_model(
-            [_stub_round(POS_LABEL, 100.0, phi), _stub_round(POS_LABEL, 100.0, phi)]
-        )
+        model = _stub_model([_stub_round(spelled(phi), 100.0), _stub_round(spelled(phi), 100.0)])
         assert select_pruned_tree(model) == 0
 
 
 class TestModelFormula:
     def test_single_unpruned_tree_keeps_weight_annotation(self):
         phi = Always(0, 1, pred(1, LE, 1.0))
-        model = _stub_model([_stub_round(POS_LABEL, 2.5, phi)])
+        model = _stub_model([_stub_round(spelled(phi), 2.5)])
         wstl = model_formula(model)
         assert wstl == And((phi,), (2.5,))
         # Grammar text cannot attach a weight to a single conjunct; the
@@ -319,9 +307,9 @@ class TestModelFormula:
         ]
         model = _stub_model(
             [
-                _stub_round(POS_LABEL, 100.0, phis[0]),
-                _stub_round(POS_LABEL, 2.71, phis[1]),
-                _stub_round(POS_LABEL, 2.88, phis[2]),
+                _stub_round(spelled(phis[0]), 100.0),
+                _stub_round(spelled(phis[1]), 2.71),
+                _stub_round(spelled(phis[2]), 2.88),
             ],
             pruned=0,
         )
@@ -335,9 +323,9 @@ class TestModelFormula:
         ]
         model = _stub_model(
             [
-                _stub_round(POS_LABEL, 1.1, phis[0]),
-                _stub_round(POS_LABEL, 2.2, phis[1]),
-                _stub_round(POS_LABEL, 3.3, phis[2]),
+                _stub_round(spelled(phis[0]), 1.1),
+                _stub_round(spelled(phis[1]), 2.2),
+                _stub_round(spelled(phis[2]), 3.3),
             ]
         )
         text = format_formula(model_formula(model))
@@ -351,8 +339,8 @@ class TestSerialization:
         doc = model_to_dict(model)
         again = model_from_dict(json.loads(json.dumps(doc)))
         assert np.array_equal(predict_all(again, ds.values), predict_all(model, ds.values))
-        assert [format_formula(r.formula) for r in again.rounds] == [
-            format_formula(r.formula) for r in model.rounds
+        assert [format_formula(tree_to_formula(r.tree)) for r in again.rounds] == [
+            format_formula(tree_to_formula(r.tree)) for r in model.rounds
         ]
         assert again.pruned_index == model.pruned_index
         assert again.m_weight == model.m_weight
@@ -420,7 +408,7 @@ class TestSerialization:
             "c1-above-bound", "c2-above-bound", "alpha-sum-overflow"])
     def test_rejects_inconsistent_model(self, edit, match):
         tree = Split(Always(0, 1, pred(1, LE, 1.0)), Leaf(POS_LABEL), Leaf(NEG_LABEL))
-        model = _stub_model([TreeRound(tree, 2.0, 0.1, tree_to_formula(tree), 0)])
+        model = _stub_model([TreeRound(tree, 2.0, 0.1, 0)])
         doc = model_to_dict(model)
         assert model_from_dict(json.loads(json.dumps(doc))).rounds[0].tree == tree
         edited = edit(doc)

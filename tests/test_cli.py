@@ -37,7 +37,6 @@ from stlboost import (
     generate_urban,
     model_to_dict,
     templates,
-    tree_to_formula,
 )
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost.cli import main
@@ -683,8 +682,7 @@ class TestEvaluate:
     def test_model_whose_vote_overflows_rejected(self, naval_csv, tmp_path, capsys):
         # The exact vote of these four trees is 0, but summed in floats it
         # passes the float range, so the command could not trust it.
-        rounds = tuple(TreeRound(Leaf(label), 1e308, 0.1, tree_to_formula(Leaf(label)), 0)
-                       for label in (-1, -1, 1, 1))
+        rounds = tuple(TreeRound(Leaf(label), 1e308, 0.1, 0) for label in (-1, -1, 1, 1))
         model = BoostedModel(rounds, 100.0, None, 2, 60, TreeConfig(), len(rounds))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(model)))
@@ -753,6 +751,17 @@ def _cli(argv, **options):
     return subprocess.run([sys.executable, "-m", "stlboost.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=source), capture_output=True,
                           timeout=300, **options)
+
+
+@pytest.mark.parametrize("name", ["basic_format", "nonsense", "debug"])
+def test_log_level_resolves_level_names_only(identical_csv, monkeypatch, name):
+    # logging.BASIC_FORMAT is a format string, not a level: like any name
+    # that is no level, it leaves logging at WARNING.
+    monkeypatch.setenv("STLBOOST_LOG_LEVEL", name)
+    done = _cli(["train", "--data", identical_csv, "--retries", "0"] + TINY_FLAGS, text=True)
+    assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+    assert done.stderr.splitlines()[-1].startswith("error: no tree beat random guessing")
+    assert ("round 0 attempt 0 discarded" in done.stderr) == (name == "debug")
 
 
 class TestMonitor:

@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 
 from stlboost import NavalConfig, UrbanConfig, generate_naval, generate_urban, save_csv
 import stlboost.cli as cli
@@ -56,6 +57,16 @@ def test_naval_cv_report_is_pinned(tmp_path):
     merges = [t["merges"] for f in json.loads(out)["folds"] for t in f["model"]["trees"]]
     assert sum(merges) >= 1
     assert _sha256(out) == NAVAL_CV_SHA256
+
+
+def test_naval_cv_report_counts_each_accepted_merge(tmp_path, monkeypatch, caplog):
+    # One worker, so that every fold's growth logs in this process.
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
+    caplog.set_level(logging.DEBUG, logger=tree.__name__)
+    report = json.loads(_run(_naval_cv_argv(tmp_path)))
+    accepted = caplog.text.count("merge accepted")
+    assert report["merges"] == accepted >= 1
+    assert sum(t["merges"] for f in report["folds"] for t in f["model"]["trees"]) == accepted
 
 
 def test_naval_cv_five_folds_is_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import numpy as np
@@ -45,9 +46,11 @@ from stlboost import (
 from stlboost.templates import ALWAYS, EVENTUALLY
 from stlboost.tree import MAX_DEPTH
 from helpers import (
+    accepted_merge_gains,
     box,
     constant_dataset,
     constant_signal,
+    grow_recording_merges,
     pred,
     random_signal,
     two_band_dataset,
@@ -60,9 +63,9 @@ FAST = TreeConfig(max_depth=2, pso=PsoConfig(swarm_size=20, iterations=25))
 class TestStopConditions:
     def test_majority_dataset_becomes_single_leaf(self):
         ds = constant_dataset([0.0] * 19 + [5.0], [POS_LABEL] * 19 + [NEG_LABEL])
-        root, log = build_tree(ds, uniform_weights(20), FAST, seed=0)
+        root, merges = build_tree(ds, uniform_weights(20), FAST, seed=0)
         assert root == Leaf(POS_LABEL)
-        assert log.count == 0
+        assert merges == 0
 
     def test_purity_uses_plain_counts_not_weights(self):
         # 96% positive by count stops immediately even when nearly all the
@@ -102,10 +105,10 @@ class TestSeparableLearning:
 
     def test_deterministic_given_seed(self):
         ds = two_band_dataset(count=6, seed=9)
-        a, log_a = build_tree(ds, uniform_weights(len(ds)), FAST, seed=4)
-        b, log_b = build_tree(ds, uniform_weights(len(ds)), FAST, seed=4)
+        a, merges_a = build_tree(ds, uniform_weights(len(ds)), FAST, seed=4)
+        b, merges_b = build_tree(ds, uniform_weights(len(ds)), FAST, seed=4)
         assert a == b
-        assert log_a.count == log_b.count
+        assert merges_a == merges_b
 
 
 class TestOptimizePrimitive:
@@ -236,16 +239,21 @@ class TestCombinePrimitives:
 
 
 class TestMergeRewriting:
-    def test_two_band_merge_fires(self):
+    def test_two_band_merge_fires(self, caplog):
         ds = two_band_dataset(count=10)
         config = TreeConfig(
             max_depth=2, shapes=("G",), pso=PsoConfig(swarm_size=30, iterations=40)
         )
-        root, log = build_tree(ds, uniform_weights(len(ds)), config, seed=11)
-        assert log.count >= 1
-        event = log.events[0]
-        assert event.gain_after > event.gain_before
-        merged = event.after
+        grown = build_tree(ds, uniform_weights(len(ds)), config, seed=11)
+        caplog.set_level(logging.DEBUG, logger="stlboost.tree")
+        root, count, merges = grow_recording_merges(ds, uniform_weights(len(ds)), config, seed=11)
+        assert (root, count) == grown
+        assert count == len(merges) >= 1
+        assert accepted_merge_gains(caplog) == [
+            (round(before, 6), round(after, 6)) for _, before, after in merges
+        ]
+        merged, gain_before, gain_after = merges[0]
+        assert gain_after > gain_before
         assert isinstance(merged, Always)
         assert len(merged.child.box.conjuncts) == 2
         ops = {c.op for c in merged.child.box.conjuncts}
