@@ -16,10 +16,11 @@ returns ``(values[M, P], tie_values[M, P])``.  The swarms share one
 caller, with one ``Generator.random`` call for the start and one per
 iteration; it is otherwise independent, so a template's result is the same
 in any batch as searched alone.  Candidates are offered to each template's
-incumbent in particle order: a strictly larger value wins, and an equal
-value wins only with a strictly larger tie value.  :func:`optimize` adapts a
-per-valuation objective and tie-break to that contract.  The returned value
-is the one computed for the returned (already projected) valuation.
+incumbent in particle order: the first is taken, then a strictly larger
+value wins, and an equal value only with a strictly larger tie value; a NaN
+value raises ValueError.  :func:`optimize` adapts a per-valuation objective
+and tie-break to that contract.  The returned value, ``-inf`` included, is
+the one computed for the returned (already projected) valuation.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def _project_all(
 
 
 class _Best:
-    """The incumbent; ties on the value fall back to the tie value, which is
-    None until there is an incumbent."""
+    """The incumbent: the first candidate offered, until a larger value, or an
+    equal value with a larger tie value, replaces it."""
 
     __slots__ = ("valuation", "value", "tie_value")
 
@@ -124,8 +125,8 @@ class _Best:
         """Offer a batch of candidates in row order."""
         chosen = None
         for row, (value, tie_value) in enumerate(zip(values.tolist(), tie_values.tolist())):
-            if value > self.value or (
-                value == self.value and self.tie_value is not None and tie_value > self.tie_value
+            if self.tie_value is None or value > self.value or (
+                value == self.value and tie_value > self.tie_value
             ):
                 chosen, self.value, self.tie_value = row, value, tie_value
         if chosen is not None:
@@ -158,10 +159,10 @@ def optimize_batch(
     best valuation with its value and tie value.  A template's result depends
     only on its template, seed, the config and its objective rows, so it is
     the same in any batch as searched alone.  The best value seen is
-    non-decreasing over iterations.  One eighth of each swarm re-samples its
-    position uniformly every iteration; projected objectives are piecewise
-    constant, and without that exploration the swarm can stall on the first
-    plateau it reaches.
+    non-decreasing over iterations; a NaN value raises ValueError.  One
+    eighth of each swarm re-samples its position uniformly every iteration;
+    projected objectives are piecewise constant, and without that exploration
+    the swarm can stall on the first plateau it reaches.
     """
     templates = tuple(templates)
     seeds = tuple(seeds)
@@ -206,6 +207,8 @@ def optimize_batch(
             velocities[:, -scouts:] = 0.0
         t0, t1, thresholds = _project_all(templates, positions)
         values, tie_values = objective(t0, t1, thresholds)
+        if np.isnan(values).any():
+            raise ValueError("the objective returned NaN")
         improved = values > particle_best_val
         particle_best_val[improved] = values[improved]
         particle_best_pos[improved] = positions[improved]

@@ -5,7 +5,9 @@ predicate); satisfied signals go left.  Construction greedily maximizes the
 robustness-weighted misclassification gain of the full path formula, and a
 rewriting step tries to merge a node's primitive with a child candidate of
 the same temporal operator into a single wider box primitive, restarting the
-node whenever the merged split strictly improves the gain.
+node whenever the merged split strictly raises the gain, at most twice the
+node's variable count times.  A search takes the template whose primitive
+has the largest gain, then the largest robustness margin, then the earliest.
 
 Growth is a generator (:func:`build_tree_steps`) that yields each node and
 merge search as a :class:`SearchRequest` and resumes with its answer, so
@@ -34,14 +36,15 @@ from .formula import (
     Predicate,
     Signal,
     TRUE,
-    operator_count,
     robustness_all,
 )
 from .impurity import best_leaf_label, gains_from_robustness
 
 # ``gain_from_robustness``, ``robustness_margin``, ``misclassification_gain``,
-# ``partition`` and ``optimize`` are unused here but stay bound:
-# bench/tracer.py wraps the library's public names where this module binds them.
+# ``partition``, ``operator_count`` and ``optimize`` are unused here but stay
+# bound: bench/tracer.py wraps the library's public names where this module
+# binds them.
+from .formula import operator_count  # noqa: F401
 from .impurity import (  # noqa: F401
     gain_from_robustness,
     misclassification_gain,
@@ -63,11 +66,6 @@ from .templates import (
 T = TypeVar("T")
 
 logger = logging.getLogger(__name__)
-
-# A merge rewrite is accepted only when it beats the incumbent gain by at
-# least this much; together with the per-node restart budget this bounds the
-# restart loop.
-MIN_GAIN_IMPROVEMENT = 1e-9
 
 # Growing, routing, rendering and re-parsing a tree each recurse once or a
 # few times per level, so this bound keeps them far from the interpreter's
@@ -161,13 +159,19 @@ def _request(
     seed: int,
 ) -> SearchRequest:
     """A search of ``templates`` at a node, each bound to the node's data
-    unless it already is."""
+    unless it already is; a template whose faces or horizon do not fit the
+    node's data raises ValueError."""
     if isinstance(templates, PstlTemplate):
         templates = (templates,)
     else:
         templates = tuple(templates)
     if not templates:
         raise EmptyPrimitiveSetError("need at least one template")
+    misfits = [t for t in templates if max(var for var, _ in t.slots) > dataset.dimension
+               or t.horizon not in (None, dataset.horizon)]
+    if misfits:
+        raise ValueError(f"template {misfits[0]} does not fit data of {dataset.dimension} "
+                         f"variables over horizon {dataset.horizon}")
     return SearchRequest(
         dataset.values,
         dataset.labels,
@@ -196,8 +200,8 @@ def optimize_primitive(
     path ∧ candidate over the node's samples, whose robustness is
     ``min(path_rho, candidate robustness)``.  The returned gain is the one
     the search found; it equals that candidate's gain scored alone, bit for
-    bit.  Ties break toward fewer operators, then larger robustness margin,
-    then the earlier template.
+    bit.  A gain tie goes to the larger robustness margin, then to the
+    earlier template.
     """
     [found] = serve_searches([_request(dataset, weights, path_rho, templates, config, seed)])
     return found
@@ -318,20 +322,12 @@ def _batch_objective(searched: tuple[PstlTemplate, ...], owners: list[SearchRequ
 
 
 def _best(templates: tuple[PstlTemplate, ...], found) -> tuple[Formula, float]:
-    """The best primitive of a request and its gain: ties break toward fewer
-    operators, then larger margin, then the earlier template."""
-    best = None  # (gain, ops, margin, formula)
-    for template, (valuation, gain, margin) in zip(templates, found):
-        phi = template.instantiate(valuation)
-        ops = operator_count(phi)
-        if (
-            best is None
-            or gain > best[0]
-            or (gain == best[0] and ops < best[1])
-            or (gain == best[0] and ops == best[1] and margin > best[2])
-        ):
-            best = (gain, ops, margin, phi)
-    return best[3], best[0]
+    """The best primitive of a request and its gain: the first template with
+    the largest ``(gain, margin)``, so a gain tie goes to the larger margin,
+    then to the earlier template."""
+    j = max(range(len(found)), key=lambda j: found[j][1:])
+    valuation, gain, _ = found[j]
+    return templates[j].instantiate(valuation), gain
 
 
 def drive(steps: Sequence[Searches[T]]) -> list[T]:
@@ -477,7 +473,7 @@ def build_tree_steps(
                 rewritten, new_gain = yield _request(
                     sub, sub_weights, path_rho, merged, config, next_seed()
                 )
-                if new_gain >= gain + MIN_GAIN_IMPROVEMENT:
+                if new_gain > gain:
                     state["merges"] += 1
                     logger.debug(
                         "depth %d merge accepted: gain %.6f -> %.6f", depth, gain, new_gain

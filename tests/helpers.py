@@ -31,7 +31,7 @@ from stlboost import (
 from stlboost import fanout
 from stlboost.pso import _project_all
 from stlboost.templates import batch_robustness
-from stlboost.tree import MIN_GAIN_IMPROVEMENT, build_tree_steps, serve_searches
+from stlboost.tree import build_tree_steps, serve_searches
 from oracles import boosting_weights
 
 POS = 1
@@ -187,28 +187,31 @@ def check_replay(model, dataset) -> int:
 
 def grow_recording_merges(dataset, weights, config, seed=0):
     """``build_tree`` stepped one search at a time; returns the root, the
-    merge count and each accepted merge as ``(merged primitive, gain_before,
-    gain_after)``.
+    merge count, each accepted merge as ``(merged primitive, gain_before,
+    gain_after)`` and the number of merges tried.
 
     A node's first search is the first request on its signals, and a later
     request on the same signals is one of its merge searches.  That merge is
-    accepted when its gain beats the node's incumbent gain by
-    ``MIN_GAIN_IMPROVEMENT``, and its gain becomes the incumbent.
+    accepted when its gain is strictly larger than the node's incumbent gain,
+    and its gain becomes the incumbent.
     """
     steps = build_tree_steps(dataset, weights, config, seed)
     incumbents = []  # [the node's signals, its incumbent gain] per node
     merges = []
+    tried = 0
     answer = None
     while True:
         try:
             request = steps.send(answer)
         except StopIteration as stop:
-            return (*stop.value, merges)
+            return (*stop.value, merges, tried)
         answer = primitive, gain = serve_searches([request])[0]
         node = next((entry for entry in incumbents if entry[0] is request.values), None)
         if node is None:
             incumbents.append([request.values, gain])
-        elif gain >= node[1] + MIN_GAIN_IMPROVEMENT:
+            continue
+        tried += 1
+        if gain > node[1]:
             merges.append((primitive, node[1], gain))
             node[1] = gain
 

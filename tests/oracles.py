@@ -147,8 +147,9 @@ def grid_search(template, objective, threshold_candidates, time_stride=1, tie_br
     ``threshold_candidates`` is either one list shared by every free
     threshold or one list per slot.  Candidates outside the template bounds
     and combinations that do not form a valid box are skipped.  In grid
-    order, a strictly larger value replaces the incumbent, and an equal value
-    replaces it only with a strictly larger ``tie_break`` value.
+    order, the first valuation is taken, a strictly larger value replaces the
+    incumbent, and an equal value replaces it only with a strictly larger
+    ``tie_break`` value.
     """
     if not template.is_bound:
         raise ValueError("template must be bound to a dataset before optimization")
@@ -178,8 +179,8 @@ def grid_search(template, objective, threshold_candidates, time_stride=1, tie_br
                 valuation = Valuation(t0, t1, combo)
                 value = float(objective(valuation))
                 tie = 0.0 if tie_break is None else float(tie_break(valuation))
-                if value > best_value or (
-                    value == best_value and best is not None and tie > best_tie
+                if best is None or value > best_value or (
+                    value == best_value and tie > best_tie
                 ):
                     best, best_value, best_tie = valuation, value, tie
     if best is None:

@@ -153,27 +153,43 @@ def test_boosting_weight_update_identity():
     _report("boosting weight update identity", f"{runs_with_check} seeded runs")
 
 
-def test_merge_rewriting_soundness(caplog):
-    ds = two_band_dataset(count=10)
-    config = TreeConfig(
-        max_depth=2, shapes=("G",), pso=PsoConfig(swarm_size=30, iterations=40)
-    )
-    caplog.set_level(logging.DEBUG, logger="stlboost.tree")
-    _, count, merges = grow_recording_merges(ds, uniform_weights(len(ds)), config, seed=11)
-    assert count == len(merges) >= 1
+def _recorded_merges(caplog, ds, config, seed):
+    """Grow with ``grow_recording_merges`` and check what growth reports
+    against the record: the merge count, the DEBUG lines and a gain rise for
+    each accepted merge.  Returns the accepted merges and the count tried."""
+    caplog.clear()
+    _, count, merges, tried = grow_recording_merges(ds, uniform_weights(len(ds)), config, seed)
+    assert count == len(merges) <= tried
     assert accepted_merge_gains(caplog) == [
         (round(before, 6), round(after, 6)) for _, before, after in merges
     ]
     for _, gain_before, gain_after in merges:
         assert gain_after > gain_before
+    return merges, tried
+
+
+def test_merge_rewriting_soundness(caplog):
+    caplog.set_level(logging.DEBUG, logger="stlboost.tree")
+    config = TreeConfig(
+        max_depth=2, shapes=("G",), pso=PsoConfig(swarm_size=30, iterations=40)
+    )
+    merges, _ = _recorded_merges(caplog, two_band_dataset(count=10), config, seed=11)
+    assert len(merges) >= 1
     merged, gain_before, gain_after = merges[0]
     assert isinstance(merged, (Always, Eventually))
     faces = merged.child.box.conjuncts
     assert len(faces) == 2
     assert {c.op for c in faces} == {GT, LE}
+    # On this noisy naval set growth also tries a merge that does not raise
+    # the gain, so a rule that accepts every merge tried fails here.
+    naval = generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=1))
+    config = TreeConfig(max_depth=2, pso=PsoConfig(swarm_size=10, iterations=12))
+    accepted, tried = _recorded_merges(caplog, naval, config, seed=1)
+    assert 1 <= len(accepted) < tried
     _report(
         "merge rewriting soundness",
-        f"{count} events, gain {gain_before:.4f} -> {gain_after:.4f}",
+        f"{len(merges)} events, gain {gain_before:.4f} -> {gain_after:.4f}; "
+        f"naval {len(accepted)} of {tried} accepted",
     )
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -153,6 +154,32 @@ class TestOptimize:
         with pytest.raises(EmptyParameterSpaceError):
             bad = PstlTemplate("G", ((1, GT), (1, LE)), ((2.0, 5.0), (-5.0, 1.0)), horizon=3)
             optimize(bad, lambda v: 0.0, PsoConfig())
+
+    def test_full_tie_keeps_the_first_particle(self):
+        # Equal values and equal tie values everywhere: the first particle of
+        # the initial swarm stays the incumbent, not the last one offered.
+        config = PsoConfig(swarm_size=6, iterations=3)
+
+        def constant(t0, t1, thresholds):
+            return np.full(t0.shape, 0.5), np.zeros(t0.shape)
+
+        [(valuation, value, tie_value)] = optimize_batch((BOUND,), constant, config, (9,))
+        lb, ub = np.array([0.0, 0.0, -5.0]), np.array([10.0, 10.0, 5.0])
+        first = lb + (ub - lb) * np.random.default_rng(9).random((config.swarm_size, 3))[0]
+        assert valuation == project(BOUND, first)
+        assert (value, tie_value) == (0.5, 0.0)
+
+    def test_minus_infinity_everywhere_still_returns_a_valuation(self):
+        config = PsoConfig(swarm_size=4, iterations=2)
+        valuation, value = optimize(BOUND, lambda v: -math.inf, config)
+        assert valuation is not None and value == -math.inf
+        assert 0 <= valuation.t_start <= valuation.t_end <= 10
+        grid_valuation, grid_value = grid_search(BOUND, lambda v: -math.inf, [1.0, 2.0])
+        assert (grid_valuation, grid_value) == (Valuation(0, 0, (1.0,)), -math.inf)
+
+    def test_nan_objective_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            optimize(BOUND, lambda v: math.nan, PsoConfig(swarm_size=4, iterations=2))
 
 
 class TestRandomStream:

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stlboost import (
     Split,
     TRUE,
     TreeConfig,
+    Valuation,
     build_tree,
     classify,
     classify_all,
@@ -43,8 +45,9 @@ from stlboost import (
     tree_to_formula,
     uniform_weights,
 )
+from stlboost import tree as tree_module
 from stlboost.templates import ALWAYS, EVENTUALLY
-from stlboost.tree import MAX_DEPTH
+from stlboost.tree import MAX_DEPTH, build_tree_steps
 from helpers import (
     accepted_merge_gains,
     box,
@@ -116,6 +119,17 @@ class TestOptimizePrimitive:
         ds = constant_dataset([0.0, 2.0], [POS_LABEL, NEG_LABEL])
         with pytest.raises(EmptyPrimitiveSetError):
             optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), (), FAST, seed=0)
+
+    @pytest.mark.parametrize("case", ["other horizon", "variable past n"])
+    def test_template_that_does_not_fit_the_data(self, case):
+        ds = LabeledDataset(np.zeros((2, 2, 31)), np.array([POS_LABEL, NEG_LABEL]), ("a", "b"))
+        if case == "other horizon":
+            longer = LabeledDataset(np.zeros((2, 2, 61)), ds.labels, ds.ids)
+            template = PstlTemplate(ALWAYS, ((1, LE),)).bound_to(longer)
+        else:
+            template = PstlTemplate(ALWAYS, ((3, LE),))
+        with pytest.raises(ValueError, match=re.escape(f"template {template} does not fit")):
+            optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), template, FAST)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -196,6 +210,57 @@ class TestOptimizePrimitive:
         assert sorted(bot.labels) == [NEG_LABEL] * 10
 
 
+class TestBestPrimitive:
+    """``_best``: the first template with the largest ``(gain, margin)``."""
+
+    TEMPLATES = (
+        PstlTemplate(ALWAYS, ((1, LE),), ((0.0, 4.0),), horizon=2),
+        PstlTemplate(EVENTUALLY, ((1, LE),), ((0.0, 4.0),), horizon=2),
+        PstlTemplate(ALWAYS, ((1, GT),), ((0.0, 4.0),), horizon=2),
+    )
+
+    def _answers(self, *scores):
+        return [(Valuation(0, j, (1.0 + j,)), gain, margin)
+                for j, (gain, margin) in enumerate(scores)]
+
+    def _pick(self, *scores):
+        return tree_module._best(self.TEMPLATES, self._answers(*scores))
+
+    def _primitive(self, j):
+        return self.TEMPLATES[j].instantiate(Valuation(0, j, (1.0 + j,)))
+
+    def test_gain_tie_goes_to_the_larger_margin(self):
+        assert self._pick((0.2, 1.0), (0.0, 9.0), (0.2, 3.0)) == (self._primitive(2), 0.2)
+
+    def test_full_tie_goes_to_the_earlier_template(self):
+        assert self._pick((0.0, 1.0), (0.2, 2.0), (0.2, 2.0)) == (self._primitive(1), 0.2)
+
+    def test_identical_signals_split_on_the_largest_margin(self, monkeypatch):
+        # Every split of identical signals puts them all on one side, so
+        # every gain is exactly 0 and the margin alone picks the template.
+        ds = LabeledDataset(np.tile(np.array([[[1.0, 3.0, 2.0], [0.5, 0.0, 4.0]]]), (4, 1, 1)),
+                            np.array([POS_LABEL, NEG_LABEL] * 2), tuple("abcd"))
+        best, seen = tree_module._best, []
+
+        def spy(templates, found):
+            seen.append((templates, found))
+            return best(templates, found)
+
+        monkeypatch.setattr(tree_module, "_best", spy)
+        templates = first_order_templates(2)
+        got, gain = optimize_primitive(ds, uniform_weights(4), np.full(4, np.inf), templates,
+                                       FAST, seed=5)
+        [(bound, found)] = seen
+        assert gain == 0.0 and {g for _, g, _ in found} == {0.0}
+        margins = [margin for *_, margin in found]
+        top = max(margins)
+        # The margin rules out the first template, and the order picks among
+        # the templates that share the largest margin.
+        assert margins[0] < top and margins.count(top) > 1
+        winner = margins.index(top)
+        assert got == bound[winner].instantiate(found[winner][0])
+
+
 class TestCombinePrimitives:
     def test_same_operator_merges_faces(self):
         parent = Always(0, 5, box((1, GT, 1.0), (2, LE, 3.0)))
@@ -246,9 +311,11 @@ class TestMergeRewriting:
         )
         grown = build_tree(ds, uniform_weights(len(ds)), config, seed=11)
         caplog.set_level(logging.DEBUG, logger="stlboost.tree")
-        root, count, merges = grow_recording_merges(ds, uniform_weights(len(ds)), config, seed=11)
+        root, count, merges, tried = grow_recording_merges(
+            ds, uniform_weights(len(ds)), config, seed=11
+        )
         assert (root, count) == grown
-        assert count == len(merges) >= 1
+        assert tried >= count == len(merges) >= 1
         assert accepted_merge_gains(caplog) == [
             (round(before, 6), round(after, 6)) for _, before, after in merges
         ]
@@ -259,6 +326,53 @@ class TestMergeRewriting:
         ops = {c.op for c in merged.child.box.conjuncts}
         assert ops == {GT, LE}
         assert mcr(tree_to_formula(root), ds) == 0.0
+
+
+def _scripted_growth(merge_gain):
+    """Grow a depth-2 tree on 8 constant signals of 2 variables, labels
+    alternating, answering every node search with ``G[0,0](x1 <= 3.5)`` at
+    gain 0.25 and the k-th merge search (from 0) with the same primitive at
+    ``merge_gain(k)``.  Returns the root, the merge count and the kind of
+    each request, "node" or "merge", in order; fails after 50 requests."""
+    values = np.stack([np.full((2, 3), float(v)) for v in range(8)])
+    ds = LabeledDataset(values, np.array([POS_LABEL, NEG_LABEL] * 4), tuple("abcdefgh"))
+    steps = build_tree_steps(ds, uniform_weights(8), TreeConfig(max_depth=2, shapes=("G",)))
+    phi = Always(0, 0, pred(1, LE, 3.5))
+    kinds, answer = [], None
+    while len(kinds) < 50:
+        try:
+            request = steps.send(answer)
+        except StopIteration as stop:
+            return (*stop.value, kinds)
+        # A node search holds the 4 first-order templates, a merge search one.
+        kinds.append("merge" if len(request.templates) == 1 else "node")
+        answer = (phi, merge_gain(kinds.count("merge") - 1) if kinds[-1] == "merge" else 0.25)
+    raise AssertionError("growth did not end within 50 searches")
+
+
+class TestMergeRule:
+    def test_equal_gain_is_rejected(self):
+        root, merges, kinds = _scripted_growth(lambda k: 0.25)
+        assert merges == 0
+        assert kinds == ["node", "node", "merge", "node", "merge"]
+        assert isinstance(root.left, Split) and isinstance(root.right, Split)
+
+    def test_next_larger_gain_is_accepted(self):
+        # The first merge raises the gain by one ulp and becomes the
+        # incumbent; the second merge only equals it.
+        _, merges, kinds = _scripted_growth(
+            lambda k: np.nextafter(0.25, 1.0) if k < 2 else 0.0
+        )
+        assert merges == 1
+        assert kinds == ["node", "node", "merge", "node", "merge", "node", "merge"]
+
+    def test_restart_budget_is_twice_the_variable_count(self):
+        # Every merge raises the gain, so only the budget, 2 * 2 restarts,
+        # ends the root's merges; then growth goes on to both children.
+        root, merges, kinds = _scripted_growth(lambda k: 0.25 + k + 1)
+        assert merges == 4
+        assert kinds == ["node"] + ["node", "merge"] * 4 + ["node", "node"]
+        assert isinstance(root.left, Split) and isinstance(root.right, Split)
 
 
 class TestTreeToFormula:
