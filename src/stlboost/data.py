@@ -114,7 +114,7 @@ class LabeledDataset:
         return Signal(self.values[index])
 
     def subset(self, indices) -> "LabeledDataset":
-        indices = np.asarray(indices, dtype=int)
+        indices = np.arange(len(self))[indices]
         return LabeledDataset(
             self.values[indices],
             self.labels[indices],

@@ -57,36 +57,28 @@ def gains_from_robustness(
     ``valid[p]`` holds, so rows of different nodes can be padded to one
     width.  A degenerate row (see :func:`_masses`) has gain 0: such a split
     carries no margin information.  Every entry is bit-identical to scoring
-    its row's samples alone: row sums of a C-contiguous matrix equal the
-    1-D sums of its rows, and every other sum is the 1-D sum of the row's
-    compacted picks (see :func:`_side_sums`).  A padded row's sums all take
-    that route, since trailing zeros would change numpy's pairwise grouping.
+    its row's samples alone, as each mass is summed by :func:`_side_sums`.
     """
     rho = np.asarray(rho, dtype=float)
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=float)
-    if rho.shape[1] == 0:
+    if rho.size == 0:
         zeros = np.zeros(rho.shape[0])
         return PartitionScores(zeros, zeros)
-    if valid is not None:
+    if valid is None:
+        valid = np.ones(rho.shape, dtype=bool)
+    else:
         # Padding has zero mass, so it never makes a row degenerate.
         rho = np.where(valid, rho, 0.0)
         weights = np.where(valid, weights, 0.0)
     mags, degenerate = _masses(rho, weights)
     pos = labels == POS_LABEL
-    sat = rho >= 0
-    bot = ~sat
-    sides = [sat, bot, sat & pos, bot & pos]
-    if valid is None:
-        total = mags.sum(axis=1)
-        # A boolean column selection comes out Fortran-ordered, and its row
-        # sums would then differ from the 1-D sums in the last bit.
-        pos_mass = np.ascontiguousarray(mags[:, pos]).sum(axis=1)
-        sums = _side_sums(mags, np.concatenate(sides)).reshape(4, -1)
-    else:
-        sides = [valid, valid & pos] + [side & valid for side in sides]
-        total, pos_mass, *sums = _side_sums(mags, np.concatenate(sides)).reshape(6, -1)
-    top_mass, bot_mass, top_pos_mass, bot_pos_mass = sums
+    top = valid & (rho >= 0)
+    bot = valid & ~top
+    sides = [valid, valid & pos, top, bot, top & pos, bot & pos]
+    total, pos_mass, top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
+        mags, np.concatenate(sides)
+    ).reshape(6, -1)
     p_top = top_mass / total
     p_bot = bot_mass / total
     p_pos = pos_mass / total
@@ -104,25 +96,22 @@ def _side_sums(mags: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Sum of ``mags[r % P]`` over the mask ``masks[r]``, for each row ``r``
     of the (R, N) ``masks``, where ``mags`` is (P, N).
 
-    Each sum has the bits of the 1-D sum of the row's compacted picks, whose
-    order depends on the pick count (numpy's pairwise summation).  So the
-    rows are stably sorted by pick count, and each run of rows with ``k``
-    picks is summed as one C-contiguous (rows, k) block along its rows,
-    which runs the same summation with the same ``k`` as the 1-D sum.
+    Each sum has the bits of the 1-D sum of the row's compacted picks.  Every
+    row's picks are laid out flat, each row after a leading +0.0, and summed
+    by one ``np.add.reduceat`` over the row starts.  ``reduceat`` sums a
+    segment as its first element plus the pairwise sum of the rest, and a 1-D
+    sum is +0.0 plus the pairwise sum of its values, so the two agree.
     """
-    counts = np.count_nonzero(masks, axis=1)
-    order = np.argsort(counts, kind="stable")
-    picks = mags[order % mags.shape[0]][masks[order]]
-    runs = np.bincount(counts)
-    sizes = np.flatnonzero(runs)
-    sums = np.empty(masks.shape[0])
-    row = pick = 0
-    for k, rows in zip(sizes.tolist(), runs[sizes].tolist()):
-        block = picks[pick : pick + rows * k].reshape(rows, k)
-        sums[order[row : row + rows]] = block.sum(axis=1)
-        row += rows
-        pick += rows * k
-    return sums
+    rows, width = masks.shape
+    # Column 0 holds each row's leading +0.0.
+    lead = np.ones((rows, width + 1), dtype=bool)
+    lead[:, 1:] = masks
+    padded = np.zeros((len(mags), width + 1))
+    padded[:, 1:] = mags
+    stacked = lead.reshape(-1, *padded.shape)
+    flat = np.broadcast_to(padded, stacked.shape)[stacked]
+    counts = np.count_nonzero(lead, axis=1)
+    return np.add.reduceat(flat, np.cumsum(counts) - counts)
 
 
 def _minority(mass: np.ndarray, pos_mass: np.ndarray) -> np.ndarray:

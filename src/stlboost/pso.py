@@ -62,6 +62,10 @@ class PsoConfig:
     social: float = 1.49
 
     def __post_init__(self):
+        for name in ("swarm_size", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.swarm_size <= MAX_SWARM_SIZE:
             raise ValueError(f"swarm size must be in [2, {MAX_SWARM_SIZE}]")
         if not 1 <= self.iterations <= MAX_ITERATIONS:

@@ -238,15 +238,31 @@ def test_side_sums_match_naive_side_sums(seed):
     weights[0] = 1.0  # not all zero
     labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
     mags, _ = _masses(rho, weights)
-    sat = rho >= 0
+    # The six masks of a lone call (every sample valid) or of a padded one.
+    valid = np.ones(rho.shape, dtype=bool)
+    if rng.random() < 0.5:
+        valid = rng.random(size=rho.shape) < rng.random()
     pos = labels == POS_LABEL
-    masks = np.concatenate([sat, ~sat, sat & pos, ~sat & pos])
-    want = naive_side_sums(np.tile(mags, (4, 1)), masks)
+    top = valid & (rho >= 0)
+    bot = valid & (rho < 0)
+    masks = np.concatenate([valid, valid & pos, top, bot, top & pos, bot & pos])
+    want = naive_side_sums(np.tile(mags, (6, 1)), masks)
     assert _side_sums(mags, masks).tobytes() == want.tobytes()
     # The gain weighs each side by its mass share, so it pins those sums too.
     scores = gains_from_robustness(rho, labels, weights)
     single = np.array([_reference_scores(row, labels, weights) for row in rho])
     assert np.stack(scores, axis=1).tobytes() == single.tobytes()
+
+
+def test_reduceat_segment_after_a_zero_is_the_1d_sum():
+    """``_side_sums`` relies on numpy summing a ``reduceat`` segment that
+    starts with +0.0 exactly as ``np.add.reduce`` sums the rest."""
+    rng = np.random.default_rng(0)
+    segments = [rng.choice(SUM_GRID, size=length) for length in range(301)]
+    flat = np.concatenate([np.concatenate([[0.0], values]) for values in segments])
+    starts = np.cumsum([0] + [len(values) + 1 for values in segments[:-1]])
+    want = np.array([np.add.reduce(values) for values in segments])
+    assert np.add.reduceat(flat, starts).tobytes() == want.tobytes()
 
 
 def _gain_objective(templates, values, labels, weights, path_rho):

@@ -267,6 +267,20 @@ def test_uniform_weights():
     assert math.isclose(float(w.sum()), 1.0)
 
 
+def test_subset_reads_indices_and_masks_by_numpy_rules():
+    ds = generate_naval(NavalConfig(count_per_class=5, seed=1))
+    mask = np.zeros(len(ds), dtype=bool)
+    mask[[1, 4, 8]] = True
+    for chosen in (mask, [1, 4, 8], np.array([1, 4, 8])):
+        part = ds.subset(chosen)
+        assert part.ids == tuple(ds.ids[i] for i in (1, 4, 8))
+        assert np.array_equal(part.values, ds.values[[1, 4, 8]])
+        assert np.array_equal(part.labels, ds.labels[[1, 4, 8]])
+    assert len(ds.subset([])) == 0
+    with pytest.raises(IndexError):
+        ds.subset(np.array([1.0, 4.0]))
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = random.Random(3)
     signals = [random_signal(rng, 3, 4) for _ in range(5)]

@@ -315,6 +315,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PsoConfig(social=float("inf"))
 
+    @pytest.mark.parametrize("field", ["swarm_size", "iterations"])
+    @pytest.mark.parametrize("value", [10.0, True, "10"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PsoConfig(**{field: value})
+        assert getattr(PsoConfig(**{field: np.int64(10)}), field) == 10
+
     def test_acceleration_bound(self):
         assert PsoConfig(cognitive=4.0, social=4.0)
         above = float(np.nextafter(4.0, 5.0))
