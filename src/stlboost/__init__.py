@@ -20,7 +20,6 @@ from .boosting import (
     save_model,
     select_pruned_tree,
     train_boosted,
-    train_boosted_steps,
     tree_weight,
 )
 from .data import (
@@ -80,11 +79,9 @@ from .tree import (
     Split,
     TreeConfig,
     build_tree,
-    build_tree_steps,
     classify,
     classify_all,
     combine_primitives,
-    drive,
     optimize_primitive,
     tree_depth,
     tree_to_formula,

@@ -26,22 +26,22 @@ import numpy as np
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights, whole_file
 from .formula import And, Formula, Signal, extent, operator_count
 from .grammar import format_formula, parse_formula
-from .pso import VELOCITY_CLAMP, PsoConfig
+from .pso import VELOCITY_CLAMP, PsoConfig, checked_int
+from . import tree
 from .tree import (
     MAX_DEPTH,
     Leaf,
-    Searches,
     Split,
     TreeConfig,
     TreeNode,
-    build_tree_steps,
     classify_all,
-    drive,
     mix_seed,
     tree_to_formula,
 )
 
-# Unused here but bound: bench/tracer.py wraps it where this module binds it.
+# Unused here but bound: bench/tracer.py wraps it where this module binds it,
+# with a wrapper that no longer fits its return value, so training grows
+# trees through ``tree.build_tree`` instead.
 from .tree import build_tree  # noqa: F401
 
 logger = logging.getLogger(__name__)
@@ -103,25 +103,11 @@ def train_boosted(
     optimizer seed up to ``max_retries`` times; when the retries run out
     training stops early with the trees kept so far.  After a perfect round
     the sample weights stay unchanged (the exponential update is a no-op
-    modulo normalization there).  ``rounds`` is in [1, MAX_ROUNDS] and
-    ``max_retries`` in [0, MAX_RETRIES].  This drives
-    :func:`train_boosted_steps` alone, serving each search as it comes.
+    modulo normalization there).  ``rounds`` is an integer in [1,
+    MAX_ROUNDS] and ``max_retries`` one in [0, MAX_RETRIES].
     """
-    [model] = drive([train_boosted_steps(dataset, rounds, config, m_weight, max_retries, seed)])
-    return model
-
-
-def train_boosted_steps(
-    dataset: LabeledDataset,
-    rounds: int,
-    config: TreeConfig | None = None,
-    m_weight: float = M_WEIGHT,
-    max_retries: int = RETRIES,
-    seed: int = 0,
-) -> Searches[BoostedModel]:
-    """:func:`train_boosted` as a generator: each tree grows by
-    :func:`~stlboost.tree.build_tree_steps`, whose search requests it
-    passes on, and it returns the model."""
+    rounds = checked_int("rounds", rounds)
+    max_retries = checked_int("max_retries", max_retries)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"round count must be in [1, {MAX_ROUNDS}]")
     if not 0 <= max_retries <= MAX_RETRIES:
@@ -135,18 +121,18 @@ def train_boosted_steps(
     weights = uniform_weights(len(dataset))
     kept: list[TreeRound] = []
     for k in range(rounds):
-        tree = None
+        kept_tree = None
         for attempt in range(max_retries + 1):
-            candidate_tree, merges = yield from build_tree_steps(
+            grown, merges = tree.build_tree(
                 dataset, weights, config, seed=mix_seed(seed, k, attempt)
             )
-            predictions = classify_all(candidate_tree, dataset.values)
+            predictions = classify_all(grown, dataset.values)
             epsilon = float(weights[predictions != dataset.labels].sum())
             if epsilon < 0.5:
-                tree = candidate_tree
+                kept_tree = grown
                 break
             logger.debug("round %d attempt %d discarded (error %.3f)", k, attempt, epsilon)
-        if tree is None:
+        if kept_tree is None:
             if kept:  # with no tree at all the caller gets an empty model to report
                 logger.warning(
                     "round %d: no tree beat random guessing after %d retries; "
@@ -157,7 +143,7 @@ def train_boosted_steps(
                 )
             break
         alpha = tree_weight(epsilon, m_weight)
-        kept.append(TreeRound(tree, alpha, epsilon, merges))
+        kept.append(TreeRound(kept_tree, alpha, epsilon, merges))
         if epsilon > 0.0:
             weights = weights * np.exp(-alpha * dataset.labels * predictions)
             weights = weights / weights.sum()
@@ -389,14 +375,14 @@ def model_from_dict(doc) -> BoostedModel:
     rounds = []
     for k, t in enumerate(_field(doc, "trees", list)):
         t = typed_value(f"tree {k}", t, dict)
-        tree = _tree_from_doc(_field(t, "treeStructure", dict))
-        _check_fits(tree, dimension, horizon)
-        if parse_formula(_field(t, "formulaText", str)) != tree_to_formula(tree):
+        root = _tree_from_doc(_field(t, "treeStructure", dict))
+        _check_fits(root, dimension, horizon)
+        if parse_formula(_field(t, "formulaText", str)) != tree_to_formula(root):
             raise ValueError(f"tree {k}: formulaText does not match treeStructure")
         alpha, epsilon = _field(t, "alpha", float), _field(t, "epsilon", float)
         if not alpha > 0:
             raise ValueError(f"tree {k}: alpha must be positive, got {alpha}")
-        rounds.append(TreeRound(tree, alpha, epsilon, _field(t, "merges", int, 0)))
+        rounds.append(TreeRound(root, alpha, epsilon, _field(t, "merges", int, 0)))
     if not rounds:
         raise ValueError("model holds no trees")
     pruned = None if doc.get("prunedIndex") is None else _field(doc, "prunedIndex", int)

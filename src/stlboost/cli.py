@@ -34,7 +34,6 @@ from .boosting import (
     read_json,
     save_model,
     train_boosted,
-    train_boosted_steps,
     typed_value,
 )
 from .data import (
@@ -51,7 +50,7 @@ from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
 from .scenarios import NavalConfig, UrbanConfig, generate_naval, generate_urban
 from .templates import ThresholdRangeError
-from .tree import TreeConfig, drive, mix_seed
+from .tree import TreeConfig, mix_seed
 
 logger = logging.getLogger(__name__)
 
@@ -284,17 +283,16 @@ def run_cross_validation(
     """Train and score one model per fold; returns each fold's report entry,
     in fold order, and the wall time.
 
-    Each fold is a generator of search requests
-    (:func:`~stlboost.boosting.train_boosted_steps`) seeded within the fold,
-    so each fold's model is the one training it alone gives.  The folds are
-    cut into one run of consecutive folds per worker, at most one per fold
-    (:func:`~stlboost.fanout.worker_count`), the longer runs first.
-    :func:`~stlboost.fanout.fan_out` trains the first run here and each
-    other run in a forked child, and :func:`~stlboost.tree.drive` serves a
-    run's searches in one lockstep batch per round.  The runs come back in
-    fold order, and a run whose child sent nothing is trained here, so the
-    first error raised is the lowest failing fold's, ``fold k: ...``, as one
-    process would report it.  No child outlives this call.
+    Each fold's model is trained by :func:`~stlboost.boosting.train_boosted`
+    with a seed of its own, so it is the one training that fold alone gives.
+    The folds are cut into one run of consecutive folds per worker, at most
+    one per fold (:func:`~stlboost.fanout.worker_count`), the longer runs
+    first.  :func:`~stlboost.fanout.fan_out` trains the first run here and
+    each other run in a forked child, and a run trains its folds in turn.
+    The runs come back in fold order, and a run whose child sent nothing is
+    trained here, so the first error raised is the lowest failing fold's,
+    ``fold k: ...``, as one process would report it.  No child outlives this
+    call.
     """
     try:
         plan = stratified_folds(dataset, folds, seed)
@@ -303,8 +301,8 @@ def run_cross_validation(
     started = time.perf_counter()
 
     def train(run):
-        return drive([_fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
-                      for fold in run])
+        return [_fold(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
+                for fold in run]
 
     workers = worker_count(folds)
     size, extra = divmod(folds, workers)
@@ -317,13 +315,13 @@ def run_cross_validation(
     return entries, time.perf_counter() - started
 
 
-def _fold_steps(dataset, plan, fold, trees, config, m_weight, max_retries, seed):
-    """One fold of :func:`run_cross_validation` as a generator of search
-    requests; returns the fold's entry in the report."""
+def _fold(dataset, plan, fold, trees, config, m_weight, max_retries, seed):
+    """One fold of :func:`run_cross_validation`, trained; returns the fold's
+    entry in the report."""
     train_set = dataset.subset(plan.train_indices(fold))
     test_set = dataset.subset(plan.test_indices(fold))
     try:
-        model = yield from train_boosted_steps(
+        model = train_boosted(
             train_set,
             rounds=trees,
             config=config,

@@ -1,9 +1,9 @@
 """Process fan-out: the one way work is spread over CPUs.
 
 ``fan_out`` serves the loader's parts, the writer's chunks, ``stlboost
-cv``'s fold runs and the lockstep batches of a round of searches
-(``tree.serve_searches``).  It deals them round-robin to this process and
-to one forked child per further CPU (``_cpus``), and each child pickles
+cv``'s fold runs and the lockstep batches of a node's search
+(``tree.optimize_primitive``).  It deals them round-robin to this process
+and to one forked child per further CPU (``_cpus``), and each child pickles
 its results back through a pipe.  A task a child did not send is run here,
 and no child outlives the ``with`` block.  Fan-outs do not nest: one
 started inside a fan-out of several workers, in this process or in a
@@ -32,7 +32,7 @@ def worker_count(count: int) -> int:
 
 def _cpus() -> int:
     """How many workers ``fan_out`` deals a load's, a save's, a cv's or a
-    search round's tasks to: this process and one child per further CPU
+    node search's tasks to: this process and one child per further CPU
     (``fan_out`` itself takes one inside another fan-out of several).
 
     1 without ``os.fork`` or ``os.sched_getaffinity``, and while another

@@ -250,23 +250,21 @@ def range_table(series: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
 
 
 def range_query(
-    tables: np.ndarray, which: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
+    tables: np.ndarray, which: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Window minima over the inclusive windows [lo, hi] of runs of R
-    consecutive series, read from table ``which`` of stacked range tables.
+    """Window minima of N series over the inclusive windows [lo, hi], read
+    from table ``which`` of stacked range tables.
 
-    ``tables`` holds the runs of the tables from :func:`range_table`, shape
-    (Q, levels, N - R + 1, T+1, R) (``sliding_window_view`` along the series
-    axis).  ``which``, ``lo``, ``hi`` and ``starts`` broadcast to one shape
-    S, and each query reads the R series from its start on; returns shape
-    S + (R,).  The two power-of-two halves overlap, which a minimum does not
-    mind, so the result is exactly the minimum over the window up to the
-    sign of a zero, which :func:`face_rho` drops.
+    ``tables`` holds tables from :func:`range_table`, shape (Q, levels, N,
+    T+1).  ``which``, ``lo`` and ``hi`` broadcast to one shape S; returns
+    shape S + (N,).  The two power-of-two halves overlap, which a minimum
+    does not mind, so the result is exactly the minimum over the window up
+    to the sign of a zero, which :func:`face_rho` drops.
     """
     powers = 1 << np.arange(tables.shape[1])
     level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
     late = hi - powers[level] + 1
-    return np.minimum(tables[which, level, starts, lo], tables[which, level, starts, late])
+    return np.minimum(tables[which, level, :, lo], tables[which, level, :, late])
 
 
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:

@@ -46,18 +46,16 @@ def _masses(rho: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def gains_from_robustness(
-    rho: np.ndarray, labels: np.ndarray, weights: np.ndarray, valid: np.ndarray | None = None
+    rho: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> PartitionScores:
     """Score P candidate splits at once.
 
     Row ``p`` of the (P, N) matrix ``rho`` is the robustness of candidate
     ``p`` per sample; its satisfied side is ``rho >= 0``.  ``labels`` and
-    ``weights`` are the (N,) samples every row scores, or, with ``valid``,
-    (P, N) per row: then row ``p`` scores only its samples where
-    ``valid[p]`` holds, so rows of different nodes can be padded to one
-    width.  A degenerate row (see :func:`_masses`) has gain 0: such a split
-    carries no margin information.  Every entry is bit-identical to scoring
-    its row's samples alone, as each mass is summed by :func:`_side_sums`.
+    ``weights`` are the (N,) samples every row scores.  A degenerate row
+    (see :func:`_masses`) has gain 0: such a split carries no margin
+    information.  Every entry is bit-identical to scoring its row alone, as
+    each mass is summed by :func:`_side_sums`.
     """
     rho = np.asarray(rho, dtype=float)
     labels = np.asarray(labels)
@@ -65,17 +63,12 @@ def gains_from_robustness(
     if rho.size == 0:
         zeros = np.zeros(rho.shape[0])
         return PartitionScores(zeros, zeros)
-    if valid is None:
-        valid = np.ones(rho.shape, dtype=bool)
-    else:
-        # Padding has zero mass, so it never makes a row degenerate.
-        rho = np.where(valid, rho, 0.0)
-        weights = np.where(valid, weights, 0.0)
     mags, degenerate = _masses(rho, weights)
-    pos = labels == POS_LABEL
-    top = valid & (rho >= 0)
-    bot = valid & ~top
-    sides = [valid, valid & pos, top, bot, top & pos, bot & pos]
+    every = np.ones(rho.shape, dtype=bool)
+    pos = every & (labels == POS_LABEL)
+    top = rho >= 0
+    bot = ~top
+    sides = [every, pos, top, bot, top & pos, bot & pos]
     total, pos_mass, top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
         mags, np.concatenate(sides)
     ).reshape(6, -1)

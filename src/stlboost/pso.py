@@ -44,6 +44,15 @@ class EmptyParameterSpaceError(ValueError):
     """The template admits no feasible valuation."""
 
 
+def checked_int(name: str, value) -> int:
+    """``value`` as a Python int, so a model file can hold it; raises
+    ValueError naming ``name`` unless it is a Python or numpy integer (a
+    bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     """Swarm settings.
@@ -63,9 +72,7 @@ class PsoConfig:
 
     def __post_init__(self):
         for name in ("swarm_size", "iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         if not 2 <= self.swarm_size <= MAX_SWARM_SIZE:
             raise ValueError(f"swarm size must be in [2, {MAX_SWARM_SIZE}]")
         if not 1 <= self.iterations <= MAX_ITERATIONS:

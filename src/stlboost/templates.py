@@ -16,7 +16,6 @@ from functools import reduce
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledDataset
 from .formula import (
@@ -183,33 +182,12 @@ def table_bytes(signals: int, width: int) -> int:
     return width.bit_length() * signals * width * np.dtype(float).itemsize
 
 
-def node_stacks(signals: list[int], width: int) -> list[list[int]]:
-    """Split nodes of ``signals[i]`` series of ``width`` samples each, in
-    order, into stacks to search together, as lists of node indices.
-
-    A stack takes nodes while one range table over their series stacked
-    fits TABLE_BUDGET_BYTES, so a node whose own table does not fit is
-    searched alone, and stacking never holds a larger table than searching
-    each node alone would.
-    """
-    stacks: list[list[int]] = []
-    stacked = 0
-    for index, count in enumerate(signals):
-        if stacks and table_bytes(stacked + count, width) <= TABLE_BUDGET_BYTES:
-            stacks[-1].append(index)
-            stacked += count
-        else:
-            stacks.append([index])
-            stacked = count
-    return stacks
-
-
 def lockstep_batches(
     templates: tuple[PstlTemplate, ...], signals: int, width: int
 ) -> list[list[int]]:
     """Split bound templates into batches for :func:`batch_robustness` over
-    at most ``signals`` series of ``width`` samples and a lockstep search, as
-    lists of template indices.
+    ``signals`` series of ``width`` samples and a lockstep search, as lists
+    of template indices.
 
     Templates that read the same range tables go in one batch.  A batch takes
     such groups in template order while its distinct tables fit
@@ -249,20 +227,13 @@ def particles_per_pass(templates: int, signals: int) -> int:
     return max(1, TABLE_BUDGET_BYTES // particle_bytes)
 
 
-def batch_robustness(
-    templates: tuple[PstlTemplate, ...],
-    values: np.ndarray,
-    starts: np.ndarray,
-    count: int,
-) -> BatchRobustness:
+def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) -> BatchRobustness:
     """Robustness of M templates with one parameter count, each at P
-    valuations, over runs of stacked signals.
+    valuations, over N signals.
 
-    Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, count)``
+    Returns ``rho(t0[M, P], t1[M, P], thresholds[M, P, k]) -> (M, P, N)``
     whose row ``[m, p]`` equals, bit for bit, ``robustness_all`` of template
-    ``m`` at its valuation ``p`` over the ``count`` signals from
-    ``values[starts[m]]`` on, so templates of different nodes share tables
-    over their signals stacked.
+    ``m`` at its valuation ``p`` over ``values``.
 
     ``G`` over any box and ``F`` over one face read each face's window
     extremum from a range table: rounding is monotone, so ``min_t fl(x_t -
@@ -284,15 +255,14 @@ def batch_robustness(
         if len(templates) > 1:
             raise ValueError("an F over several faces is searched alone")
         faces = templates[0].slots
-        run = values[starts[0] : starts[0] + count]
 
         def sliced(t0, t1, thresholds):
-            rho = np.empty(t0.shape + (count,))
+            rho = np.empty(t0.shape + (len(values),))
             for row, lo, hi, cuts in zip(
                 rho[0], t0[0].tolist(), t1[0].tolist(), thresholds[0].tolist()
             ):
                 window = box_window_rho(
-                    ((var, op, c) for (var, op), c in zip(faces, cuts)), run, lo, hi
+                    ((var, op, c) for (var, op), c in zip(faces, cuts)), values, lo, hi
                 )
                 row[:] = window.max(axis=1)
             return rho
@@ -304,8 +274,6 @@ def batch_robustness(
     tables = np.empty((len(distinct), width.bit_length(), values.shape[0], width))
     for (var, sign), table in zip(distinct, tables):
         range_table(values[:, var - 1, :], sign, out=table)
-    tables = sliding_window_view(tables, count, axis=2)
-    starts = np.asarray(starts)[:, np.newaxis]
     # Per template and face slot: the table and its sign; per template, the shape.
     which = np.array([[distinct.index(key) for key in ks] for ks in keys])
     signs = np.array([[sign for _, sign in ks] for ks in keys])[:, :, np.newaxis, np.newaxis]
@@ -314,7 +282,7 @@ def batch_robustness(
     def ranged(t0, t1, thresholds):
         return reduce(np.minimum, (
             face_rho(shapes, signs[:, k] * thresholds[:, :, k, np.newaxis],
-                     range_query(tables, which[:, k, np.newaxis], t0, t1, starts))
+                     range_query(tables, which[:, k, np.newaxis], t0, t1))
             for k in range(which.shape[1])
         ))
 

@@ -8,6 +8,7 @@ import random
 import re
 
 import numpy as np
+import pytest
 
 from stlboost import (
     And,
@@ -29,9 +30,8 @@ from stlboost import (
     Valuation,
 )
 from stlboost import fanout
+from stlboost import tree as tree_module
 from stlboost.pso import _project_all
-from stlboost.templates import batch_robustness
-from stlboost.tree import build_tree_steps, serve_searches
 from oracles import boosting_weights
 
 POS = 1
@@ -51,11 +51,6 @@ def project(template, position) -> Valuation:
     position = np.asarray(position, dtype=float)[np.newaxis, np.newaxis]
     t0, t1, thresholds = _project_all((template,), position)
     return Valuation(t0[0, 0], t1[0, 0], thresholds[0, 0])
-
-
-def whole_batch_robustness(templates, values):
-    """``batch_robustness`` with every template over all of ``values``."""
-    return batch_robustness(templates, values, np.zeros(len(templates), int), len(values))
 
 
 def spelled(*primitives):
@@ -186,34 +181,37 @@ def check_replay(model, dataset) -> int:
 
 
 def grow_recording_merges(dataset, weights, config, seed=0):
-    """``build_tree`` stepped one search at a time; returns the root, the
-    merge count, each accepted merge as ``(merged primitive, gain_before,
-    gain_after)`` and the number of merges tried.
+    """``build_tree`` with every search it makes recorded; returns the root,
+    the merge count, each accepted merge as ``(merged primitive,
+    gain_before, gain_after)`` and the number of merges tried.
 
-    A node's first search is the first request on its signals, and a later
-    request on the same signals is one of its merge searches.  That merge is
+    A node's first search is the first search on its signals, and a later
+    search on the same signals is one of its merge searches.  That merge is
     accepted when its gain is strictly larger than the node's incumbent gain,
     and its gain becomes the incumbent.
     """
-    steps = build_tree_steps(dataset, weights, config, seed)
     incumbents = []  # [the node's signals, its incumbent gain] per node
     merges = []
     tried = 0
-    answer = None
-    while True:
-        try:
-            request = steps.send(answer)
-        except StopIteration as stop:
-            return (*stop.value, merges, tried)
-        answer = primitive, gain = serve_searches([request])[0]
-        node = next((entry for entry in incumbents if entry[0] is request.values), None)
-        if node is None:
-            incumbents.append([request.values, gain])
-            continue
+    real_search = tree_module.optimize_primitive
+
+    def recording(node, *args):
+        nonlocal tried
+        primitive, gain = found = real_search(node, *args)
+        entry = next((entry for entry in incumbents if entry[0] is node.values), None)
+        if entry is None:
+            incumbents.append([node.values, gain])
+            return found
         tried += 1
-        if gain > node[1]:
-            merges.append((primitive, node[1], gain))
-            node[1] = gain
+        if gain > entry[1]:
+            merges.append((primitive, entry[1], gain))
+            entry[1] = gain
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "optimize_primitive", recording)
+        root, count = tree_module.build_tree(dataset, weights, config, seed)
+    return root, count, merges, tried
 
 
 def accepted_merge_gains(caplog) -> list[tuple[float, float]]:

@@ -34,13 +34,16 @@ from stlboost import (
     optimize_batch,
     optimize_primitive,
     robustness_all,
+    stratified_folds,
+    train_boosted,
     uniform_weights,
 )
 from stlboost.cli import run_cross_validation
 from stlboost.impurity import _masses, _side_sums, robustness_margin
 from stlboost.pso import _project_all
 from stlboost.templates import batch_robustness
-from helpers import count_forks, project, whole_batch_robustness
+from stlboost.tree import mix_seed
+from helpers import count_forks, project
 from oracles import naive_side_sums
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -151,7 +154,7 @@ def test_batch_robustness_signed_zero_margin(shape, op, cut):
     # them in different orders, and a zero margin must still read +0.0.
     values = np.array([[[1.0, -0.0, 0.0, 2.0]], [[-1.0, 0.0, -0.0, -2.0]]])
     template = PstlTemplate(shape, ((1, op),), ((-3.0, 3.0),), 3)
-    rho = whole_batch_robustness((template,), values)
+    rho = batch_robustness((template,), values)
     for t0, t1 in [(1, 2), (0, 2), (1, 3), (0, 3)]:
         row = rho(np.array([[t0]]), np.array([[t1]]), np.array([[[cut]]]))[0, 0]
         phi = template.instantiate(Valuation(t0, t1, (cut,)))
@@ -175,21 +178,12 @@ def test_batch_robustness_matches_robustness_all(seed):
     times[:, 1] = (0, horizon)  # the full horizon
     thresholds = rng.integers(-5, 5, size=(len(templates), swarm, len(templates[0].slots))) / 2
     t0, t1, projected = _project_all(templates, np.concatenate([times, thresholds], axis=2))
-    rho = whole_batch_robustness(templates, values)(t0, t1, projected)
+    rho = batch_robustness(templates, values)(t0, t1, projected)
     assert rho.shape == (len(templates), swarm, count)
     for m, template in enumerate(templates):
         for p in range(swarm):
             phi = template.instantiate(Valuation(t0[m, p], t1[m, p], projected[m, p]))
             assert rho[m, p].tobytes() == robustness_all(phi, values).tobytes()
-    if any(t.shape == "F" and len(t.slots) > 1 for t in templates):
-        return  # read by window slices, never from stacked nodes
-    # Each template reads its own run of the signals, as a node in a stack.
-    run = int(rng.integers(1, count + 1))
-    starts = rng.integers(0, count - run + 1, size=len(templates))
-    runs = batch_robustness(templates, values, starts, run)(t0, t1, projected)
-    assert runs.shape == (len(templates), swarm, run)
-    for m, start in enumerate(starts.tolist()):
-        assert runs[m].tobytes() == rho[m, :, start : start + run].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +232,7 @@ def test_side_sums_match_naive_side_sums(seed):
     weights[0] = 1.0  # not all zero
     labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
     mags, _ = _masses(rho, weights)
-    # The six masks of a lone call (every sample valid) or of a padded one.
+    # The six masks of a call, over every sample or over a random part.
     valid = np.ones(rho.shape, dtype=bool)
     if rng.random() < 0.5:
         valid = rng.random(size=rho.shape) < rng.random()
@@ -268,7 +262,7 @@ def test_reduceat_segment_after_a_zero_is_the_1d_sum():
 def _gain_objective(templates, values, labels, weights, path_rho):
     """The node search's objective: the gain of path ∧ candidate, with the
     margin as the tie value."""
-    template_rho = whole_batch_robustness(templates, values)
+    template_rho = batch_robustness(templates, values)
 
     def objective(t0, t1, thresholds):
         rho = np.minimum(path_rho, template_rho(t0, t1, thresholds))
@@ -354,18 +348,18 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     real_table = templates_module.range_table
     real_gains = tree_module.gains_from_robustness
 
-    def recording_batch(templates, values, starts, count):
+    def recording_batch(templates, values):
         batches.append((templates, []))
-        return real_batch(templates, values, starts, count)
+        return real_batch(templates, values)
 
     def recording_table(series, sign, out):
         batches[-1][1].append(out.nbytes)
         return real_table(series, sign, out)
 
-    def recording_gains(rho, labels, weights, valid=None):
+    def recording_gains(rho, labels, weights):
         templates = len(batches[-1][0])
         passes.append((templates, rho.shape[0] // templates, rho.nbytes))
-        return real_gains(rho, labels, weights, valid)
+        return real_gains(rho, labels, weights)
 
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
@@ -402,107 +396,12 @@ def test_lockstep_batches_group_by_table():
         patch.setattr(templates_module, "TABLE_BUDGET_BYTES", 0)
         assert templates_module.lockstep_batches(templates, 3, 5) == [[0, 3], [1], [2], [4], [5]]
     with pytest.raises(ValueError):
-        whole_batch_robustness((f_band, g_band), values)
-
-
-def test_node_stacks_keep_one_table_within_the_budget(monkeypatch):
-    # A table over n signals of 5 samples is 3 levels x n x 5 floats.
-    assert templates_module.table_bytes(1, 5) == 120
-    monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", 8 * 120)
-    stacks = templates_module.node_stacks([3, 4, 10, 1, 2, 8], 5)
-    assert stacks == [[0, 1], [2], [3, 4], [5]]
-
-
-# Past 128 samples numpy's pairwise summation splits a row in blocks, and
-# from 8 on it unrolls by 8, so padding a row with zeros would change its sum.
-RAGGED_SIZES = (1, 7, 8, 9, 127, 128, 129, 300)
-
-
-@settings(max_examples=40, deadline=None)
-@given(SEEDS)
-def test_padded_gains_match_each_node_alone(seed):
-    rng = np.random.default_rng(seed)
-    swarm = 4
-    nodes = []  # (rho, labels, weights) of each node's candidates
-    for k, count in enumerate(RAGGED_SIZES):
-        rho = rng.normal(size=(swarm, count)) * 10.0 ** rng.integers(-3, 4)
-        rho[rng.random(size=rho.shape) < 0.2] = 0.0
-        rho[1] = 0.0  # all-zero masses
-        weights = rng.random(count) + 0.01
-        if k % 2:
-            rho[0] = math.inf  # the path is TRUE on every sample
-        else:
-            weights[rng.random(count) < 0.3] = 0.0  # zero weights; 0 * inf would be nan
-            weights[0] = 1.0
-        weights /= weights.sum()
-        nodes.append((rho, rng.choice([POS_LABEL, NEG_LABEL], size=count), weights))
-    width = max(RAGGED_SIZES)
-    rows = len(nodes) * swarm
-    # Padding holds values no sum may read.
-    rho = np.full((rows, width), math.nan)
-    labels = np.full((rows, width), 7)
-    weights = np.full((rows, width), math.inf)
-    valid = np.zeros((rows, width), dtype=bool)
-    for k, (node_rho, node_labels, node_weights) in enumerate(nodes):
-        part, count = slice(k * swarm, (k + 1) * swarm), len(node_labels)
-        rho[part, :count] = node_rho
-        labels[part, :count] = node_labels
-        weights[part, :count] = node_weights
-        valid[part, :count] = True
-    padded = gains_from_robustness(rho, labels, weights, valid)
-    for k, node in enumerate(nodes):
-        alone = gains_from_robustness(*node)
-        part = slice(k * swarm, (k + 1) * swarm)
-        for name, field in zip(alone._fields, alone):
-            assert getattr(padded, name)[part].tobytes() == field.tobytes(), name
-
-
-def _random_requests(rng, pso: PsoConfig) -> list:
-    """Requests of 1-4 nodes of one shape and different sizes: first-order
-    templates, G over a band, or F over a band (searched alone)."""
-    dimension = int(rng.integers(1, 3))
-    horizon = int(rng.integers(0, 12))
-    requests = []
-    for _ in range(int(rng.integers(1, 5))):
-        count = int(rng.integers(1, 25))
-        values = np.round(rng.normal(size=(count, dimension, horizon + 1)) * 3, 1)
-        labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
-        dataset = LabeledDataset(values, labels, tuple(str(i) for i in range(count)))
-        weights = rng.random(count) + 0.01
-        weights /= weights.sum()
-        path_rho = np.where(rng.random(count) < 0.5, np.inf, rng.normal(size=count))
-        kind = rng.integers(3)
-        if kind == 0:
-            templates = first_order_templates(dimension)
-        else:
-            templates = (PstlTemplate("G" if kind == 1 else "F", ((1, GT), (1, LE))),)
-        templates = tuple(t.bound_to(dataset) for t in templates)
-        seed = int(rng.integers(0, 2**32))
-        requests.append(tree_module.SearchRequest(
-            dataset.values, dataset.labels, weights, path_rho, templates, seed, pso
-        ))
-    return requests
-
-
-@settings(max_examples=60, deadline=None)
-@given(SEEDS)
-def test_requests_served_together_match_each_alone(seed):
-    rng = np.random.default_rng(seed)
-    pso = PsoConfig(swarm_size=int(rng.integers(2, 9)), iterations=int(rng.integers(1, 5)))
-    requests = _random_requests(rng, pso)
-    budget = int(rng.choice([0, 2000, templates_module.TABLE_BUDGET_BYTES]))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
-        together = tree_module.serve_searches(requests)
-    alone = [tree_module.serve_searches([request])[0] for request in requests]
-    assert together == alone
-    for (_, gain_together), (_, gain_alone) in zip(together, alone):
-        assert np.float64(gain_together).tobytes() == np.float64(gain_alone).tobytes()
+        batch_robustness((f_band, g_band), values)
 
 
 @pytest.mark.parametrize("budget", [0, 2000, 1 << 30])
 def test_table_budget_keeps_cross_validation(monkeypatch, budget):
-    # Three folds searched together, whose merged searches run too.
+    # Three folds trained in turn, whose merged searches run too.
     dataset = generate_naval(NavalConfig(count_per_class=8, noise=2.0, seed=4))
     config = TreeConfig(max_depth=3, pso=PsoConfig(swarm_size=6, iterations=4))
 
@@ -511,86 +410,107 @@ def test_table_budget_keeps_cross_validation(monkeypatch, budget):
 
     expected = outcomes()
     assert sum(outcome["merges"] for outcome in expected) >= 1
-    batches = []  # (signals, whether nodes were stacked, bytes of each table, face count)
+    batches = []  # (signals, bytes of each table, face count)
     real_batch = tree_module.batch_robustness
     real_table = templates_module.range_table
 
-    def recording_batch(templates, values, starts, count):
+    def recording_batch(templates, values):
         faces = max(len(t.slots) for t in templates)
-        batches.append((len(values), count < len(values), [], faces))
-        return real_batch(templates, values, starts, count)
+        batches.append((len(values), [], faces))
+        return real_batch(templates, values)
 
     def recording_table(series, sign, out):
-        batches[-1][2].append(out.nbytes)
+        batches[-1][1].append(out.nbytes)
         return real_table(series, sign, out)
 
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)  # every batch is recorded here
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
     monkeypatch.setattr(templates_module, "range_table", recording_table)
     assert outcomes() == expected
     width = dataset.values.shape[2]
-    for signals, stacked, tables, faces in batches:
+    for signals, tables, faces in batches:
         one_template = faces * templates_module.table_bytes(signals, width)
         assert sum(tables) <= max(budget, one_template)
-        # Nodes are stacked only while one table over them fits the budget.
-        assert not stacked or max(tables, default=0) <= budget
-    # A naval node's table is larger than 2000 bytes, so small budgets
-    # search every node alone.
-    assert any(stacked for _, stacked, _, _ in batches) == (budget == 1 << 30)
+    # Each batch holds one node of one fold, at most a fold's training set.
+    plan = stratified_folds(dataset, 3, 4)
+    train_size = max(len(plan.train_indices(fold)) for fold in range(3))
+    assert max(signals for signals, _, _ in batches) <= train_size
 
 
-def _stacked_round():
-    """Three naval nodes of different sizes, with the budget that stacks
-    them: one range table over all their signals.  Each of the stack's 4
-    tables is then a lockstep batch of its own."""
+def _node_search():
+    """A search of a 30-signal naval node, and the budget of one range table
+    over its signals: each of the node's 4 tables is then a lockstep batch
+    of its own."""
     dataset = generate_naval(NavalConfig(count_per_class=20, noise=2.0, seed=3))
     config = TreeConfig(pso=PsoConfig(swarm_size=6, iterations=3))
     templates = first_order_templates(dataset.dimension)
     rng = np.random.default_rng(3)
-    requests = []
-    for seed, count in enumerate((9, 17, 30)):
-        node = dataset.subset(rng.choice(len(dataset), count, replace=False))
-        path_rho = np.where(rng.random(count) < 0.5, np.inf, rng.normal(size=count))
-        requests.append(tree_module._request(node, uniform_weights(count), path_rho,
-                                             templates, config, seed))
-    return requests, templates_module.table_bytes(9 + 17 + 30, dataset.horizon + 1)
+    node = dataset.subset(rng.choice(len(dataset), 30, replace=False))
+    path_rho = np.where(rng.random(30) < 0.5, np.inf, rng.normal(size=30))
+
+    def search():
+        primitive, gain = optimize_primitive(node, uniform_weights(30), path_rho, templates,
+                                             config, seed=3)
+        return primitive, np.float64(gain).tobytes()
+
+    return search, templates_module.table_bytes(30, dataset.horizon + 1)
 
 
-def _bits(answers):
-    return [(phi, np.float64(gain).tobytes()) for phi, gain in answers]
+def _recorded_batches(monkeypatch) -> list:
+    """The templates and seeds of each lockstep batch searched in this
+    process."""
+    searched, real_optimize = [], tree_module.optimize_batch
+
+    def recording(templates, objective, pso, seeds):
+        searched.append((templates, tuple(seeds)))
+        return real_optimize(templates, objective, pso, seeds)
+
+    monkeypatch.setattr(tree_module, "optimize_batch", recording)
+    return searched
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_round_is_answered_alike_on_any_cpu_count(monkeypatch, cpus):
-    # The round's batches are dealt to this process and cpus - 1 children.
-    requests, budget = _stacked_round()
+    # The search's batches are dealt to this process and cpus - 1 children.
+    search, budget = _node_search()
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
-    sizes, width = [len(r.labels) for r in requests], requests[0].values.shape[2]
-    assert templates_module.node_stacks(sizes, width) == [[0, 1, 2]]
-    searched = []
-    real_search = tree_module._search_batch
-    monkeypatch.setattr(tree_module, "_search_batch",
-                        lambda task: searched.append(task) or real_search(task))
+    searched = _recorded_batches(monkeypatch)
     monkeypatch.setattr(fanout, "_cpus", lambda: 1)
-    alone = tree_module.serve_searches(requests)
+    alone = search()
     assert len(searched) == 4
 
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(fanout, "_cpus", lambda: cpus)
-    assert _bits(tree_module.serve_searches(requests)) == _bits(alone)
+    assert search() == alone
     assert len(forks) == cpus - 1
 
 
 def test_batches_a_child_did_not_send_are_searched_here(monkeypatch):
-    requests, budget = _stacked_round()
+    search, budget = _node_search()
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(fanout, "_cpus", lambda: 1)
-    alone = tree_module.serve_searches(requests)
-    searched = []  # the batches searched in this process
-    real_search = tree_module._search_batch
-    monkeypatch.setattr(tree_module, "_search_batch",
-                        lambda task: searched.append(task) or real_search(task))
+    alone = search()
+    searched = _recorded_batches(monkeypatch)  # the batches searched in this process
     monkeypatch.setattr(fanout, "_send", lambda work, tasks, pipe: None)  # the children send nothing
     monkeypatch.setattr(fanout, "_cpus", lambda: 3)
-    assert _bits(tree_module.serve_searches(requests)) == _bits(alone)
+    assert search() == alone
     assert len(searched) == 4
+
+
+def test_a_cv_makes_exactly_its_folds_searches(monkeypatch):
+    """A cv fold run trains its folds one after the other: every swarm batch
+    of a cv is one of a single fold's, and the cv makes the batches that
+    training each fold's train set alone makes, in fold order."""
+    dataset = generate_naval(NavalConfig(count_per_class=8, noise=2.0, seed=4))
+    config = TreeConfig(max_depth=3, pso=PsoConfig(swarm_size=6, iterations=4))
+    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
+    calls = _recorded_batches(monkeypatch)
+    entries, _ = run_cross_validation(dataset, 2, config, 100.0, folds=3, seed=4)
+    assert sum(entry["merges"] for entry in entries) >= 1
+    together, calls[:] = calls[:], []
+    plan = stratified_folds(dataset, 3, 4)
+    for fold in range(3):
+        train_boosted(dataset.subset(plan.train_indices(fold)), 2, config, 100.0,
+                      seed=mix_seed(4, fold))
+    assert together == calls

@@ -2,12 +2,14 @@ import json
 import logging
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stlboost.boosting as boosting
+import stlboost.tree as tree_module
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
 from stlboost import (
     Always,
@@ -165,21 +167,56 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_boosted(ds, rounds=1, config=FAST, max_retries=-1)
 
+    @pytest.mark.parametrize("name, value, refused", [
+        ("max_depth", 2.5, True),
+        ("max_depth", True, True),
+        ("max_depth", "2", True),
+        ("max_depth", np.int64(2), False),
+        ("rounds", 1.5, True),
+        ("rounds", True, True),
+        ("rounds", np.int32(1), False),
+        ("max_retries", 1.5, True),
+        ("max_retries", False, True),
+        ("max_retries", np.int64(0), False),
+        ("swarm_size", np.int64(4), False),
+    ])
+    def test_counts_must_be_integers(self, name, value, refused):
+        # A float depth used to train a model that model_from_dict refused,
+        # a float round or retry count failed inside range(), and a numpy
+        # count made a model that model_from_dict refused.
+        def train():
+            if name == "max_depth":
+                config = TreeConfig(max_depth=value, pso=FAST.pso)
+                return train_boosted(noisy_dataset(0), rounds=1, config=config)
+            if name == "swarm_size":
+                config = replace(FAST, pso=replace(FAST.pso, swarm_size=value))
+                return train_boosted(noisy_dataset(0), rounds=1, config=config)
+            counts = {"rounds": 1, "max_retries": 0, name: value}
+            return train_boosted(noisy_dataset(0), config=FAST, **counts)
+
+        if refused:
+            message = f"{name} must be an integer, got {value!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                train()
+        else:
+            model = train()
+            assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
     def test_discard_and_retry(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger=boosting.__name__)
         ds = constant_dataset(
             [0.0, 0.2, 2.0, 2.2], [POS_LABEL, POS_LABEL, NEG_LABEL, NEG_LABEL]
         )
         calls = {"n": 0}
-        real_steps = boosting.build_tree_steps
+        real_build = tree_module.build_tree
 
         def flaky(dataset, weights, config, seed=0):
             calls["n"] += 1
             if calls["n"] == 1:
                 return Leaf(NEG_LABEL), 0
-            return (yield from real_steps(dataset, weights, config, seed=seed))
+            return real_build(dataset, weights, config, seed=seed)
 
-        monkeypatch.setattr(boosting, "build_tree_steps", flaky)
+        monkeypatch.setattr(tree_module, "build_tree", flaky)
         model = train_boosted(ds, rounds=1, config=FAST, seed=6)
         assert calls["n"] == 2
         assert "round 0 attempt 0 discarded" in caplog.text
@@ -193,9 +230,8 @@ class TestTraining:
 
         def hopeless(dataset, weights, config, seed=0):
             return Leaf(NEG_LABEL), 0
-            yield  # a growth that makes no search
 
-        monkeypatch.setattr(boosting, "build_tree_steps", hopeless)
+        monkeypatch.setattr(tree_module, "build_tree", hopeless)
         model = train_boosted(ds, rounds=2, config=FAST, seed=7, max_retries=2)
         assert len(model.rounds) == 0
         with pytest.raises(ValueError):

@@ -384,8 +384,7 @@ def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers, folds=5):
 
 def test_cv_bytes_do_not_depend_on_the_workers(naval_csv, tmp_path, capsys, monkeypatch):
     """Three and five folds at one, two and three workers: five folds at two
-    workers are the runs 0-2 and 3-4, and the folds of a run are trained
-    together."""
+    workers are the runs 0-2 and 3-4, and a run trains its folds in turn."""
     for folds in (3, 5):
         alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1, folds)
         for workers in (2, 3):
@@ -396,22 +395,21 @@ def test_folds_of_a_failed_child_are_trained_here(naval_csv, tmp_path, capsys, m
     """A child that fails before it sends leaves its run to this process,
     which trains it after the runs before it and reports the same bytes."""
     alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1)
-    parent, fold_steps, trained = os.getpid(), cli._fold_steps, []
+    parent, real_fold, trained = os.getpid(), cli._fold, []
 
     def stand_in(dataset, plan, fold, *args):
         if os.getpid() != parent:
             raise RuntimeError("child")
         trained.append(fold)
-        return fold_steps(dataset, plan, fold, *args)
+        return real_fold(dataset, plan, fold, *args)
 
-    monkeypatch.setattr(cli, "_fold_steps", stand_in)
+    monkeypatch.setattr(cli, "_fold", stand_in)
     assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 3) == alone
     assert trained == [0, 1, 2, 3, 4]  # the runs 0-1, 2-3 and 4, in order
 
 
 def _placed(dataset, plan, fold, *args):
     """A fold that trains nothing and names the process that ran it."""
-    yield from ()
     return {"fold": fold, "pid": os.getpid(), "trainMcr": 0.0, "testMcr": 0.0}
 
 
@@ -421,7 +419,7 @@ def test_cv_deals_one_run_of_consecutive_folds_per_worker(monkeypatch, cpus):
     one worker per fold, with the longer runs first and this process
     training the first run."""
     monkeypatch.setattr(fanout, "_cpus", lambda: cpus)
-    monkeypatch.setattr(cli, "_fold_steps", _placed)
+    monkeypatch.setattr(cli, "_fold", _placed)
     dataset = generate_naval(NavalConfig(count_per_class=7, seed=0))
     for folds in range(2, 8):
         entries, _ = cli.run_cross_validation(dataset, trees=1, config=cli.TreeConfig(),
@@ -440,7 +438,7 @@ def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monk
     (folds 3-4) sleeps: the error is raised without waiting for the child,
     which is killed, and no fold is trained twice."""
     monkeypatch.setattr(fanout, "_cpus", lambda: 2)
-    parent, fold_steps, log = os.getpid(), cli._fold_steps, tmp_path / "trained"
+    parent, real_fold, log = os.getpid(), cli._fold, tmp_path / "trained"
 
     def stand_in(dataset, plan, fold, *args):
         with open(log, "a") as handle:
@@ -449,9 +447,9 @@ def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monk
             time.sleep(60)
         elif fold == 1:
             raise cli.CliError("fold 1: failed here")
-        return (yield from fold_steps(dataset, plan, fold, *args))
+        return real_fold(dataset, plan, fold, *args)
 
-    monkeypatch.setattr(cli, "_fold_steps", stand_in)
+    monkeypatch.setattr(cli, "_fold", stand_in)
     start = time.monotonic()
     assert main(["cv", "--data", naval_csv, "--folds", "5"] + TINY_FLAGS) == 1
     assert time.monotonic() - start < 30  # the sleeping child was not waited for
@@ -464,15 +462,15 @@ def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monk
 def test_an_interrupted_cv_reaps_its_children(identical_csv, monkeypatch):
     """A Ctrl-C in this process kills and reaps the children still training."""
     monkeypatch.setattr(fanout, "_cpus", lambda: 3)
-    parent, real_drive = os.getpid(), cli.drive
+    parent, real_fold = os.getpid(), cli._fold
 
-    def drive(steps):
+    def stand_in(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
-        return real_drive(steps)
+        return real_fold(*args)
 
-    monkeypatch.setattr(cli, "drive", drive)
+    monkeypatch.setattr(cli, "_fold", stand_in)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["cv", "--data", identical_csv, "--folds", "3"] + TINY_FLAGS)
@@ -582,17 +580,17 @@ def jobs(tmp_path_factory):
 def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chunk, budget):
     """Every setting that trades processes or memory for speed, drawn small
     at once, leaves each job's stdout bytes, and a saved file's bytes, as
-    the defaults give them: the CPUs of loads, saves, cv folds and a
-    round's lockstep batches; the floor of a part or chunk; the loader's
-    block rows and read size; and the range table budget behind node
-    stacking, lockstep batches and passes.  The clean file never needs the
-    exact loader, which would hide a fault of the fast one.
+    the defaults give them: the CPUs of loads, saves, cv folds and a node
+    search's lockstep batches; the floor of a part or chunk; the loader's
+    block rows and read size; and the range table budget behind lockstep
+    batches and passes.  The clean file never needs the exact loader, which
+    would hide a fault of the fast one.
 
     The train job reaches the searches' fan-out: the 8 range tables of its
     24-signal root pass the default budget, and a drawn budget is smaller,
-    so each round has several batches, and at 2 or 3 CPUs forked children
-    search some of them.  The cv job's rounds run in its fold runs, which
-    fork nothing more.
+    so each node search has several batches, and at 2 or 3 CPUs forked
+    children search some of them.  The cv job's searches run in its fold
+    runs, which fork nothing more.
 
     Every load fills the values block by block from several blocks per
     part: the file's 12,000 rows are at most 3 parts of about 4,000, and a

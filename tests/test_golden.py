@@ -16,7 +16,6 @@ import json
 import logging
 
 from stlboost import NavalConfig, UrbanConfig, generate_naval, generate_urban, save_csv
-import stlboost.cli as cli
 import stlboost.fanout as fanout
 import stlboost.tree as tree
 from stlboost.cli import main
@@ -25,8 +24,7 @@ from stlboost.cli import main
 # tree of the first fold.
 NAVAL_CV_SHA256 = "57f652ebcebd4fa71eafaf848216fa6520f88b5ed06da9648a76f8a9fc2103ec"
 URBAN_TRAIN_SHA256 = "ec9e1f2876a9cf836822259b73dc4092c54ad6d4a519117a4617054a7c47f150"
-# Five folds searched together: merges fire in three of them.  Recorded
-# while the folds were still trained one after the other.
+# Five folds: merges fire in three of them.
 NAVAL_CV_FIVE_FOLDS_SHA256 = "d503a74de194ee0220394ab601ebcccb535c8a2d765a0bd0ff233b304e3b081a"
 
 
@@ -91,33 +89,3 @@ def test_urban_train_report_is_pinned(tmp_path):
     ])
     assert json.loads(out)["model"]["T"] == 499
     assert _sha256(out) == URBAN_TRAIN_SHA256
-
-
-def test_naval_cv_serves_its_folds_together(tmp_path, monkeypatch):
-    # Fewer swarm batches than the folds make one after the other, the same
-    # templates searched, and every swarm still scored 1 + iterations times.
-    # One worker, so that every fold's searches are counted in this process.
-    monkeypatch.setattr(fanout, "_cpus", lambda: 1)
-    argv = _naval_cv_argv(tmp_path)
-    searches = []  # (templates, objective rounds) per optimize_batch call
-    real_optimize = tree.optimize_batch
-
-    def counting_optimize(templates, objective, config, seeds):
-        rounds = []
-
-        def counted(*args):
-            rounds.append(1)
-            return objective(*args)
-
-        found = real_optimize(templates, counted, config, seeds)
-        searches.append((len(templates), len(rounds)))
-        return found
-
-    monkeypatch.setattr(tree, "optimize_batch", counting_optimize)
-    together = _run(argv)
-    served, searches[:] = searches[:], []
-    monkeypatch.setattr(cli, "drive", lambda steps: [tree.drive([s])[0] for s in steps])
-    assert _run(argv) == together
-    assert len(served) < len(searches)
-    assert sum(t for t, _ in served) == sum(t for t, _ in searches)
-    assert {rounds for _, rounds in served + searches} == {6 + 1}

@@ -47,7 +47,7 @@ from stlboost import (
 )
 from stlboost import tree as tree_module
 from stlboost.templates import ALWAYS, EVENTUALLY
-from stlboost.tree import MAX_DEPTH, build_tree_steps
+from stlboost.tree import MAX_DEPTH
 from helpers import (
     accepted_merge_gains,
     box,
@@ -328,48 +328,49 @@ class TestMergeRewriting:
         assert mcr(tree_to_formula(root), ds) == 0.0
 
 
-def _scripted_growth(merge_gain):
+def _scripted_growth(monkeypatch, merge_gain):
     """Grow a depth-2 tree on 8 constant signals of 2 variables, labels
     alternating, answering every node search with ``G[0,0](x1 <= 3.5)`` at
     gain 0.25 and the k-th merge search (from 0) with the same primitive at
     ``merge_gain(k)``.  Returns the root, the merge count and the kind of
-    each request, "node" or "merge", in order; fails after 50 requests."""
+    each search, "node" or "merge", in order; fails after 50 searches."""
     values = np.stack([np.full((2, 3), float(v)) for v in range(8)])
     ds = LabeledDataset(values, np.array([POS_LABEL, NEG_LABEL] * 4), tuple("abcdefgh"))
-    steps = build_tree_steps(ds, uniform_weights(8), TreeConfig(max_depth=2, shapes=("G",)))
     phi = Always(0, 0, pred(1, LE, 3.5))
-    kinds, answer = [], None
-    while len(kinds) < 50:
-        try:
-            request = steps.send(answer)
-        except StopIteration as stop:
-            return (*stop.value, kinds)
+    kinds = []
+
+    def scripted(node, weights, path_rho, templates, config, seed):
+        if len(kinds) == 50:
+            raise AssertionError("growth did not end within 50 searches")
         # A node search holds the 4 first-order templates, a merge search one.
-        kinds.append("merge" if len(request.templates) == 1 else "node")
-        answer = (phi, merge_gain(kinds.count("merge") - 1) if kinds[-1] == "merge" else 0.25)
-    raise AssertionError("growth did not end within 50 searches")
+        kinds.append("merge" if len(templates) == 1 else "node")
+        return phi, merge_gain(kinds.count("merge") - 1) if kinds[-1] == "merge" else 0.25
+
+    monkeypatch.setattr(tree_module, "optimize_primitive", scripted)
+    root, merges = build_tree(ds, uniform_weights(8), TreeConfig(max_depth=2, shapes=("G",)))
+    return root, merges, kinds
 
 
 class TestMergeRule:
-    def test_equal_gain_is_rejected(self):
-        root, merges, kinds = _scripted_growth(lambda k: 0.25)
+    def test_equal_gain_is_rejected(self, monkeypatch):
+        root, merges, kinds = _scripted_growth(monkeypatch, lambda k: 0.25)
         assert merges == 0
         assert kinds == ["node", "node", "merge", "node", "merge"]
         assert isinstance(root.left, Split) and isinstance(root.right, Split)
 
-    def test_next_larger_gain_is_accepted(self):
+    def test_next_larger_gain_is_accepted(self, monkeypatch):
         # The first merge raises the gain by one ulp and becomes the
         # incumbent; the second merge only equals it.
         _, merges, kinds = _scripted_growth(
-            lambda k: np.nextafter(0.25, 1.0) if k < 2 else 0.0
+            monkeypatch, lambda k: np.nextafter(0.25, 1.0) if k < 2 else 0.0
         )
         assert merges == 1
         assert kinds == ["node", "node", "merge", "node", "merge", "node", "merge"]
 
-    def test_restart_budget_is_twice_the_variable_count(self):
+    def test_restart_budget_is_twice_the_variable_count(self, monkeypatch):
         # Every merge raises the gain, so only the budget, 2 * 2 restarts,
         # ends the root's merges; then growth goes on to both children.
-        root, merges, kinds = _scripted_growth(lambda k: 0.25 + k + 1)
+        root, merges, kinds = _scripted_growth(monkeypatch, lambda k: 0.25 + k + 1)
         assert merges == 4
         assert kinds == ["node"] + ["node", "merge"] * 4 + ["node", "node"]
         assert isinstance(root.left, Split) and isinstance(root.right, Split)
