@@ -26,7 +26,7 @@ import numpy as np
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights, whole_file
 from .formula import And, Formula, Signal, extent, operator_count
 from .grammar import format_formula, parse_formula
-from .pso import VELOCITY_CLAMP, PsoConfig, checked_int
+from .pso import VELOCITY_CLAMP, PsoConfig, checked_float, checked_int
 from . import tree
 from .tree import (
     MAX_DEPTH,
@@ -104,10 +104,12 @@ def train_boosted(
     training stops early with the trees kept so far.  After a perfect round
     the sample weights stay unchanged (the exponential update is a no-op
     modulo normalization there).  ``rounds`` is an integer in [1,
-    MAX_ROUNDS] and ``max_retries`` one in [0, MAX_RETRIES].
+    MAX_ROUNDS], ``max_retries`` one in [0, MAX_RETRIES] and ``m_weight`` a
+    positive finite number.
     """
     rounds = checked_int("rounds", rounds)
     max_retries = checked_int("max_retries", max_retries)
+    m_weight = checked_float("m_weight", m_weight)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"round count must be in [1, {MAX_ROUNDS}]")
     if not 0 <= max_retries <= MAX_RETRIES:

@@ -44,7 +44,7 @@ from .data import (
     stratified_folds,
     whole_file,
 )
-from .fanout import fan_out, worker_count
+from .fanout import fan_out
 from .formula import extent, robustness_all
 from .grammar import ParseError, format_formula, parse_formula
 from .pso import PsoConfig
@@ -285,14 +285,12 @@ def run_cross_validation(
 
     Each fold's model is trained by :func:`~stlboost.boosting.train_boosted`
     with a seed of its own, so it is the one training that fold alone gives.
-    The folds are cut into one run of consecutive folds per worker, at most
-    one per fold (:func:`~stlboost.fanout.worker_count`), the longer runs
-    first.  :func:`~stlboost.fanout.fan_out` trains the first run here and
-    each other run in a forked child, and a run trains its folds in turn.
-    The runs come back in fold order, and a run whose child sent nothing is
-    trained here, so the first error raised is the lowest failing fold's,
-    ``fold k: ...``, as one process would report it.  No child outlives this
-    call.
+    Each fold is one task of :func:`~stlboost.fanout.fan_out`, which deals
+    fold k to worker k mod W: this process trains its folds, and a forked
+    child per further worker trains the rest.  The folds come back in fold
+    order, and a fold whose child sent nothing is trained here, so the first
+    error raised is the lowest failing fold's, ``fold k: ...``, as one
+    process would report it.  No child outlives this call.
     """
     try:
         plan = stratified_folds(dataset, folds, seed)
@@ -300,15 +298,11 @@ def run_cross_validation(
         raise CliError(str(exc))
     started = time.perf_counter()
 
-    def train(run):
-        return [_fold(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
-                for fold in run]
+    def train(fold):
+        return _fold(dataset, plan, fold, trees, config, m_weight, max_retries, seed)
 
-    workers = worker_count(folds)
-    size, extra = divmod(folds, workers)
-    starts = [worker * size + min(worker, extra) for worker in range(workers + 1)]
-    with fan_out(train, map(range, starts, starts[1:])) as runs:
-        entries = [entry for run in runs for entry in run]
+    with fan_out(train, range(folds)) as trained:
+        entries = list(trained)
     for entry in entries:
         logger.info("fold %d: train %.4f test %.4f", entry["fold"],
                     entry["trainMcr"], entry["testMcr"])

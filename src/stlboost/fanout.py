@@ -1,7 +1,7 @@
 """Process fan-out: the one way work is spread over CPUs.
 
 ``fan_out`` serves the loader's parts, the writer's chunks, ``stlboost
-cv``'s fold runs and the lockstep batches of a node's search
+cv``'s folds and the lockstep batches of a node's search
 (``tree.optimize_primitive``).  It deals them round-robin to this process
 and to one forked child per further CPU (``_cpus``), and each child pickles
 its results back through a pipe.  A task a child did not send is run here,

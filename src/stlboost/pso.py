@@ -18,13 +18,14 @@ iteration; it is otherwise independent, so a template's result is the same
 in any batch as searched alone.  Candidates are offered to each template's
 incumbent in particle order: the first is taken, then a strictly larger
 value wins, and an equal value only with a strictly larger tie value; a NaN
-value raises ValueError.  :func:`optimize` adapts a per-valuation objective
-and tie-break to that contract.  The returned value, ``-inf`` included, is
-the one computed for the returned (already projected) valuation.
+value or tie value raises ValueError.  :func:`optimize` adapts a per-valuation
+objective and tie-break to that contract.  The returned value, ``-inf``
+included, is the one computed for the returned (already projected) valuation.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,6 +54,14 @@ def checked_int(name: str, value) -> int:
     return int(value)
 
 
+def checked_float(name: str, value) -> float:
+    """``value`` as a Python float, so a model file can hold it; raises
+    ValueError naming ``name`` unless it is a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     """Swarm settings.
@@ -73,6 +82,8 @@ class PsoConfig:
     def __post_init__(self):
         for name in ("swarm_size", "iterations"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        for name in ("inertia", "cognitive", "social"):
+            object.__setattr__(self, name, checked_float(name, getattr(self, name)))
         if not 2 <= self.swarm_size <= MAX_SWARM_SIZE:
             raise ValueError(f"swarm size must be in [2, {MAX_SWARM_SIZE}]")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
@@ -90,70 +101,42 @@ def _face_pairs(template: PstlTemplate) -> list[tuple[int, int]]:
     return [(lower[var], upper[var]) for var in lower if var in upper]
 
 
+def _space(templates: Sequence[PstlTemplate]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The parameter box ``lb, ub[M, 1, D]`` of a lockstep batch (the two
+    window bounds, then the thresholds) and each template's face pairs."""
+    if not all(template.is_bound for template in templates):
+        raise ValueError("template must be bound to a dataset before optimization")
+    lb = [(0.0, 0.0) + tuple(lo for lo, _ in t.threshold_bounds) for t in templates]
+    ub = [(float(t.horizon),) * 2 + tuple(hi for _, hi in t.threshold_bounds) for t in templates]
+    pairs = [_face_pairs(template) for template in templates]
+    return np.array(lb)[:, np.newaxis], np.array(ub)[:, np.newaxis], pairs
+
+
 def _project_all(
-    templates: Sequence[PstlTemplate], positions: np.ndarray
+    positions: np.ndarray, lb: np.ndarray, ub: np.ndarray, pairs: list[list[tuple[int, int]]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project each particle of the stacked ``positions[M, P, D]`` onto the
-    feasible set of its template ``m``.
+    feasible set of the box ``lb, ub[M, 1, D]`` and face pairs ``pairs[M]``
+    that :func:`_space` builds.
 
     Returns ``(t0[M, P], t1[M, P], thresholds[M, P, k])``.  Rounding is half
     to even, as Python's ``round``.
     """
-    horizons = np.array([template.horizon for template in templates])
-    times = np.clip(np.rint(positions[..., :2]), 0, horizons[:, np.newaxis, np.newaxis])
-    times = times.astype(np.intp)
-    t0 = times.min(axis=2)
-    t1 = times.max(axis=2)
-    bounds = np.array([template.threshold_bounds for template in templates])  # (M, k, 2)
-    lows, highs = bounds[..., 0], bounds[..., 1]
-    thresholds = np.clip(positions[..., 2:], lows[:, np.newaxis], highs[:, np.newaxis])
-    for m, template in enumerate(templates):
-        for gi, li in _face_pairs(template):
+    times = np.clip(np.rint(positions[..., :2]), lb[..., :2], ub[..., :2]).astype(np.intp)
+    t0, t1 = times.min(axis=2), times.max(axis=2)
+    thresholds = np.clip(positions[..., 2:], lb[..., 2:], ub[..., 2:])
+    for m, faces in enumerate(pairs):
+        for gi, li in faces:
             lower, upper = thresholds[m, :, gi], thresholds[m, :, li]
             swap = lower >= upper
             lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
             # Equal after the swap: open a minimal gap without leaving bounds.
             tied = lower >= upper
             eps = np.maximum(1e-9, 1e-12 * np.maximum(np.abs(lower), 1.0))
-            raise_upper = upper + eps <= highs[m, li]
+            raise_upper = upper + eps <= ub[m, 0, 2 + li]
             thresholds[m, :, gi] = np.where(tied & ~raise_upper, lower - eps, lower)
             thresholds[m, :, li] = np.where(tied & raise_upper, upper + eps, upper)
     return t0, t1, thresholds
-
-
-class _Best:
-    """The incumbent: the first candidate offered, until a larger value, or an
-    equal value with a larger tie value, replaces it."""
-
-    __slots__ = ("valuation", "value", "tie_value")
-
-    def __init__(self):
-        self.valuation = None
-        self.value = -np.inf
-        self.tie_value = None
-
-    def offer(self, t0, t1, thresholds, values, tie_values) -> None:
-        """Offer a batch of candidates in row order."""
-        chosen = None
-        for row, (value, tie_value) in enumerate(zip(values.tolist(), tie_values.tolist())):
-            if self.tie_value is None or value > self.value or (
-                value == self.value and tie_value > self.tie_value
-            ):
-                chosen, self.value, self.tie_value = row, value, tie_value
-        if chosen is not None:
-            self.valuation = Valuation(t0[chosen], t1[chosen], thresholds[chosen])
-
-
-def _space_arrays(template: PstlTemplate) -> tuple[np.ndarray, np.ndarray]:
-    if not template.is_bound:
-        raise ValueError("template must be bound to a dataset before optimization")
-    for gi, li in _face_pairs(template):
-        if not template.threshold_bounds[gi][0] < template.threshold_bounds[li][1]:
-            raise EmptyParameterSpaceError(
-                "no room for a lower face strictly below the upper face"
-            )
-    lows, highs = zip(*template.threshold_bounds)
-    return np.array((0.0, 0.0) + lows), np.array((float(template.horizon),) * 2 + highs)
 
 
 def optimize_batch(
@@ -170,10 +153,10 @@ def optimize_batch(
     best valuation with its value and tie value.  A template's result depends
     only on its template, seed, the config and its objective rows, so it is
     the same in any batch as searched alone.  The best value seen is
-    non-decreasing over iterations; a NaN value raises ValueError.  One
-    eighth of each swarm re-samples its position uniformly every iteration;
-    projected objectives are piecewise constant, and without that exploration
-    the swarm can stall on the first plateau it reaches.
+    non-decreasing over iterations; a NaN value or tie value raises ValueError.
+    One eighth of each swarm re-samples its position uniformly every
+    iteration; projected objectives are piecewise constant, and without that
+    exploration the swarm can stall on the first plateau it reaches.
     """
     templates = tuple(templates)
     seeds = tuple(seeds)
@@ -181,7 +164,10 @@ def optimize_batch(
         raise ValueError("need at least one template and one seed per template")
     if len({len(template.slots) for template in templates}) != 1:
         raise ValueError("templates searched in lockstep must have one parameter count")
-    lb, ub = (np.stack(bounds)[:, np.newaxis] for bounds in zip(*map(_space_arrays, templates)))
+    lb, ub, pairs = _space(templates)
+    if any(not lb[m, 0, 2 + gi] < ub[m, 0, 2 + li]
+           for m, faces in enumerate(pairs) for gi, li in faces):
+        raise EmptyParameterSpaceError("no room for a lower face strictly below the upper face")
     span = ub - lb
     vmax = VELOCITY_CLAMP * np.where(span > 0, span, 1.0)
     swarm = config.swarm_size
@@ -198,8 +184,10 @@ def optimize_batch(
     velocities = np.zeros_like(positions)
     particle_best_pos = positions.copy()
     particle_best_val = np.full((len(templates), swarm), -np.inf)
-    best = [_Best() for _ in templates]
     which = np.arange(len(templates))
+    best_t0, best_t1 = np.zeros((2, len(templates)), np.intp)
+    best_thresholds = np.zeros((len(templates), dims - 2))
+    best_value, best_tie = np.full((2, len(templates)), -np.inf)
 
     for iteration in range(config.iterations + 1):
         if iteration:
@@ -216,17 +204,27 @@ def optimize_batch(
             positions = np.clip(positions + velocities, lb, ub)
             positions[:, -scouts:] = lb + span * scout
             velocities[:, -scouts:] = 0.0
-        t0, t1, thresholds = _project_all(templates, positions)
+        t0, t1, thresholds = _project_all(positions, lb, ub, pairs)
         values, tie_values = objective(t0, t1, thresholds)
-        if np.isnan(values).any():
+        if np.isnan(values).any() or np.isnan(tie_values).any():
             raise ValueError("the objective returned NaN")
         improved = values > particle_best_val
         particle_best_val[improved] = values[improved]
         particle_best_pos[improved] = positions[improved]
-        for m, incumbent in enumerate(best):
-            incumbent.offer(t0[m], t1[m], thresholds[m], values[m], tie_values[m])
+        # Each swarm's first row with the largest (value, tie value) replaces
+        # its incumbent if it is strictly larger; the first iteration's does.
+        top = values == values.max(axis=1, keepdims=True)
+        top_ties = np.where(top, tie_values, -np.inf)
+        row = np.argmax(top & (top_ties == top_ties.max(axis=1, keepdims=True)), axis=1)
+        value, tie = values[which, row], tie_values[which, row]
+        take = (value > best_value) | (value == best_value) & (tie > best_tie) | (iteration == 0)
+        best_t0[take], best_t1[take] = t0[which, row][take], t1[which, row][take]
+        best_thresholds[take] = thresholds[which, row][take]
+        best_value[take], best_tie[take] = value[take], tie[take]
 
-    return [(incumbent.valuation, incumbent.value, incumbent.tie_value) for incumbent in best]
+    rows = zip(best_t0.tolist(), best_t1.tolist(), best_thresholds.tolist(),
+               best_value.tolist(), best_tie.tolist())
+    return [(Valuation(a, b, cuts), value, tie) for a, b, cuts, value, tie in rows]
 
 
 def _per_valuation(

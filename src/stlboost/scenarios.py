@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL
+from .pso import checked_int
 
 
 MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats
@@ -46,6 +47,8 @@ DRIFT_SPEED = -1.2
 
 
 def _check_config(config, dimension: int, min_horizon: int, geometry: str) -> None:
+    for name in ("count_per_class", "horizon", "seed"):
+        object.__setattr__(config, name, checked_int(name, getattr(config, name)))
     if config.count_per_class < 1:
         raise ValueError("count_per_class must be at least 1")
     if config.horizon < min_horizon:

@@ -50,7 +50,7 @@ from .impurity import (  # noqa: F401
     partition,
     robustness_margin,
 )
-from .pso import PsoConfig, checked_int, optimize, optimize_batch  # noqa: F401
+from .pso import PsoConfig, checked_float, checked_int, optimize, optimize_batch  # noqa: F401
 from .templates import (
     ALWAYS,
     EVENTUALLY,
@@ -109,6 +109,7 @@ class TreeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_depth", checked_int("max_depth", self.max_depth))
+        object.__setattr__(self, "purity_stop", checked_float("purity_stop", self.purity_stop))
         if not 1 <= self.max_depth <= MAX_DEPTH:
             raise ValueError(f"max depth must be in [1, {MAX_DEPTH}]")
         if not 0.5 < self.purity_stop <= 1.0:
@@ -158,8 +159,8 @@ def optimize_primitive(
     the tasks of one :func:`~stlboost.fanout.fan_out`: this process searches
     its share, and a forked child per further worker searches the rest and
     sends back each template's ``(valuation, gain, margin)``.  A search of
-    one batch forks nothing, and neither does one inside a cv fold run,
-    which is itself a fan-out's task.
+    one batch forks nothing, and neither does one inside a cv fold, which
+    is itself a fan-out's task.
     """
     if isinstance(templates, PstlTemplate):
         templates = (templates,)

@@ -31,7 +31,7 @@ from stlboost import (
 )
 from stlboost import fanout
 from stlboost import tree as tree_module
-from stlboost.pso import _project_all
+from stlboost.pso import _project_all, _space
 from oracles import boosting_weights
 
 POS = 1
@@ -47,9 +47,10 @@ def box(*faces) -> Predicate:
 
 
 def project(template, position) -> Valuation:
-    """One particle's valuation: ``_project_all`` for a swarm of one."""
+    """One particle's valuation: ``_project_all`` for a swarm of one, in the
+    box and face pairs that ``optimize_batch`` builds (``_space``)."""
     position = np.asarray(position, dtype=float)[np.newaxis, np.newaxis]
-    t0, t1, thresholds = _project_all((template,), position)
+    t0, t1, thresholds = _project_all(position, *_space((template,)))
     return Valuation(t0[0, 0], t1[0, 0], thresholds[0, 0])
 
 

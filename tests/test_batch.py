@@ -40,7 +40,7 @@ from stlboost import (
 )
 from stlboost.cli import run_cross_validation
 from stlboost.impurity import _masses, _side_sums, robustness_margin
-from stlboost.pso import _project_all
+from stlboost.pso import _project_all, _space
 from stlboost.templates import batch_robustness
 from stlboost.tree import mix_seed
 from helpers import count_forks, project
@@ -137,7 +137,7 @@ def test_project_all_matches_project(seed):
     times = rng.integers(-4, 2 * horizon + 6, size=(len(templates), swarm, 2)) / 2
     thresholds = rng.integers(-6, 6, size=(len(templates), swarm, len(templates[0].slots)))
     positions = np.concatenate([times, thresholds.astype(float)], axis=2)
-    t0, t1, projected = _project_all(templates, positions)
+    t0, t1, projected = _project_all(positions, *_space(templates))
     for m, template in enumerate(templates):
         for p, position in enumerate(positions[m]):
             single = project(template, position)
@@ -177,7 +177,8 @@ def test_batch_robustness_matches_robustness_all(seed):
     times[:, 0] = (horizon, horizon)  # a window of length one
     times[:, 1] = (0, horizon)  # the full horizon
     thresholds = rng.integers(-5, 5, size=(len(templates), swarm, len(templates[0].slots))) / 2
-    t0, t1, projected = _project_all(templates, np.concatenate([times, thresholds], axis=2))
+    positions = np.concatenate([times, thresholds], axis=2)
+    t0, t1, projected = _project_all(positions, *_space(templates))
     rho = batch_robustness(templates, values)(t0, t1, projected)
     assert rho.shape == (len(templates), swarm, count)
     for m, template in enumerate(templates):

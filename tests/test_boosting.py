@@ -202,6 +202,39 @@ class TestTraining:
             model = train()
             assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
 
+    @pytest.mark.parametrize("name, value, refused", [
+        ("m_weight", True, True),
+        ("m_weight", "100", True),
+        ("m_weight", np.float32(100.0), False),
+        ("purity_stop", True, True),
+        ("purity_stop", np.float32(0.95), False),
+        ("inertia", "0.5", True),
+        ("inertia", np.float32(0.5), False),
+        ("cognitive", True, True),
+        ("cognitive", np.float32(1.5), False),
+        ("social", None, True),
+        ("social", np.float16(1.5), False),
+    ])
+    def test_float_settings_must_be_numbers(self, name, value, refused):
+        # A bool setting used to train a model that model_from_dict refused,
+        # and a numpy float one a model that json.dumps could not write.
+        def train():
+            if name == "m_weight":
+                return train_boosted(noisy_dataset(0), rounds=1, config=FAST, m_weight=value)
+            if name == "purity_stop":
+                config = replace(FAST, purity_stop=value)
+            else:
+                config = replace(FAST, pso=replace(FAST.pso, **{name: value}))
+            return train_boosted(noisy_dataset(0), rounds=1, config=config)
+
+        if refused:
+            message = f"{name} must be a number, got {value!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                train()
+        else:
+            model = train()
+            assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
     def test_discard_and_retry(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger=boosting.__name__)
         ds = constant_dataset(

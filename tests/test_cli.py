@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -384,7 +383,7 @@ def _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, workers, folds=5):
 
 def test_cv_bytes_do_not_depend_on_the_workers(naval_csv, tmp_path, capsys, monkeypatch):
     """Three and five folds at one, two and three workers: five folds at two
-    workers are the runs 0-2 and 3-4, and a run trains its folds in turn."""
+    workers are 0, 2 and 4 here and 1 and 3 in a child."""
     for folds in (3, 5):
         alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1, folds)
         for workers in (2, 3):
@@ -392,8 +391,8 @@ def test_cv_bytes_do_not_depend_on_the_workers(naval_csv, tmp_path, capsys, monk
 
 
 def test_folds_of_a_failed_child_are_trained_here(naval_csv, tmp_path, capsys, monkeypatch):
-    """A child that fails before it sends leaves its run to this process,
-    which trains it after the runs before it and reports the same bytes."""
+    """A child that fails before it sends leaves its folds to this process,
+    which trains each in fold order and reports the same bytes."""
     alone = _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 1)
     parent, real_fold, trained = os.getpid(), cli._fold, []
 
@@ -405,7 +404,7 @@ def test_folds_of_a_failed_child_are_trained_here(naval_csv, tmp_path, capsys, m
 
     monkeypatch.setattr(cli, "_fold", stand_in)
     assert _cv_bytes(naval_csv, tmp_path, capsys, monkeypatch, 3) == alone
-    assert trained == [0, 1, 2, 3, 4]  # the runs 0-1, 2-3 and 4, in order
+    assert trained == [0, 1, 2, 3, 4]  # the children's 1, 4 and 2 too, in order
 
 
 def _placed(dataset, plan, fold, *args):
@@ -414,10 +413,9 @@ def _placed(dataset, plan, fold, *args):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_cv_deals_one_run_of_consecutive_folds_per_worker(monkeypatch, cpus):
-    """The folds come back in order, cut into one run per worker, at most
-    one worker per fold, with the longer runs first and this process
-    training the first run."""
+def test_cv_deals_its_folds_round_robin(monkeypatch, cpus):
+    """The folds come back in order, fold k trained by worker k mod W, at
+    most one worker per fold, with this process training fold 0."""
     monkeypatch.setattr(fanout, "_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_fold", _placed)
     dataset = generate_naval(NavalConfig(count_per_class=7, seed=0))
@@ -425,37 +423,36 @@ def test_cv_deals_one_run_of_consecutive_folds_per_worker(monkeypatch, cpus):
         entries, _ = cli.run_cross_validation(dataset, trees=1, config=cli.TreeConfig(),
                                               m_weight=100.0, folds=folds, seed=0)
         assert [entry["fold"] for entry in entries] == list(range(folds))
-        runs = [(pid, len(list(run)))
-                for pid, run in itertools.groupby(entry["pid"] for entry in entries)]
-        pids, sizes = zip(*runs)
-        assert len(set(pids)) == len(pids) == min(cpus, folds), runs
+        workers = min(cpus, folds)
+        pids = [entry["pid"] for entry in entries]
         assert pids[0] == os.getpid()
-        assert list(sizes) == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1, runs
+        assert len(set(pids)) == workers
+        assert pids == [pids[fold % workers] for fold in range(folds)], pids
 
 
 def test_a_fold_that_fails_here_raises_at_once(naval_csv, tmp_path, capsys, monkeypatch):
-    """Fold 1 fails in this process's run (folds 0-2) while the child's run
-    (folds 3-4) sleeps: the error is raised without waiting for the child,
-    which is killed, and no fold is trained twice."""
+    """Fold 2 fails in this process (folds 0, 2 and 4) while the child
+    (folds 1 and 3) sleeps on fold 3: the error is raised without waiting
+    for the child, which is killed, and no fold is trained twice."""
     monkeypatch.setattr(fanout, "_cpus", lambda: 2)
     parent, real_fold, log = os.getpid(), cli._fold, tmp_path / "trained"
 
     def stand_in(dataset, plan, fold, *args):
         with open(log, "a") as handle:
             handle.write(f"{fold}\n")
-        if os.getpid() != parent:
+        if os.getpid() != parent and fold == 3:
             time.sleep(60)
-        elif fold == 1:
-            raise cli.CliError("fold 1: failed here")
+        elif fold == 2:
+            raise cli.CliError("fold 2: failed here")
         return real_fold(dataset, plan, fold, *args)
 
     monkeypatch.setattr(cli, "_fold", stand_in)
     start = time.monotonic()
     assert main(["cv", "--data", naval_csv, "--folds", "5"] + TINY_FLAGS) == 1
     assert time.monotonic() - start < 30  # the sleeping child was not waited for
-    assert capsys.readouterr().err == "error: fold 1: failed here\n"
+    assert capsys.readouterr().err == "error: fold 2: failed here\n"
     trained = log.read_text().split()
-    assert {"0", "1"} <= set(trained) <= {"0", "1", "3"}
+    assert {"0", "1", "2"} <= set(trained) <= {"0", "1", "2", "3"}
     assert len(trained) == len(set(trained)), trained
 
 

@@ -1,5 +1,5 @@
 """Every name a module imports and never reads is one that the benchmark's
-tracer wraps."""
+tracer wraps, and no module imports or reads another's private names."""
 
 import ast
 import importlib.util
@@ -59,5 +59,51 @@ def test_unused_imports_are_the_tracers():
         if path.stem != "__init__"
         for name, kept in _unread_imports(path.read_text(encoding="utf-8")).items()
         if not (kept and (f"stlboost.{path.stem}", name) in patched)
+    }
+    assert flagged == set()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(source: str) -> set[str]:
+    """The ``_``-prefixed names (dunders aside) that ``source`` imports from
+    an stlboost module, or reads as an attribute of a name it imports from
+    one: ``from .pso import _space`` and ``fanout._cpus`` after ``from .
+    import fanout``."""
+    tree = ast.parse(source)
+    imported, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "stlboost"):
+            imported.update(alias.asname or alias.name for alias in node.names)
+            found.update(alias.name for alias in node.names if _private(alias.name))
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                            if alias.name.split(".")[0] == "stlboost")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.add(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module of the package that imports another's ``_`` name, or reads
+    one through an imported name, fails: each module's private names are
+    its own."""
+    source = ("from . import __version__, fanout\nfrom .pso import _space, checked_int\n"
+              "import stlboost.tree\nimport numpy as np\n"
+              "fanout._cpus()\nstlboost.tree._stop\nnp._x\nself._y\nchecked_int.__name__\n")
+    assert _private_reads(source) == {"_space", "fanout._cpus", "stlboost.tree._stop"}
+    package = Path(stlboost.__file__).parent
+    flagged = {
+        (path.stem, name)
+        for path in sorted(package.glob("*.py"))
+        for name in _private_reads(path.read_text(encoding="utf-8"))
     }
     assert flagged == set()

@@ -156,19 +156,21 @@ class TestOptimize:
             bad = PstlTemplate("G", ((1, GT), (1, LE)), ((2.0, 5.0), (-5.0, 1.0)), horizon=3)
             optimize(bad, lambda v: 0.0, PsoConfig())
 
-    def test_full_tie_keeps_the_first_particle(self):
+    @pytest.mark.parametrize("value, tie", [(0.5, 0.0), (-math.inf, -math.inf)])
+    def test_full_tie_keeps_the_first_particle(self, value, tie):
         # Equal values and equal tie values everywhere: the first particle of
-        # the initial swarm stays the incumbent, not the last one offered.
+        # the initial swarm stays the incumbent, not the last one offered,
+        # even where no row is larger than -inf.
         config = PsoConfig(swarm_size=6, iterations=3)
 
         def constant(t0, t1, thresholds):
-            return np.full(t0.shape, 0.5), np.zeros(t0.shape)
+            return np.full(t0.shape, value), np.full(t0.shape, tie)
 
-        [(valuation, value, tie_value)] = optimize_batch((BOUND,), constant, config, (9,))
+        [(valuation, found_value, tie_value)] = optimize_batch((BOUND,), constant, config, (9,))
         lb, ub = np.array([0.0, 0.0, -5.0]), np.array([10.0, 10.0, 5.0])
         first = lb + (ub - lb) * np.random.default_rng(9).random((config.swarm_size, 3))[0]
         assert valuation == project(BOUND, first)
-        assert (value, tie_value) == (0.5, 0.0)
+        assert (found_value, tie_value) == (value, tie)
 
     def test_minus_infinity_everywhere_still_returns_a_valuation(self):
         config = PsoConfig(swarm_size=4, iterations=2)
@@ -181,6 +183,39 @@ class TestOptimize:
     def test_nan_objective_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             optimize(BOUND, lambda v: math.nan, PsoConfig(swarm_size=4, iterations=2))
+
+    def test_nan_tie_value_rejected(self):
+        # A NaN tie value compares false against any other, so it would stick.
+        with pytest.raises(ValueError, match="NaN"):
+            optimize(BOUND, lambda v: 0.0, PsoConfig(swarm_size=4, iterations=2),
+                     tie_break=lambda v: math.nan)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_incumbent_is_every_row_offered_in_turn(self, seed):
+        # Coarse values and tie values, -inf included, tie often, and values
+        # rise every other iteration; each incumbent is what offering every
+        # row in particle order gives: the first row, then a strictly larger
+        # (value, tie value).
+        rng = np.random.default_rng(seed)
+        templates = (BOUND, PstlTemplate("G", ((2, GT),), ((0.0, 1.0),), horizon=3), BOUND)
+        seen = []
+
+        def objective(t0, t1, thresholds):
+            values = len(seen) // 2 + rng.choice([-np.inf, 0.0, 1.0], size=t0.shape)
+            ties = rng.choice([-np.inf, 0.0, 1.0], size=t0.shape)
+            seen.append((t0, t1, thresholds, values, ties))
+            return values, ties
+
+        found = optimize_batch(templates, objective, PsoConfig(swarm_size=5, iterations=8),
+                               (seed, seed + 1, seed + 2))
+        for m in range(len(templates)):
+            best = None
+            for t0, t1, thresholds, values, ties in seen:
+                for p in range(t0.shape[1]):
+                    value, tie = values[m, p], ties[m, p]
+                    if best is None or value > best[1] or value == best[1] and tie > best[2]:
+                        best = (Valuation(t0[m, p], t1[m, p], thresholds[m, p]), value, tie)
+            assert found[m] == best
 
 
 class TestRandomStream:

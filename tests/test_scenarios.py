@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,16 @@ def test_noise_is_bounded_below_the_float_range(config, generate):
         config(noise=MAX_NOISE * 1.5)
     dataset = generate(config(count_per_class=3, noise=MAX_NOISE, seed=1))
     assert np.all(np.isfinite(dataset.values))
+
+
+@pytest.mark.parametrize("name", ["count_per_class", "horizon", "seed"])
+@pytest.mark.parametrize("config", [NavalConfig, UrbanConfig])
+def test_config_counts_must_be_integers(config, name):
+    # A float horizon used to generate T = round(horizon), and a float
+    # count or seed failed only at generation time.
+    value = {"count_per_class": 2.5, "horizon": 160.5, "seed": 1.5}[name]
+    for bad in (value, True, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            config(**{name: bad})
+    value = {"count_per_class": 2, "horizon": 160, "seed": 1}[name]
+    assert type(getattr(config(**{name: np.int64(value)}), name)) is int
