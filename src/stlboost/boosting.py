@@ -105,17 +105,20 @@ def train_boosted(
     the sample weights stay unchanged (the exponential update is a no-op
     modulo normalization there).  ``rounds`` is an integer in [1,
     MAX_ROUNDS], ``max_retries`` one in [0, MAX_RETRIES] and ``m_weight`` a
-    positive finite number.
+    positive finite number, and ``seed`` a non-negative integer.
     """
     rounds = checked_int("rounds", rounds)
     max_retries = checked_int("max_retries", max_retries)
     m_weight = checked_float("m_weight", m_weight)
+    seed = checked_int("seed", seed)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"round count must be in [1, {MAX_ROUNDS}]")
     if not 0 <= max_retries <= MAX_RETRIES:
         raise ValueError(f"retry count must be in [0, {MAX_RETRIES}]")
     if not 0 < m_weight < math.inf:
         raise ValueError("m_weight must be positive and finite")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     config = config or TreeConfig()

@@ -234,18 +234,19 @@ def range_table(series: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
     series`` over a (N, T+1) series, for window queries in O(1).  ``sign``
     is +1 or -1: the maximum of x is exactly minus the minimum of -x.
 
-    ``out`` has shape (levels, N, T+1) with ``levels = (T+1).bit_length()``.
-    Level ``j`` holds the minimum over samples [t, t + 2**j) at column ``t``;
-    only columns ``t <= T + 1 - 2**j`` are filled.  The series is negated
-    into level 0, so no other series-sized array is allocated.
+    ``out`` has shape (levels, T+1, N) with ``levels = (T+1).bit_length()``:
+    time-major, so one query reads one contiguous row of N floats.  Level
+    ``j`` holds the minimum over samples [t, t + 2**j) in row ``t``; only
+    rows ``t <= T + 1 - 2**j`` are filled.  The series is negated into level
+    0, so no other series-sized array is allocated.
     """
     width = series.shape[1]
-    np.multiply(series, sign, out=out[0])
+    np.multiply(series.T, sign, out=out[0])
     for level in range(1, out.shape[0]):
         half = 1 << (level - 1)
         filled = width - 2 * half + 1
-        np.minimum(out[level - 1, :, :filled], out[level - 1, :, half : half + filled],
-                   out=out[level, :, :filled])
+        np.minimum(out[level - 1, :filled], out[level - 1, half : half + filled],
+                   out=out[level, :filled])
     return out
 
 
@@ -255,8 +256,8 @@ def range_query(
     """Window minima of N series over the inclusive windows [lo, hi], read
     from table ``which`` of stacked range tables.
 
-    ``tables`` holds tables from :func:`range_table`, shape (Q, levels, N,
-    T+1).  ``which``, ``lo`` and ``hi`` broadcast to one shape S; returns
+    ``tables`` holds tables from :func:`range_table`, shape (Q, levels, T+1,
+    N).  ``which``, ``lo`` and ``hi`` broadcast to one shape S; returns
     shape S + (N,).  The two power-of-two halves overlap, which a minimum
     does not mind, so the result is exactly the minimum over the window up
     to the sign of a zero, which :func:`face_rho` drops.
@@ -264,7 +265,7 @@ def range_query(
     powers = 1 << np.arange(tables.shape[1])
     level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
     late = hi - powers[level] + 1
-    return np.minimum(tables[which, level, :, lo], tables[which, level, :, late])
+    return np.minimum(tables[which, level, lo], tables[which, level, late])
 
 
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:

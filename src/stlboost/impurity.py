@@ -54,8 +54,11 @@ def gains_from_robustness(
     ``p`` per sample; its satisfied side is ``rho >= 0``.  ``labels`` and
     ``weights`` are the (N,) samples every row scores.  A degenerate row
     (see :func:`_masses`) has gain 0: such a split carries no margin
-    information.  Every entry is bit-identical to scoring its row alone, as
-    each mass is summed by :func:`_side_sums`.
+    information.  Every entry is bit-identical to scoring its row alone:
+    each mass has the bits of the 1-D sum of that row's picks.  The total
+    and positive masses pick the same columns in every row and are plain
+    row sums of C-contiguous matrices; the four side masses pick per row
+    and go through :func:`_side_sums`.
     """
     rho = np.asarray(rho, dtype=float)
     labels = np.asarray(labels)
@@ -64,14 +67,16 @@ def gains_from_robustness(
         zeros = np.zeros(rho.shape[0])
         return PartitionScores(zeros, zeros)
     mags, degenerate = _masses(rho, weights)
-    every = np.ones(rho.shape, dtype=bool)
-    pos = every & (labels == POS_LABEL)
+    pos = labels == POS_LABEL
+    total = mags.sum(axis=1)
+    # compress, unlike mags[:, pos], lays the picks out row-major, so each
+    # row is summed as its own 1-D array.
+    pos_mass = mags.compress(pos, axis=1).sum(axis=1)
     top = rho >= 0
     bot = ~top
-    sides = [every, pos, top, bot, top & pos, bot & pos]
-    total, pos_mass, top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
-        mags, np.concatenate(sides)
-    ).reshape(6, -1)
+    top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
+        mags, np.concatenate([top, bot, top & pos, bot & pos])
+    ).reshape(4, -1)
     p_top = top_mass / total
     p_bot = bot_mass / total
     p_pos = pos_mass / total

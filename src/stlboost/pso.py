@@ -56,10 +56,15 @@ def checked_int(name: str, value) -> int:
 
 def checked_float(name: str, value) -> float:
     """``value`` as a Python float, so a model file can hold it; raises
-    ValueError naming ``name`` unless it is a real number (a bool is not one)."""
+    ValueError naming ``name`` unless it is a real number (a bool is not one)
+    within the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # No repr: an int past 4300 digits raises ValueError from str().
+        raise ValueError(f"{name} is beyond the float range") from None
 
 
 @dataclass(frozen=True)

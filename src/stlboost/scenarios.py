@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL
-from .pso import checked_int
+from .pso import checked_float, checked_int
 
 
 MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats
@@ -57,6 +57,7 @@ def _check_config(config, dimension: int, min_horizon: int, geometry: str) -> No
     if size > MAX_VALUES:
         raise ValueError(f"{2 * config.count_per_class} signals of {dimension} x "
                          f"{config.horizon + 1} values exceed the {MAX_VALUES} value limit")
+    object.__setattr__(config, "noise", checked_float("noise", config.noise))
     if not 0 <= config.noise <= MAX_NOISE:
         raise ValueError(f"noise must be in [0, {MAX_NOISE:g}], got {config.noise!r}")
     if config.seed < 0:

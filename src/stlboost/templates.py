@@ -271,7 +271,7 @@ def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) ->
 
     distinct = list(dict.fromkeys(key for ks in keys for key in ks))
     width = values.shape[2]
-    tables = np.empty((len(distinct), width.bit_length(), values.shape[0], width))
+    tables = np.empty((len(distinct), width.bit_length(), width, values.shape[0]))
     for (var, sign), table in zip(distinct, tables):
         range_table(values[:, var - 1, :], sign, out=table)
     # Per template and face slot: the table and its sign; per template, the shape.

@@ -233,7 +233,8 @@ def test_side_sums_match_naive_side_sums(seed):
     weights[0] = 1.0  # not all zero
     labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
     mags, _ = _masses(rho, weights)
-    # The six masks of a call, over every sample or over a random part.
+    # A call's four side masks, and the every-sample and positive masks it
+    # sums as plain rows, over every sample or over a random part.
     valid = np.ones(rho.shape, dtype=bool)
     if rng.random() < 0.5:
         valid = rng.random(size=rho.shape) < rng.random()
@@ -258,6 +259,45 @@ def test_reduceat_segment_after_a_zero_is_the_1d_sum():
     starts = np.cumsum([0] + [len(values) + 1 for values in segments[:-1]])
     want = np.array([np.add.reduce(values) for values in segments])
     assert np.add.reduceat(flat, starts).tobytes() == want.tobytes()
+
+
+def test_row_sums_are_the_1d_sums():
+    """``gains_from_robustness`` sums its total and positive masses as rows of
+    C-contiguous matrices, and relies on numpy summing each such row exactly
+    as ``np.add.reduce`` sums it alone, which is what ``_side_sums`` gives
+    under a mask that picks every sample.  ``compress`` must lay its picks
+    out row-major for the positive masses to keep those bits."""
+    rng = np.random.default_rng(1)
+    for length in range(301):
+        mags = rng.choice(SUM_GRID, size=(3, length))
+        want = np.array([np.add.reduce(row) for row in mags])
+        assert mags.sum(axis=1).tobytes() == want.tobytes()
+        assert _side_sums(mags, np.ones(mags.shape, dtype=bool)).tobytes() == want.tobytes()
+        pick = rng.random(length) < 0.5
+        picked = mags.compress(pick, axis=1)
+        assert picked.flags.c_contiguous
+        want = np.array([np.add.reduce(row[pick]) for row in mags])
+        assert picked.sum(axis=1).tobytes() == want.tobytes()
+
+
+def test_batch_robustness_tables_hold_their_budgeted_bytes(monkeypatch):
+    # The budget counts table_bytes per table, so that must be what a table
+    # holds, laid out time-major: (levels, T+1, N).
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=(5, 2, 9))
+    templates = tuple(_random_template(rng, 2, 8, count=1, shape="G") for _ in range(4))
+    tables, real_table = [], templates_module.range_table
+
+    def recording_table(series, sign, out):
+        tables.append(out)
+        return real_table(series, sign, out)
+
+    monkeypatch.setattr(templates_module, "range_table", recording_table)
+    batch_robustness(templates, values)
+    assert tables
+    for table in tables:
+        assert table.nbytes == templates_module.table_bytes(5, 9)
+        assert table.shape == (4, 9, 5)
 
 
 def _gain_objective(templates, values, labels, weights, path_rho):

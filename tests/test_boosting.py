@@ -179,6 +179,9 @@ class TestTraining:
         ("max_retries", False, True),
         ("max_retries", np.int64(0), False),
         ("swarm_size", np.int64(4), False),
+        ("seed", 1.5, True),
+        ("seed", True, True),
+        ("seed", np.int64(2), False),
     ])
     def test_counts_must_be_integers(self, name, value, refused):
         # A float depth used to train a model that model_from_dict refused,
@@ -234,6 +237,23 @@ class TestTraining:
         else:
             model = train()
             assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
+    @pytest.mark.parametrize("name", ["m_weight", "purity_stop", "inertia", "cognitive", "social"])
+    @pytest.mark.parametrize("value", [10**400, 10**5000], ids=["401-digits", "5001-digits"])
+    def test_float_settings_beyond_the_float_range(self, name, value):
+        # An int past the float range used to raise OverflowError from float().
+        with pytest.raises(ValueError, match=f"^{name} is beyond the float range$"):
+            if name == "m_weight":
+                train_boosted(noisy_dataset(0), rounds=1, config=FAST, m_weight=value)
+            elif name == "purity_stop":
+                TreeConfig(purity_stop=value)
+            else:
+                PsoConfig(**{name: value})
+
+    def test_negative_seed_is_refused(self):
+        # It used to reach numpy's SeedSequence, whose error names no setting.
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            train_boosted(noisy_dataset(0), rounds=1, config=FAST, seed=-1)
 
     def test_discard_and_retry(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger=boosting.__name__)

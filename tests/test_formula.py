@@ -274,6 +274,21 @@ def test_batch_matches_single(pair):
         assert math.isclose(float(batch[0]), single, rel_tol=0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("signals", [1, 3])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])  # around the level edges
+def test_range_query_is_the_window_minimum(signals, width):
+    rng = np.random.default_rng(width)
+    series = rng.choice([-2.0, -0.5, 0.0, 1.0, 3.5], size=(signals, width))
+    lo, hi = np.triu_indices(width)  # every window [lo, hi]
+    for sign in (1, -1):
+        table = np.empty((width.bit_length(), width, signals))
+        formula.range_table(series, sign, out=table)
+        got = formula.range_query(table[np.newaxis], np.zeros_like(lo), lo, hi)
+        want = np.array([(sign * series[:, a : b + 1]).min(axis=1) for a, b in zip(lo, hi)])
+        assert got.shape == (len(lo), signals)
+        assert np.array_equal(got, want)
+
+
 def test_batch_shapes_and_order():
     rng = random.Random(11)
     signals = [random_signal(rng, 2, 6) for _ in range(5)]

@@ -175,3 +175,12 @@ def test_config_counts_must_be_integers(config, name):
             config(**{name: bad})
     value = {"count_per_class": 2, "horizon": 160, "seed": 1}[name]
     assert type(getattr(config(**{name: np.int64(value)}), name)) is int
+
+
+@pytest.mark.parametrize("config", [NavalConfig, UrbanConfig])
+def test_config_noise_must_be_a_number(config):
+    # A bool noise used to pass the range check as 0 or 1.
+    for bad in (True, "1.0", None):
+        with pytest.raises(ValueError, match=re.escape(f"noise must be a number, got {bad!r}")):
+            config(noise=bad)
+    assert type(config(noise=np.float32(0.5)).noise) is float
