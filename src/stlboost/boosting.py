@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights, whole_file
-from .formula import And, Formula, Signal, extent, operator_count
+from .formula import And, Formula, Signal, checked_float, checked_int, extent, operator_count
 from .grammar import format_formula, parse_formula
-from .pso import VELOCITY_CLAMP, PsoConfig, checked_float, checked_int
+from .pso import VELOCITY_CLAMP, PsoConfig
 from . import tree
 from .tree import (
     MAX_DEPTH,

@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fanout import fan_out, worker_count
-from .formula import Formula, Signal, robustness_all
+from .formula import Formula, Signal, checked_int, robustness_all
 
 POS_LABEL = 1
 NEG_LABEL = -1
@@ -605,10 +605,15 @@ def stratified_folds(dataset: LabeledDataset, fold_count: int, seed: int = 0) ->
     """Deal samples into ``fold_count`` folds, stratified by class.
 
     Fold sizes differ by at most one overall and per class; deterministic
-    for a given seed.
+    for a given seed.  ``fold_count`` and ``seed`` are integers
+    (:func:`~stlboost.formula.checked_int`), and ``seed`` is non-negative.
     """
+    fold_count = checked_int("fold_count", fold_count)
+    seed = checked_int("seed", seed)
     if fold_count < 2:
         raise ValueError("fold count must be at least 2")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     counts = dataset.class_counts()
     for label, count in counts.items():
         if count < fold_count:

@@ -13,6 +13,7 @@ from range tables of window minima (:func:`range_table`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,28 @@ class VariableOutOfRangeError(IndexError):
 class UnvaluedParameterError(TypeError):
     """Raised when semantics are requested for something that is not a
     concrete formula (e.g. a parametric template with free parameters)."""
+
+
+def checked_int(name: str, value) -> int:
+    """``value`` as a Python int, so a model file can hold it; raises
+    ValueError naming ``name`` unless it is a Python or numpy integer (a
+    bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def checked_float(name: str, value) -> float:
+    """``value`` as a Python float, so a model file can hold it; raises
+    ValueError naming ``name`` unless it is a real number (a bool is not one)
+    within the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        # No repr: an int past 4300 digits raises ValueError from str().
+        raise ValueError(f"{name} is beyond the float range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +93,8 @@ class Conjunct:
     threshold: float
 
     def __post_init__(self):
-        if not isinstance(self.var, int) or self.var < 1:
+        object.__setattr__(self, "var", checked_int("var", self.var))
+        if self.var < 1:
             raise ValueError("variable index must be a positive integer")
         if self.op not in (GT, LE):
             raise ValueError(f"comparator must be {GT!r} or {LE!r}")
@@ -160,11 +184,13 @@ class Or(Formula):
             raise ValueError("disjunction needs at least one child")
 
 
-def _check_interval(start, end):
-    if not isinstance(start, int) or not isinstance(end, int):
-        raise ValueError("interval bounds must be integers")
-    if start < 0 or start > end:
-        raise ValueError(f"invalid temporal interval [{start},{end}]")
+def _check_interval(operator: Formula):
+    """Store ``operator``'s bounds as Python ints, checked by
+    :func:`checked_int`, and check that they form a window."""
+    for name in ("start", "end"):
+        object.__setattr__(operator, name, checked_int(name, getattr(operator, name)))
+    if operator.start < 0 or operator.start > operator.end:
+        raise ValueError(f"invalid temporal interval [{operator.start},{operator.end}]")
 
 
 @dataclass(frozen=True)
@@ -174,7 +200,7 @@ class Always(Formula):
     child: Formula
 
     def __post_init__(self):
-        _check_interval(self.start, self.end)
+        _check_interval(self)
 
 
 @dataclass(frozen=True)
@@ -184,7 +210,7 @@ class Eventually(Formula):
     child: Formula
 
     def __post_init__(self):
-        _check_interval(self.start, self.end)
+        _check_interval(self)
 
 
 def robustness(phi: Formula, signal: Signal, t: int = 0) -> float:
@@ -275,14 +301,20 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
     implementation of the semantics; :func:`robustness` is its batch of one.
     The horizon and the variable count are checked once, up front, from
     :func:`extent`: it raises OutOfHorizonError when ``t`` is not an integer
-    or ``phi`` read at ``t`` reaches a timepoint outside [0, T],
+    (by :func:`checked_int`'s rule, so a numpy integer is one and a bool is
+    not) or ``phi`` read at ``t`` reaches a timepoint outside [0, T],
     VariableOutOfRangeError when ``phi`` reads a variable past n, and
     UnvaluedParameterError when ``phi`` is not a concrete formula.
     """
     values = np.asarray(values, dtype=float)
     horizon = values.shape[2] - 1
     var, last = extent(phi)
-    if not isinstance(t, int) or t < 0 or t + last > horizon:
+    try:
+        t = checked_int("evaluation time", t)
+        fits = 0 <= t and t + last <= horizon
+    except ValueError:
+        fits = False
+    if not fits:
         raise OutOfHorizonError(
             f"evaluation time {t!r} plus the formula's reach {last} is outside [0, {horizon}]"
         )

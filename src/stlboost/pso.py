@@ -13,58 +13,49 @@ M swarms at once.  Its objective receives the projected swarms as
 float thresholds; row ``[m, p]`` is particle ``p`` of template ``m``) and
 returns ``(values[M, P], tie_values[M, P])``.  The swarms share one
 :class:`PsoConfig`, and each draws from its own generator, seeded by the
-caller, with one ``Generator.random`` call for the start and one per
-iteration; it is otherwise independent, so a template's result is the same
-in any batch as searched alone.  Candidates are offered to each template's
-incumbent in particle order: the first is taken, then a strictly larger
-value wins, and an equal value only with a strictly larger tie value; a NaN
-value or tie value raises ValueError.  :func:`optimize` adapts a per-valuation
-objective and tie-break to that contract.  The returned value, ``-inf``
-included, is the one computed for the returned (already projected) valuation.
+caller, with one ``Generator.random`` call for the start and one per block
+of iterations, which holds the doubles that one call per iteration would
+draw, in the same order; a swarm is otherwise independent, so a template's
+result is the same in any batch as searched alone.  Each template's result
+is the earliest row offered, in iteration then particle order, with the
+largest (value, tie value): offered in turn, the first row is taken, then a
+strictly larger value wins, and an equal value only with a strictly larger
+tie value.  A NaN value or tie value raises ValueError.  :func:`optimize`
+adapts a per-valuation objective and tie-break to that contract.  The
+returned value, ``-inf`` included, is the one computed for the returned
+(already projected) valuation.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .formula import GT, LE
-from .templates import MAX_ACCELERATION, VELOCITY_CLAMP, PstlTemplate, Valuation
+from .formula import GT, LE, checked_float, checked_int
+from .templates import (
+    MAX_ACCELERATION,
+    TABLE_BUDGET_BYTES,
+    VELOCITY_CLAMP,
+    PstlTemplate,
+    Valuation,
+)
 
 Objective = Callable[[Valuation], float]
 BatchObjective = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 MAX_SWARM_SIZE = 1024
 MAX_ITERATIONS = 10_000
+# The most bytes a search's block of iterations holds in random doubles and
+# rows offered together, unless one iteration's are larger: a sixteenth of
+# the range tables a lockstep batch may hold, so a block stays small beside
+# them.
+BLOCK_BYTES = TABLE_BUDGET_BYTES // 16
 
 
 class EmptyParameterSpaceError(ValueError):
     """The template admits no feasible valuation."""
-
-
-def checked_int(name: str, value) -> int:
-    """``value`` as a Python int, so a model file can hold it; raises
-    ValueError naming ``name`` unless it is a Python or numpy integer (a
-    bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def checked_float(name: str, value) -> float:
-    """``value`` as a Python float, so a model file can hold it; raises
-    ValueError naming ``name`` unless it is a real number (a bool is not one)
-    within the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        # No repr: an int past 4300 digits raises ValueError from str().
-        raise ValueError(f"{name} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -125,11 +116,14 @@ def _project_all(
     that :func:`_space` builds.
 
     Returns ``(t0[M, P], t1[M, P], thresholds[M, P, k])``.  Rounding is half
-    to even, as Python's ``round``.
+    to even, as Python's ``round``.  The window bounds are integers, so
+    rounding a clipped time gives the integer that clipping a rounded one
+    does, and one clip serves every coordinate.
     """
-    times = np.clip(np.rint(positions[..., :2]), lb[..., :2], ub[..., :2]).astype(np.intp)
-    t0, t1 = times.min(axis=2), times.max(axis=2)
-    thresholds = np.clip(positions[..., 2:], lb[..., 2:], ub[..., 2:])
+    clipped = positions.clip(lb, ub)
+    times = np.rint(clipped[..., :2]).astype(np.intp)
+    t0, t1 = np.minimum(times[..., 0], times[..., 1]), np.maximum(times[..., 0], times[..., 1])
+    thresholds = clipped[..., 2:]
     for m, faces in enumerate(pairs):
         for gi, li in faces:
             lower, upper = thresholds[m, :, gi], thresholds[m, :, li]
@@ -144,6 +138,20 @@ def _project_all(
     return t0, t1, thresholds
 
 
+def _block_iterations(iteration_bytes: int, iterations: int) -> int:
+    """How many of ``iterations`` iterations, each of ``iteration_bytes``
+    bytes, one block of BLOCK_BYTES holds, and at least one."""
+    return max(1, min(iterations, BLOCK_BYTES // iteration_bytes))
+
+
+def _first_largest(values: np.ndarray, tie_values: np.ndarray) -> np.ndarray:
+    """Per row of ``values, tie_values[M, R]``, the first column with the
+    largest (value, tie value)."""
+    top = values == values.max(axis=1, keepdims=True)
+    top_ties = np.where(top, tie_values, -np.inf)
+    return np.argmax(top & (top_ties == top_ties.max(axis=1, keepdims=True)), axis=1)
+
+
 def optimize_batch(
     templates: Sequence[PstlTemplate],
     objective: BatchObjective,
@@ -155,13 +163,20 @@ def optimize_batch(
 
     The templates share their parameter count, and each swarm draws from a
     generator seeded by its entry of ``seeds``.  Returns, per template, the
-    best valuation with its value and tie value.  A template's result depends
-    only on its template, seed, the config and its objective rows, so it is
-    the same in any batch as searched alone.  The best value seen is
-    non-decreasing over iterations; a NaN value or tie value raises ValueError.
-    One eighth of each swarm re-samples its position uniformly every
-    iteration; projected objectives are piecewise constant, and without that
-    exploration the swarm can stall on the first plateau it reaches.
+    best valuation with its value and tie value: the earliest row offered,
+    in iteration then particle order, with the largest (value, tie value).
+    A template's result depends only on its template, seed, the config and
+    its objective rows, so it is the same in any batch as searched alone.
+    The best value seen is non-decreasing over iterations; a NaN value or
+    tie value raises ValueError.  One eighth of each swarm re-samples its
+    position uniformly every iteration; projected objectives are piecewise
+    constant, and without that exploration the swarm can stall on the first
+    plateau it reaches.
+
+    Random doubles are drawn, and the rows offered recorded, in blocks of
+    iterations that hold at most BLOCK_BYTES together; the incumbents are
+    picked once per block, and the iteration loop only moves the swarms and
+    scores them.
     """
     templates = tuple(templates)
     seeds = tuple(seeds)
@@ -175,60 +190,99 @@ def optimize_batch(
         raise EmptyParameterSpaceError("no room for a lower face strictly below the upper face")
     span = ub - lb
     vmax = VELOCITY_CLAMP * np.where(span > 0, span, 1.0)
+    vmin = -vmax
+    count, dims = lb.shape[0], lb.shape[2]
     swarm = config.swarm_size
     scouts = max(1, swarm // 8)
+    drawn = 2 * swarm + scouts
     # Each swarm draws from its own generator: a block of unit doubles for the
-    # start, then per iteration one block holding r_cog, r_soc and the scouts,
-    # in that order.  Positions scale a unit draw as lb + span * u, the bits
+    # start, then per block of iterations one block holding, per iteration,
+    # r_cog, r_soc and the scouts, in that order.  PCG64 makes one double per
+    # output and buffers none, so these are the doubles of one call per
+    # iteration.  Positions scale a unit draw as lb + span * u, the bits
     # Generator.uniform(lb, ub) computes from the same doubles; PstlTemplate
-    # keeps every span finite, where uniform would raise OverflowError.
+    # keeps every span finite, where uniform would raise OverflowError.  Each
+    # block is scaled in place: cognitive * r_cog, social * r_soc, and the
+    # scouts' positions.
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    dims = lb.shape[2]
+    # Each block of iterations also records every row offered, in iteration
+    # then particle order, after column 0, which holds the incumbent of the
+    # iterations before: the first column with the largest (value, tie value)
+    # is then the incumbent that offering every row in turn gives, where the
+    # first row is taken and a later one only if it is strictly larger.
+    iteration_bytes = count * (drawn * dims + swarm * (dims + 2)) * np.dtype(float).itemsize
+    block = _block_iterations(iteration_bytes, config.iterations)
+    draws = np.empty((count, block, drawn, dims))
+    columns = 1 + block * swarm
+    seen_t0, seen_t1 = np.empty((2, count, columns), np.intp)
+    seen_thresholds = np.empty((count, columns, dims - 2))
+    seen_values, seen_ties = np.empty((2, count, columns))
+    seen = (seen_t0, seen_t1, seen_thresholds, seen_values, seen_ties)
+    which = np.arange(count)
 
     positions = lb + span * np.stack([rng.random((swarm, dims)) for rng in rngs])
     velocities = np.zeros_like(positions)
+    step = np.empty_like(positions)
     particle_best_pos = positions.copy()
-    particle_best_val = np.full((len(templates), swarm), -np.inf)
-    which = np.arange(len(templates))
-    best_t0, best_t1 = np.zeros((2, len(templates)), np.intp)
-    best_thresholds = np.zeros((len(templates), dims - 2))
-    best_value, best_tie = np.full((2, len(templates)), -np.inf)
+    particle_best_val = np.full((count, swarm), -np.inf)
+    flat_best_pos = particle_best_pos.reshape(-1, dims)  # a view: one row per particle
+    firsts = which * swarm
 
-    for iteration in range(config.iterations + 1):
-        if iteration:
-            draws = np.stack([rng.random((2 * swarm + scouts, dims)) for rng in rngs])
-            r_cog, r_soc, scout = draws[:, :swarm], draws[:, swarm:-scouts], draws[:, -scouts:]
-            leaders = np.argmax(particle_best_val, axis=1)
-            best_raw = particle_best_pos[which, leaders][:, np.newaxis]
-            velocities = (
-                config.inertia * velocities
-                + config.cognitive * r_cog * (particle_best_pos - positions)
-                + config.social * r_soc * (best_raw - positions)
-            )
-            np.clip(velocities, -vmax, vmax, out=velocities)
-            positions = np.clip(positions + velocities, lb, ub)
-            positions[:, -scouts:] = lb + span * scout
-            velocities[:, -scouts:] = 0.0
+    def offer(offered: slice) -> None:
+        """Score the swarms, record their rows in ``offered`` columns and
+        update the particle bests."""
         t0, t1, thresholds = _project_all(positions, lb, ub, pairs)
         values, tie_values = objective(t0, t1, thresholds)
-        if np.isnan(values).any() or np.isnan(tie_values).any():
-            raise ValueError("the objective returned NaN")
+        for record, rows in zip(seen, (t0, t1, thresholds, values, tie_values)):
+            record[:, offered] = rows
+        # A NaN value is never larger, so it never enters a particle best.
         improved = values > particle_best_val
-        particle_best_val[improved] = values[improved]
-        particle_best_pos[improved] = positions[improved]
-        # Each swarm's first row with the largest (value, tie value) replaces
-        # its incumbent if it is strictly larger; the first iteration's does.
-        top = values == values.max(axis=1, keepdims=True)
-        top_ties = np.where(top, tie_values, -np.inf)
-        row = np.argmax(top & (top_ties == top_ties.max(axis=1, keepdims=True)), axis=1)
-        value, tie = values[which, row], tie_values[which, row]
-        take = (value > best_value) | (value == best_value) & (tie > best_tie) | (iteration == 0)
-        best_t0[take], best_t1[take] = t0[which, row][take], t1[which, row][take]
-        best_thresholds[take] = thresholds[which, row][take]
-        best_value[take], best_tie[take] = value[take], tie[take]
+        np.copyto(particle_best_val, values, where=improved)
+        np.copyto(particle_best_pos, positions, where=improved[..., np.newaxis])
 
-    rows = zip(best_t0.tolist(), best_t1.tolist(), best_thresholds.tolist(),
-               best_value.tolist(), best_tie.tolist())
+    def fold(stop: int) -> None:
+        """Move the first largest of columns ``[0, stop)`` into column 0."""
+        values_seen, ties_seen = seen_values[:, :stop], seen_ties[:, :stop]
+        if np.isnan(values_seen).any() or np.isnan(ties_seen).any():
+            raise ValueError("the objective returned NaN")
+        column = _first_largest(values_seen, ties_seen)
+        for record in seen:
+            record[:, 0] = record[which, column]
+
+    # The start's rows fill columns 0 to P - 1, so its first largest row
+    # becomes the incumbent; each block's rows follow column 0.
+    offer(slice(0, swarm))
+    fold(swarm)
+    for first in range(1, config.iterations + 1, block):
+        size = min(block, config.iterations + 1 - first)
+        for rng, out in zip(rngs, draws[:, :size]):
+            rng.random(out.shape, out=out)
+        draws[:, :size, :swarm] *= config.cognitive
+        draws[:, :size, swarm:-scouts] *= config.social
+        scout = draws[:, :size, -scouts:]
+        scout *= span[:, np.newaxis]
+        scout += lb[:, np.newaxis]
+        for k in range(size):
+            # inertia * v + c1 * r_cog * (pbest - x) + c2 * r_soc * (gbest - x),
+            # each product and sum the same one on the same operands.
+            velocities *= config.inertia
+            np.subtract(particle_best_pos, positions, out=step)
+            step *= draws[:, k, :swarm]
+            velocities += step
+            leaders = flat_best_pos.take(particle_best_val.argmax(axis=1) + firsts, axis=0)
+            np.subtract(leaders[:, np.newaxis], positions, out=step)
+            step *= draws[:, k, swarm:-scouts]
+            velocities += step
+            velocities.clip(vmin, vmax, out=velocities)
+            positions += velocities
+            positions.clip(lb, ub, out=positions)
+            positions[:, -scouts:] = draws[:, k, -scouts:]
+            velocities[:, -scouts:] = 0.0
+            offer(slice(1 + k * swarm, 1 + (k + 1) * swarm))
+        fold(1 + size * swarm)
+
+    rows = zip(seen_t0[:, 0].tolist(), seen_t1[:, 0].tolist(), seen_thresholds[:, 0].tolist(),
+               seen_values[:, 0].tolist(), seen_ties[:, 0].tolist())
     return [(Valuation(a, b, cuts), value, tie) for a, b, cuts, value, tie in rows]
 
 

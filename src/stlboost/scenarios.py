@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL
-from .pso import checked_float, checked_int
+from .formula import checked_float, checked_int
 
 
 MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats

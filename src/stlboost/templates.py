@@ -28,6 +28,7 @@ from .formula import (
     Formula,
     Predicate,
     box_window_rho,
+    checked_int,
     face_rho,
     range_query,
     range_table,
@@ -56,8 +57,8 @@ class Valuation:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "t_start", int(self.t_start))
-        object.__setattr__(self, "t_end", int(self.t_end))
+        object.__setattr__(self, "t_start", checked_int("t_start", self.t_start))
+        object.__setattr__(self, "t_end", checked_int("t_end", self.t_end))
         object.__setattr__(self, "thresholds", tuple(float(v) for v in self.thresholds))
         if self.t_start < 0 or self.t_start > self.t_end:
             raise ValueError(f"invalid window [{self.t_start},{self.t_end}]")
@@ -79,7 +80,7 @@ class PstlTemplate:
     def __post_init__(self):
         if self.shape not in (ALWAYS, EVENTUALLY):
             raise ValueError(f"shape must be {ALWAYS!r} or {EVENTUALLY!r}")
-        slots = tuple((int(v), op) for v, op in self.slots)
+        slots = tuple((checked_int("slot variable", v), op) for v, op in self.slots)
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ValueError("template needs at least one free face")
@@ -103,8 +104,10 @@ class PstlTemplate:
                         f"the values of x{var} span too wide a range to search for a "
                         f"threshold: [{lo!r}, {hi!r}]"
                     )
-        if self.horizon is not None and self.horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", checked_int("horizon", self.horizon))
+            if self.horizon < 0:
+                raise ValueError("horizon must be non-negative")
 
     @property
     def is_bound(self) -> bool:

@@ -35,6 +35,8 @@ from .formula import (
     Predicate,
     Signal,
     TRUE,
+    checked_float,
+    checked_int,
     robustness_all,
 )
 from .impurity import best_leaf_label, gains_from_robustness
@@ -50,7 +52,7 @@ from .impurity import (  # noqa: F401
     partition,
     robustness_margin,
 )
-from .pso import PsoConfig, checked_float, checked_int, optimize, optimize_batch  # noqa: F401
+from .pso import PsoConfig, optimize, optimize_batch  # noqa: F401
 from .templates import (
     ALWAYS,
     EVENTUALLY,
@@ -208,7 +210,8 @@ def _batch_objective(
         values, margins = np.empty(t0.shape), np.empty(t0.shape)
         for start in range(0, t0.shape[1], step):
             part = slice(start, start + step)
-            rho = np.minimum(path_rho, batch_rho(t0[:, part], t1[:, part], thresholds[:, part]))
+            rho = batch_rho(t0[:, part], t1[:, part], thresholds[:, part])
+            np.minimum(path_rho, rho, out=rho)
             scores = gains_from_robustness(rho.reshape(-1, rho.shape[-1]), dataset.labels, weights)
             values[:, part] = scores.gain.reshape(rho.shape[:2])
             margins[:, part] = scores.margin.reshape(rho.shape[:2])

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -184,6 +185,19 @@ class TestFolds:
             members = plan.test_indices(fold)
             assert len(members) == 2
             assert sorted(ds.labels[members]) == [NEG_LABEL, POS_LABEL]
+
+    def test_counts_and_seed_are_checked(self):
+        ds = constant_dataset(range(12), [POS_LABEL] * 6 + [NEG_LABEL] * 6)
+        for kwargs, message in (
+            ({"fold_count": 2.5}, "fold_count must be an integer, got 2.5"),
+            ({"fold_count": True}, "fold_count must be an integer, got True"),
+            ({"fold_count": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"fold_count": 3, "seed": -1}, "seed must be non-negative, got -1"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                stratified_folds(ds, **kwargs)
+        plan = stratified_folds(ds, np.int64(3), seed=np.uint32(4))
+        assert plan.assignment.tolist() == stratified_folds(ds, 3, seed=4).assignment.tolist()
 
     def test_deterministic(self):
         ds = constant_dataset(range(20), [POS_LABEL] * 10 + [NEG_LABEL] * 10)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from stlboost import (
     Not,
     Or,
     OutOfHorizonError,
+    Predicate,
     PstlTemplate,
     Signal,
     TRUE,
     UnvaluedParameterError,
     VariableOutOfRangeError,
+    format_formula,
     operator_count,
     robustness,
     robustness_all,
@@ -87,6 +90,16 @@ class TestErrors:
     def test_non_integer_time(self):
         with pytest.raises(OutOfHorizonError):
             robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=1.0)
+        with pytest.raises(OutOfHorizonError):
+            robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=True)
+
+    def test_numpy_integer_time(self):
+        phi = Always(0, 2, pred(1, GT, 0.5))
+        values = np.arange(10.0).reshape(2, 1, 5)
+        at = robustness_all(phi, values, np.int64(1))
+        assert at.tobytes() == robustness_all(phi, values, 1).tobytes()
+        with pytest.raises(OutOfHorizonError, match="evaluation time 3 "):
+            robustness_all(phi, values, np.int64(3))
 
     def test_variable_past_count(self):
         with pytest.raises(VariableOutOfRangeError, match=r"x3.*n=1"):
@@ -105,6 +118,27 @@ class TestConstruction:
             Always(3, 2, TRUE)
         with pytest.raises(ValueError):
             Eventually(-1, 2, TRUE)
+
+    @pytest.mark.parametrize("operator", [Always, Eventually])
+    def test_interval_bounds_are_integers(self, operator):
+        for start, end, message in ((True, 2, "start must be an integer, got True"),
+                                    (0, 2.0, "end must be an integer, got 2.0"),
+                                    (1.5, 2, "start must be an integer, got 1.5")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                operator(start, end, TRUE)
+        phi = operator(np.int64(0), np.int32(2), pred(1, GT, 0.0))
+        assert (type(phi.start), type(phi.end)) == (int, int)
+        assert phi == operator(0, 2, pred(1, GT, 0.0))
+        assert format_formula(phi) == f"{'G' if operator is Always else 'F'}[0,2](x1 > 0.0)"
+
+    def test_conjunct_variable_is_an_integer(self):
+        for bad in (True, 2.0, "2"):
+            message = f"var must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Conjunct(bad, GT, 0.0)
+        face = Conjunct(np.int64(2), GT, 0.0)
+        assert type(face.var) is int and face == Conjunct(2, GT, 0.0)
+        assert format_formula(Predicate(BoxPredicate((face,)))) == "x2 > 0.0"
 
     def test_weight_validation(self):
         children = (pred(1, LE, 1.0), pred(2, GT, 0.0))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from stlboost import (
     optimize_batch,
     uniform_weights,
 )
+from stlboost import pso
 from stlboost.pso import MAX_ITERATIONS, MAX_SWARM_SIZE
 from stlboost.templates import batch_robustness
 from helpers import constant_dataset, project
@@ -192,6 +194,21 @@ class TestOptimize:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_incumbent_is_every_row_offered_in_turn(self, seed):
+        self.check_incumbent(seed, 8)
+
+    @pytest.mark.parametrize("iterations", [8, 10])
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_incumbent_is_every_row_offered_in_turn_across_blocks(
+        self, seed, block, iterations, monkeypatch
+    ):
+        # Blocks of 1 and 3 iterations: every block's rows fold into the
+        # incumbent of the blocks before, and the draws cross several blocks.
+        monkeypatch.setattr(pso, "_block_iterations", lambda size, count: min(block, count))
+        self.check_incumbent(seed, iterations)
+
+    @staticmethod
+    def check_incumbent(seed, iterations):
         # Coarse values and tie values, -inf included, tie often, and values
         # rise every other iteration; each incumbent is what offering every
         # row in particle order gives: the first row, then a strictly larger
@@ -206,8 +223,10 @@ class TestOptimize:
             seen.append((t0, t1, thresholds, values, ties))
             return values, ties
 
-        found = optimize_batch(templates, objective, PsoConfig(swarm_size=5, iterations=8),
+        found = optimize_batch(templates, objective,
+                               PsoConfig(swarm_size=5, iterations=iterations),
                                (seed, seed + 1, seed + 2))
+        assert len(seen) == iterations + 1
         for m in range(len(templates)):
             best = None
             for t0, t1, thresholds, values, ties in seen:
@@ -251,27 +270,88 @@ class TestRandomStream:
             "325aeee8401dfb476adc2c3f660a862d3367c08fe5d611655755ecec29b4412e"
         )
 
-    def test_one_draw_per_swarm_and_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("block, shapes", [(None, [4]), (3, [3, 1])], ids=["one", "of-3"])
+    def test_one_draw_per_swarm_and_block(self, block, shapes, monkeypatch):
+        # Each swarm draws its start, then one block per block of iterations:
+        # per iteration r_cog, r_soc and one scout.  The doubles are, in
+        # order, those of a fresh generator's start draw and one draw per
+        # iteration.
         calls = []
 
         class Counting(np.random.Generator):
             def random(self, *args, **kwargs):
-                calls.append(args)
-                return super().random(*args, **kwargs)
+                drawn = super().random(*args, **kwargs)
+                calls.append((self, args, drawn.copy()))
+                return drawn
 
             def uniform(self, *args, **kwargs):
-                calls.append("uniform")
+                calls.append((self, "uniform", None))
                 return super().uniform(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+        if block is not None:
+            monkeypatch.setattr(pso, "_block_iterations", lambda size, count: min(block, count))
         optimize_batch(
             (BOUND, replace(BOUND, shape="G")),
             lambda t0, t1, thresholds: (np.zeros(t0.shape), np.zeros(t0.shape)),
             PsoConfig(swarm_size=10, iterations=4),
             (0, 1),
         )
-        # Each swarm: its start, then r_cog, r_soc and one scout per iteration.
-        assert calls == [((10, 3),)] * 2 + [((10 + 10 + 1, 3),)] * 2 * 4
+        assert [args for _, args, _ in calls] == (
+            [((10, 3),)] * 2 + [((k, 10 + 10 + 1, 3),) for k in shapes for _ in range(2)]
+        )
+        for seed, generator in enumerate(dict.fromkeys(rng for rng, _, _ in calls)):
+            drawn = np.concatenate([d.ravel() for rng, _, d in calls if rng is generator])
+            fresh = np.random.Generator(np.random.PCG64(seed))
+            expected = [fresh.random((10, 3))] + [fresh.random((21, 3)) for _ in range(4)]
+            assert drawn.tobytes() == np.concatenate([e.ravel() for e in expected]).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_blocks_do_not_change_the_search(self, block, monkeypatch):
+        # Every batch the objective sees and every result are the same bits
+        # whatever the blocks, including a last block that is not full.
+        dataset = generate_naval(NavalConfig(count_per_class=10, noise=2.0, seed=5))
+        weights = uniform_weights(len(dataset))
+        path_rho = np.full(len(dataset), np.inf)
+        config = PsoConfig(swarm_size=9, iterations=11)
+
+        def search():
+            seen = []
+            for searched in (first_order_templates(dataset.dimension),
+                             (PstlTemplate("F", ((1, GT), (1, LE), (2, GT))),)):
+                searched = tuple(t.bound_to(dataset) for t in searched)
+                objective = _gain_objective(
+                    searched, dataset.values, dataset.labels, weights, path_rho
+                )
+
+                def recording(t0, t1, thresholds):
+                    values, ties = objective(t0, t1, thresholds)
+                    seen.extend(a.tobytes() for a in (t0, t1, thresholds, values, ties))
+                    return values, ties
+
+                found = optimize_batch(searched, recording, config, range(len(searched)))
+                seen.append(repr(found))
+            return seen
+
+        whole = search()
+        monkeypatch.setattr(pso, "_block_iterations", lambda size, count: min(block, count))
+        assert search() == whole
+
+    def test_search_memory_is_bounded(self):
+        # The largest swarm over many iterations holds one block of draws and
+        # one of the rows offered, not a record of every iteration.
+        tracemalloc.start()
+        try:
+            optimize_batch(
+                (BOUND, replace(BOUND, shape="G")),
+                lambda t0, t1, thresholds: (np.zeros(t0.shape), np.zeros(t0.shape)),
+                PsoConfig(swarm_size=MAX_SWARM_SIZE, iterations=2000),
+                (0, 1),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 # Any two of these lie a finite distance apart; subnormals and zeros included.

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from stlboost import (
@@ -98,3 +101,25 @@ def test_validation():
         Valuation(3, 1, (0.0,))
     with pytest.raises(ValueError):
         Valuation(-1, 1, (0.0,))
+
+
+def test_integer_fields():
+    # A bool or a fraction is refused with its field named; a numpy integer
+    # is the Python int it equals.
+    for make, message in (
+        (lambda: PstlTemplate("G", ((2.7, GT),)), "slot variable must be an integer, got 2.7"),
+        (lambda: PstlTemplate("G", ((True, GT),)), "slot variable must be an integer, got True"),
+        (lambda: PstlTemplate("G", ((1, GT),), horizon=3.5),
+         "horizon must be an integer, got 3.5"),
+        (lambda: Valuation(1.5, 3, (1.0,)), "t_start must be an integer, got 1.5"),
+        (lambda: Valuation(1, 3.9, (1.0,)), "t_end must be an integer, got 3.9"),
+        (lambda: Valuation(False, 3, (1.0,)), "t_start must be an integer, got False"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    template = PstlTemplate("G", ((np.int64(2), GT),), ((0.0, 1.0),), horizon=np.int64(3))
+    assert template == PstlTemplate("G", ((2, GT),), ((0.0, 1.0),), horizon=3)
+    assert type(template.slots[0][0]) is int and type(template.horizon) is int
+    valuation = Valuation(np.int64(1), np.intp(3), (0.5,))
+    assert valuation == Valuation(1, 3, (0.5,))
+    assert (type(valuation.t_start), type(valuation.t_end)) == (int, int)
