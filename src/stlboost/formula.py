@@ -276,22 +276,31 @@ def range_table(series: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def range_levels(width: int) -> np.ndarray:
+    """What :func:`range_query` reads for each window length over series of
+    ``width`` samples: column ``d`` holds, for a window of ``d + 1``
+    samples, the level of the table whose two power-of-two halves cover it,
+    ``floor(log2(d + 1))``, and the late half's offset from the window's
+    end, ``2**level - 1``.  Shape (2, width)."""
+    level = np.frexp(np.arange(1, width + 1))[1] - 1  # exact for any int width
+    return np.stack([level, (1 << level) - 1])
+
+
 def range_query(
-    tables: np.ndarray, which: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    tables: np.ndarray, levels: np.ndarray, which: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """Window minima of N series over the inclusive windows [lo, hi], read
     from table ``which`` of stacked range tables.
 
     ``tables`` holds tables from :func:`range_table`, shape (Q, levels, T+1,
-    N).  ``which``, ``lo`` and ``hi`` broadcast to one shape S; returns
-    shape S + (N,).  The two power-of-two halves overlap, which a minimum
-    does not mind, so the result is exactly the minimum over the window up
-    to the sign of a zero, which :func:`face_rho` drops.
+    N), and ``levels`` is :func:`range_levels` of T+1.  ``which``, ``lo``
+    and ``hi`` broadcast to one shape S; returns shape S + (N,).  The two
+    power-of-two halves overlap, which a minimum does not mind, so the
+    result is exactly the minimum over the window up to the sign of a zero,
+    which :func:`face_rho` drops.
     """
-    powers = 1 << np.arange(tables.shape[1])
-    level = np.searchsorted(powers, hi - lo + 1, side="right") - 1
-    late = hi - powers[level] + 1
-    return np.minimum(tables[which, level, lo], tables[which, level, late])
+    level, reach = levels[:, hi - lo]
+    return np.minimum(tables[which, level, lo], tables[which, level, hi - reach])
 
 
 def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:

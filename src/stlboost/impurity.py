@@ -4,12 +4,17 @@ Partition masses scale each sample's boosting weight by the magnitude of its
 robustness under the candidate formula, so higher-margin splits score
 higher.  Both sides of the partition use absolute robustness; a violating
 signal contributes positive mass to the violating side.
+
+A node search scores its candidates with one :func:`gain_scorer`, built from
+the node's labels and weights.  One rule, :func:`_masses`, gives the masses
+and degenerate rows of the scorer, :func:`robustness_margin` and
+:func:`best_leaf_label`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,90 +37,128 @@ class PartitionScores(NamedTuple):
     margin: np.ndarray
 
 
-def _masses(rho: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample masses w * |rho| for each row of a (P, N) robustness matrix,
-    and which rows are degenerate.
+def _masses(rho: np.ndarray, weights: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the per-sample masses w * |rho| of each row of a (P, N)
+    robustness matrix into ``out``; return each row's total mass and which
+    rows are degenerate.
 
-    A row whose robustness values are not finite (e.g. the path formula is
-    the constant true) or are all zero is degenerate and falls back to the
-    bare weights, so those cases reduce to plain weighted class masses.
+    A row whose masses are not all finite (e.g. the path formula is the
+    constant true) or sum to zero is degenerate and falls back to the bare
+    weights, so those cases reduce to plain weighted class masses.  A total
+    is the 1-D sum of its row: the row sum that tests for zero is the total,
+    and the masses are tested for finiteness only when a total is not
+    finite, since a non-finite mass makes its row's sum non-finite.
     """
-    raw = weights * np.abs(rho)
-    degenerate = ~np.isfinite(raw).all(axis=1) | (raw.sum(axis=1) == 0.0)
-    return np.where(degenerate[:, np.newaxis], weights, raw), degenerate
+    np.abs(rho, out=out)
+    out *= weights
+    total = out.sum(axis=1)
+    degenerate = total == 0.0
+    if not np.isfinite(total).all():
+        degenerate |= ~np.isfinite(out).all(axis=1)
+    if degenerate.any():
+        out[degenerate] = weights
+        total[degenerate] = weights.sum()
+    return total, degenerate
+
+
+# The five masses of a row, in the order the scorer lays out their picks:
+# each side, the positive samples, then each side's positive part.
+_SIDES = 5
+
+
+def gain_scorer(labels: np.ndarray, weights: np.ndarray) -> Callable[[np.ndarray], PartitionScores]:
+    """A function that scores P candidate splits of the (N,) samples
+    ``labels`` and ``weights`` at once.
+
+    It takes a (P, N) matrix ``rho`` whose row ``p`` is the robustness of
+    candidate ``p`` per sample; a candidate's satisfied side is ``rho >= 0``.
+    A degenerate row (see :func:`_masses`) has gain 0: such a split carries
+    no margin information.  Every entry is bit-identical to scoring its row
+    alone, because each mass has the bits of the 1-D sum of its row's picks:
+    the total is a row sum, and the five other masses (each side, the
+    positives, and each side's positives) are summed by one
+    ``np.add.reduceat`` over every row's picks laid out flat, each after a
+    leading +0.0.  ``reduceat`` sums a segment as its first element plus the
+    pairwise sum of the rest, and a 1-D sum is +0.0 plus the pairwise sum of
+    its values, so the two agree.
+
+    The positive mask and count are taken once.  Buffers sized for the
+    largest call so far hold, per row, one copy of its masses per mass
+    summed, each after a +0.0, their pick masks and the segment starts;
+    a call uses their first P rows and moves two starts per row, by the
+    counts of the top side and of its positives.  No returned array is a
+    view of a buffer.
+
+    Raises ValueError unless ``labels`` and ``weights`` hold one entry per
+    sample, and, at a call, unless ``rho`` has one column per sample.
+    """
+    labels = np.asarray(labels)
+    weights = np.ascontiguousarray(weights, dtype=float)
+    if labels.ndim != 1 or weights.shape != labels.shape:
+        raise ValueError(f"weights must hold one entry per label: got weights of shape "
+                         f"{weights.shape} for labels of shape {labels.shape}")
+    count = len(labels)
+    pos = labels == POS_LABEL
+    positives = int(np.count_nonzero(pos))
+    # Row p's picks take 5 + N + 2 * positives flat places wherever the split
+    # falls: the bottom side holds the rest of the row, and its positive
+    # part the rest of the positives.
+    stride = _SIDES + count + 2 * positives
+    fixed = np.array([0, 1, 2 + count, 3 + count + positives, 4 + count + positives])
+    # One product counts each row's top picks and their positives.
+    counters = np.stack([np.ones(count, dtype=np.intp), pos.astype(np.intp)], axis=1)
+    buffers = ()
+
+    def grown(rows: int) -> tuple[np.ndarray, ...]:
+        masses = np.zeros((rows, _SIDES, count + 1))
+        picks = np.ones((rows, _SIDES, count + 1), dtype=bool)
+        picks[:, 2, 1:] = pos
+        starts = np.arange(rows)[:, np.newaxis] * stride + fixed
+        # The starts of the bottom side and of its positives, less the top's counts.
+        bases = starts[:, 1::3].copy()
+        return masses, picks, starts, bases
+
+    def score(rho: np.ndarray) -> PartitionScores:
+        nonlocal buffers
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim != 2 or rho.shape[1] != count:
+            raise ValueError(f"rho must have one column per label and weight ({count}), "
+                             f"got shape {rho.shape}")
+        rows = len(rho)
+        if rows == 0 or count == 0:
+            return PartitionScores(np.zeros(rows), np.zeros(rows))
+        if not buffers or len(buffers[0]) < rows:
+            buffers = grown(rows)
+        masses, picks, starts, bases = (buffer[:rows] for buffer in buffers)
+        total, degenerate = _masses(rho, weights, masses[:, 0, 1:])
+        masses[:, 1:, 1:] = masses[:, :1, 1:]
+        top = picks[:, 0, 1:]
+        np.greater_equal(rho, 0.0, out=top)
+        np.logical_not(top, out=picks[:, 1, 1:])
+        np.logical_and(picks[:, :2, 1:], pos, out=picks[:, 3:, 1:])
+        np.add(bases, top @ counters, out=starts[:, 1::3])
+        # compress picks from contiguous copies far faster than a boolean
+        # index into one broadcast row does.
+        flat = masses.ravel().compress(picks.ravel())
+        sums = np.add.reduceat(flat, starts.ravel()).reshape(rows, _SIDES).T
+        shares = sums[:3] / total  # of the top, the bottom and the positives
+        minority = np.divide(sums[3:], sums[:2], out=np.zeros((2, rows)), where=sums[:2] != 0.0)
+        np.minimum(minority, 1.0 - minority, out=minority)
+        minority *= shares[:2]
+        gain = np.minimum(shares[2], 1.0 - shares[2]) - minority[0] - minority[1]
+        gain[degenerate] = 0.0
+        return PartitionScores(gain, total)
+
+    return score
 
 
 def gains_from_robustness(
     rho: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> PartitionScores:
-    """Score P candidate splits at once.
-
-    Row ``p`` of the (P, N) matrix ``rho`` is the robustness of candidate
-    ``p`` per sample; its satisfied side is ``rho >= 0``.  ``labels`` and
-    ``weights`` are the (N,) samples every row scores.  A degenerate row
-    (see :func:`_masses`) has gain 0: such a split carries no margin
-    information.  Every entry is bit-identical to scoring its row alone:
-    each mass has the bits of the 1-D sum of that row's picks.  The total
-    and positive masses pick the same columns in every row and are plain
-    row sums of C-contiguous matrices; the four side masses pick per row
-    and go through :func:`_side_sums`.
-    """
-    rho = np.asarray(rho, dtype=float)
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=float)
-    if rho.size == 0:
-        zeros = np.zeros(rho.shape[0])
-        return PartitionScores(zeros, zeros)
-    mags, degenerate = _masses(rho, weights)
-    pos = labels == POS_LABEL
-    total = mags.sum(axis=1)
-    # compress, unlike mags[:, pos], lays the picks out row-major, so each
-    # row is summed as its own 1-D array.
-    pos_mass = mags.compress(pos, axis=1).sum(axis=1)
-    top = rho >= 0
-    bot = ~top
-    top_mass, bot_mass, top_pos_mass, bot_pos_mass = _side_sums(
-        mags, np.concatenate([top, bot, top & pos, bot & pos])
-    ).reshape(4, -1)
-    p_top = top_mass / total
-    p_bot = bot_mass / total
-    p_pos = pos_mass / total
-    p_neg = 1.0 - p_pos
-    gain = (
-        np.minimum(p_pos, p_neg)
-        - p_top * _minority(top_mass, top_pos_mass)
-        - p_bot * _minority(bot_mass, bot_pos_mass)
-    )
-    gain[degenerate] = 0.0
-    return PartitionScores(gain, total)
-
-
-def _side_sums(mags: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Sum of ``mags[r % P]`` over the mask ``masks[r]``, for each row ``r``
-    of the (R, N) ``masks``, where ``mags`` is (P, N).
-
-    Each sum has the bits of the 1-D sum of the row's compacted picks.  Every
-    row's picks are laid out flat, each row after a leading +0.0, and summed
-    by one ``np.add.reduceat`` over the row starts.  ``reduceat`` sums a
-    segment as its first element plus the pairwise sum of the rest, and a 1-D
-    sum is +0.0 plus the pairwise sum of its values, so the two agree.
-    """
-    rows, width = masks.shape
-    # Column 0 holds each row's leading +0.0.
-    lead = np.ones((rows, width + 1), dtype=bool)
-    lead[:, 1:] = masks
-    padded = np.zeros((len(mags), width + 1))
-    padded[:, 1:] = mags
-    stacked = lead.reshape(-1, *padded.shape)
-    flat = np.broadcast_to(padded, stacked.shape)[stacked]
-    counts = np.count_nonzero(lead, axis=1)
-    return np.add.reduceat(flat, np.cumsum(counts) - counts)
-
-
-def _minority(mass: np.ndarray, pos_mass: np.ndarray) -> np.ndarray:
-    """Minority-class share of each side; 0 for an empty side."""
-    share = np.divide(pos_mass, mass, out=np.zeros_like(mass), where=mass != 0.0)
-    return np.minimum(share, 1.0 - share)
+    """Score the P candidate splits of a (P, N) robustness matrix ``rho``
+    over the (N,) samples ``labels`` and ``weights``: one call of a
+    :func:`gain_scorer`."""
+    return gain_scorer(labels, weights)(rho)
 
 
 def gain_from_robustness(
@@ -157,8 +200,9 @@ def partition(dataset: LabeledDataset, weights: np.ndarray, phi: Formula):
 def robustness_margin(rho: np.ndarray, weights: np.ndarray) -> float:
     """Total weighted robustness magnitude, the split tie-break criterion;
     :attr:`PartitionScores.margin` for a batch of one."""
-    mags, _ = _masses(np.asarray(rho, dtype=float)[np.newaxis], np.asarray(weights, dtype=float))
-    return float(mags.sum(axis=1)[0])
+    rho = np.asarray(rho, dtype=float)[np.newaxis]
+    total, _ = _masses(rho, np.asarray(weights, dtype=float), np.empty(rho.shape))
+    return float(total[0])
 
 
 def best_leaf_label(dataset: LabeledDataset, weights: np.ndarray, rho: np.ndarray) -> int:
@@ -169,7 +213,9 @@ def best_leaf_label(dataset: LabeledDataset, weights: np.ndarray, rho: np.ndarra
     """
     if len(dataset) == 0:
         return POS_LABEL
-    mags = _masses(np.asarray(rho, dtype=float)[np.newaxis], np.asarray(weights, dtype=float))[0][0]
-    pos = float(mags[dataset.labels == POS_LABEL].sum())
-    neg = float(mags[dataset.labels == NEG_LABEL].sum())
+    rho = np.asarray(rho, dtype=float)[np.newaxis]
+    mags = np.empty(rho.shape)
+    _masses(rho, np.asarray(weights, dtype=float), mags)
+    pos = float(mags[0, dataset.labels == POS_LABEL].sum())
+    neg = float(mags[0, dataset.labels == NEG_LABEL].sum())
     return POS_LABEL if pos >= neg else NEG_LABEL

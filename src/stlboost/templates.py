@@ -30,6 +30,7 @@ from .formula import (
     box_window_rho,
     checked_int,
     face_rho,
+    range_levels,
     range_query,
     range_table,
 )
@@ -114,21 +115,9 @@ class PstlTemplate:
         return self.threshold_bounds is not None and self.horizon is not None
 
     def bound_to(self, dataset: LabeledDataset) -> "PstlTemplate":
-        """Attach threshold bounds (data range + 1% padding) and the horizon.
-
-        Raises :class:`ThresholdRangeError`, naming the variable, when a
-        swarm's velocity step over the padded bounds could overflow.
-        """
-        bounds = []
-        for var, _ in self.slots:
-            column = dataset.values[:, var - 1, :]
-            lo = float(column.min())
-            hi = float(column.max())
-            pad = 0.01 * (hi - lo)
-            if pad == 0.0:
-                pad = max(1e-6, 1e-6 * abs(lo))
-            bounds.append((lo - pad, hi + pad))
-        return PstlTemplate(self.shape, self.slots, tuple(bounds), dataset.horizon)
+        """This template bound to ``dataset``: :func:`bound_templates` of
+        this template alone."""
+        return bound_templates((self,), dataset)[0]
 
     def instantiate(self, valuation: Valuation) -> Formula:
         conjuncts = tuple(
@@ -139,6 +128,32 @@ class PstlTemplate:
         if self.shape == ALWAYS:
             return Always(valuation.t_start, valuation.t_end, predicate)
         return Eventually(valuation.t_start, valuation.t_end, predicate)
+
+
+def bound_templates(
+    templates: tuple[PstlTemplate, ...], dataset: LabeledDataset
+) -> tuple[PstlTemplate, ...]:
+    """Each of ``templates`` with threshold bounds and the horizon of
+    ``dataset`` attached: a face's bounds are its variable's data range,
+    padded by one percent (at least 1e-6), computed once per variable.
+
+    Raises :class:`ThresholdRangeError`, naming the variable, at the first
+    template whose padded bounds a swarm's velocity step could overflow.
+    """
+    ranges = {}
+    for var in dict.fromkeys(var for template in templates for var, _ in template.slots):
+        column = dataset.values[:, var - 1, :]
+        lo = float(column.min())
+        hi = float(column.max())
+        pad = 0.01 * (hi - lo)
+        if pad == 0.0:
+            pad = max(1e-6, 1e-6 * abs(lo))
+        ranges[var] = (lo - pad, hi + pad)
+    return tuple(
+        PstlTemplate(template.shape, template.slots,
+                     tuple(ranges[var] for var, _ in template.slots), dataset.horizon)
+        for template in templates
+    )
 
 
 def first_order_templates(
@@ -277,6 +292,7 @@ def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) ->
     tables = np.empty((len(distinct), width.bit_length(), width, values.shape[0]))
     for (var, sign), table in zip(distinct, tables):
         range_table(values[:, var - 1, :], sign, out=table)
+    levels = range_levels(width)
     # Per template and face slot: the table and its sign; per template, the shape.
     which = np.array([[distinct.index(key) for key in ks] for ks in keys])
     signs = np.array([[sign for _, sign in ks] for ks in keys])[:, :, np.newaxis, np.newaxis]
@@ -285,7 +301,7 @@ def batch_robustness(templates: tuple[PstlTemplate, ...], values: np.ndarray) ->
     def ranged(t0, t1, thresholds):
         return reduce(np.minimum, (
             face_rho(shapes, signs[:, k] * thresholds[:, :, k, np.newaxis],
-                     range_query(tables, which[:, k, np.newaxis], t0, t1))
+                     range_query(tables, levels, which[:, k, np.newaxis], t0, t1))
             for k in range(which.shape[1])
         ))
 

@@ -39,7 +39,7 @@ from .formula import (
     checked_int,
     robustness_all,
 )
-from .impurity import best_leaf_label, gains_from_robustness
+from .impurity import best_leaf_label, gain_scorer
 
 # ``gain_from_robustness``, ``robustness_margin``, ``misclassification_gain``,
 # ``partition``, ``operator_count`` and ``optimize`` are unused here but stay
@@ -58,6 +58,7 @@ from .templates import (
     EVENTUALLY,
     PstlTemplate,
     batch_robustness,
+    bound_templates,
     first_order_templates,
     lockstep_batches,
     particles_per_pass,
@@ -149,8 +150,14 @@ def optimize_primitive(
     over the node's samples, whose robustness is ``min(path_rho, candidate
     robustness)``.  The returned gain is the one the search found; it equals
     that candidate's gain scored alone, bit for bit.  A gain tie goes to the
-    larger robustness margin, then to the earlier template.  A template
-    whose faces or horizon do not fit the node's data raises ValueError.
+    larger robustness margin, then to the earlier template.  The unbound
+    templates are bound together (:func:`~stlboost.templates.bound_templates`),
+    so each variable's range is read once per node.
+
+    The arguments are checked up front, before any binding, table or fork:
+    an empty dataset, ``weights`` or ``path_rho`` that do not hold one entry
+    per signal, and a template whose faces or horizon do not fit the node's
+    data each raise a ValueError that names them.
 
     The templates are split by :func:`~stlboost.templates.lockstep_batches`
     within TABLE_BUDGET_BYTES, and each batch is one
@@ -170,14 +177,21 @@ def optimize_primitive(
         templates = tuple(templates)
     if not templates:
         raise EmptyPrimitiveSetError("need at least one template")
+    if len(dataset) == 0:
+        raise ValueError("cannot search a split of an empty dataset")
+    weights = np.asarray(weights, dtype=float)
+    path_rho = np.asarray(path_rho, dtype=float)
+    for name, array in (("weights", weights), ("path_rho", path_rho)):
+        if array.shape != (len(dataset),):
+            raise ValueError(f"{name} must hold one entry per signal: got shape {array.shape} "
+                             f"for {len(dataset)} signals")
     misfits = [t for t in templates if max(var for var, _ in t.slots) > dataset.dimension
                or t.horizon not in (None, dataset.horizon)]
     if misfits:
         raise ValueError(f"template {misfits[0]} does not fit data of {dataset.dimension} "
                          f"variables over horizon {dataset.horizon}")
-    templates = tuple(t if t.is_bound else t.bound_to(dataset) for t in templates)
-    weights = np.asarray(weights, dtype=float)
-    path_rho = np.asarray(path_rho, dtype=float)
+    unbound = iter(bound_templates(tuple(t for t in templates if not t.is_bound), dataset))
+    templates = tuple(t if t.is_bound else next(unbound) for t in templates)
     batches = lockstep_batches(templates, len(dataset), dataset.horizon + 1)
 
     def search(batch):
@@ -200,9 +214,11 @@ def _batch_objective(
     path_rho: np.ndarray,
 ):
     """The lockstep objective of ``searched`` at a node; its range tables
-    are freed with it, before the next batch's are built."""
+    and its gain scorer's buffers are freed with it, before the next
+    batch's are built."""
     batch_rho = batch_robustness(searched, dataset.values)
     step = particles_per_pass(len(searched), len(dataset))
+    score = gain_scorer(dataset.labels, weights)
 
     def objective(t0, t1, thresholds):
         # Rows are scored independently, so passes over a few particles
@@ -212,7 +228,7 @@ def _batch_objective(
             part = slice(start, start + step)
             rho = batch_rho(t0[:, part], t1[:, part], thresholds[:, part])
             np.minimum(path_rho, rho, out=rho)
-            scores = gains_from_robustness(rho.reshape(-1, rho.shape[-1]), dataset.labels, weights)
+            scores = score(rho.reshape(-1, rho.shape[-1]))
             values[:, part] = scores.gain.reshape(rho.shape[:2])
             margins[:, part] = scores.margin.reshape(rho.shape[:2])
         return values, margins

@@ -2,9 +2,9 @@
 
 Everything here is written directly from the definitions, without importing
 the library's evaluation code, so it can serve as an oracle for the optimized
-implementations.  All but :func:`naive_side_sums` and
-:func:`boosting_weights` are written without numpy; those two pin the bits
-of numpy's own 1-D sums.
+implementations.  All but :func:`one_d_sum`, :func:`naive_scores` and
+:func:`boosting_weights` are written without numpy; those three pin the
+bits of numpy's own 1-D sums.
 """
 
 from __future__ import annotations
@@ -69,33 +69,52 @@ def naive_robustness(phi, rows, t):
     raise TypeError(phi)
 
 
-def naive_gain(rho_list, labels, weights):
-    """Reference weighted misclassification gain from per-sample robustness."""
-    mags = [w * abs(r) for w, r in zip(weights, rho_list)]
-    total = sum(mags)
+def naive_masses(rho_list, weights, add=sum):
+    """Per-sample masses w * |r| of one split, their total (the split's
+    margin) and whether the split is degenerate: a mass that is not finite,
+    or a zero total, makes the bare weights its masses.  ``add`` sums a list
+    of floats."""
+    mags = [float(w) * abs(float(r)) for w, r in zip(weights, rho_list)]
+    total = add(mags)
     if total == 0.0 or not all(math.isfinite(m) for m in mags):
+        mags = [float(w) for w in weights]
+        return mags, add(mags), True
+    return mags, total, False
+
+
+def naive_gain(rho_list, labels, weights, add=sum):
+    """Reference weighted misclassification gain from per-sample robustness;
+    ``add`` sums each list of masses, by default left to right."""
+    mags, total, degenerate = naive_masses(rho_list, weights, add)
+    if degenerate:
         return 0.0
 
     def mr(indices):
-        part = sum(mags[i] for i in indices)
+        part = add([mags[i] for i in indices])
         if part == 0.0:
             return 0.0
-        pos = sum(mags[i] for i in indices if labels[i] == POS) / part
+        pos = add([mags[i] for i in indices if labels[i] == POS]) / part
         return min(pos, 1.0 - pos)
 
     everyone = list(range(len(rho_list)))
     top = [i for i in everyone if rho_list[i] >= 0]
     bot = [i for i in everyone if rho_list[i] < 0]
-    p_top = sum(mags[i] for i in top) / total
-    p_bot = sum(mags[i] for i in bot) / total
+    p_top = add([mags[i] for i in top]) / total
+    p_bot = add([mags[i] for i in bot]) / total
     return mr(everyone) - p_top * mr(top) - p_bot * mr(bot)
 
 
-def naive_side_sums(mags, masks):
-    """Each row's masked sum, one row at a time: the 1-D sum of the row of
-    ``mags`` compacted to its ``masks`` picks, the order in which a split
-    scored alone sums each side's mass."""
-    return np.array([np.add.reduce(row[mask]) for row, mask in zip(mags, masks)])
+def one_d_sum(values):
+    """numpy's 1-D sum of a list of floats: the bits of a mass summed over
+    the compacted picks of one split scored alone."""
+    return float(np.add.reduce(np.array(values, dtype=float)))
+
+
+def naive_scores(rho_list, labels, weights):
+    """The gain and margin of one split scored alone, with every mass a 1-D
+    sum (:func:`one_d_sum`): the bits each row of a batch must have."""
+    return (naive_gain(rho_list, labels, weights, one_d_sum),
+            naive_masses(rho_list, weights, one_d_sum)[1])
 
 
 def naive_route(tree, rows):

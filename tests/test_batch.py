@@ -39,12 +39,12 @@ from stlboost import (
     uniform_weights,
 )
 from stlboost.cli import run_cross_validation
-from stlboost.impurity import _masses, _side_sums, robustness_margin
+from stlboost.impurity import gain_scorer, robustness_margin
 from stlboost.pso import _project_all, _space
 from stlboost.templates import batch_robustness
 from stlboost.tree import mix_seed
 from helpers import count_forks, project
-from oracles import naive_side_sums
+from oracles import naive_scores
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -71,32 +71,6 @@ def _reference_project(template: PstlTemplate, position) -> Valuation:
             else:
                 thresholds[gi] -= eps
     return Valuation(t0, t1, tuple(thresholds))
-
-
-def _reference_scores(rho, labels, weights):
-    """The per-candidate gain and margin, one 1-D row at a time."""
-    raw = weights * np.abs(rho)
-    degenerate = not np.all(np.isfinite(raw)) or float(raw.sum()) == 0.0
-    mags = weights.copy() if degenerate else raw
-    total = float(mags.sum())
-    sat = rho >= 0
-    pos = labels == POS_LABEL
-
-    def minority(member):
-        part = float(mags[member].sum())
-        if part == 0.0:
-            return 0.0
-        share = float(mags[member & pos].sum()) / part
-        return min(share, 1.0 - share)
-
-    p_top = float(mags[sat].sum()) / total
-    p_bot = float(mags[~sat].sum()) / total
-    p_pos = float(mags[pos].sum()) / total
-    p_neg = 1.0 - p_pos
-    gain = 0.0
-    if not degenerate:
-        gain = min(p_pos, p_neg) - p_top * minority(sat) - p_bot * minority(~sat)
-    return (gain, total)
 
 
 def _random_template(rng, dimension: int, horizon: int, count: int | None = None,
@@ -210,7 +184,7 @@ def test_batch_gains_match_single_rows(seed):
         single = gain_from_robustness(rho[p], labels, weights)
         assert batched[0] == single.gain
         assert batched[1] == robustness_margin(rho[p], weights)
-        assert batched == _reference_scores(rho[p], labels, weights)
+        assert batched == naive_scores(list(rho[p]), list(labels), list(weights))
 
 
 # Ties, signed zeros, the smallest subnormal and huge magnitudes.
@@ -219,35 +193,35 @@ SUM_GRID = (-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -0.1, 1 / 3, 1.0, -2
 
 @settings(max_examples=300, deadline=None)
 @given(SEEDS)
-def test_side_sums_match_naive_side_sums(seed):
+def test_scorer_matches_the_per_row_oracle(seed):
+    """One scorer, called with row counts that grow and shrink as unequal
+    passes do, gives each row the gain and margin of its split scored
+    alone, bit for bit, and a later call leaves an earlier call's results
+    as they were: no result is a view of a reused buffer."""
     rng = np.random.default_rng(seed)
-    rows = int(rng.integers(1, 12))
-    # Past 128 samples numpy's pairwise summation splits the row in blocks.
-    count = int(rng.choice([1, 2, 7, 8, 9, 17, 127, 128, 129, 256, 300, 400]))
-    rho = rng.choice(SUM_GRID, size=(rows, count))
-    noisy = rng.random(size=rho.shape) < rng.random()
-    rho[noisy] = (rng.normal(size=rho.shape) * 10.0 ** rng.integers(-3, 4))[noisy]
-    rho[0] = 1.0  # every sample on the satisfied side
-    rho[-1] = -1.0 if rows > 1 else rho[-1]  # every sample on the violated side
-    weights = rng.choice([0.0, 0.25, 1.0, 1e-3], size=count)
-    weights[0] = 1.0  # not all zero
+    # Past 128 samples numpy's pairwise summation splits a row in blocks.
+    count = int(rng.choice([0, 1, 2, 7, 8, 9, 17, 127, 128, 129, 256, 300]))
     labels = rng.choice([POS_LABEL, NEG_LABEL], size=count)
-    mags, _ = _masses(rho, weights)
-    # A call's four side masks, and the every-sample and positive masks it
-    # sums as plain rows, over every sample or over a random part.
-    valid = np.ones(rho.shape, dtype=bool)
-    if rng.random() < 0.5:
-        valid = rng.random(size=rho.shape) < rng.random()
-    pos = labels == POS_LABEL
-    top = valid & (rho >= 0)
-    bot = valid & (rho < 0)
-    masks = np.concatenate([valid, valid & pos, top, bot, top & pos, bot & pos])
-    want = naive_side_sums(np.tile(mags, (6, 1)), masks)
-    assert _side_sums(mags, masks).tobytes() == want.tobytes()
-    # The gain weighs each side by its mass share, so it pins those sums too.
-    scores = gains_from_robustness(rho, labels, weights)
-    single = np.array([_reference_scores(row, labels, weights) for row in rho])
-    assert np.stack(scores, axis=1).tobytes() == single.tobytes()
+    weights = rng.choice([0.25, 1.0, 1e-3, 0.7, 1e-300], size=count)
+    score = gain_scorer(labels, weights)
+    calls = []
+    for rows in rng.integers(0, 9, size=4):
+        rho = rng.choice(SUM_GRID, size=(rows, count))
+        noisy = rng.random(size=rho.shape) < rng.random()
+        rho[noisy] = (rng.normal(size=rho.shape) * 10.0 ** rng.integers(-3, 4))[noisy]
+        for row in rho:
+            kind = rng.integers(5)
+            if kind == 0:
+                row[:] = rng.choice([0.0, -0.0], size=count)  # all zero: degenerate
+            elif kind == 1 and count:
+                row[rng.integers(count)] = rng.choice([math.inf, -math.inf, math.nan])
+        scores = score(rho)
+        calls.append((rho, scores, np.stack(scores, axis=1).tobytes()))
+    for rho, scores, first_bytes in calls:
+        want = [naive_scores(list(row), list(labels), list(weights)) for row in rho]
+        got = np.stack(scores, axis=1)
+        assert got.tobytes() == first_bytes
+        assert got.tobytes() == np.array(want, dtype=float).reshape(len(rho), 2).tobytes()
 
 
 def test_reduceat_segment_after_a_zero_is_the_1d_sum():
@@ -262,22 +236,16 @@ def test_reduceat_segment_after_a_zero_is_the_1d_sum():
 
 
 def test_row_sums_are_the_1d_sums():
-    """``gains_from_robustness`` sums its total and positive masses as rows of
-    C-contiguous matrices, and relies on numpy summing each such row exactly
-    as ``np.add.reduce`` sums it alone, which is what ``_side_sums`` gives
-    under a mask that picks every sample.  ``compress`` must lay its picks
-    out row-major for the positive masses to keep those bits."""
+    """The scorer sums each row's total mass as a row of its mass buffer,
+    whose rows are (sides, N + 1) apart, and relies on numpy summing each
+    such row exactly as ``np.add.reduce`` sums it alone."""
     rng = np.random.default_rng(1)
     for length in range(301):
-        mags = rng.choice(SUM_GRID, size=(3, length))
-        want = np.array([np.add.reduce(row) for row in mags])
+        buffer = np.zeros((3, 5, length + 1))
+        buffer[:, 0, 1:] = rng.choice(SUM_GRID, size=(3, length))
+        mags = buffer[:, 0, 1:]
+        want = np.array([np.add.reduce(row.copy()) for row in mags])
         assert mags.sum(axis=1).tobytes() == want.tobytes()
-        assert _side_sums(mags, np.ones(mags.shape, dtype=bool)).tobytes() == want.tobytes()
-        pick = rng.random(length) < 0.5
-        picked = mags.compress(pick, axis=1)
-        assert picked.flags.c_contiguous
-        want = np.array([np.add.reduce(row[pick]) for row in mags])
-        assert picked.sum(axis=1).tobytes() == want.tobytes()
 
 
 def test_batch_robustness_tables_hold_their_budgeted_bytes(monkeypatch):
@@ -387,7 +355,7 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
     passes = []  # (templates in the batch, particles per template) per scoring pass
     real_batch = tree_module.batch_robustness
     real_table = templates_module.range_table
-    real_gains = tree_module.gains_from_robustness
+    real_scorer = tree_module.gain_scorer
 
     def recording_batch(templates, values):
         batches.append((templates, []))
@@ -397,15 +365,19 @@ def test_table_budget_keeps_the_tree(monkeypatch, budget):
         batches[-1][1].append(out.nbytes)
         return real_table(series, sign, out)
 
-    def recording_gains(rho, labels, weights):
-        templates = len(batches[-1][0])
-        passes.append((templates, rho.shape[0] // templates, rho.nbytes))
-        return real_gains(rho, labels, weights)
+    def recording_scorer(labels, weights):
+        score, templates = real_scorer(labels, weights), len(batches[-1][0])
+
+        def recording(rho):
+            passes.append((templates, rho.shape[0] // templates, rho.nbytes))
+            return score(rho)
+
+        return recording
 
     monkeypatch.setattr(templates_module, "TABLE_BUDGET_BYTES", budget)
     monkeypatch.setattr(tree_module, "batch_robustness", recording_batch)
     monkeypatch.setattr(templates_module, "range_table", recording_table)
-    monkeypatch.setattr(tree_module, "gains_from_robustness", recording_gains)
+    monkeypatch.setattr(tree_module, "gain_scorer", recording_scorer)
     assert build_tree(dataset, weights, config, seed=1) == expected
     for templates, tables in batches:
         one_template = max(len(t.slots) for t in templates) * max(tables, default=0)

@@ -35,6 +35,7 @@ from stlboost import (
     fanout,
     generate_urban,
     model_to_dict,
+    pso,
     templates,
 )
 from stlboost.boosting import MAX_RETRIES, MAX_ROUNDS
@@ -573,21 +574,28 @@ def jobs(tmp_path_factory):
 
 @settings(max_examples=3, deadline=None)
 @given(cpus=st.integers(1, 3), floor=st.integers(1, 1 << 16), block=st.integers(100, 1000),
-       chunk=st.integers(64, 4096), budget=st.integers(1, 1 << 16))
-def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chunk, budget):
+       chunk=st.integers(64, 4096), budget=st.integers(1, 1 << 16),
+       block_bytes=st.integers(1, 1 << 16))
+def test_no_performance_setting_changes_the_output(
+    jobs, cpus, floor, block, chunk, budget, block_bytes
+):
     """Every setting that trades processes or memory for speed, drawn small
     at once, leaves each job's stdout bytes, and a saved file's bytes, as
     the defaults give them: the CPUs of loads, saves, cv folds and a node
     search's lockstep batches; the floor of a part or chunk; the loader's
-    block rows and read size; and the range table budget behind lockstep
-    batches and passes.  The clean file never needs the exact loader, which
-    would hide a fault of the fast one.
+    block rows and read size; the range table budget behind lockstep
+    batches and passes; and the bytes of a swarm's blocks of iterations.
+    The clean file never needs the exact loader, which would hide a fault
+    of the fast one.
 
     The train job reaches the searches' fan-out: the 8 range tables of its
     24-signal root pass the default budget, and a drawn budget is smaller,
     so each node search has several batches, and at 2 or 3 CPUs forked
     children search some of them.  The cv job's searches run in its fold
-    runs, which fork nothing more.
+    runs, which fork nothing more.  A drawn budget also splits a swarm into
+    passes, whose row counts differ where the last pass is short, so one
+    gain scorer serves calls of several sizes and its buffers must give the
+    bytes of one pass over the swarm.
 
     Every load fills the values block by block from several blocks per
     part: the file's 12,000 rows are at most 3 parts of about 4,000, and a
@@ -602,6 +610,7 @@ def test_no_performance_setting_changes_the_output(jobs, cpus, floor, block, chu
         patch.setattr(data, "BLOCK_ROWS", block)
         patch.setattr(data, "PART_CHUNK", chunk)
         patch.setattr(templates, "TABLE_BUDGET_BYTES", budget)
+        patch.setattr(pso, "BLOCK_BYTES", block_bytes)
         assert run() == default
 
 

@@ -317,7 +317,8 @@ def test_range_query_is_the_window_minimum(signals, width):
     for sign in (1, -1):
         table = np.empty((width.bit_length(), width, signals))
         formula.range_table(series, sign, out=table)
-        got = formula.range_query(table[np.newaxis], np.zeros_like(lo), lo, hi)
+        levels = formula.range_levels(width)
+        got = formula.range_query(table[np.newaxis], levels, np.zeros_like(lo), lo, hi)
         want = np.array([(sign * series[:, a : b + 1]).min(axis=1) for a, b in zip(lo, hi)])
         assert got.shape == (len(lo), signals)
         assert np.array_equal(got, want)

@@ -2,6 +2,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlboost import (
@@ -18,6 +19,7 @@ from stlboost import (
     robustness_all,
     uniform_weights,
 )
+from stlboost.impurity import gain_scorer
 from helpers import constant_dataset, pred, random_formula, random_signal
 from oracles import naive_gain
 
@@ -179,6 +181,18 @@ def test_joint_scaling_preserves_partition_and_label(seed, scale):
     assert best_leaf_label(ds, weights, robustness_all(phi, ds.values)) == best_leaf_label(
         scaled, weights, robustness_all(phi_scaled, scaled.values)
     )
+
+
+def test_scorer_checks_its_arguments():
+    labels = np.array([POS_LABEL, NEG_LABEL, POS_LABEL])
+    with pytest.raises(ValueError, match="weights"):
+        gain_scorer(labels, uniform_weights(2))
+    with pytest.raises(ValueError, match="weights"):
+        gain_scorer(labels, np.ones((3, 1)))
+    score = gain_scorer(labels, uniform_weights(3))
+    for rho in (np.zeros((4, 2)), np.zeros(3), np.zeros((1, 3, 1))):
+        with pytest.raises(ValueError, match="rho"):
+            score(rho)
 
 
 def test_gain_from_robustness_empty():

@@ -8,6 +8,8 @@ from stlboost import (
     Eventually,
     GT,
     LE,
+    LabeledDataset,
+    NavalConfig,
     POS_LABEL,
     NEG_LABEL,
     Predicate,
@@ -15,7 +17,9 @@ from stlboost import (
     ThresholdRangeError,
     Valuation,
     first_order_templates,
+    generate_naval,
 )
+from stlboost.templates import bound_templates
 from helpers import constant_dataset
 
 
@@ -57,6 +61,50 @@ def test_bound_to_rejects_a_range_wider_than_a_float(extreme):
     ds = constant_dataset([-extreme, 0.0, extreme], [POS_LABEL, NEG_LABEL, POS_LABEL])
     with pytest.raises(ThresholdRangeError, match="x1"):
         PstlTemplate("F", ((1, LE),)).bound_to(ds)
+
+
+def _bound_alone(template, dataset):
+    """``template`` bound by the per-template rule: its variables' ranges,
+    read for this template alone."""
+    bounds = []
+    for var, _ in template.slots:
+        column = dataset.values[:, var - 1, :]
+        lo, hi = float(column.min()), float(column.max())
+        pad = 0.01 * (hi - lo)
+        if pad == 0.0:
+            pad = max(1e-6, 1e-6 * abs(lo))
+        bounds.append((lo - pad, hi + pad))
+    return PstlTemplate(template.shape, template.slots, tuple(bounds), dataset.horizon)
+
+
+def test_binding_all_at_once_equals_binding_each_alone():
+    dataset = generate_naval(NavalConfig(count_per_class=10, noise=2.0, seed=3))
+    templates = first_order_templates(dataset.dimension) + (
+        PstlTemplate("F", ((1, GT), (1, LE), (2, GT))),
+    )
+    together = bound_templates(templates, dataset)
+    assert len(together) == len(templates)
+    for template, bound in zip(templates, together):
+        for alone in (_bound_alone(template, dataset), template.bound_to(dataset)):
+            assert bound.threshold_bounds == alone.threshold_bounds
+            assert bound.horizon == alone.horizon == dataset.horizon
+            assert (bound.shape, bound.slots) == (template.shape, template.slots)
+
+
+def test_binding_all_at_once_names_the_variable_too_wide():
+    # x2 spans more than a float; the first template over x2 raises, with
+    # the text of binding that template alone.
+    values = np.zeros((3, 2, 2))
+    values[:, 1, 0] = (-1.7e308, 0.0, 1.7e308)
+    dataset = LabeledDataset(values, np.array([POS_LABEL, NEG_LABEL, POS_LABEL]), "abc")
+    templates = first_order_templates(2)
+    assert templates[2].slots[0][0] == 2
+    with pytest.raises(ThresholdRangeError) as alone:
+        _bound_alone(templates[2], dataset)
+    with pytest.raises(ThresholdRangeError) as together:
+        bound_templates(templates, dataset)
+    assert str(together.value) == str(alone.value)
+    assert str(alone.value).startswith("the values of x2 span too wide a range")
 
 
 @pytest.mark.parametrize("bounds", [

@@ -120,6 +120,26 @@ class TestOptimizePrimitive:
         with pytest.raises(EmptyPrimitiveSetError):
             optimize_primitive(ds, uniform_weights(2), np.full(2, np.inf), (), FAST, seed=0)
 
+    @pytest.mark.parametrize("argument", ["weights", "path_rho", "dataset"])
+    def test_arguments_are_checked_up_front(self, argument, monkeypatch):
+        # Each failure names its argument, before any binding, table or fork.
+        ds = constant_dataset([0.0, 1.0, 2.0], [POS_LABEL, NEG_LABEL, POS_LABEL])
+        weights, path_rho = uniform_weights(3), np.full(3, np.inf)
+        if argument == "weights":
+            weights = weights[:2]
+        elif argument == "path_rho":
+            path_rho = np.full((3, 2), np.inf)
+        else:
+            ds = ds.subset(np.zeros(3, dtype=bool))
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the search started before its arguments were checked")
+
+        for name in ("bound_templates", "batch_robustness", "fan_out"):
+            monkeypatch.setattr(tree_module, name, reached)
+        with pytest.raises(ValueError, match=argument):
+            optimize_primitive(ds, weights, path_rho, first_order_templates(1), FAST)
+
     @pytest.mark.parametrize("case", ["other horizon", "variable past n"])
     def test_template_that_does_not_fit_the_data(self, case):
         ds = LabeledDataset(np.zeros((2, 2, 31)), np.array([POS_LABEL, NEG_LABEL]), ("a", "b"))
