@@ -224,7 +224,7 @@ def _load_settings(args) -> tuple[dict, TreeConfig]:
 
 
 def _cap(value: float) -> float:
-    return float(np.clip(value, -ROBUSTNESS_CAP, ROBUSTNESS_CAP))
+    return float(min(max(value, -ROBUSTNESS_CAP), ROBUSTNESS_CAP))
 
 
 def _cmd_train(args) -> int:

@@ -7,13 +7,16 @@ within an id.
 ``load_csv`` parses a file in blocks of ``BLOCK_ROWS`` rows, checks every
 row and then raggedness, and only then allocates the signal array.  A
 regular file with no quote character and no blank line is parsed by numpy's
-C reader (``np.loadtxt``); any other file, a pipe too, and any file that
-path refuses, is parsed by the exact path, ``int``/``float`` one record at
-a time.  The values are the same bits either way, and so are the errors,
-which name a record by line, counting CSV records.  The C reader
-holds the interpreter lock, so a large file is cut at line starts into one
-part per CPU, and forked children parse all parts but the first.  A block
-is four column arrays: id codes, ``t``, ``label`` and ``x``.  The checks
+C reader (``np.loadtxt``), one call per block for every column, the id
+too, and that call checks each line's field count; any other file, a pipe
+too, and any file that path refuses, is parsed by the exact path,
+``int``/``float`` one record at a time.  The values are the same bits
+either way, and so are the errors, which name a record by line, counting
+CSV records.  The C reader holds the interpreter lock, so a large file is
+cut at line starts into one part per CPU, and forked children parse all
+parts but the first.  A block is four column arrays: id codes, ``t``,
+``label`` and ``x``; the fast path codes its ids a run of equal ids at a
+time.  The checks
 read the joined ints and a finite flag per row, and each block's ``x`` is
 copied into the signal array and freed in turn, so a load of an urban set
 peaks under 3 times the bytes of the values it returns.
@@ -32,6 +35,7 @@ import io
 import os
 import stat
 from bisect import bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,8 +71,10 @@ class LabeledDataset:
     """Signals sharing one dimension and horizon, each labeled +1 or -1.
 
     ``values`` has shape (N, n, T+1) with at least one variable and one
-    timepoint; ``labels`` is (N,) over {+1, -1}; ``ids`` keeps the source
-    identifiers for reporting.
+    timepoint, real and finite; ``labels`` is (N,) over {+1, -1}, numbers
+    but not booleans; ``ids`` keeps the source identifiers, distinct, for
+    reporting.  ``subset`` and ``load_csv`` build datasets of data already
+    checked without checking it again.
     """
 
     values: np.ndarray
@@ -76,8 +82,10 @@ class LabeledDataset:
     ids: tuple[str, ...]
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("signal values must be real, not complex")
         values = np.asarray(self.values, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if values.ndim != 3:
             raise ValueError("values must have shape (signals, variables, timepoints)")
         if not values.shape[1] or not values.shape[2]:
@@ -88,16 +96,32 @@ class LabeledDataset:
             raise ValueError("signal values must be finite")
         if labels.shape != (values.shape[0],):
             raise ValueError("labels must be one per signal")
-        if not np.all(np.isin(labels, (POS_LABEL, NEG_LABEL))):
-            raise ValueError("labels must be +1 or -1")
+        if labels.dtype.kind not in "iuf":  # bool, complex or text
+            raise ValueError(f"labels must be +1 or -1, not of type {labels.dtype}")
+        bad = ~np.isin(labels, (POS_LABEL, NEG_LABEL))
+        if bad.any():
+            raise ValueError(f"labels must be +1 or -1 (got {labels[bad][0]})")
         ids = tuple(str(i) for i in self.ids)
         if len(ids) != values.shape[0]:
             raise ValueError("ids must be one per signal")
+        _check_distinct(ids)
+        self.values = values
+        self.labels = labels.astype(int, copy=False)
+        self.ids = ids
+        self.values.setflags(write=False)
+        self.labels.setflags(write=False)
+
+    @classmethod
+    def _of_checked(cls, values: np.ndarray, labels: np.ndarray,
+                    ids: tuple[str, ...]) -> "LabeledDataset":
+        """The dataset of arrays and ids that pass ``__post_init__``'s
+        checks as they are, made without running them; the arrays become
+        read-only."""
+        dataset = cls.__new__(cls)
+        dataset.values, dataset.labels, dataset.ids = values, labels, ids
         values.setflags(write=False)
         labels.setflags(write=False)
-        self.values = values
-        self.labels = labels
-        self.ids = ids
+        return dataset
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -115,17 +139,23 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.arange(len(self))[indices]
-        return LabeledDataset(
-            self.values[indices],
-            self.labels[indices],
-            tuple(self.ids[i] for i in indices),
-        )
+        ids = tuple(self.ids[i] for i in indices)
+        _check_distinct(ids)  # a repeated index repeats an id
+        return LabeledDataset._of_checked(self.values[indices], self.labels[indices], ids)
 
     def class_counts(self) -> dict[int, int]:
         return {
             POS_LABEL: int(np.sum(self.labels == POS_LABEL)),
             NEG_LABEL: int(np.sum(self.labels == NEG_LABEL)),
         }
+
+
+def _check_distinct(ids: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first id that ``ids`` holds twice: a
+    file cannot hold two signals of one id."""
+    if len(set(ids)) < len(ids):
+        repeated = next(sid for sid, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"ids must be distinct: {repeated!r} repeats")
 
 
 def uniform_weights(count: int) -> np.ndarray:
@@ -137,7 +167,10 @@ def load_csv(path) -> LabeledDataset:
 
     A file with no quote character, no blank or whitespace-only line and no
     line longer than ``csv.field_size_limit()`` is read by numpy's C parser
-    (``np.loadtxt``), a block of ``BLOCK_ROWS`` lines at a time.  Any other
+    (``np.loadtxt``), a block of ``BLOCK_ROWS`` lines at a time: one call
+    reads every column of a block, the id as a string, and refuses a line
+    with the wrong number of fields, and the ids are coded a run of equal
+    ids at a time, looking up only the first of each run.  Any other
     file, or one whose header or cells this fast path refuses, is read again
     by the exact path, which parses one record at a time with ``int`` and
     ``float`` and turns each ``BLOCK_ROWS`` rows into columns.  A file that
@@ -286,31 +319,33 @@ def _parse_part(fd: int, begin: int, end: int, width: int):
     """The lines in bytes ``begin``..``end`` as ``(ids, blocks)``: the ids
     in order of first appearance and ``_dataset``'s blocks of ``(codes, t,
     label, x)``, with codes indexing ``ids``.  None if the fast path refuses
-    the part.  A block's structured ``np.loadtxt`` result is split into
-    contiguous columns, which take no more memory, are freed one by one in
-    ``_dataset`` and are pickled by a child without a copy.
+    the part.  One ``np.loadtxt`` call reads every column of a block, the
+    id as a Python string; its structured result is split into contiguous
+    columns, which take no more memory, are freed one by one in
+    ``_dataset`` and are pickled by a child without a copy.  The ids are
+    coded a run of equal ids at a time (``_run_codes``) and freed with
+    their block.
 
     Without a quote character a CSV record is one line, and its fields are
     the text between commas, as loadtxt splits them.  A cell loadtxt parses
     has the value ``int``/``float`` give it.  Some text they accept it
     refuses (``1_0``, non-ASCII digits, ``1.0`` as an int, an int past
-    int64), and such a file takes the exact path.  loadtxt ignores fields
-    past the last column it reads and skips blank lines with a warning, so
-    field counts and blank lines are checked here, and so is line length:
-    csv refuses a field longer than ``csv.field_size_limit()``.
+    int64), and such a file takes the exact path.  loadtxt refuses a line
+    with more or fewer than ``width`` fields, but skips blank lines with a
+    warning, so blank and whitespace-only lines are checked here, and so is
+    line length: csv refuses a field longer than ``csv.field_size_limit()``.
     """
     limit = csv.field_size_limit()
-    row = np.dtype([("t", np.int64), ("label", np.int64), ("x", float, (width - 3,))])
+    row = np.dtype([("id", object), ("t", np.int64), ("label", np.int64),
+                    ("x", float, (width - 3,))])
     code_of: dict[str, int] = {}
     blocks = []
     raw = io.BufferedReader(_Part(fd, begin, end), PART_CHUNK)
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
         while lines := list(islice(handle, BLOCK_ROWS)):
             text = "".join(lines)
-            # loadtxt raises for a line with fewer than width - 1 commas,
-            # so this total leaves none with more.
-            if ('"' in text or text.count(",") != (width - 1) * len(lines)
-                    or any(map(str.isspace, lines)) or max(map(len, lines)) > limit):
+            if ('"' in text or any(map(str.isspace, lines))
+                    or len(text) > limit and max(map(len, lines)) > limit):
                 return None
             # Some non-ASCII text in an int field crashes loadtxt (numpy 2.4.6
             # on "\U000c1fd9\u00c5"), so the exact path reads any such block.
@@ -320,13 +355,12 @@ def _parse_part(fd: int, begin: int, end: int, width: int):
             # max_rows sizes the result once; grown as rows arrive, its
             # reallocations leave heap holes that raise peak memory.
             rows = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None,
-                              usecols=range(1, width), ndmin=1, max_rows=len(lines))
+                              ndmin=1, max_rows=len(lines))
             if len(rows) != len(lines):
                 return None
-            sids = [record.partition(",")[0] for record in lines]
-            blocks.append((_codes(sids, code_of), rows["t"].copy(), rows["label"].copy(),
-                           rows["x"].copy()))
-            del lines, rows, sids  # not held while the next block is read
+            blocks.append((_run_codes(rows["id"], code_of), rows["t"].copy(),
+                           rows["label"].copy(), rows["x"].copy()))
+            del lines, rows  # not held while the next block is read
     return tuple(code_of), blocks
 
 
@@ -437,7 +471,7 @@ def _dataset(blocks, code_of: dict[str, int], width: int, stop: str | None = Non
         values[codes[rows], :, times[rows]] = points[k]
         points[k] = None  # freed once copied
         start = rows.stop
-    return LabeledDataset(values, labels, ids)
+    return LabeledDataset._of_checked(values, labels, ids)  # _check_rows checked them
 
 
 def _codes(sids, code_of: dict[str, int]) -> np.ndarray:
@@ -445,6 +479,13 @@ def _codes(sids, code_of: dict[str, int]) -> np.ndarray:
     for sid in dict.fromkeys(sids):
         code_of.setdefault(sid, len(code_of))
     return np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
+
+
+def _run_codes(ids: np.ndarray, code_of: dict[str, int]) -> np.ndarray:
+    """``_codes`` of the ids of an object array, looking up only the first
+    id of each run of equal ids."""
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    return np.repeat(_codes(ids[starts], code_of), np.diff(starts, append=len(ids)))
 
 
 def _check_rows(codes, times, labels, finite, first, ids, skipped=()) -> None:

@@ -823,6 +823,18 @@ class TestMonitor:
         ]
         assert captured.err == ""
 
+    def test_cap_gives_the_bits_of_a_clip(self):
+        """``_cap`` clamps one float with ``min`` and ``max``: the result is a
+        Python float with the bytes of ``np.clip``'s, for a Python or a numpy
+        float."""
+        for value in (math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 1e300, -1e300,
+                      5e-324, -5e-324, 2.2250738585072014e-308, 1e12, -1e12, 0.5):
+            for given in (value, np.float64(value)):
+                want = float(np.clip(given, -cli.ROBUSTNESS_CAP, cli.ROBUSTNESS_CAP))
+                got = cli._cap(given)
+                assert type(got) is float, (value, got)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (value, got)
+
     @pytest.mark.parametrize("formula, detail", [
         ("(" * 400 + "x1 > 0" + ")" * 400, "nesting deeper"),
         ("G[0," + "9" * 5000 + "](x1 > 0)", "time bound has too many digits"),

@@ -326,6 +326,57 @@ def test_dataset_validation():
             LabeledDataset(np.zeros(shape), np.ones(shape[0], dtype=int), ("a", "b")[:shape[0]])
 
 
+# Each dataset ``LabeledDataset`` refuses would be saved to a file that does
+# not load back as it was.
+
+def test_duplicate_ids_are_refused():
+    with pytest.raises(ValueError, match="ids must be distinct: 'a' repeats"):
+        LabeledDataset(np.zeros((2, 1, 3)), np.array([1, -1]), ("a", "a"))
+    ds = LabeledDataset(np.zeros((2, 1, 3)), np.array([1, -1]), ("a", "b"))
+    with pytest.raises(ValueError, match="ids must be distinct: 'b' repeats"):
+        ds.subset([1, 0, 1])
+
+
+def test_fractional_labels_are_refused():
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1 \(got 1.5\)"):
+        LabeledDataset(np.zeros((2, 1, 3)), np.array([1.5, -1.7]), ("a", "b"))
+    ds = LabeledDataset(np.zeros((2, 1, 3)), np.array([1.0, -1.0]), ("a", "b"))
+    assert ds.labels.dtype == int and ds.labels.tolist() == [1, -1]
+
+
+def test_bool_labels_are_refused():
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1, not of type bool"):
+        LabeledDataset(np.zeros((2, 1, 3)), [True, True], ("a", "b"))
+
+
+def test_complex_values_are_refused():
+    for values in (np.zeros((2, 1, 3), dtype=complex), np.full((2, 1, 3), 1 + 2j)):
+        with pytest.raises(ValueError, match="signal values must be real, not complex"):
+            LabeledDataset(values, np.array([1, -1]), ("a", "b"))
+
+
+def test_checked_data_is_not_checked_again(tmp_path, monkeypatch):
+    """``subset`` and ``load_csv`` build their datasets without running
+    ``__post_init__``'s checks again, and give the same read-only arrays."""
+    path = write_csv(tmp_path / "data.csv", WELL_FORMED)
+    ds = load_csv(path)
+    part = ds.subset([1])
+
+    def refuse(self):
+        raise AssertionError("the checks ran again")
+
+    monkeypatch.setattr(LabeledDataset, "__post_init__", refuse)
+    for got, want in ((load_csv(path), ds), (ds.subset([1]), part)):
+        assert got.ids == want.ids
+        for name in ("values", "labels"):
+            array = getattr(got, name)
+            assert array.dtype == getattr(want, name).dtype
+            assert array.tobytes() == getattr(want, name).tobytes()
+            assert not array.flags.writeable
+    with pytest.raises(ValueError, match="ids must be distinct"):
+        ds.subset([0, 0])
+
+
 # Differential tests: ``load_csv`` against the record-at-a-time oracle.
 
 ID_TEXT = st.text(st.sampled_from("ab,\"'\n\r é1"), max_size=4)
@@ -568,6 +619,9 @@ REFUSED = {
     "nul": (CLEAN.replace(",3\n", ",3\x00\n"), "line 5: could not convert"),
     "bom": ("\ufeff" + CLEAN, "header must start with id"),
     "extra-field": (CLEAN.replace(",3\n", ",3,4\n"), "line 5: expected 4 fields"),
+    # One field too many, then one too few: the commas of a block add up.
+    "uneven-fields": (CLEAN.replace("a,1,1,1\n", "a,1,1,1,7\n").replace("b,1,-1,3", "b,1,-1"),
+                      "line 3: expected 4 fields"),
     # The commas of a block add up, but a blank line holds none.
     "extra-fields-and-blank-line": (CLEAN.replace(",3\n", ",3,4,5,6\n\n"),
                                     "line 5: expected 4 fields"),
@@ -622,6 +676,56 @@ def test_row_faults_of_clean_files_are_raised_by_the_fast_path(tmp_path_factory,
         got = _compare(tmp_path_factory, ROW_FAULTS[name].encode(), block,
                        _load_exact=_unreachable, **_split(cpus))
         assert got == (SchemaError, str(exact.value)), cpus
+
+
+# The fast path codes ids a run of equal ids at a time; an id that comes
+# back after another keeps its first code, within a block and across one.
+RETURNING_IDS = ("id,t,label,x1\na,0,1,0\na,1,1,1\nb,0,-1,2\na,2,1,3\nc,0,1,4\nc,1,1,5\n"
+                 "b,1,-1,6\nb,2,-1,7\nc,2,1,8\na,3,1,9\nb,3,-1,10\nc,3,1,11\n")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_ids_that_come_back_keep_their_first_code(tmp_path_factory, block):
+    for cpus in (1, 2, 3):
+        got = _compare(tmp_path_factory, RETURNING_IDS.encode(), block,
+                       _load_exact=_unreachable, **_split(cpus))
+        assert got[:2] == (("a", "b", "c"), [POS_LABEL, NEG_LABEL, POS_LABEL]), (cpus, got)
+
+
+def test_run_codes_follow_first_appearance():
+    code_of = {"z": 0}
+    ids = np.array(["a", "a", "b", "a", "z", "c", "c", "b"], dtype=object)
+    assert data._run_codes(ids, code_of).tolist() == [1, 1, 2, 1, 0, 3, 3, 2]
+    assert list(code_of) == ["z", "a", "b", "c"]
+    assert data._run_codes(np.array(["c"], dtype=object), code_of).tolist() == [3]
+
+
+def test_a_block_is_one_loadtxt_call_and_one_lookup_per_run(tmp_path, monkeypatch):
+    """The fast path reads each block with one ``np.loadtxt`` call over
+    every column, with no ``usecols``, and looks up only the first id of
+    each run of equal ids, then the part's ids once."""
+    path = write_csv(tmp_path / "runs.csv", SPLIT_FILE)  # ids s0..s9, 10 lines each
+    monkeypatch.setattr(data, "BLOCK_ROWS", 25)
+    monkeypatch.setattr(data, "_load_exact", _unreachable)
+    loadtxt, calls = np.loadtxt, []
+    codes, lookups = data._codes, []
+
+    def loadtxt_spy(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    def codes_spy(sids, code_of):
+        lookups.append(list(sids))
+        return codes(sids, code_of)
+
+    monkeypatch.setattr(data.np, "loadtxt", loadtxt_spy)
+    monkeypatch.setattr(data, "_codes", codes_spy)
+    ds = load_csv(path)
+    assert len(calls) == 4 and not any("usecols" in kwargs for kwargs in calls), calls
+    names = [f"s{k}" for k in range(10)]
+    assert lookups == [names[0:3], names[2:5], names[5:8], names[7:10], names], lookups
+    assert (_outcome(lambda _: (ds.ids, ds.labels, ds.values), path)
+            == _outcome(naive_load_csv, path))
 
 
 # A file of at least two SPLIT_FLOORs is cut into parts at line starts, and
