@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL, uniform_weights, whole_file
-from .formula import And, Formula, Signal, checked_float, checked_int, extent, operator_count
+from .formula import And, Formula, Signal, checked, extent, operator_count
 from .grammar import format_formula, parse_formula
 from .pso import VELOCITY_CLAMP, PsoConfig
 from . import tree
@@ -58,6 +57,22 @@ MAX_RETRIES = 100
 # the retrain attempts a round may make for a tree that beats random guessing.
 M_WEIGHT = 100.0
 RETRIES = 5
+
+# The kind and bounds of each of train_boosted's own settings.
+_TRAINING_SETTINGS = {
+    "rounds": (int, {"ge": 1, "le": MAX_ROUNDS}),
+    "m_weight": (float, {"gt": 0}),
+    "max_retries": (int, {"ge": 0, "le": MAX_RETRIES}),
+    "seed": (int, {"ge": 0}),
+}
+
+
+def training_setting(name: str, value, label: str | None = None):
+    """``value`` checked as :func:`train_boosted`'s setting ``name`` by
+    :func:`~stlboost.formula.checked`, whose ValueError names ``label``, or
+    ``name`` without one."""
+    kind, bounds = _TRAINING_SETTINGS[name]
+    return checked(label or name, value, kind, **bounds)
 
 
 @dataclass(frozen=True)
@@ -104,21 +119,14 @@ def train_boosted(
     training stops early with the trees kept so far.  After a perfect round
     the sample weights stay unchanged (the exponential update is a no-op
     modulo normalization there).  ``rounds`` is an integer in [1,
-    MAX_ROUNDS], ``max_retries`` one in [0, MAX_RETRIES] and ``m_weight`` a
-    positive finite number, and ``seed`` a non-negative integer.
+    MAX_ROUNDS], ``max_retries`` one in [0, MAX_RETRIES], ``m_weight`` a
+    positive finite number and ``seed`` a non-negative integer
+    (:func:`training_setting`).
     """
-    rounds = checked_int("rounds", rounds)
-    max_retries = checked_int("max_retries", max_retries)
-    m_weight = checked_float("m_weight", m_weight)
-    seed = checked_int("seed", seed)
-    if not 1 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"round count must be in [1, {MAX_ROUNDS}]")
-    if not 0 <= max_retries <= MAX_RETRIES:
-        raise ValueError(f"retry count must be in [0, {MAX_RETRIES}]")
-    if not 0 < m_weight < math.inf:
-        raise ValueError("m_weight must be positive and finite")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    rounds = training_setting("rounds", rounds)
+    m_weight = training_setting("m_weight", m_weight)
+    max_retries = training_setting("max_retries", max_retries)
+    seed = training_setting("seed", seed)
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     config = config or TreeConfig()
@@ -306,33 +314,27 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
 _REQUIRED = object()
 
 
-def typed_value(name: str, value, kind: type):
-    """``value``, as JSON decodes it, checked to be a ``kind`` and returned as one.
-
-    ``int`` takes integral numbers and ``float`` finite numbers, never a
-    bool, so ``100`` read as a float is ``100.0``; ``dict``, ``list`` and
-    ``str`` take only their own type.  Raises ValueError naming ``name``.
+def _typed(name: str, value, kind: type, **bounds):
+    """``value``, as JSON decodes it, checked to be a ``kind`` and returned
+    as one: ``dict``, ``list`` and ``str`` take only their own type, and
+    ``int`` and ``float`` go to :func:`~stlboost.formula.checked` with
+    ``bounds``, so ``100`` read as a float is ``100.0`` and ``3.0`` is not
+    an int.  Raises ValueError naming ``name``.
     """
-    if kind in _JSON_TYPES:
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if kind is int and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
+    if kind not in _JSON_TYPES:
+        return checked(name, value, kind, **bounds)
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
-def _field(doc: dict, key: str, kind: type, default=_REQUIRED):
-    """``doc[key]`` checked by :func:`typed_value`, or ``default`` when absent."""
+def _field(doc: dict, key: str, kind: type, default=_REQUIRED, **bounds):
+    """``doc[key]`` checked by :func:`_typed`, or ``default`` when absent."""
     if key not in doc:
         if default is _REQUIRED:
             raise ValueError(f"missing key {key!r}")
         return default
-    return typed_value(key, doc[key], kind)
+    return _typed(key, doc[key], kind, **bounds)
 
 
 def _check_fits(node: TreeNode, dimension: int, horizon: int) -> None:
@@ -351,15 +353,19 @@ def _check_fits(node: TreeNode, dimension: int, horizon: int) -> None:
 def model_from_dict(doc) -> BoostedModel:
     """Rebuild a model from :func:`model_to_dict` output.
 
-    Raises ValueError, naming the key, for a field that is missing or of the
-    wrong JSON type, and when the document is inconsistent: no trees, a
-    ``formulaText`` that is not its tree's formula, a ``prunedIndex`` that
-    names no tree, a primitive that reads past the model's ``n`` variables
-    or ``T`` horizon, a vote weight that is not positive, or, without
-    ``prunedIndex``, vote weights whose sum in round order is not finite
-    (:func:`_check_finite_vote`); a pruned model's selected tree votes alone.
+    Raises ValueError, naming the key, for a field that is missing, of the
+    wrong JSON type or out of its bounds, and when the document is
+    inconsistent: no trees, a ``formulaText`` that is not its tree's
+    formula, a primitive that reads past the model's ``n`` variables or
+    ``T`` horizon, or, without ``prunedIndex``, vote weights whose sum in
+    round order is not finite (:func:`_check_finite_vote`); a pruned
+    model's selected tree votes alone.  The bounds: ``M`` and
+    ``requestedRounds`` are :func:`training_setting`'s, and
+    ``requestedRounds`` is at least the tree count; a tree's ``alpha`` is
+    positive, its ``epsilon`` in [0, 0.5), as training keeps only such
+    trees, and its ``merges`` non-negative; ``prunedIndex`` names a tree.
     """
-    doc = typed_value("model", doc, dict)
+    doc = _typed("model", doc, dict)
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     cfg = _field(doc, "config", dict)
@@ -374,27 +380,24 @@ def model_from_dict(doc) -> BoostedModel:
         pso=PsoConfig(**swarm),
     )
     dimension, horizon = _field(doc, "n", int), _field(doc, "T", int)
-    m_weight = _field(doc, "M", float)
-    if not m_weight > 0:
-        raise ValueError(f"M must be positive, got {m_weight}")
+    m_weight = training_setting("m_weight", _field(doc, "M", float), "M")
     rounds = []
     for k, t in enumerate(_field(doc, "trees", list)):
-        t = typed_value(f"tree {k}", t, dict)
+        t = _typed(f"tree {k}", t, dict)
         root = _tree_from_doc(_field(t, "treeStructure", dict))
         _check_fits(root, dimension, horizon)
         if parse_formula(_field(t, "formulaText", str)) != tree_to_formula(root):
             raise ValueError(f"tree {k}: formulaText does not match treeStructure")
-        alpha, epsilon = _field(t, "alpha", float), _field(t, "epsilon", float)
-        if not alpha > 0:
-            raise ValueError(f"tree {k}: alpha must be positive, got {alpha}")
-        rounds.append(TreeRound(root, alpha, epsilon, _field(t, "merges", int, 0)))
+        rounds.append(TreeRound(root, _field(t, "alpha", float, gt=0),
+                                _field(t, "epsilon", float, ge=0, lt=0.5),
+                                _field(t, "merges", int, 0, ge=0)))
     if not rounds:
         raise ValueError("model holds no trees")
-    pruned = None if doc.get("prunedIndex") is None else _field(doc, "prunedIndex", int)
-    if pruned is not None and pruned not in range(len(rounds)):
-        raise ValueError(f"prunedIndex {pruned} names no tree of {len(rounds)}")
+    pruned = None if doc.get("prunedIndex") is None else _field(
+        doc, "prunedIndex", int, ge=0, lt=len(rounds))
     if pruned is None:
         _check_finite_vote(rounds)
+    requested = _field(cfg, "requestedRounds", int, len(rounds), ge=len(rounds))
     return BoostedModel(
         rounds=tuple(rounds),
         m_weight=m_weight,
@@ -402,7 +405,7 @@ def model_from_dict(doc) -> BoostedModel:
         dimension=dimension,
         horizon=horizon,
         config=config,
-        requested_rounds=_field(cfg, "requestedRounds", int, len(rounds)),
+        requested_rounds=training_setting("rounds", requested, "requestedRounds"),
     )
 
 

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import logging
-import operator
 import os
 import sys
 import time
@@ -22,8 +21,6 @@ import numpy as np
 from . import __version__
 from .boosting import (
     M_WEIGHT,
-    MAX_RETRIES,
-    MAX_ROUNDS,
     PSO_KEYS,
     RETRIES,
     ensemble_mcr,
@@ -34,11 +31,12 @@ from .boosting import (
     read_json,
     save_model,
     train_boosted,
-    typed_value,
+    training_setting,
 )
 from .data import (
     LabeledDataset,
     TooFewSamplesError,
+    fold_setting,
     load_csv,
     save_csv,
     stratified_folds,
@@ -71,12 +69,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class Setting:
     """One training setting: its config-file key, its flags, its type, its
-    default and its help text, with the bounds the CLI checks (``ge``,
-    ``le`` and ``gt`` as >=, <= and >).
+    default and its help text.
 
-    A setting without bounds is range-checked by the library config that
-    owns it (TreeConfig, PsoConfig) when the CLI builds that config, and
-    takes its default from that config.
+    The library function or config that owns a setting checks its kind and
+    bounds (:func:`_load_settings`), and the tree and swarm settings take
+    their defaults from TreeConfig and PsoConfig.
     """
 
     key: str
@@ -84,23 +81,19 @@ class Setting:
     kind: type
     default: int | float
     help: str
-    ge: int | None = None
-    le: int | None = None
-    gt: float | None = None
     commands: tuple[str, ...] = ("train", "cv")
 
 
 SETTINGS = {s.key: s for s in (
-    Setting("trees", ("-K", "--trees"), int, 3, "boosting rounds", ge=1, le=MAX_ROUNDS),
+    Setting("trees", ("-K", "--trees"), int, 3, "boosting rounds"),
     Setting("max_depth", ("--max-depth",), int, TreeConfig.max_depth, "depth limit of each tree"),
     Setting("lambda", ("--lambda",), float, TreeConfig.purity_stop,
             "majority fraction that turns a node into a leaf"),
     Setting("M", ("--M",), float, M_WEIGHT,
-            "vote weight assigned to trees with zero training error", gt=0.0),
-    Setting("seed", ("--seed",), int, 0, "training seed", ge=0),
-    Setting("folds", ("--folds",), int, 5, "cross-validation folds", ge=2, commands=("cv",)),
-    Setting("retries", ("--retries",), int, RETRIES, "retrain attempts for weak trees",
-            ge=0, le=MAX_RETRIES),
+            "vote weight assigned to trees with zero training error"),
+    Setting("seed", ("--seed",), int, 0, "training seed"),
+    Setting("folds", ("--folds",), int, 5, "cross-validation folds", commands=("cv",)),
+    Setting("retries", ("--retries",), int, RETRIES, "retrain attempts for weak trees"),
     Setting("pso_swarm", ("--pso-swarm",), int, PsoConfig.swarm_size,
             "particles in each swarm search"),
     Setting("pso_iters", ("--pso-iters",), int, PsoConfig.iterations,
@@ -178,46 +171,36 @@ def _read(path, what: str, load):
         raise CliError(f"cannot load {what} {path}: {exc}")
 
 
-def _check(setting: Setting, value):
-    """A flag or config-file value as the setting's own type, within its bounds."""
-    try:
-        value = typed_value(setting.key, value, setting.kind)
-    except ValueError as exc:
-        raise CliError(f"invalid configuration: {exc}")
-    for bound, holds, relation in ((setting.ge, operator.ge, "at least"),
-                                   (setting.le, operator.le, "at most"),
-                                   (setting.gt, operator.gt, "above")):
-        if bound is not None and not holds(value, bound):
-            raise CliError(
-                f"invalid configuration: {setting.key} must be {relation} {bound}, got {value}"
-            )
-    return value
-
-
 def _config_values(doc) -> dict:
     if not isinstance(doc, dict):
         raise CliError("config file must hold a JSON object")
     unknown = set(doc) - set(SETTINGS)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
-    return {key: _check(SETTINGS[key], value) for key, value in doc.items()}
+    return doc
 
 
 def _load_settings(args) -> tuple[dict, TreeConfig]:
-    """The checked settings (defaults, then the config file, then explicit
-    flags) and the TreeConfig built from them."""
+    """The settings (defaults, then the config file, then explicit flags)
+    and the TreeConfig built from them, each checked by the library that
+    owns it: TreeConfig and PsoConfig, :func:`training_setting` and
+    :func:`fold_setting`.  Their ValueError is a user error."""
     settings = {key: setting.default for key, setting in SETTINGS.items()}
     if args.config:
         settings.update(_read(args.config, "config file", lambda p: _config_values(read_json(p))))
-    for key, setting in SETTINGS.items():
+    for key in SETTINGS:
         if getattr(args, key, None) is not None:
-            settings[key] = _check(setting, getattr(args, key))
+            settings[key] = getattr(args, key)
     try:
         config = TreeConfig(
             max_depth=settings["max_depth"],
             purity_stop=settings["lambda"],
             pso=PsoConfig(**{name: settings["pso_" + key] for key, name, _ in PSO_KEYS}),
         )
+        for key, name in (("trees", "rounds"), ("M", "m_weight"), ("retries", "max_retries"),
+                          ("seed", "seed")):
+            settings[key] = training_setting(name, settings[key], key)
+        settings["folds"] = fold_setting("fold_count", settings["folds"], "folds")
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}")
     return settings, config

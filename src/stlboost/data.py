@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fanout import fan_out, worker_count
-from .formula import Formula, Signal, checked_int, robustness_all
+from .formula import Formula, Signal, checked, robustness_all
 
 POS_LABEL = 1
 NEG_LABEL = -1
@@ -642,19 +642,27 @@ class FoldPlan:
         return np.flatnonzero(self.assignment != fold)
 
 
+# The kind and bounds of each of stratified_folds' settings.
+_FOLD_SETTINGS = {"fold_count": (int, {"ge": 2}), "seed": (int, {"ge": 0})}
+
+
+def fold_setting(name: str, value, label: str | None = None):
+    """``value`` checked as :func:`stratified_folds`' setting ``name`` by
+    :func:`~stlboost.formula.checked`, whose ValueError names ``label``, or
+    ``name`` without one."""
+    kind, bounds = _FOLD_SETTINGS[name]
+    return checked(label or name, value, kind, **bounds)
+
+
 def stratified_folds(dataset: LabeledDataset, fold_count: int, seed: int = 0) -> FoldPlan:
     """Deal samples into ``fold_count`` folds, stratified by class.
 
     Fold sizes differ by at most one overall and per class; deterministic
-    for a given seed.  ``fold_count`` and ``seed`` are integers
-    (:func:`~stlboost.formula.checked_int`), and ``seed`` is non-negative.
+    for a given seed.  ``fold_count`` is an integer of at least 2 and
+    ``seed`` a non-negative one (:func:`fold_setting`).
     """
-    fold_count = checked_int("fold_count", fold_count)
-    seed = checked_int("seed", seed)
-    if fold_count < 2:
-        raise ValueError("fold count must be at least 2")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    fold_count = fold_setting("fold_count", fold_count)
+    seed = fold_setting("seed", seed)
     counts = dataset.class_counts()
     for label, count in counts.items():
         if count < fold_count:

@@ -13,7 +13,6 @@ from range tables of window minima (:func:`range_table`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,26 +35,35 @@ class UnvaluedParameterError(TypeError):
     concrete formula (e.g. a parametric template with free parameters)."""
 
 
-def checked_int(name: str, value) -> int:
-    """``value`` as a Python int, so a model file can hold it; raises
-    ValueError naming ``name`` unless it is a Python or numpy integer (a
-    bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+_KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
-def checked_float(name: str, value) -> float:
-    """``value`` as a Python float, so a model file can hold it; raises
-    ValueError naming ``name`` unless it is a real number (a bool is not one)
-    within the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+def checked(name: str, value, kind: type, *, ge=None, gt=None, le=None, lt=None):
+    """``value`` as a Python ``kind``, ``int`` or ``float``, so a model file
+    can hold it, within the bounds given: ``ge`` >=, ``gt`` >, ``le`` <= and
+    ``lt`` <.  This is the one check of a numeric setting's kind and range.
+
+    An int is a Python or numpy integer, and a float one of those or a
+    Python or numpy float; a bool is neither.  Either must lie within the
+    float range, and a float must be finite.  Raises ValueError naming
+    ``name``; no message holds an int too long for ``str()``.
+    """
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        # No repr: an int past 4300 digits raises ValueError from str().
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
         raise ValueError(f"{name} is beyond the float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    value = kind(value)
+    if not ((ge is None or value >= ge) and (gt is None or value > gt)
+            and (le is None or value <= le) and (lt is None or value < lt)):
+        words = zip(("at least", "above", "at most", "below"), (ge, gt, le, lt))
+        rule = " and ".join(f"{word} {bound}" for word, bound in words if bound is not None)
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +101,10 @@ class Conjunct:
     threshold: float
 
     def __post_init__(self):
-        object.__setattr__(self, "var", checked_int("var", self.var))
-        if self.var < 1:
-            raise ValueError("variable index must be a positive integer")
+        object.__setattr__(self, "var", checked("var", self.var, int, ge=1))
         if self.op not in (GT, LE):
             raise ValueError(f"comparator must be {GT!r} or {LE!r}")
-        object.__setattr__(self, "threshold", float(self.threshold))
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
+        object.__setattr__(self, "threshold", checked("threshold", self.threshold, float))
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,10 @@ class And(Formula):
         if not self.children:
             raise ValueError("conjunction needs at least one child")
         if self.weights is not None:
-            weights = tuple(float(w) for w in self.weights)
+            weights = tuple(checked("weight", w, float, gt=0) for w in self.weights)
             object.__setattr__(self, "weights", weights)
             if len(weights) != len(self.children):
                 raise ValueError("weight count must match child count")
-            if not all(w > 0 and math.isfinite(w) for w in weights):
-                raise ValueError("conjunction weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -185,12 +187,11 @@ class Or(Formula):
 
 
 def _check_interval(operator: Formula):
-    """Store ``operator``'s bounds as Python ints, checked by
-    :func:`checked_int`, and check that they form a window."""
-    for name in ("start", "end"):
-        object.__setattr__(operator, name, checked_int(name, getattr(operator, name)))
-    if operator.start < 0 or operator.start > operator.end:
-        raise ValueError(f"invalid temporal interval [{operator.start},{operator.end}]")
+    """Store ``operator``'s bounds as Python ints that form a window, checked
+    by :func:`checked`."""
+    start = checked("start", operator.start, int, ge=0)
+    object.__setattr__(operator, "start", start)
+    object.__setattr__(operator, "end", checked("end", operator.end, int, ge=start))
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,7 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
     implementation of the semantics; :func:`robustness` is its batch of one.
     The horizon and the variable count are checked once, up front, from
     :func:`extent`: it raises OutOfHorizonError when ``t`` is not an integer
-    (by :func:`checked_int`'s rule, so a numpy integer is one and a bool is
+    (by :func:`checked`'s rule, so a numpy integer is one and a bool is
     not) or ``phi`` read at ``t`` reaches a timepoint outside [0, T],
     VariableOutOfRangeError when ``phi`` reads a variable past n, and
     UnvaluedParameterError when ``phi`` is not a concrete formula.
@@ -319,11 +320,10 @@ def robustness_all(phi: Formula, values: np.ndarray, t: int = 0) -> np.ndarray:
     horizon = values.shape[2] - 1
     var, last = extent(phi)
     try:
-        t = checked_int("evaluation time", t)
-        fits = 0 <= t and t + last <= horizon
-    except ValueError:
-        fits = False
-    if not fits:
+        t = checked("evaluation time", t, int)
+    except ValueError as exc:
+        raise OutOfHorizonError(str(exc)) from None
+    if not 0 <= t <= horizon - last:
         raise OutOfHorizonError(
             f"evaluation time {t!r} plus the formula's reach {last} is outside [0, {horizon}]"
         )

@@ -40,6 +40,7 @@ from .formula import (
     Not,
     Or,
     Predicate,
+    checked,
 )
 
 
@@ -262,9 +263,10 @@ class _Parser:
 
 def _integer(tok: _Token, digits: str, what: str) -> int:
     """``int(digits)``, or a SemanticError at ``tok`` when ``digits`` pass
-    the interpreter's limit on the length of an integer's text."""
+    the interpreter's limit on the length of an integer's text or the
+    number passes the float range, which :func:`checked` refuses."""
     try:
-        return int(digits)
+        return checked(what, int(digits), int)
     except ValueError:
         raise SemanticError(f"{what} has too many digits", tok.line, tok.column) from None
 

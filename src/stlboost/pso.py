@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .formula import GT, LE, checked_float, checked_int
+from .formula import GT, LE, checked
 from .templates import (
     MAX_ACCELERATION,
     TABLE_BUDGET_BYTES,
@@ -76,18 +76,12 @@ class PsoConfig:
     social: float = 1.49
 
     def __post_init__(self):
-        for name in ("swarm_size", "iterations"):
-            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
-        for name in ("inertia", "cognitive", "social"):
-            object.__setattr__(self, name, checked_float(name, getattr(self, name)))
-        if not 2 <= self.swarm_size <= MAX_SWARM_SIZE:
-            raise ValueError(f"swarm size must be in [2, {MAX_SWARM_SIZE}]")
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
-            raise ValueError(f"iteration count must be in [1, {MAX_ITERATIONS}]")
-        if not 0 <= self.inertia < 1:
-            raise ValueError("inertia must be in [0, 1)")
-        if not (0 < self.cognitive <= MAX_ACCELERATION and 0 < self.social <= MAX_ACCELERATION):
-            raise ValueError(f"cognitive and social factors must be in (0, {MAX_ACCELERATION}]")
+        for name, kind, bounds in (("swarm_size", int, {"ge": 2, "le": MAX_SWARM_SIZE}),
+                                   ("iterations", int, {"ge": 1, "le": MAX_ITERATIONS}),
+                                   ("inertia", float, {"ge": 0, "lt": 1}),
+                                   ("cognitive", float, {"gt": 0, "le": MAX_ACCELERATION}),
+                                   ("social", float, {"gt": 0, "le": MAX_ACCELERATION})):
+            object.__setattr__(self, name, checked(name, getattr(self, name), kind, **bounds))
 
 
 def _face_pairs(template: PstlTemplate) -> list[tuple[int, int]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, NEG_LABEL, POS_LABEL
-from .formula import checked_float, checked_int
+from .formula import checked
 
 
 MAX_VALUES = 10**8  # signal values one generated dataset may hold: 800 MB of floats
@@ -46,22 +46,16 @@ CLOSING_SPEED = 9.5
 DRIFT_SPEED = -1.2
 
 
-def _check_config(config, dimension: int, min_horizon: int, geometry: str) -> None:
-    for name in ("count_per_class", "horizon", "seed"):
-        object.__setattr__(config, name, checked_int(name, getattr(config, name)))
-    if config.count_per_class < 1:
-        raise ValueError("count_per_class must be at least 1")
-    if config.horizon < min_horizon:
-        raise ValueError(f"{geometry} geometry needs a horizon of at least {min_horizon}")
+def _check_config(config, dimension: int, min_horizon: int) -> None:
+    for name, kind, bounds in (("count_per_class", int, {"ge": 1}),
+                               ("horizon", int, {"ge": min_horizon}),
+                               ("noise", float, {"ge": 0, "le": MAX_NOISE}),
+                               ("seed", int, {"ge": 0})):
+        object.__setattr__(config, name, checked(name, getattr(config, name), kind, **bounds))
     size = 2 * config.count_per_class * dimension * (config.horizon + 1)
     if size > MAX_VALUES:
         raise ValueError(f"{2 * config.count_per_class} signals of {dimension} x "
                          f"{config.horizon + 1} values exceed the {MAX_VALUES} value limit")
-    object.__setattr__(config, "noise", checked_float("noise", config.noise))
-    if not 0 <= config.noise <= MAX_NOISE:
-        raise ValueError(f"noise must be in [0, {MAX_NOISE:g}], got {config.noise!r}")
-    if config.seed < 0:
-        raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class NavalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_config(self, dimension=2, min_horizon=30, geometry="maritime")
+        _check_config(self, dimension=2, min_horizon=30)
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ class UrbanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_config(self, dimension=4, min_horizon=100, geometry="street")
+        _check_config(self, dimension=4, min_horizon=100)
 
 
 def _profile(horizon: int, knots: list[tuple[float, float]]) -> np.ndarray:

@@ -28,7 +28,7 @@ from .formula import (
     Formula,
     Predicate,
     box_window_rho,
-    checked_int,
+    checked,
     face_rho,
     range_levels,
     range_query,
@@ -58,11 +58,11 @@ class Valuation:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "t_start", checked_int("t_start", self.t_start))
-        object.__setattr__(self, "t_end", checked_int("t_end", self.t_end))
-        object.__setattr__(self, "thresholds", tuple(float(v) for v in self.thresholds))
-        if self.t_start < 0 or self.t_start > self.t_end:
-            raise ValueError(f"invalid window [{self.t_start},{self.t_end}]")
+        t_start = checked("t_start", self.t_start, int, ge=0)
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", checked("t_end", self.t_end, int, ge=t_start))
+        object.__setattr__(self, "thresholds",
+                           tuple(checked("threshold", v, float) for v in self.thresholds))
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,14 @@ class PstlTemplate:
     def __post_init__(self):
         if self.shape not in (ALWAYS, EVENTUALLY):
             raise ValueError(f"shape must be {ALWAYS!r} or {EVENTUALLY!r}")
-        slots = tuple((checked_int("slot variable", v), op) for v, op in self.slots)
+        slots = tuple((checked("slot variable", v, int, ge=1), op) for v, op in self.slots)
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ValueError("template needs at least one free face")
         if len(set(slots)) != len(slots):
             raise ValueError("duplicate (variable, comparator) face")
         for var, op in slots:
-            if var < 1 or op not in (GT, LE):
+            if op not in (GT, LE):
                 raise ValueError(f"bad slot ({var}, {op!r})")
         if self.threshold_bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.threshold_bounds)
@@ -106,9 +106,7 @@ class PstlTemplate:
                         f"threshold: [{lo!r}, {hi!r}]"
                     )
         if self.horizon is not None:
-            object.__setattr__(self, "horizon", checked_int("horizon", self.horizon))
-            if self.horizon < 0:
-                raise ValueError("horizon must be non-negative")
+            object.__setattr__(self, "horizon", checked("horizon", self.horizon, int, ge=0))
 
     @property
     def is_bound(self) -> bool:

@@ -35,8 +35,7 @@ from .formula import (
     Predicate,
     Signal,
     TRUE,
-    checked_float,
-    checked_int,
+    checked,
     robustness_all,
 )
 from .impurity import best_leaf_label, gain_scorer
@@ -111,12 +110,10 @@ class TreeConfig:
     pso: PsoConfig = field(default_factory=PsoConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "max_depth", checked_int("max_depth", self.max_depth))
-        object.__setattr__(self, "purity_stop", checked_float("purity_stop", self.purity_stop))
-        if not 1 <= self.max_depth <= MAX_DEPTH:
-            raise ValueError(f"max depth must be in [1, {MAX_DEPTH}]")
-        if not 0.5 < self.purity_stop <= 1.0:
-            raise ValueError("purity stop must be in (0.5, 1]")
+        object.__setattr__(self, "max_depth",
+                           checked("max_depth", self.max_depth, int, ge=1, le=MAX_DEPTH))
+        object.__setattr__(self, "purity_stop",
+                           checked("purity_stop", self.purity_stop, float, gt=0.5, le=1.0))
         if not self.shapes or any(s not in (ALWAYS, EVENTUALLY) for s in self.shapes):
             raise ValueError(f"shapes must be drawn from ({ALWAYS!r}, {EVENTUALLY!r})")
 

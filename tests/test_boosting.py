@@ -252,7 +252,7 @@ class TestTraining:
 
     def test_negative_seed_is_refused(self):
         # It used to reach numpy's SeedSequence, whose error names no setting.
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             train_boosted(noisy_dataset(0), rounds=1, config=FAST, seed=-1)
 
     def test_discard_and_retry(self, monkeypatch, caplog):
@@ -472,7 +472,7 @@ class TestSerialization:
         (lambda doc: doc.update(trees="abc"), "trees must be an array"),
         (lambda doc: doc["trees"][0].update(treeStructure="x"), "treeStructure must be an object"),
         (lambda doc: doc["trees"][0].update(treeStructure=[1]), "treeStructure must be an object"),
-        (lambda doc: doc.update(n=None), "n must be a number"),
+        (lambda doc: doc.update(n=None), "n must be an integer"),
         (lambda doc: doc["trees"][0].update(alpha=None), "alpha must be a number"),
         (lambda doc: doc["trees"][0]["treeStructure"].update(primitive=5),
          "primitive must be a string"),
@@ -481,20 +481,41 @@ class TestSerialization:
         (lambda doc: [1, 2], "model must be an object"),
         (lambda doc: doc.update(trees=[]), "no trees"),
         (lambda doc: doc["trees"][0]["treeStructure"]["left"].update(leaf=5), "leaf label"),
-        (lambda doc: doc["trees"][0].update(alpha=-1.0), "alpha must be positive"),
+        (lambda doc: doc["trees"][0].update(alpha=-1.0), "alpha must be above 0, got -1.0"),
         (lambda doc: doc.update(M=math.nan), "M must be a finite number"),
         (lambda doc: doc.pop("T"), "missing key 'T'"),
         # Files written before the factors were bounded may hold more.
-        (lambda doc: doc["config"]["pso"].update(c1=4.5), "cognitive and social factors"),
-        (lambda doc: doc["config"]["pso"].update(c2=4.5), "cognitive and social factors"),
+        (lambda doc: doc["config"]["pso"].update(c1=4.5),
+         "cognitive must be above 0 and at most 4.0, got 4.5"),
+        (lambda doc: doc["config"]["pso"].update(c2=4.5),
+         "social must be above 0 and at most 4.0, got 4.5"),
         # 1e308 + 1e308 overflows: the vote of these two trees cannot be summed.
         (lambda doc: doc.update(trees=[dict(doc["trees"][0], alpha=1e308)] * 2),
          "alphas sum past the float range"),
+        # Training keeps only trees of error in [0, 0.5), and counts merges.
+        (lambda doc: doc["trees"][0].update(merges=-1), "merges must be at least 0, got -1"),
+        (lambda doc: doc["trees"][0].update(epsilon=7.0),
+         "epsilon must be at least 0 and below 0.5, got 7.0"),
+        (lambda doc: doc["trees"][0].update(epsilon=-1.0),
+         "epsilon must be at least 0 and below 0.5, got -1.0"),
+        (lambda doc: doc["config"].update(requestedRounds=-3),
+         "requestedRounds must be at least 1, got -3"),
+        (lambda doc: doc["config"].update(requestedRounds=0),
+         "requestedRounds must be at least 1, got 0"),
+        (lambda doc: doc["config"].update(requestedRounds=10**6),
+         "requestedRounds must be at least 1 and at most 1000, got 1000000"),
+        (lambda doc: doc["config"].update(requestedRounds=3.0),
+         "requestedRounds must be an integer, got 3.0"),
+        (lambda doc: doc.update(trees=doc["trees"] * 3, config=dict(doc["config"],
+                                                                  requestedRounds=2)),
+         "requestedRounds must be at least 3, got 2"),
     ], ids=["formula-text", "pruned-7", "pruned-negative", "variable", "window", "nested-window",
             "config-5", "trees-string", "structure-string", "structure-list", "n-null",
             "alpha-null", "primitive-number", "shapes-number", "formula-text-number",
             "top-level-list", "no-trees", "leaf-5", "alpha-negative", "m-nan", "missing-T",
-            "c1-above-bound", "c2-above-bound", "alpha-sum-overflow"])
+            "c1-above-bound", "c2-above-bound", "alpha-sum-overflow", "merges-negative",
+            "epsilon-7", "epsilon-negative", "requested-negative", "requested-0",
+            "requested-million", "requested-float", "requested-below-trees"])
     def test_rejects_inconsistent_model(self, edit, match):
         tree = Split(Always(0, 1, pred(1, LE, 1.0)), Leaf(POS_LABEL), Leaf(NEG_LABEL))
         model = _stub_model([TreeRound(tree, 2.0, 0.1, 0)])

@@ -192,7 +192,7 @@ class TestFolds:
             ({"fold_count": 2.5}, "fold_count must be an integer, got 2.5"),
             ({"fold_count": True}, "fold_count must be an integer, got True"),
             ({"fold_count": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({"fold_count": 3, "seed": -1}, "seed must be non-negative, got -1"),
+            ({"fold_count": 3, "seed": -1}, "seed must be at least 0, got -1"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 stratified_folds(ds, **kwargs)
@@ -615,6 +615,11 @@ REFUSED = {
     "int64-timepoint": (CLEAN.replace("b,1,", "b,9223372036854775808,"), "ragged signal 'b'"),
     "underscore": (CLEAN.replace(",3\n", ",1_0\n"), None),
     "arabic-digit": (CLEAN.replace(",3\n", ",\u0663\n"), None),
+    # A non-ASCII digit in an int field goes to the exact path, after a
+    # non-ASCII id too: some such text crashed numpy 2.4.6's loadtxt.
+    "arabic-digit-timepoint": (CLEAN.replace("b,1,", "b,\u0661,"), None),
+    "arabic-digit-timepoint-after-non-ascii-id": (
+        CLEAN.replace("a,", "\u00e9,").replace("b,1,", "b,\u0661,"), None),
     "float-timepoint": (CLEAN.replace("b,1,", "b,1.0,"), "line 5: invalid literal for int()"),
     "nul": (CLEAN.replace(",3\n", ",3\x00\n"), "line 5: could not convert"),
     "bom": ("\ufeff" + CLEAN, "header must start with id"),
@@ -690,6 +695,23 @@ def test_ids_that_come_back_keep_their_first_code(tmp_path_factory, block):
         got = _compare(tmp_path_factory, RETURNING_IDS.encode(), block,
                        _load_exact=_unreachable, **_split(cpus))
         assert got[:2] == (("a", "b", "c"), [POS_LABEL, NEG_LABEL, POS_LABEL]), (cpus, got)
+
+
+# Ids in several scripts, an astral character, a combining mark and a
+# non-ASCII digit among them; every other field is ASCII.
+NON_ASCII_IDS = "".join(
+    f"{sid},{t},{label},{t}.5\n"
+    for sid, label in (("\u00e9", 1), ("\u4e2d", -1), ("\U0001f600", 1), ("e\u0301", -1),
+                       ("\u0661", 1), ("a\u00e9b", -1))
+    for t in range(3))
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_non_ascii_ids_take_the_fast_path(tmp_path_factory, block):
+    for cpus in (1, 2, 3):
+        got = _compare(tmp_path_factory, ("id,t,label,x1\n" + NON_ASCII_IDS).encode(), block,
+                       _load_exact=_unreachable, **_split(cpus))
+        assert got[0] == ("\u00e9", "\u4e2d", "\U0001f600", "e\u0301", "\u0661", "a\u00e9b"), got
 
 
 def test_run_codes_follow_first_appearance():

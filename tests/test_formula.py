@@ -92,6 +92,9 @@ class TestErrors:
             robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=1.0)
         with pytest.raises(OutOfHorizonError):
             robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=True)
+        # No repr of a time past 4300 digits, which str() refuses.
+        with pytest.raises(OutOfHorizonError, match="^evaluation time is beyond the float range$"):
+            robustness_all(pred(1, LE, 1.0), np.zeros((2, 1, 3)), t=10**5000)
 
     def test_numpy_integer_time(self):
         phi = Always(0, 2, pred(1, GT, 0.5))
@@ -146,6 +149,22 @@ class TestConstruction:
             And(children, (1.0,))
         with pytest.raises(ValueError):
             And(children, (1.0, -2.0))
+
+    def test_formula_numbers_refuse_bools_and_text(self):
+        # float() took each of these: "1.5" as 1.5 and True as 1.0.
+        for make, message in (
+            (lambda: Conjunct(1, LE, "1.5"), "threshold must be a number, got '1.5'"),
+            (lambda: Conjunct(1, LE, True), "threshold must be a number, got True"),
+            (lambda: Conjunct(1, LE, math.inf), "threshold must be a finite number, got inf"),
+            (lambda: And((TRUE,), weights=(True,)), "weight must be a number, got True"),
+            (lambda: And((TRUE,), weights=("2",)), "weight must be a number, got '2'"),
+            (lambda: And((TRUE,), weights=(0.0,)), "weight must be above 0, got 0.0"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
+        face = Conjunct(1, LE, np.float32(0.5))
+        assert type(face.threshold) is float and face == Conjunct(1, LE, 0.5)
+        assert And((TRUE,), weights=(np.int64(2),)).weights == (2.0,)
 
     def test_box_face_validation(self):
         with pytest.raises(ValueError):

@@ -120,7 +120,11 @@ class TestErrors:
     @pytest.mark.parametrize("text, column, what", [
         ("G[0," + "9" * 5000 + "](x1 > 0)", 5, "time bound"),
         ("x" + "9" * 5000 + " > 0", 1, "variable index"),
-    ], ids=["long-bound", "long-variable"])
+        # 400 digits pass int() but not the float range, which checked() keeps.
+        ("G[0," + "9" * 400 + "](x1 > 0)", 5, "time bound"),
+        ("x" + "9" * 400 + " > 0", 1, "variable index"),
+    ], ids=["long-bound", "long-variable", "bound-past-float-range",
+            "variable-past-float-range"])
     def test_number_too_long_for_int(self, text, column, what):
         with pytest.raises(SemanticError, match=f"{what} has too many digits") as info:
             parse_formula(text)

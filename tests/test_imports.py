@@ -107,3 +107,38 @@ def test_no_module_reads_another_modules_private_names():
         for name in _private_reads(path.read_text(encoding="utf-8"))
     }
     assert flagged == set()
+
+
+def _kind_checks(source: str) -> set[str]:
+    """The ``isinstance(..., bool)`` calls in ``source``, and the functions
+    it defines whose name, past any leading ``_``, starts with ``checked``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.lstrip("_").startswith("checked"):
+                found.add(f"def {node.name}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                found.add(ast.unparse(node))
+    return found
+
+
+def test_numbers_have_one_kind_check():
+    """Only ``formula.py`` tells a bool from a number or defines a
+    ``checked`` function: every numeric setting goes through
+    ``formula.checked``, so a second kind check cannot grow back."""
+    source = ("def checked_int(v):\n    return isinstance(v, bool)\n"
+              "def _checked(v):\n    pass\ndef check(v):\n    pass\n"
+              "isinstance(x, (int, bool))\nisinstance(x, int)\nv.isinstance(x, bool)\n")
+    assert _kind_checks(source) == {"def checked_int", "def _checked", "isinstance(v, bool)",
+                                    "isinstance(x, (int, bool))"}
+    package = Path(stlboost.__file__).parent
+    flagged = {
+        (path.stem, found)
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "formula"
+        for found in _kind_checks(path.read_text(encoding="utf-8"))
+    }
+    assert flagged == set()

@@ -152,8 +152,8 @@ def test_validation():
 
 
 def test_integer_fields():
-    # A bool or a fraction is refused with its field named; a numpy integer
-    # is the Python int it equals.
+    # A bool, a fraction or text is refused with its field named; a numpy
+    # integer is the Python int it equals.
     for make, message in (
         (lambda: PstlTemplate("G", ((2.7, GT),)), "slot variable must be an integer, got 2.7"),
         (lambda: PstlTemplate("G", ((True, GT),)), "slot variable must be an integer, got True"),
@@ -162,6 +162,8 @@ def test_integer_fields():
         (lambda: Valuation(1.5, 3, (1.0,)), "t_start must be an integer, got 1.5"),
         (lambda: Valuation(1, 3.9, (1.0,)), "t_end must be an integer, got 3.9"),
         (lambda: Valuation(False, 3, (1.0,)), "t_start must be an integer, got False"),
+        (lambda: Valuation(0, 1, ("3", False)), "threshold must be a number, got '3'"),
+        (lambda: Valuation(0, 1, (3.0, False)), "threshold must be a number, got False"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
